@@ -1,0 +1,127 @@
+// Golden digests of the four inference modes over a fixed gold subset. Each
+// mode runs BuildKb over the 12-article dataset densify_test uses; the test
+// pins a 64-bit FNV-1a digest of the serialized KB and, per document, of the
+// densifier's removal order, objective bits and assignments. The digests are
+// the reference the densify implementation is held to: a refactor that keeps
+// them is bit-identical for greedy, pipeline and ILP alike. Moving a digest
+// is a deliberate act and must be noted in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/qkbfly.h"
+#include "synth/dataset.h"
+
+namespace qkbfly {
+namespace {
+
+const SynthDataset& Dataset() {
+  static const SynthDataset* ds = [] {
+    DatasetConfig config;
+    config.wiki_eval_articles = 12;
+    return BuildDataset(config).release();
+  }();
+  return *ds;
+}
+
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void Value(T v) {
+    Bytes(&v, sizeof(v));
+  }
+  void Double(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    Value(bits);
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+struct Digests {
+  uint64_t kb = 0;
+  uint64_t densify = 0;
+};
+
+Digests DigestMode(InferenceMode mode) {
+  const SynthDataset& ds = Dataset();
+  std::vector<Document> docs;
+  for (const GoldDocument& gd : ds.wiki_eval) docs.push_back(gd.doc);
+  EngineConfig config;
+  config.mode = mode;
+  QkbflyEngine engine(ds.repository.get(), &ds.patterns, &ds.stats, config);
+  std::vector<DocumentResult> results;
+  OnTheFlyKb kb = engine.BuildKb(docs, &results);
+
+  Digests out;
+  Fnv1a kb_hash;
+  const std::string bytes = kb.Serialize();
+  kb_hash.Bytes(bytes.data(), bytes.size());
+  out.kb = kb_hash.hash();
+
+  Fnv1a densify_hash;
+  for (const DocumentResult& r : results) {
+    const DensifyResult& d = r.densified;
+    densify_hash.Value(static_cast<uint64_t>(d.removal_order.size()));
+    for (EdgeId e : d.removal_order) densify_hash.Value(e);
+    densify_hash.Double(d.objective);
+    densify_hash.Value(d.edges_removed);
+    for (const DensifyResult::Assignment& a : d.assignments) {
+      densify_hash.Value(a.mention);
+      densify_hash.Value(a.entity);
+      densify_hash.Double(a.confidence);
+      densify_hash.Double(a.weight);
+      densify_hash.Value(static_cast<uint8_t>(a.exact_alias));
+    }
+    for (const auto& [pronoun, antecedent] : d.pronoun_antecedents) {
+      densify_hash.Value(pronoun);
+      densify_hash.Value(antecedent);
+    }
+  }
+  out.densify = densify_hash.hash();
+  std::printf("%s kb=0x%016" PRIx64 " densify=0x%016" PRIx64 "\n",
+              InferenceModeName(mode), out.kb, out.densify);
+  return out;
+}
+
+TEST(DensifyGoldenTest, Joint) {
+  Digests d = DigestMode(InferenceMode::kJoint);
+  EXPECT_EQ(d.kb, 0x2664b2918ed66463ull);
+  EXPECT_EQ(d.densify, 0x2bb3286252aa336full);
+}
+
+TEST(DensifyGoldenTest, NounOnly) {
+  Digests d = DigestMode(InferenceMode::kNounOnly);
+  EXPECT_EQ(d.kb, 0x81fb3345a3bb6fa6ull);
+  EXPECT_EQ(d.densify, 0x3e0bfe2bb5dd8928ull);
+}
+
+TEST(DensifyGoldenTest, Pipeline) {
+  Digests d = DigestMode(InferenceMode::kPipeline);
+  EXPECT_EQ(d.kb, 0x26e4291d354f3333ull);
+  EXPECT_EQ(d.densify, 0xb5c6b87d5f32b608ull);
+}
+
+TEST(DensifyGoldenTest, Ilp) {
+  Digests d = DigestMode(InferenceMode::kIlp);
+  EXPECT_EQ(d.kb, 0x7c6bf220ec48d202ull);
+  EXPECT_EQ(d.densify, 0x3f2a58e0a2595ba1ull);
+}
+
+}  // namespace
+}  // namespace qkbfly
