@@ -52,7 +52,8 @@ void Print(const char* name, const StageResult& r, const char* unit) {
 // Pulls the densify-stage p50 (milliseconds) out of a committed
 // BENCH_hotpath.json-shaped file. Deliberately string-level, like
 // ValidateJsonFile: the key is matched with its trailing quote-comma so
-// "hotpath/densify" never matches the "hotpath/densify_scan" record.
+// "hotpath/densify" never matches a longer stage name that shares it as a
+// prefix.
 bool ReadBaselineDensifyP50(const std::string& path, double* p50_ms) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return false;
@@ -139,37 +140,6 @@ int Run(bool smoke, const char* baseline_path) {
     Print("gazetteer", gaz, "positions");
     report.Add("hotpath/gazetteer", static_cast<int>(docs.size()) * gaz_reps,
                1, gaz.wall_s, gaz.facts_accumulator, ToFields(gaz));
-  }
-
-  // --- gazetteer (linear reference): same workload on the pre-trie path -----
-  {
-    StageResult gaz;
-    const int gaz_reps = reps;
-    for (int rep = 0; rep < gaz_reps; ++rep) {
-      for (const AnnotatedDocument& ad : annotated) {
-        WallTimer t;
-        uint64_t matches = 0;
-        uint64_t positions = 0;
-        for (const AnnotatedSentence& s : ad.sentences) {
-          const int n = static_cast<int>(s.tokens.size());
-          for (int i = 0; i < n; ++i) {
-            NerType type = NerType::kNone;
-            if (ds->repository->LongestMatchAtLinear(s.tokens, i, &type) > 0) {
-              ++matches;
-            }
-            ++positions;
-          }
-        }
-        gaz.per_doc.Add(t.ElapsedSeconds());
-        gaz.wall_s += t.ElapsedSeconds();
-        gaz.items += positions;
-        gaz.facts_accumulator += matches;
-      }
-    }
-    Print("gazetteer-linear", gaz, "positions");
-    report.Add("hotpath/gazetteer_linear",
-               static_cast<int>(docs.size()) * gaz_reps, 1, gaz.wall_s,
-               gaz.facts_accumulator, ToFields(gaz));
   }
 
   // --- dependency parse: linear vs MST vs adaptive routing ------------------
@@ -275,28 +245,6 @@ int Run(bool smoke, const char* baseline_path) {
                    current_p50, budget, baseline_p50);
       // Fall through so the report still gets written; fail at the end.
     }
-  }
-
-  // --- densify (scan reference): same graphs on the pre-heap loop ----------
-  {
-    GreedyDensifier scan_densifier(&ds->stats, ds->repository.get(),
-                                   DensifyParams(), DensifyStrategy::kScan);
-    StageResult densify_scan;
-    for (int rep = 0; rep < densify_reps; ++rep) {
-      std::vector<SemanticGraph> copies = graphs;
-      for (size_t i = 0; i < copies.size(); ++i) {
-        WallTimer t;
-        DensifyResult r = scan_densifier.Densify(&copies[i], annotated[i]);
-        densify_scan.per_doc.Add(t.ElapsedSeconds());
-        densify_scan.wall_s += t.ElapsedSeconds();
-        densify_scan.items += static_cast<uint64_t>(r.edges_removed);
-      }
-    }
-    Print("densify-scan", densify_scan, "edges-removed");
-    report.Add("hotpath/densify_scan",
-               static_cast<int>(docs.size()) * densify_reps, 1,
-               densify_scan.wall_s, densify_scan.items,
-               ToFields(densify_scan));
   }
 
   // --- cold end-to-end, tracing off vs on -----------------------------------

@@ -46,8 +46,9 @@ echo "==> whole-program lint (L1/C3/A1 + SARIF + latency budget)"
 
 echo "==> bench smoke"
 # bench_smoke_hotpath also diffs the densify p50 against the committed
-# BENCH_hotpath_baseline.json (report-only here; full `hotpath --baseline`
-# runs hard-fail when the p50 regresses more than 10%).
+# BENCH_hotpath.json `hotpath/densify` record (report-only here; full
+# `hotpath --baseline BENCH_hotpath.json` runs hard-fail when the p50
+# regresses more than 10%).
 # bench_smoke_parser enforces the adaptive-parser dial extremes (threshold
 # 0 == pure MST, inf == pure linear, byte-identical KBs) on every run; the
 # wall-time/F1 frontier gates are hard only on full `parser_frontier` runs.

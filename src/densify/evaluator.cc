@@ -11,13 +11,44 @@ namespace {
 
 // Side keys of the type-signature memo: entity ids, or literal node ids
 // tagged with the high bit; an (absurdly large) entity id that would collide
-// with the tag bypasses the cache instead. Same scheme as the legacy
-// EdgeWeights::RelationWeight.
+// with the tag bypasses the cache instead.
 constexpr uint64_t kLiteralBit = 0x80000000ull;
 constexpr uint64_t kUncacheable = ~0ull;
 
 uint64_t CoherenceKey(EntityId e1, EntityId e2) {
   return (static_cast<uint64_t>(e1) << 32) | e2;
+}
+
+/// One relation-edge side: a view of the node's candidate universe.
+struct SideRef {
+  uint32_t off = 0;
+  uint32_t len = 0;
+  bool pronoun = false;
+};
+
+SideRef SideOf(const SemanticGraph& graph, const DensifyWorkspace& ws,
+               NodeId node) {
+  const GraphNode& n = graph.node(node);
+  const size_t i = static_cast<size_t>(node);
+  if (n.kind == NodeKind::kPronoun) {
+    return {ws.pro_univ_off[i], ws.pro_univ_off[i + 1] - ws.pro_univ_off[i],
+            true};
+  }
+  if (n.kind == NodeKind::kNounPhrase && !n.is_literal) {
+    return {ws.np_univ_off[i], ws.np_univ_off[i + 1] - ws.np_univ_off[i],
+            false};
+  }
+  return {};
+}
+
+EntityId EntityAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
+  return s.pronoun ? ws.pro_univ[s.off + i].entity
+                   : ws.np_univ[s.off + i].entity;
+}
+
+NodeId EntityNodeAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
+  return s.pronoun ? ws.pro_univ[s.off + i].entity_node
+                   : ws.np_univ[s.off + i].entity_node;
 }
 
 }  // namespace
@@ -37,7 +68,6 @@ DensifyEvaluator::DensifyEvaluator(SemanticGraph* graph,
   // Hand-built test graphs arrive unfinalized; every adjacency query below
   // runs off the CSR index.
   graph_->Finalize();
-  ws_->weights.Reset(graph, &doc, stats, repository, params);
   BuildEdgeLists();
   BuildNodeData(doc);
   BuildUniverses();
@@ -84,8 +114,8 @@ void DensifyEvaluator::BuildNodeData(const AnnotatedDocument& doc) {
   for (size_t i = 0; i < n; ++i) {
     const GraphNode& node = graph_->node(static_cast<NodeId>(i));
     if (node.kind == NodeKind::kEntity) {
-      // The entity's types with ancestors, flattened in the same order as
-      // the legacy per-entity TypesOf memo (no dedup).
+      // The entity's types with ancestors, flattened in repository order
+      // (no dedup).
       uint32_t off = static_cast<uint32_t>(ws.type_pool.size());
       for (TypeId t : repository_->Get(node.entity).types) {
         ts.AncestorsInto(t, &ws.type_pool);
@@ -102,9 +132,10 @@ void DensifyEvaluator::BuildNodeData(const AnnotatedDocument& doc) {
         node.sentence < static_cast<int>(sentences)) {
       ws.has_context[i] = 1;
     }
-    // Literal / coarse-NER type of the node (at most one), the legacy
-    // LiteralTypes. The Find keys are short coarse-type names, so the
-    // temporary map key stays in SSO storage.
+    // Literal / coarse-NER type of the node (at most one): out-of-repository
+    // names still carry their coarse NER type, which lets type signatures
+    // constrain relations with emerging arguments. The Find keys are short
+    // coarse-type names, so the temporary map key stays in SSO storage.
     if (node.ner == NerType::kTime) {
       ws.literal_type[i] = ts.time();
       ws.has_literal_type[i] = 1;
@@ -220,17 +251,6 @@ double DensifyEvaluator::TsPairValue(
   return value;
 }
 
-namespace {
-
-/// One relation-edge side: a view of the node's candidate universe.
-struct SideRef {
-  uint32_t off = 0;
-  uint32_t len = 0;
-  bool pronoun = false;
-};
-
-}  // namespace
-
 void DensifyEvaluator::BuildLanes() {
   DensifyWorkspace& ws = *ws_;
   const AnnotatedDocument& doc = *doc_;
@@ -268,8 +288,8 @@ void DensifyEvaluator::BuildLanes() {
 
   // Relation lanes: per edge, dense per-pair term matrices with the
   // looseness factors folded in, so the greedy loop's re-evaluations are
-  // pure gathers. Each entry replicates the legacy term expression
-  // (factor_a * factor_b * memoized pure value) for bit-identical sums.
+  // pure gathers. Each entry is one summand of the relation weight:
+  // factor_a * factor_b * memoized pure value.
   ws.rel_lanes.clear();
   ws.lane_of_edge.assign(edges, -1);
   ws.coh_pool.clear();
@@ -277,36 +297,14 @@ void DensifyEvaluator::BuildLanes() {
   ws.patterns.clear();
   ws.coherence_cache.Reset(2 * edges + 16);
 
-  auto side_of = [&](NodeId node) -> SideRef {
-    const GraphNode& n = graph_->node(node);
-    const size_t i = static_cast<size_t>(node);
-    if (n.kind == NodeKind::kPronoun) {
-      return {ws.pro_univ_off[i], ws.pro_univ_off[i + 1] - ws.pro_univ_off[i],
-              true};
-    }
-    if (n.kind == NodeKind::kNounPhrase && !n.is_literal) {
-      return {ws.np_univ_off[i], ws.np_univ_off[i + 1] - ws.np_univ_off[i],
-              false};
-    }
-    return {};
-  };
-  auto entity_of = [&](const SideRef& s, uint32_t i) -> EntityId {
-    return s.pronoun ? ws.pro_univ[s.off + i].entity
-                     : ws.np_univ[s.off + i].entity;
-  };
-  auto entity_node_of = [&](const SideRef& s, uint32_t i) -> NodeId {
-    return s.pronoun ? ws.pro_univ[s.off + i].entity_node
-                     : ws.np_univ[s.off + i].entity_node;
-  };
-
   for (EdgeId r : ws.relation_edges) {
     const GraphEdge& e = graph_->edge(r);
     DensifyWorkspace::RelationLane lane;
     lane.edge = r;
     lane.a = e.a;
     lane.b = e.b;
-    const SideRef sa = side_of(e.a);
-    const SideRef sb = side_of(e.b);
+    const SideRef sa = SideOf(*graph_, ws, e.a);
+    const SideRef sb = SideOf(*graph_, ws, e.b);
     lane.ua_len = sa.len;
     lane.ub_len = sb.len;
     lane.lit_a = ws.has_literal_type[static_cast<size_t>(e.a)] != 0;
@@ -317,7 +315,7 @@ void DensifyEvaluator::BuildLanes() {
     const std::vector<EntityId>* exact_b = ws.exact[static_cast<size_t>(e.b)];
     ws.factor_a.resize(sa.len);
     for (uint32_t i = 0; i < sa.len; ++i) {
-      EntityId ent = entity_of(sa, i);
+      EntityId ent = EntityAt(ws, sa, i);
       ws.factor_a[i] =
           (exact_a != nullptr &&
            std::find(exact_a->begin(), exact_a->end(), ent) != exact_a->end())
@@ -326,7 +324,7 @@ void DensifyEvaluator::BuildLanes() {
     }
     ws.factor_b.resize(sb.len);
     for (uint32_t j = 0; j < sb.len; ++j) {
-      EntityId ent = entity_of(sb, j);
+      EntityId ent = EntityAt(ws, sb, j);
       ws.factor_b[j] =
           (exact_b != nullptr &&
            std::find(exact_b->begin(), exact_b->end(), ent) != exact_b->end())
@@ -340,9 +338,9 @@ void DensifyEvaluator::BuildLanes() {
     // Coherence matrix: |Ua| x |Ub|.
     lane.coh_off = static_cast<uint32_t>(ws.coh_pool.size());
     for (uint32_t i = 0; i < sa.len; ++i) {
-      const EntityId ea = entity_of(sa, i);
+      const EntityId ea = EntityAt(ws, sa, i);
       for (uint32_t j = 0; j < sb.len; ++j) {
-        const EntityId eb = entity_of(sb, j);
+        const EntityId eb = EntityAt(ws, sb, j);
         const uint64_t key = CoherenceKey(ea, eb);
         double coh;
         if (const double* hit = ws.coherence_cache.Lookup(key)) {
@@ -375,10 +373,10 @@ void DensifyEvaluator::BuildLanes() {
                             1);
         }
       } else {
-        const EntityId ea = entity_of(sa, i);
+        const EntityId ea = EntityAt(ws, sa, i);
         ka = ea < kLiteralBit ? ea : kUncacheable;
         const DensifyWorkspace::TypeRef tr =
-            ws.types_of_node[static_cast<size_t>(entity_node_of(sa, i))];
+            ws.types_of_node[static_cast<size_t>(EntityNodeAt(ws, sa, i))];
         ta = Span<TypeId>(ws.type_pool.data() + tr.off, tr.len);
         tfa = ws.factor_a[i];
       }
@@ -396,10 +394,10 @@ void DensifyEvaluator::BuildLanes() {
           tb = Span<TypeId>(ws.literal_type.data() + static_cast<size_t>(e.b),
                             1);
         } else {
-          const EntityId eb = entity_of(sb, j);
+          const EntityId eb = EntityAt(ws, sb, j);
           kb = eb < kLiteralBit ? eb : kUncacheable;
           const DensifyWorkspace::TypeRef tr =
-              ws.types_of_node[static_cast<size_t>(entity_node_of(sb, j))];
+              ws.types_of_node[static_cast<size_t>(EntityNodeAt(ws, sb, j))];
           tb = Span<TypeId>(ws.type_pool.data() + tr.off, tr.len);
           tfb = ws.factor_b[j];
         }
@@ -527,6 +525,48 @@ double DensifyEvaluator::LaneWeight(
     }
   }
 
+  return params_.alpha3 * coherence + params_.alpha4 * ts_score;
+}
+
+double DensifyEvaluator::PairWeight(EdgeId relation, EntityId a,
+                                    EntityId b) const {
+  const int32_t li = ws_->lane_of_edge[static_cast<size_t>(relation)];
+  QKB_CHECK(li >= 0);
+  const DensifyWorkspace::RelationLane& lane =
+      ws_->rel_lanes[static_cast<size_t>(li)];
+  // Row (column) of one side: the candidate's universe index, or the literal
+  // slot past the end. Returns false when the side selects nothing.
+  auto slot_of = [&](NodeId node, EntityId e, bool has_literal,
+                     uint32_t* slot) {
+    const SideRef side = SideOf(*graph_, *ws_, node);
+    if (e == kInvalidEntity) {
+      *slot = side.len;
+      return has_literal;
+    }
+    for (uint32_t i = 0; i < side.len; ++i) {
+      if (EntityAt(*ws_, side, i) == e) {
+        *slot = i;
+        return true;
+      }
+    }
+    QKB_CHECK(false) << "entity " << e << " outside the candidate universe";
+    return false;
+  };
+  uint32_t i = 0;
+  uint32_t j = 0;
+  const bool row = slot_of(lane.a, a, lane.lit_a, &i);
+  const bool col = slot_of(lane.b, b, lane.lit_b, &j);
+
+  double coherence = 0.0;
+  double ts_score = 0.0;
+  if (row && col) {
+    if (i < lane.ua_len && j < lane.ub_len) {
+      coherence += ws_->coh_pool[lane.coh_off +
+                                 static_cast<size_t>(i) * lane.ub_len + j];
+    }
+    ts_score += ws_->ts_pool[lane.ts_off +
+                             static_cast<size_t>(i) * (lane.ub_len + 1) + j];
+  }
   return params_.alpha3 * coherence + params_.alpha4 * ts_score;
 }
 

@@ -6,9 +6,9 @@
 // The evaluator runs off flat per-edge weight lanes in a DensifyWorkspace:
 // construction builds candidate universes and dense coherence/type-signature
 // matrices once, and every later Contribution/Objective call is a
-// gather-and-sum over contiguous arrays with no hashing. The lane entries
-// replicate the legacy hash-map computation expression for expression, so
-// both produce bit-identical doubles.
+// gather-and-sum over contiguous arrays with no hashing. The lanes are the
+// only implementation of the Section 4 weights: the greedy loop, the ILP
+// translation and the pipeline baseline all read them.
 #ifndef QKBFLY_DENSIFY_EVALUATOR_H_
 #define QKBFLY_DENSIFY_EVALUATOR_H_
 
@@ -17,11 +17,21 @@
 #include <utility>
 #include <vector>
 
-#include "densify/edge_weights.h"
+#include "corpus/background_stats.h"
 #include "densify/workspace.h"
 #include "graph/semantic_graph.h"
+#include "kb/entity_repository.h"
 
 namespace qkbfly {
+
+/// The alpha_1..alpha_4 hyper-parameters (Section 4), learned by L-BFGS in
+/// ParameterTuner; the defaults are sensible starting values.
+struct DensifyParams {
+  double alpha1 = 0.45;  ///< mention-entity prior
+  double alpha2 = 0.25;  ///< mention-context / entity-context similarity
+  double alpha3 = 0.15;  ///< entity-entity coherence on relation edges
+  double alpha4 = 0.35;  ///< type-signature score on relation edges
+};
 
 /// The result of densification over one document graph (produced by the
 /// greedy, pipeline and ILP variants alike).
@@ -43,8 +53,8 @@ struct DensifyResult {
   int edges_removed = 0;
 
   /// Edge ids in the order the greedy loop deactivated them. Deterministic:
-  /// ties on contribution break toward the smaller EdgeId, so the heap and
-  /// scan strategies produce identical sequences run after run.
+  /// ties on contribution break toward the smaller EdgeId, so the sequence
+  /// is identical run after run.
   std::vector<EdgeId> removal_order;
 
   /// Antecedent of a pronoun node, or kNoNode.
@@ -82,8 +92,19 @@ class DensifyEvaluator {
                    DensifyWorkspace* workspace = nullptr);
 
   SemanticGraph& graph() { return *graph_; }
-  const EdgeWeights& weights() const { return ws_->weights; }
   DensifyWorkspace& workspace() { return *ws_; }
+
+  /// w(n_i, e_ij) = a1 * prior + a2 * sim of one means edge, dampened 0.3x
+  /// for loose (partial-name) candidates.
+  double MeansEdgeWeight(EdgeId means) const {
+    return ws_->mw_lane[static_cast<size_t>(means)];
+  }
+
+  /// a3 * coh + a4 * ts of one relation edge with each endpoint fixed to a
+  /// single candidate. kInvalidEntity on a side selects that endpoint's
+  /// literal type, or nothing when it has none. A non-invalid entity must
+  /// be in the endpoint's candidate universe.
+  double PairWeight(EdgeId relation, EntityId a, EntityId b) const;
 
   /// ent(n_i, S): candidate entities of a noun-phrase node.
   std::vector<EntityId> EntOfNp(NodeId np) const;
@@ -156,8 +177,8 @@ class DensifyEvaluator {
   /// (== ascending entity order for pronouns, means-edge order for NPs).
   void CollectActiveSide(NodeId n, std::vector<uint32_t>* out) const;
 
-  /// Sum of one lane under the current active flags; bit-identical to the
-  /// legacy EdgeWeights::RelationWeight of the same state.
+  /// Sum of one lane under the current active flags: a3 * sum coh +
+  /// a4 * sum ts over the active candidate pairs.
   double LaneWeight(const DensifyWorkspace::RelationLane& lane) const;
 
   /// Active relation edges whose weight can change when `e` toggles, sorted

@@ -1,9 +1,6 @@
 #include "densify/greedy_densifier.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graph/graph_invariants.h"
 #include "util/invariants.h"
@@ -27,12 +24,9 @@ NodeId MentionOfEdge(const SemanticGraph& graph, EdgeId e) {
 // recomputation): removing an edge at mention m can only change
 // contributions within two hops of m (pronoun unions span one hop, their
 // relation edges another). Built once over ALL relation/sameAs edges
-// regardless of active flag, exactly like the original scan path.
-//
-// CSR flavor into the retained workspace: the per-node neighbor lists come
-// out in ascending edge order, the same order the legacy map's vectors had.
-void BuildMentionAdjacencyFlat(const SemanticGraph& graph,
-                               DensifyWorkspace* ws) {
+// regardless of active flag, as a CSR in the retained workspace; each
+// node's neighbors come out in ascending edge order.
+void BuildMentionAdjacency(const SemanticGraph& graph, DensifyWorkspace* ws) {
   const size_t n = graph.node_count();
   const size_t edges = graph.edge_count();
   ws->adj_off.assign(n + 1, 0);
@@ -55,22 +49,6 @@ void BuildMentionAdjacencyFlat(const SemanticGraph& graph,
     ws->adj_data[ws->cursor[static_cast<size_t>(edge.a)]++] = edge.b;
     ws->adj_data[ws->cursor[static_cast<size_t>(edge.b)]++] = edge.a;
   }
-}
-
-// Reference-path adjacency (hash map), kept for the scan loop so that code
-// stays byte-for-byte the historical implementation.
-std::unordered_map<NodeId, std::vector<NodeId>> BuildMentionAdjacency(
-    const SemanticGraph& graph) {
-  std::unordered_map<NodeId, std::vector<NodeId>> adjacency;
-  for (size_t e = 0; e < graph.edge_count(); ++e) {
-    const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (edge.kind != EdgeKind::kRelation && edge.kind != EdgeKind::kSameAs) {
-      continue;
-    }
-    adjacency[edge.a].push_back(edge.b);
-    adjacency[edge.b].push_back(edge.a);
-  }
-  return adjacency;
 }
 
 // Min-heap on contribution, then on EdgeId — ties between distinct edges
@@ -107,15 +85,7 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
   eval.SnapshotOriginalMeans();
   eval.Preprocess();
 
-  if (strategy_ == DensifyStrategy::kHeap) {
-    RunHeapLoop(&eval, graph, result);
-  } else {
-    // The scan loop is the historical reference implementation; it allocates
-    // (hash-map adjacency, contribution cache) by design and is excluded from
-    // the zero-allocation contract, mirroring densify_alloc_test.
-    // qkbfly-lint: allow(A1)
-    RunScanLoop(&eval, graph, result);
-  }
+  RunHeapLoop(&eval, graph, result);
 
   // After the removal loop the O(1) degree counters must agree with a full
   // recount, or removability decisions (and thus the KB) were wrong. The
@@ -137,18 +107,18 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
 //  2. Two-hop locality: a removal at mention m only changes contributions of
 //     edges whose mention lies within two adjacency hops of m. Those are
 //     recomputed eagerly (bumping the edge's version so stale heap entries
-//     are discarded on pop); everything else keeps its cached value, exactly
-//     as the scan path kept its cache entries.
+//     are discarded on pop); everything else keeps its cached value.
 //
 // Ties on contribution break toward the smaller EdgeId via the heap order,
-// matching the scan path's explicit (c, EdgeId) tie-break. All loop state
-// (heap vector, version array, edges-of-mention buckets, epoch-marked dirty
-// set) lives in the retained workspace: zero heap traffic once warm.
+// so the result equals a naive loop that removes the (c, EdgeId) minimum
+// over all removable edges each round. All loop state (heap vector, version
+// array, edges-of-mention buckets, epoch-marked dirty set) lives in the
+// retained workspace: zero heap traffic once warm.
 void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
                                   DensifyResult* result) const {
   DensifyWorkspace& ws = eval->workspace();
   const size_t n = graph->node_count();
-  BuildMentionAdjacencyFlat(*graph, &ws);
+  BuildMentionAdjacency(*graph, &ws);
 
   ws.version.assign(graph->edge_count(), 0);
   ws.dirty_mark.assign(n, 0);
@@ -219,56 +189,6 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
         ws.heap.push_back({eval->Contribution(de), de,
                            ws.version[static_cast<size_t>(de)]});
         std::push_heap(ws.heap.begin(), ws.heap.end(), order);
-      }
-    }
-  }
-}
-
-// Reference loop: the pre-heap implementation, kept runtime-selectable for
-// the hot-path benchmark and the cross-strategy determinism tests. The only
-// change from the historical code is the explicit (c, EdgeId) tie-break,
-// which is a no-op for builder-produced graphs (RemovableEdges enumerates
-// them in ascending EdgeId order) but makes the two strategies agree on any
-// graph.
-void GreedyDensifier::RunScanLoop(DensifyEvaluator* eval, SemanticGraph* graph,
-                                  DensifyResult* result) const {
-  auto adjacency = BuildMentionAdjacency(*graph);
-
-  std::unordered_map<EdgeId, double> cache;
-  while (true) {
-    auto removable = eval->RemovableEdges();
-    if (removable.empty()) break;
-
-    EdgeId best_edge = removable.front();
-    double best_contribution = std::numeric_limits<double>::infinity();
-    for (EdgeId e : removable) {
-      auto it = cache.find(e);
-      double c = it != cache.end() ? it->second : eval->Contribution(e);
-      if (it == cache.end()) cache.emplace(e, c);
-      if (c < best_contribution ||
-          (c == best_contribution && e < best_edge)) {
-        best_contribution = c;
-        best_edge = e;
-      }
-    }
-
-    NodeId mention = MentionOfEdge(*graph, best_edge);
-    graph->SetEdgeActive(best_edge, false);
-    ++result->edges_removed;
-    result->removal_order.push_back(best_edge);
-    cache.erase(best_edge);
-
-    // Invalidate cached contributions within two hops of the mention.
-    std::unordered_set<NodeId> dirty = {mention};
-    for (NodeId n1 : adjacency[mention]) {
-      dirty.insert(n1);
-      for (NodeId n2 : adjacency[n1]) dirty.insert(n2);
-    }
-    for (auto it = cache.begin(); it != cache.end();) {
-      if (dirty.count(MentionOfEdge(*graph, it->first)) > 0) {
-        it = cache.erase(it);
-      } else {
-        ++it;
       }
     }
   }

@@ -9,28 +9,13 @@
 
 namespace qkbfly {
 
-/// How the greedy loop finds the minimum-contribution removable edge.
-/// Both strategies produce identical results (same floats, same removal
-/// order); the choice is purely a performance/reference matter, so it is
-/// deliberately NOT part of DensifyParams or the engine fingerprint.
-enum class DensifyStrategy {
-  /// Lazy-deletion min-heap of (contribution, EdgeId) with eager
-  /// recomputation of dirty neighborhoods: O(dirty * log E) per removal.
-  kHeap,
-  /// Reference implementation: per-iteration RemovableEdges() scan with a
-  /// contribution cache and a linear min (the pre-heap code path).
-  kScan,
-};
-
 /// Greedy densest-subgraph solver. Mutates the graph by deactivating pruned
 /// means / sameAs edges; constraints (1)-(4) of Section 4 hold on exit.
 class GreedyDensifier {
  public:
   GreedyDensifier(const BackgroundStats* stats, const EntityRepository* repository,
-                  DensifyParams params,
-                  DensifyStrategy strategy = DensifyStrategy::kHeap)
-      : stats_(stats), repository_(repository), params_(params),
-        strategy_(strategy) {}
+                  DensifyParams params)
+      : stats_(stats), repository_(repository), params_(params) {}
 
   DensifyResult Densify(SemanticGraph* graph, const AnnotatedDocument& doc) const;
 
@@ -41,18 +26,14 @@ class GreedyDensifier {
                DensifyResult* result) const;
 
   const DensifyParams& params() const { return params_; }
-  DensifyStrategy strategy() const { return strategy_; }
 
  private:
   void RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
-                   DensifyResult* result) const;
-  void RunScanLoop(DensifyEvaluator* eval, SemanticGraph* graph,
                    DensifyResult* result) const;
 
   const BackgroundStats* stats_;
   const EntityRepository* repository_;
   DensifyParams params_;
-  DensifyStrategy strategy_;
 };
 
 }  // namespace qkbfly

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "ilp/ilp.h"
@@ -68,7 +67,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
       std::vector<std::pair<int, double>> group;
       for (EntityId e : candidates) {
         double w = node.kind == NodeKind::kNounPhrase
-                       ? eval.weights().MeansWeight(m, e)
+                       ? eval.MeansEdgeWeight(means_edge_of.at({m, e}))
                        : 0.0;
         int var = model.AddVariable(w);
         cnd[{m, e}] = var;
@@ -145,8 +144,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
       if (!ca.empty() && !cb.empty()) {
         for (EntityId ea : ca) {
           for (EntityId eb : cb) {
-            double w = eval.weights().RelationWeight(edge.a, edge.b, edge.label,
-                                                     {ea}, {eb});
+            double w = eval.PairWeight(re, ea, eb);
             if (w <= 0.0) continue;
             int jr = model.AddVariable(w);
             model.AddConstraint({{jr, 1.0}, {cnd[{edge.a, ea}], -1.0}}, -kInf, 0.0);
@@ -157,8 +155,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
         // The other endpoint is a literal or out-of-KB: its (fixed) types
         // still reward candidate choices on this side.
         for (EntityId ea : ca) {
-          double w =
-              eval.weights().RelationWeight(edge.a, edge.b, edge.label, {ea}, {});
+          double w = eval.PairWeight(re, ea, kInvalidEntity);
           if (w > 0.0) {
             int jr = model.AddVariable(w);
             model.AddConstraint({{jr, 1.0}, {cnd[{edge.a, ea}], -1.0}}, -kInf, 0.0);
@@ -166,8 +163,7 @@ DensifyResult IlpDensifier::Densify(SemanticGraph* graph,
         }
       } else if (!cb.empty()) {
         for (EntityId eb : cb) {
-          double w =
-              eval.weights().RelationWeight(edge.a, edge.b, edge.label, {}, {eb});
+          double w = eval.PairWeight(re, kInvalidEntity, eb);
           if (w > 0.0) {
             int jr = model.AddVariable(w);
             model.AddConstraint({{jr, 1.0}, {cnd[{edge.b, eb}], -1.0}}, -kInf, 0.0);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "corpus/background_stats.h"
-#include "densify/edge_weights.h"
+#include "densify/evaluator.h"
 #include "kb/entity_repository.h"
 
 namespace qkbfly {

@@ -8,7 +8,7 @@ namespace qkbfly {
 
 DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
                                          const AnnotatedDocument& doc) const {
-  EdgeWeights weights(graph, &doc, stats_, repository_, params_);
+  const DensifyEvaluator eval(graph, doc, stats_, repository_, params_);
   DensifyResult result;
 
   // Stage NED: per-mention argmax of the means-edge weight alone.
@@ -20,7 +20,7 @@ DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
     double best_w = -1.0;
     double total = 0.0;
     for (const auto& [e, entity_node] : means) {
-      double w = weights.MeansWeight(np, graph->node(entity_node).entity);
+      double w = eval.MeansEdgeWeight(e);
       total += std::max(w, 0.0);
       if (w > best_w) {
         best_w = w;
@@ -39,7 +39,8 @@ DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
     a.entity = best_entity;
     a.weight = std::max(best_w, 0.0);
     {
-      const auto& exact = weights.ExactCandidates(np);
+      const auto& exact =
+          repository_->CandidatesForAlias(graph->node(np).text);
       a.exact_alias =
           std::find(exact.begin(), exact.end(), best_entity) != exact.end();
     }

@@ -5,7 +5,7 @@
 #ifndef QKBFLY_DENSIFY_PIPELINE_DENSIFIER_H_
 #define QKBFLY_DENSIFY_PIPELINE_DENSIFIER_H_
 
-#include "densify/greedy_densifier.h"
+#include "densify/evaluator.h"
 
 namespace qkbfly {
 

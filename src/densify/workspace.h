@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "corpus/background_stats.h"
-#include "densify/edge_weights.h"
 #include "graph/semantic_graph.h"
 #include "util/sparse_vector.h"
 
@@ -83,10 +82,6 @@ class FlatPairCache {
 /// sections while running; the greedy loop owns the loop section. Fields are
 /// plain so both can index them directly.
 struct DensifyWorkspace {
-  // Generic edge-weight memos (ILP / pipeline path); reserves and reuses
-  // bucket storage across documents.
-  EdgeWeights weights;
-
   // --- edge lists (ascending EdgeId) ---------------------------------------
   std::vector<EdgeId> means_edges;
   std::vector<EdgeId> relation_edges;

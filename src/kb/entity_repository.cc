@@ -284,34 +284,4 @@ int EntityRepository::LongestMatchAt(const std::vector<Token>& tokens, int begin
   return best_len;
 }
 
-int EntityRepository::LongestMatchAtLinear(const std::vector<Token>& tokens,
-                                           int begin, NerType* type) const {
-  const int n = static_cast<int>(tokens.size());
-  if (begin >= n || !IsCapitalized(tokens[static_cast<size_t>(begin)].text)) {
-    return 0;
-  }
-  int best_len = 0;
-  NerType best_type = NerType::kNone;
-  std::string candidate;
-  for (int len = 1; len <= max_alias_tokens_ && begin + len <= n; ++len) {
-    if (len > 1) candidate += ' ';
-    // The tokenizer already folded case into Token::lower; re-lowercasing the
-    // surface here charged tokenization-time work to the timed match loop in
-    // the hot-path benchmark. Hand-built tokens without `lower` still fold.
-    const Token& t = tokens[static_cast<size_t>(begin + len - 1)];
-    if (t.lower.empty()) {
-      candidate += Lowercase(t.text);
-    } else {
-      candidate += t.lower;
-    }
-    auto it = alias_index_.find(candidate);
-    if (it != alias_index_.end() && !it->second.empty()) {
-      best_len = len;
-      best_type = CoarseTypeOf(it->second.front());
-    }
-  }
-  if (best_len > 0 && type != nullptr) *type = best_type;
-  return best_len;
-}
-
 }  // namespace qkbfly

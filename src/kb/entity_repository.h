@@ -104,12 +104,6 @@ class EntityRepository : public Gazetteer {
   int LongestMatchAt(const std::vector<Token>& tokens, int begin,
                      NerType* type) const override;
 
-  /// Reference implementation of LongestMatchAt (the pre-trie incremental
-  /// string build over alias_index_). Kept for the hot-path benchmark and
-  /// the trie/linear agreement tests; byte-identical results by contract.
-  int LongestMatchAtLinear(const std::vector<Token>& tokens, int begin,
-                           NerType* type) const;
-
  private:
   /// One node of the alias trie. Children are keyed by the interned symbol
   /// of the next alias word; `terminal_type` is the coarse NER type of the
@@ -133,8 +127,8 @@ class EntityRepository : public Gazetteer {
 
   const TypeSystem* types_;
   std::vector<Entity> entities_;
-  // Heterogeneous hashing: the linear gazetteer and the densifier probe with
-  // string_views over reused buffers, so lookups never build a temporary key.
+  // Heterogeneous hashing: the densifier probes with string_views over
+  // reused buffers, so lookups never build a temporary key.
   std::unordered_map<std::string, std::vector<EntityId>, TransparentStringHash,
                      std::equal_to<>>
       alias_index_;

@@ -1,9 +1,12 @@
 // Tests for the single-core hot-path rewrite: the interned-symbol table, the
-// trie-backed gazetteer (against its linear reference), LooseCandidates
-// dedup/ordering, and the heap-driven densifier's determinism guarantees.
+// trie-backed gazetteer (against a linear reference), LooseCandidates
+// dedup/ordering, and the heap-driven densifier (against a naive greedy
+// reference and its determinism guarantees).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "densify/greedy_densifier.h"
 #include "graph/graph_builder.h"
@@ -12,6 +15,7 @@
 #include "parser/malt_parser.h"
 #include "synth/dataset.h"
 #include "text/tokenizer.h"
+#include "util/string_util.h"
 #include "util/symbol_table.h"
 
 namespace qkbfly {
@@ -62,6 +66,34 @@ TEST(SymbolTableTest, EnsureSymbolsBackfillsHandBuiltTokens) {
 // Trie gazetteer edge cases (each checked against the linear reference)
 // ---------------------------------------------------------------------------
 
+// Linear reference gazetteer: grows the lowercased candidate alias one token
+// at a time and probes the alias index at every length, keeping the longest
+// hit and the coarse type of its first entity. No length cap is needed: an
+// alias longer than every alias in the repository simply never hits.
+int LinearLongestMatch(const EntityRepository& repo,
+                       const std::vector<Token>& tokens, int begin,
+                       NerType* type) {
+  const int n = static_cast<int>(tokens.size());
+  if (begin >= n || !IsCapitalized(tokens[static_cast<size_t>(begin)].text)) {
+    return 0;
+  }
+  int best_len = 0;
+  NerType best_type = NerType::kNone;
+  std::string candidate;
+  for (int len = 1; begin + len <= n; ++len) {
+    if (len > 1) candidate += ' ';
+    const Token& t = tokens[static_cast<size_t>(begin + len - 1)];
+    candidate += t.lower.empty() ? Lowercase(t.text) : t.lower;
+    const std::vector<EntityId>& hits = repo.CandidatesForAliasLowered(candidate);
+    if (!hits.empty()) {
+      best_len = len;
+      best_type = repo.CoarseTypeOf(hits.front());
+    }
+  }
+  if (best_len > 0 && type != nullptr) *type = best_type;
+  return best_len;
+}
+
 class GazetteerTrieTest : public ::testing::Test {
  protected:
   GazetteerTrieTest() : types_(TypeSystem::BuildDefault()), repo_(&types_) {
@@ -78,7 +110,7 @@ class GazetteerTrieTest : public ::testing::Test {
   int AgreeingMatch(const std::vector<Token>& tokens, int begin, NerType* type) {
     NerType linear_type = NerType::kNone;
     NerType trie_type = NerType::kNone;
-    int linear = repo_.LongestMatchAtLinear(tokens, begin, &linear_type);
+    int linear = LinearLongestMatch(repo_, tokens, begin, &linear_type);
     int trie = repo_.LongestMatchAt(tokens, begin, &trie_type);
     EXPECT_EQ(trie, linear) << "position " << begin;
     EXPECT_EQ(trie_type, linear_type) << "position " << begin;
@@ -236,7 +268,7 @@ TEST_F(LooseCandidatesTest, NeverInternedTokenProposesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Densifier determinism: heap vs scan, run-to-run, EdgeId tie-breaking
+// Densifier: heap loop vs naive reference, run-to-run, EdgeId tie-breaking
 // ---------------------------------------------------------------------------
 
 const SynthDataset& Dataset() {
@@ -272,34 +304,63 @@ std::vector<bool> ActiveFlags(const SemanticGraph& graph) {
   return out;
 }
 
-TEST(DensifyDeterminismTest, HeapAndScanProduceIdenticalResults) {
+// Naive Algorithm 1 over the public evaluator API: every round recomputes
+// the contribution of every removable edge (no cache, no invalidation) and
+// removes the (c, EdgeId) minimum. The heap loop must match it bit for bit,
+// which also checks that its two-hop invalidation misses nothing.
+DensifyResult NaiveGreedy(SemanticGraph* graph, const AnnotatedDocument& doc) {
   const auto& ds = Dataset();
-  DensifyParams params;
-  GreedyDensifier heap(&ds.stats, ds.repository.get(), params,
-                       DensifyStrategy::kHeap);
-  GreedyDensifier scan(&ds.stats, ds.repository.get(), params,
-                       DensifyStrategy::kScan);
+  DensifyEvaluator eval(graph, doc, &ds.stats, ds.repository.get(),
+                        DensifyParams());
+  DensifyResult result;
+  eval.SnapshotOriginalMeans();
+  eval.Preprocess();
+  while (true) {
+    const std::vector<EdgeId> removable = eval.RemovableEdges();
+    if (removable.empty()) break;
+    EdgeId best = removable.front();
+    double best_c = std::numeric_limits<double>::infinity();
+    for (EdgeId e : removable) {
+      const double c = eval.Contribution(e);
+      if (c < best_c || (c == best_c && e < best)) {
+        best_c = c;
+        best = e;
+      }
+    }
+    graph->SetEdgeActive(best, false);
+    ++result.edges_removed;
+    result.removal_order.push_back(best);
+  }
+  result.objective = eval.Objective();
+  eval.ComputeConfidencesInto(&result.assignments);
+  result.pronoun_antecedents = ExtractPronounAntecedents(*graph);
+  return result;
+}
+
+TEST(DensifyDeterminismTest, HeapLoopMatchesNaiveReference) {
+  const auto& ds = Dataset();
+  GreedyDensifier heap(&ds.stats, ds.repository.get(), DensifyParams());
   int docs = 0;
   for (const GoldDocument& gd : ds.wiki_eval) {
     if (++docs > 6) break;
     Prepared ph = Prepare(gd.doc);
-    Prepared ps = Prepare(gd.doc);
+    Prepared pn = Prepare(gd.doc);
     auto rh = heap.Densify(&ph.graph, ph.doc);
-    auto rs = scan.Densify(&ps.graph, ps.doc);
+    auto rn = NaiveGreedy(&pn.graph, pn.doc);
     // Same edges removed, in the same order, leaving the same subgraph.
-    EXPECT_EQ(rh.removal_order, rs.removal_order) << gd.doc.text;
-    EXPECT_EQ(rh.edges_removed, rs.edges_removed);
-    EXPECT_EQ(ActiveFlags(ph.graph), ActiveFlags(ps.graph));
+    EXPECT_EQ(rh.removal_order, rn.removal_order) << gd.doc.text;
+    EXPECT_EQ(rh.edges_removed, rn.edges_removed);
+    EXPECT_EQ(ActiveFlags(ph.graph), ActiveFlags(pn.graph));
     // Same floats, not just approximately.
-    EXPECT_EQ(rh.objective, rs.objective);
-    ASSERT_EQ(rh.assignments.size(), rs.assignments.size());
+    EXPECT_EQ(rh.objective, rn.objective);
+    ASSERT_EQ(rh.assignments.size(), rn.assignments.size());
     for (size_t i = 0; i < rh.assignments.size(); ++i) {
-      EXPECT_EQ(rh.assignments[i].mention, rs.assignments[i].mention);
-      EXPECT_EQ(rh.assignments[i].entity, rs.assignments[i].entity);
-      EXPECT_EQ(rh.assignments[i].confidence, rs.assignments[i].confidence);
-      EXPECT_EQ(rh.assignments[i].weight, rs.assignments[i].weight);
+      EXPECT_EQ(rh.assignments[i].mention, rn.assignments[i].mention);
+      EXPECT_EQ(rh.assignments[i].entity, rn.assignments[i].entity);
+      EXPECT_EQ(rh.assignments[i].confidence, rn.assignments[i].confidence);
+      EXPECT_EQ(rh.assignments[i].weight, rn.assignments[i].weight);
     }
-    EXPECT_EQ(rh.pronoun_antecedents, rs.pronoun_antecedents);
+    EXPECT_EQ(rh.pronoun_antecedents, rn.pronoun_antecedents);
   }
 }
 
@@ -322,45 +383,41 @@ TEST(DensifyDeterminismTest, TiesBreakTowardSmallerEdgeId) {
   // Hand-built graph engineered for an exact contribution tie: a pronoun
   // with two sameAs links to noun phrases and no relation edges anywhere.
   // Both sameAs edges then have contribution exactly 0.0, so the loop's
-  // only ordering signal is the EdgeId tie-break. Both strategies must
-  // remove the smaller id and stop (the survivor is no longer removable).
+  // only ordering signal is the EdgeId tie-break. It must remove the
+  // smaller id and stop (the survivor is no longer removable).
   const auto& ds = Dataset();
-  for (DensifyStrategy strategy :
-       {DensifyStrategy::kHeap, DensifyStrategy::kScan}) {
-    SemanticGraph graph;
-    GraphNode np1;
-    np1.kind = NodeKind::kNounPhrase;
-    np1.text = "the director";
-    GraphNode np2 = np1;
-    np2.text = "the producer";
-    GraphNode pro;
-    pro.kind = NodeKind::kPronoun;
-    pro.text = "she";
-    NodeId a = graph.AddNode(np1);
-    NodeId b = graph.AddNode(np2);
-    NodeId p = graph.AddNode(pro);
+  SemanticGraph graph;
+  GraphNode np1;
+  np1.kind = NodeKind::kNounPhrase;
+  np1.text = "the director";
+  GraphNode np2 = np1;
+  np2.text = "the producer";
+  GraphNode pro;
+  pro.kind = NodeKind::kPronoun;
+  pro.text = "she";
+  NodeId a = graph.AddNode(np1);
+  NodeId b = graph.AddNode(np2);
+  NodeId p = graph.AddNode(pro);
 
-    GraphEdge e1;
-    e1.kind = EdgeKind::kSameAs;
-    e1.a = p;
-    e1.b = a;
-    GraphEdge e2 = e1;
-    e2.b = b;
-    EdgeId first = graph.AddEdge(e1);
-    EdgeId second = graph.AddEdge(e2);
-    ASSERT_LT(first, second);
+  GraphEdge e1;
+  e1.kind = EdgeKind::kSameAs;
+  e1.a = p;
+  e1.b = a;
+  GraphEdge e2 = e1;
+  e2.b = b;
+  EdgeId first = graph.AddEdge(e1);
+  EdgeId second = graph.AddEdge(e2);
+  ASSERT_LT(first, second);
 
-    AnnotatedDocument empty_doc;
-    DensifyParams params;
-    GreedyDensifier densifier(&ds.stats, ds.repository.get(), params, strategy);
-    auto result = densifier.Densify(&graph, empty_doc);
+  AnnotatedDocument empty_doc;
+  DensifyParams params;
+  GreedyDensifier densifier(&ds.stats, ds.repository.get(), params);
+  auto result = densifier.Densify(&graph, empty_doc);
 
-    ASSERT_EQ(result.removal_order.size(), 1u)
-        << "strategy " << static_cast<int>(strategy);
-    EXPECT_EQ(result.removal_order.front(), first);
-    EXPECT_FALSE(graph.edge(first).active);
-    EXPECT_TRUE(graph.edge(second).active);
-  }
+  ASSERT_EQ(result.removal_order.size(), 1u);
+  EXPECT_EQ(result.removal_order.front(), first);
+  EXPECT_FALSE(graph.edge(first).active);
+  EXPECT_TRUE(graph.edge(second).active);
 }
 
 TEST(DensifyDeterminismTest, RemovalOrderMatchesEdgesRemoved) {
