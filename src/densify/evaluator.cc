@@ -410,6 +410,11 @@ void DensifyEvaluator::BuildLanes() {
         static_cast<int32_t>(ws.rel_lanes.size());
     ws.rel_lanes.push_back(lane);
   }
+
+  ws.lane_weight.assign(ws.rel_lanes.size(), 0.0);
+  ws.lane_epoch.assign(ws.rel_lanes.size(), 0);
+  ws.lane_cache_epoch = 1;
+  ws.synced_mutations = graph_->mutation_count();
 }
 
 std::vector<EntityId> DensifyEvaluator::EntOfNp(NodeId np) const {
@@ -530,10 +535,7 @@ double DensifyEvaluator::LaneWeight(
 
 double DensifyEvaluator::PairWeight(EdgeId relation, EntityId a,
                                     EntityId b) const {
-  const int32_t li = ws_->lane_of_edge[static_cast<size_t>(relation)];
-  QKB_CHECK(li >= 0);
-  const DensifyWorkspace::RelationLane& lane =
-      ws_->rel_lanes[static_cast<size_t>(li)];
+  const DensifyWorkspace::RelationLane& lane = ws_->rel_lanes[LaneOf(relation)];
   // Row (column) of one side: the candidate's universe index, or the literal
   // slot past the end. Returns false when the side selects nothing.
   auto slot_of = [&](NodeId node, EntityId e, bool has_literal,
@@ -570,71 +572,112 @@ double DensifyEvaluator::PairWeight(EdgeId relation, EntityId a,
   return params_.alpha3 * coherence + params_.alpha4 * ts_score;
 }
 
-double DensifyEvaluator::RelationEdgeWeight(EdgeId e) const {
-  const int32_t lane = ws_->lane_of_edge[static_cast<size_t>(e)];
+size_t DensifyEvaluator::LaneOf(EdgeId relation) const {
+  const int32_t lane = ws_->lane_of_edge[static_cast<size_t>(relation)];
   QKB_CHECK(lane >= 0);
-  return LaneWeight(ws_->rel_lanes[static_cast<size_t>(lane)]);
+  return static_cast<size_t>(lane);
+}
+
+void DensifyEvaluator::SyncLaneCache() const {
+  DensifyWorkspace& ws = *ws_;
+  if (ws.synced_mutations == graph_->mutation_count()) return;
+  ++ws.lane_cache_epoch;
+  ws.synced_mutations = graph_->mutation_count();
+}
+
+double DensifyEvaluator::CommittedLaneWeight(size_t li) const {
+  DensifyWorkspace& ws = *ws_;
+  if (ws.lane_epoch[li] != ws.lane_cache_epoch) {
+    ws.lane_weight[li] = LaneWeight(ws.rel_lanes[li]);
+    ws.lane_epoch[li] = ws.lane_cache_epoch;
+  }
+  return ws.lane_weight[li];
+}
+
+double DensifyEvaluator::RelationEdgeWeight(EdgeId e) const {
+  SyncLaneCache();
+  return CommittedLaneWeight(LaneOf(e));
 }
 
 double DensifyEvaluator::Objective() const {
+  SyncLaneCache();
   double total = 0.0;
   for (EdgeId e : ws_->means_edges) {
     if (!graph_->edge(e).active) continue;
     total += ws_->mw_lane[static_cast<size_t>(e)];
   }
-  for (const DensifyWorkspace::RelationLane& lane : ws_->rel_lanes) {
-    total += LaneWeight(lane);
+  for (size_t li = 0; li < ws_->rel_lanes.size(); ++li) {
+    total += CommittedLaneWeight(li);
   }
   return total;
 }
 
 double DensifyEvaluator::Contribution(EdgeId e) const {
+  DensifyWorkspace& ws = *ws_;
   const GraphEdge& edge = graph_->edge(e);
   QKB_CHECK(edge.active);
-  AffectedRelationEdgesInto(e, &ws_->affected);
+  SyncLaneCache();
+  AffectedRelationEdgesInto(e, &ws.affected);
+  // Both sums run over the same sorted list, so the cached "before" adds up
+  // exactly the doubles a fresh gather would.
   double before = 0.0;
-  for (EdgeId r : ws_->affected) before += RelationEdgeWeight(r);
+  for (EdgeId r : ws.affected) before += CommittedLaneWeight(LaneOf(r));
   double self = 0.0;
   if (edge.kind == EdgeKind::kMeans) {
-    self = ws_->mw_lane[static_cast<size_t>(e)];
+    self = ws.mw_lane[static_cast<size_t>(e)];
   }
   graph_->SetEdgeActive(e, false);
   double after = 0.0;
-  for (EdgeId r : ws_->affected) after += RelationEdgeWeight(r);
+  for (EdgeId r : ws.affected) after += LaneWeight(ws.rel_lanes[LaneOf(r)]);
   graph_->SetEdgeActive(e, true);
+  // The off/on toggle restored every flag the cache was computed under.
+  ws.synced_mutations = graph_->mutation_count();
   return self + (before - after);
+}
+
+void DensifyEvaluator::Deactivate(EdgeId e) {
+  DensifyWorkspace& ws = *ws_;
+  SyncLaneCache();
+  AffectedRelationEdgesInto(e, &ws.affected);
+  for (EdgeId r : ws.affected) ws.lane_epoch[LaneOf(r)] = 0;
+  graph_->SetEdgeActive(e, false);
+  ws.synced_mutations = graph_->mutation_count();
+}
+
+void DensifyEvaluator::ChangedMentionsInto(EdgeId e,
+                                           std::vector<NodeId>* out) const {
+  out->clear();
+  const GraphEdge& edge = graph_->edge(e);
+  if (edge.kind != EdgeKind::kMeans) {
+    out->push_back(
+        graph_->node(edge.a).kind == NodeKind::kPronoun ? edge.a : edge.b);
+    return;
+  }
+  const NodeId mention = edge.a;
+  out->push_back(mention);
+  for (EdgeId se : graph_->IncidentEdges(mention)) {
+    const GraphEdge& s = graph_->edge(se);
+    if (!s.active || s.kind != EdgeKind::kSameAs) continue;
+    const NodeId other = s.a == mention ? s.b : s.a;
+    if (graph_->node(other).kind != NodeKind::kPronoun) continue;
+    if (std::find(out->begin(), out->end(), other) == out->end()) {
+      out->push_back(other);
+    }
+  }
 }
 
 void DensifyEvaluator::AffectedRelationEdgesInto(EdgeId e,
                                                  std::vector<EdgeId>* out) const {
   out->clear();
   DensifyWorkspace& ws = *ws_;
-  ws.sources.clear();
-  const GraphEdge& edge = graph_->edge(e);
-  if (edge.kind == EdgeKind::kMeans) {
-    const NodeId mention = edge.a;
-    ws.sources.push_back(mention);
-    for (EdgeId se : graph_->IncidentEdges(mention)) {
-      const GraphEdge& s = graph_->edge(se);
-      if (!s.active || s.kind != EdgeKind::kSameAs) continue;
-      const NodeId other = s.a == mention ? s.b : s.a;
-      if (graph_->node(other).kind != NodeKind::kPronoun) continue;
-      if (std::find(ws.sources.begin(), ws.sources.end(), other) ==
-          ws.sources.end()) {
-        ws.sources.push_back(other);
-      }
-    }
-  } else {
-    ws.sources.push_back(
-        graph_->node(edge.a).kind == NodeKind::kPronoun ? edge.a : edge.b);
-  }
+  ChangedMentionsInto(e, &ws.sources);
   for (NodeId s : ws.sources) {
     for (EdgeId r : graph_->IncidentEdges(s)) {
       const GraphEdge& re = graph_->edge(r);
       if (re.active && re.kind == EdgeKind::kRelation) out->push_back(r);
     }
   }
-  // Canonical order: callers sum RelationEdgeWeight over these edges, and
+  // Canonical order: callers sum lane weights over these edges, and
   // floating-point addition is order-sensitive, so source order must not
   // pick the summation order. Duplicates (an edge incident to two sources)
   // are deliberately kept.

@@ -125,8 +125,20 @@ class DensifyEvaluator {
   double Objective() const;
 
   /// c(x, y, S) = W(S) - W(S \ {edge}), computed incrementally over the
-  /// relation edges the removal affects.
+  /// relation edges the removal affects: the W(S) side is read from the
+  /// committed lane-weight cache, only the W(S \ {edge}) side is gathered.
   double Contribution(EdgeId e) const;
+
+  /// Removes `e` from the subgraph, invalidating exactly the cached lane
+  /// weights the removal changes. Toggling edges through the graph directly
+  /// stays correct but drops the whole cache on the next evaluation.
+  void Deactivate(EdgeId e);
+
+  /// Mentions whose active candidate set changes when the active edge `e`
+  /// is removed: a means edge's noun phrase plus the pronouns linked to it
+  /// by active sameAs edges (in incident-edge order), or a sameAs edge's
+  /// pronoun. Call before removing `e`.
+  void ChangedMentionsInto(EdgeId e, std::vector<NodeId>* out) const;
 
   /// Preprocessing: candidate-set intersection over sameAs clusters
   /// (constraint (3)) and the pronoun gender constraint (constraint (4)).
@@ -180,6 +192,17 @@ class DensifyEvaluator {
   /// Sum of one lane under the current active flags: a3 * sum coh +
   /// a4 * sum ts over the active candidate pairs.
   double LaneWeight(const DensifyWorkspace::RelationLane& lane) const;
+
+  /// Lane index of a relation edge.
+  size_t LaneOf(EdgeId relation) const;
+
+  /// Drops the lane-weight cache if the graph was toggled behind the
+  /// evaluator's back since it last synced.
+  void SyncLaneCache() const;
+
+  /// LaneWeight of lane `li` under the committed flags, through the cache.
+  /// Requires a synced cache.
+  double CommittedLaneWeight(size_t li) const;
 
   /// Active relation edges whose weight can change when `e` toggles, sorted
   /// ascending, duplicates preserved (an edge incident to two sources is

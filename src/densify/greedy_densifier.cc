@@ -19,38 +19,6 @@ NodeId MentionOfEdge(const SemanticGraph& graph, EdgeId e) {
   return graph.node(edge.a).kind == NodeKind::kPronoun ? edge.a : edge.b;
 }
 
-// Mention adjacency over relation and sameAs edges, used to invalidate
-// cached contributions selectively (the paper's "selective and incremental"
-// recomputation): removing an edge at mention m can only change
-// contributions within two hops of m (pronoun unions span one hop, their
-// relation edges another). Built once over ALL relation/sameAs edges
-// regardless of active flag, as a CSR in the retained workspace; each
-// node's neighbors come out in ascending edge order.
-void BuildMentionAdjacency(const SemanticGraph& graph, DensifyWorkspace* ws) {
-  const size_t n = graph.node_count();
-  const size_t edges = graph.edge_count();
-  ws->adj_off.assign(n + 1, 0);
-  for (size_t e = 0; e < edges; ++e) {
-    const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (edge.kind != EdgeKind::kRelation && edge.kind != EdgeKind::kSameAs) {
-      continue;
-    }
-    ++ws->adj_off[static_cast<size_t>(edge.a) + 1];
-    ++ws->adj_off[static_cast<size_t>(edge.b) + 1];
-  }
-  for (size_t i = 0; i < n; ++i) ws->adj_off[i + 1] += ws->adj_off[i];
-  ws->cursor.assign(ws->adj_off.begin(), ws->adj_off.end() - 1);
-  ws->adj_data.resize(ws->adj_off[n]);
-  for (size_t e = 0; e < edges; ++e) {
-    const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (edge.kind != EdgeKind::kRelation && edge.kind != EdgeKind::kSameAs) {
-      continue;
-    }
-    ws->adj_data[ws->cursor[static_cast<size_t>(edge.a)]++] = edge.b;
-    ws->adj_data[ws->cursor[static_cast<size_t>(edge.b)]++] = edge.a;
-  }
-}
-
 // Min-heap on contribution, then on EdgeId — ties between distinct edges
 // break toward the smaller id; ties between versions of the same edge are
 // resolved by the stale-version check on pop.
@@ -104,10 +72,19 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
 //     the initial RemovableEdges() snapshot is a superset of every later
 //     removable set, and an edge that fails IsRemovable() can be dropped
 //     from the heap permanently.
-//  2. Two-hop locality: a removal at mention m only changes contributions of
-//     edges whose mention lies within two adjacency hops of m. Those are
+//  2. Exact invalidation: a removal changes the active candidate set of the
+//     mentions C it names (ChangedMentionsInto). A relation lane reads the
+//     candidate sets of its two endpoints, so the lanes whose weight changed
+//     are those incident to C; their readers are C plus its relation
+//     neighbours. An edge's contribution sums the lanes of its sources (its
+//     mention, plus for a means edge the pronouns sameAs-linked to its noun
+//     phrase), so the dirty mentions are the readers plus the noun phrases
+//     active-sameAs-linked to a pronoun reader. A removed sameAs edge also
+//     drops its pronoun from the sources of its noun phrase's means edges,
+//     so that noun phrase is dirty too. Dirty mentions' edges are
 //     recomputed eagerly (bumping the edge's version so stale heap entries
-//     are discarded on pop); everything else keeps its cached value.
+//     are discarded on pop); every other contribution is bit-for-bit what a
+//     fresh evaluation would return.
 //
 // Ties on contribution break toward the smaller EdgeId via the heap order,
 // so the result equals a naive loop that removes the (c, EdgeId) minimum
@@ -118,7 +95,6 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
                                   DensifyResult* result) const {
   DensifyWorkspace& ws = eval->workspace();
   const size_t n = graph->node_count();
-  BuildMentionAdjacency(*graph, &ws);
 
   ws.version.assign(graph->edge_count(), 0);
   ws.dirty_mark.assign(n, 0);
@@ -161,29 +137,43 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     if (ws.version[static_cast<size_t>(top.e)] != top.version) continue;  // stale
     if (!eval->IsRemovable(top.e)) continue;  // permanently out (invariant 1)
 
-    graph->SetEdgeActive(top.e, false);
+    eval->ChangedMentionsInto(top.e, &ws.changed);
+    eval->Deactivate(top.e);
     ++result->edges_removed;
     result->removal_order.push_back(top.e);
     ++ws.version[static_cast<size_t>(top.e)];  // no heap entry survives removal
 
-    const NodeId mention = MentionOfEdge(*graph, top.e);
     ++ws.dirty_epoch;
     ws.dirty.clear();
-    add_dirty(mention);
-    const size_t m = static_cast<size_t>(mention);
-    for (uint32_t a = ws.adj_off[m]; a < ws.adj_off[m + 1]; ++a) {
-      const NodeId n1 = ws.adj_data[a];
-      add_dirty(n1);
-      const size_t i1 = static_cast<size_t>(n1);
-      for (uint32_t b = ws.adj_off[i1]; b < ws.adj_off[i1 + 1]; ++b) {
-        add_dirty(ws.adj_data[b]);
+    const GraphEdge& removed = graph->edge(top.e);
+    if (removed.kind == EdgeKind::kSameAs) {
+      add_dirty(removed.a == ws.changed.front() ? removed.b : removed.a);
+    }
+    // Readers: the changed mentions and their relation neighbours.
+    for (NodeId c : ws.changed) {
+      add_dirty(c);
+      for (EdgeId r : graph->IncidentEdges(c)) {
+        const GraphEdge& re = graph->edge(r);
+        if (!re.active || re.kind != EdgeKind::kRelation) continue;
+        add_dirty(re.a == c ? re.b : re.a);
+      }
+    }
+    // Noun phrases whose means edges count a pronoun reader as a source.
+    const size_t readers = ws.dirty.size();
+    for (size_t i = 0; i < readers; ++i) {
+      const NodeId p = ws.dirty[i];
+      if (graph->node(p).kind != NodeKind::kPronoun) continue;
+      for (EdgeId se : graph->IncidentEdges(p)) {
+        const GraphEdge& s = graph->edge(se);
+        if (!s.active || s.kind != EdgeKind::kSameAs) continue;
+        const NodeId np = s.a == p ? s.b : s.a;
+        if (graph->node(np).kind == NodeKind::kNounPhrase) add_dirty(np);
       }
     }
     for (NodeId d : ws.dirty) {
       const size_t id = static_cast<size_t>(d);
       for (uint32_t k = ws.eom_off[id]; k < ws.eom_off[id + 1]; ++k) {
         const EdgeId de = ws.eom_data[k];
-        if (de == top.e) continue;
         if (!eval->IsRemovable(de)) continue;  // never coming back; skip
         ++ws.version[static_cast<size_t>(de)];
         ws.heap.push_back({eval->Contribution(de), de,

@@ -153,6 +153,17 @@ struct DensifyWorkspace {
   std::vector<double> coh_pool;
   std::vector<double> ts_pool;
 
+  // --- committed lane-weight cache -----------------------------------------
+  // LaneWeight of each relation lane under the committed active flags. An
+  // entry is valid iff its epoch equals lane_cache_epoch; bumping the epoch
+  // drops every entry at once. synced_mutations is the graph's
+  // mutation_count() the cache is known to match: any toggle the evaluator
+  // did not make itself shows up as a mismatch and drops the cache.
+  std::vector<double> lane_weight;      ///< Indexed by lane.
+  std::vector<uint32_t> lane_epoch;     ///< Indexed by lane; 0 = invalid.
+  uint32_t lane_cache_epoch = 1;
+  uint64_t synced_mutations = 0;
+
   // --- lane-build memos & scratch ------------------------------------------
   FlatPairCache coherence_cache;  ///< (e1 << 32 | e2) -> Coherence.
   std::vector<FlatPairCache> ts_caches;  ///< Per pattern id.
@@ -184,8 +195,6 @@ struct DensifyWorkspace {
     EdgeId e = -1;
     uint32_t version = 0;
   };
-  std::vector<uint32_t> adj_off;  ///< Mention adjacency CSR (node_count + 1).
-  std::vector<NodeId> adj_data;
   std::vector<EdgeId> removable;
   std::vector<uint32_t> eom_off;  ///< Edges-of-mention CSR (node_count + 1).
   std::vector<EdgeId> eom_data;
@@ -194,6 +203,7 @@ struct DensifyWorkspace {
   std::vector<uint32_t> dirty_mark;
   uint32_t dirty_epoch = 0;
   std::vector<NodeId> dirty;
+  std::vector<NodeId> changed;  ///< ChangedMentionsInto of the last removal.
 };
 
 }  // namespace qkbfly

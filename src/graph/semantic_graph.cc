@@ -32,7 +32,8 @@ SemanticGraph::SemanticGraph(const SemanticGraph& other)
       edges_(other.edges_),
       entity_nodes_(other.entity_nodes_),
       active_means_count_(other.active_means_count_),
-      active_sameas_np_count_(other.active_sameas_np_count_) {
+      active_sameas_np_count_(other.active_sameas_np_count_),
+      mutations_(other.mutations_) {
   for (size_t k = 0; k < kNodeKindCount; ++k) kind_nodes_[k] = other.kind_nodes_[k];
 }
 
@@ -44,6 +45,7 @@ SemanticGraph& SemanticGraph::operator=(const SemanticGraph& other) {
   entity_nodes_ = other.entity_nodes_;
   active_means_count_ = other.active_means_count_;
   active_sameas_np_count_ = other.active_sameas_np_count_;
+  mutations_ = other.mutations_;
   // The copy rebuilds its own CSR index on first use; the arena keeps its
   // resident blocks for that rebuild.
   csr_offsets_ = nullptr;
@@ -58,6 +60,7 @@ SemanticGraph::SemanticGraph(SemanticGraph&& other) noexcept
       entity_nodes_(std::move(other.entity_nodes_)),
       active_means_count_(std::move(other.active_means_count_)),
       active_sameas_np_count_(std::move(other.active_sameas_np_count_)),
+      mutations_(other.mutations_),
       arena_(std::move(other.arena_)),
       csr_offsets_(other.csr_offsets_),
       csr_edges_(other.csr_edges_),
@@ -80,6 +83,7 @@ SemanticGraph& SemanticGraph::operator=(SemanticGraph&& other) noexcept {
   entity_nodes_ = std::move(other.entity_nodes_);
   active_means_count_ = std::move(other.active_means_count_);
   active_sameas_np_count_ = std::move(other.active_sameas_np_count_);
+  mutations_ = other.mutations_;
   arena_ = std::move(other.arena_);
   csr_offsets_ = other.csr_offsets_;
   csr_edges_ = other.csr_edges_;

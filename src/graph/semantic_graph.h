@@ -13,6 +13,7 @@
 #ifndef QKBFLY_GRAPH_SEMANTIC_GRAPH_H_
 #define QKBFLY_GRAPH_SEMANTIC_GRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -122,7 +123,13 @@ class SemanticGraph {
     if (edge.active == active) return;
     edge.active = active;
     ApplyActiveDelta(edge, active ? 1 : -1);
+    ++mutations_;
   }
+
+  /// Number of effective SetEdgeActive calls so far (copies carry it over).
+  /// Caches derived from the active flags compare it against the value they
+  /// were computed at to detect toggles made behind their back.
+  uint64_t mutation_count() const { return mutations_; }
 
   /// Number of active means edges out of noun phrase `n` (edge.a == n).
   /// O(1); the densifier's removability test (constraint "keep at least
@@ -212,6 +219,7 @@ class SemanticGraph {
   std::unordered_map<EntityId, NodeId> entity_nodes_;
   std::vector<int> active_means_count_;      ///< Indexed by NodeId.
   std::vector<int> active_sameas_np_count_;  ///< Indexed by NodeId.
+  uint64_t mutations_ = 0;  ///< Effective SetEdgeActive calls.
 
   // CSR adjacency, arena-backed; rebuilt by EnsureFinalized after mutations.
   // Mutable so const adjacency queries can finalize lazily.

@@ -1,7 +1,8 @@
 // Tests for the single-core hot-path rewrite: the interned-symbol table, the
 // trie-backed gazetteer (against a linear reference), LooseCandidates
-// dedup/ordering, and the heap-driven densifier (against a naive greedy
-// reference and its determinism guarantees).
+// dedup/ordering, the heap-driven densifier (against a naive greedy
+// reference and its determinism guarantees) and the evaluator's committed
+// lane-weight cache (against freshly constructed evaluators).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "parser/malt_parser.h"
 #include "synth/dataset.h"
 #include "text/tokenizer.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/symbol_table.h"
 
@@ -280,13 +282,38 @@ const SynthDataset& Dataset() {
   return *ds;
 }
 
+// The world perfbench measures for seed 4: every default WorldConfig count
+// scaled 6x, an article for every eligible entity, a news story for every
+// post-snapshot fact. Its documents are denser than the default world's.
+const SynthDataset& ScaledDataset() {
+  static const SynthDataset* ds = [] {
+    constexpr int kScale = 6;
+    DatasetConfig config;
+    config.seed = 4;
+    WorldConfig& w = config.world;
+    w.seed = 4;
+    for (int* count :
+         {&w.actors, &w.musicians, &w.footballers, &w.coaches,
+          &w.business_people, &w.directors, &w.plain_persons, &w.cities,
+          &w.clubs, &w.films, &w.albums, &w.awards, &w.universities,
+          &w.charities, &w.companies, &w.festivals, &w.characters}) {
+      *count *= kScale;
+    }
+    config.wiki_eval_articles = 1 << 20;
+    config.news_docs = 1 << 20;
+    config.wikia_pages *= kScale;
+    config.reverb_sentences = 0;
+    return BuildDataset(config).release();
+  }();
+  return *ds;
+}
+
 struct Prepared {
   AnnotatedDocument doc;
   SemanticGraph graph;
 };
 
-Prepared Prepare(const Document& doc) {
-  const auto& ds = Dataset();
+Prepared Prepare(const SynthDataset& ds, const Document& doc) {
   NlpPipeline pipeline(ds.repository.get());
   Prepared p;
   p.doc = pipeline.Annotate(doc.id, doc.title, doc.text);
@@ -295,6 +322,8 @@ Prepared Prepare(const Document& doc) {
   p.graph = builder.Build(p.doc);
   return p;
 }
+
+Prepared Prepare(const Document& doc) { return Prepare(Dataset(), doc); }
 
 std::vector<bool> ActiveFlags(const SemanticGraph& graph) {
   std::vector<bool> out;
@@ -307,9 +336,9 @@ std::vector<bool> ActiveFlags(const SemanticGraph& graph) {
 // Naive Algorithm 1 over the public evaluator API: every round recomputes
 // the contribution of every removable edge (no cache, no invalidation) and
 // removes the (c, EdgeId) minimum. The heap loop must match it bit for bit,
-// which also checks that its two-hop invalidation misses nothing.
-DensifyResult NaiveGreedy(SemanticGraph* graph, const AnnotatedDocument& doc) {
-  const auto& ds = Dataset();
+// which also checks that its invalidation set misses nothing.
+DensifyResult NaiveGreedy(const SynthDataset& ds, SemanticGraph* graph,
+                          const AnnotatedDocument& doc) {
   DensifyEvaluator eval(graph, doc, &ds.stats, ds.repository.get(),
                         DensifyParams());
   DensifyResult result;
@@ -337,31 +366,186 @@ DensifyResult NaiveGreedy(SemanticGraph* graph, const AnnotatedDocument& doc) {
   return result;
 }
 
+// Densifies two copies of one prepared document, one with the heap loop and
+// one with the naive reference, and requires identical results.
+void ExpectHeapMatchesNaive(const SynthDataset& ds, const Prepared& prepared,
+                            const std::string& what) {
+  GreedyDensifier heap(&ds.stats, ds.repository.get(), DensifyParams());
+  Prepared ph = prepared;
+  Prepared pn = prepared;
+  auto rh = heap.Densify(&ph.graph, ph.doc);
+  auto rn = NaiveGreedy(ds, &pn.graph, pn.doc);
+  // Same edges removed, in the same order, leaving the same subgraph.
+  EXPECT_EQ(rh.removal_order, rn.removal_order) << what;
+  EXPECT_EQ(rh.edges_removed, rn.edges_removed) << what;
+  EXPECT_EQ(ActiveFlags(ph.graph), ActiveFlags(pn.graph)) << what;
+  // Same floats, not just approximately.
+  EXPECT_EQ(rh.objective, rn.objective) << what;
+  ASSERT_EQ(rh.assignments.size(), rn.assignments.size()) << what;
+  for (size_t i = 0; i < rh.assignments.size(); ++i) {
+    EXPECT_EQ(rh.assignments[i].mention, rn.assignments[i].mention) << what;
+    EXPECT_EQ(rh.assignments[i].entity, rn.assignments[i].entity) << what;
+    EXPECT_EQ(rh.assignments[i].confidence, rn.assignments[i].confidence)
+        << what;
+    EXPECT_EQ(rh.assignments[i].weight, rn.assignments[i].weight) << what;
+  }
+  EXPECT_EQ(rh.pronoun_antecedents, rn.pronoun_antecedents) << what;
+}
+
 TEST(DensifyDeterminismTest, HeapLoopMatchesNaiveReference) {
   const auto& ds = Dataset();
-  GreedyDensifier heap(&ds.stats, ds.repository.get(), DensifyParams());
-  int docs = 0;
+  ASSERT_EQ(ds.wiki_eval.size(), 12u);
   for (const GoldDocument& gd : ds.wiki_eval) {
-    if (++docs > 6) break;
-    Prepared ph = Prepare(gd.doc);
-    Prepared pn = Prepare(gd.doc);
-    auto rh = heap.Densify(&ph.graph, ph.doc);
-    auto rn = NaiveGreedy(&pn.graph, pn.doc);
-    // Same edges removed, in the same order, leaving the same subgraph.
-    EXPECT_EQ(rh.removal_order, rn.removal_order) << gd.doc.text;
-    EXPECT_EQ(rh.edges_removed, rn.edges_removed);
-    EXPECT_EQ(ActiveFlags(ph.graph), ActiveFlags(pn.graph));
-    // Same floats, not just approximately.
-    EXPECT_EQ(rh.objective, rn.objective);
-    ASSERT_EQ(rh.assignments.size(), rn.assignments.size());
-    for (size_t i = 0; i < rh.assignments.size(); ++i) {
-      EXPECT_EQ(rh.assignments[i].mention, rn.assignments[i].mention);
-      EXPECT_EQ(rh.assignments[i].entity, rn.assignments[i].entity);
-      EXPECT_EQ(rh.assignments[i].confidence, rn.assignments[i].confidence);
-      EXPECT_EQ(rh.assignments[i].weight, rn.assignments[i].weight);
-    }
-    EXPECT_EQ(rh.pronoun_antecedents, rn.pronoun_antecedents);
+    ExpectHeapMatchesNaive(ds, Prepare(ds, gd.doc), gd.doc.id);
   }
+}
+
+// Links consecutive pronoun nodes (ascending NodeId) with relation edges
+// labelled like the document's first relation edge. Returns false when the
+// graph has no relation edge or fewer than two pronouns.
+bool AddPronounChain(SemanticGraph* graph) {
+  const GraphEdge* first = nullptr;
+  for (size_t e = 0; e < graph->edge_count() && first == nullptr; ++e) {
+    const GraphEdge& edge = graph->edge(static_cast<EdgeId>(e));
+    if (edge.kind == EdgeKind::kRelation) first = &edge;
+  }
+  const auto pronouns = graph->NodesOfKind(NodeKind::kPronoun);
+  if (first == nullptr || pronouns.size() < 2) return false;
+  const std::string label = first->label;
+  const std::vector<NodeId> chain(pronouns.begin(), pronouns.end());
+  for (size_t i = 1; i < chain.size(); ++i) {
+    GraphEdge edge;
+    edge.kind = EdgeKind::kRelation;
+    edge.a = chain[i - 1];
+    edge.b = chain[i];
+    edge.label = label;
+    graph->AddEdge(edge);
+  }
+  graph->Finalize();
+  return true;
+}
+
+TEST(DensifyDeterminismTest, PronounPronounRelationReachesThirdHop) {
+  // A relation edge between two pronouns puts a changed lane three hops from
+  // the removal: a means edge at noun phrase n changes pronoun p1 (sameAs to
+  // n), p1's lane to p2 changes, and that lane is a source of every means
+  // edge at the noun phrases sameAs-linked to p2. In this world wiki:368 is
+  // a document where skipping that hop reorders the removals.
+  const auto& ds = ScaledDataset();
+  const GoldDocument* target = nullptr;
+  for (const GoldDocument& gd : ds.wiki_eval) {
+    if (gd.doc.id == "wiki:368") target = &gd;
+  }
+  ASSERT_NE(target, nullptr);
+  Prepared p = Prepare(ds, target->doc);
+  ASSERT_TRUE(AddPronounChain(&p.graph));
+  ExpectHeapMatchesNaive(ds, p, target->doc.id);
+}
+
+// Every value an evaluator returns must be bit-equal to the same call on a
+// freshly constructed evaluator over a copy of the graph, whether edges were
+// toggled through Deactivate (selective lane invalidation) or behind its
+// back through SemanticGraph::SetEdgeActive (mutation-counter resync).
+TEST(DensifyEvaluatorCacheTest, MatchesFreshEvaluatorUnderToggles) {
+  const auto& ds = Dataset();
+  const DensifyParams params;
+  DensifyWorkspace fresh_ws;
+  Rng rng(13);
+  int deactivated = 0;
+  int behind_back = 0;
+  for (const GoldDocument& gd : ds.wiki_eval) {
+    Prepared p = Prepare(ds, gd.doc);
+    DensifyEvaluator eval(&p.graph, p.doc, &ds.stats, ds.repository.get(),
+                          params);
+    eval.SnapshotOriginalMeans();
+    eval.Preprocess();
+
+    auto expect_fresh = [&](const std::string& when) {
+      const SemanticGraph before = p.graph;
+      SemanticGraph copy = p.graph;
+      for (EdgeId e : eval.RemovableEdges()) {
+        const double cached = eval.Contribution(e);
+        DensifyEvaluator fresh(&copy, p.doc, &ds.stats, ds.repository.get(),
+                               params, &fresh_ws);
+        EXPECT_EQ(cached, fresh.Contribution(e))
+            << gd.doc.id << " edge " << e << " " << when;
+      }
+      for (EdgeId r : eval.relation_edges()) {
+        DensifyEvaluator fresh(&copy, p.doc, &ds.stats, ds.repository.get(),
+                               params, &fresh_ws);
+        EXPECT_EQ(eval.RelationEdgeWeight(r), fresh.RelationEdgeWeight(r))
+            << gd.doc.id << " relation " << r << " " << when;
+      }
+      DensifyEvaluator fresh(&copy, p.doc, &ds.stats, ds.repository.get(),
+                             params, &fresh_ws);
+      EXPECT_EQ(eval.Objective(), fresh.Objective()) << gd.doc.id << " " << when;
+      // Evaluation leaves the flags as it found them.
+      EXPECT_EQ(ActiveFlags(p.graph), ActiveFlags(before));
+    };
+
+    expect_fresh("after Preprocess");
+    std::vector<EdgeId> removed;
+    for (int step = 0; step < 12; ++step) {
+      const std::vector<EdgeId> removable = eval.RemovableEdges();
+      if (removable.empty()) break;
+      const EdgeId e = rng.Choose(removable);
+      std::string op;
+      switch (rng.NextInt(0, 3)) {
+        case 0:
+          eval.Deactivate(e);
+          removed.push_back(e);
+          ++deactivated;
+          op = "Deactivate";
+          break;
+        case 1:
+          p.graph.SetEdgeActive(e, false);
+          removed.push_back(e);
+          ++behind_back;
+          op = "SetEdgeActive(false)";
+          break;
+        case 2:
+          // Net no-op toggle: the flags are unchanged but the counter moved.
+          p.graph.SetEdgeActive(e, false);
+          p.graph.SetEdgeActive(e, true);
+          ++behind_back;
+          op = "off/on";
+          break;
+        default:
+          if (removed.empty()) continue;
+          // Re-activation, which the greedy loop never does.
+          p.graph.SetEdgeActive(removed.back(), true);
+          removed.pop_back();
+          ++behind_back;
+          op = "SetEdgeActive(true)";
+          break;
+      }
+      // Leave some mutations unobserved so the next Deactivate or
+      // Contribution sees a stale counter first.
+      if (rng.NextBool(0.5)) {
+        expect_fresh("step " + std::to_string(step) + " after " + op);
+      }
+    }
+    expect_fresh("at the end");
+
+    // Confidences evaluate swapped subgraphs behind the cache's back.
+    std::vector<DensifyResult::Assignment> cached;
+    std::vector<DensifyResult::Assignment> expected;
+    SemanticGraph copy = p.graph;
+    DensifyEvaluator fresh(&copy, p.doc, &ds.stats, ds.repository.get(),
+                           params, &fresh_ws);
+    fresh.workspace().orig_active = eval.workspace().orig_active;
+    eval.ComputeConfidencesInto(&cached);
+    fresh.ComputeConfidencesInto(&expected);
+    ASSERT_EQ(cached.size(), expected.size()) << gd.doc.id;
+    for (size_t i = 0; i < cached.size(); ++i) {
+      EXPECT_EQ(cached[i].mention, expected[i].mention) << gd.doc.id;
+      EXPECT_EQ(cached[i].entity, expected[i].entity) << gd.doc.id;
+      EXPECT_EQ(cached[i].confidence, expected[i].confidence) << gd.doc.id;
+    }
+  }
+  // Both toggle paths were exercised.
+  EXPECT_GT(deactivated, 0);
+  EXPECT_GT(behind_back, 0);
 }
 
 TEST(DensifyDeterminismTest, RemovalOrderStableAcrossRuns) {
