@@ -69,5 +69,42 @@ TEST(BenchReportTest, EscapesNames) {
   std::remove(path.c_str());
 }
 
+TEST(BenchReportTest, ValidateJsonFileRejectsSchemaViolations) {
+  std::string path = TempPath("bench_invalid.json");
+  auto validate = [&](const std::string& contents, std::string* error) {
+    std::ofstream(path, std::ios::trunc) << contents;
+    return BenchReport::ValidateJsonFile(path, error);
+  };
+  const std::string kRequired =
+      "\"docs\": 1, \"threads\": 1, \"wall_s\": 0.5, \"facts\": 2";
+  std::string error;
+  EXPECT_TRUE(validate("[\n  {\"name\": \"a\", " + kRequired + "}\n]\n", &error))
+      << error;
+  EXPECT_TRUE(validate("[]\n", &error)) << error;
+
+  const std::string kBad[] = {
+      // Unknown key.
+      "[{\"name\": \"a\", " + kRequired + ", \"bogus\": 1}]",
+      // Missing required key (facts).
+      "[{\"name\": \"a\", \"docs\": 1, \"threads\": 1, \"wall_s\": 0.5}]",
+      // Nested object value.
+      "[{\"name\": \"a\", \"docs\": {\"n\": 1}, \"threads\": 1, "
+      "\"wall_s\": 0.5, \"facts\": 2}]",
+      // Non-numeric docs.
+      "[{\"name\": \"a\", \"docs\": \"1\", \"threads\": 1, \"wall_s\": 0.5, "
+      "\"facts\": 2}]",
+      // Empty name.
+      "[{\"name\": \"\", " + kRequired + "}]",
+      // Trailing content after the array.
+      "[{\"name\": \"a\", " + kRequired + "}] x",
+  };
+  for (const std::string& bad : kBad) {
+    error.clear();
+    EXPECT_FALSE(validate(bad, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace qkbfly

@@ -241,6 +241,53 @@ TEST(FactStoreTest, SaveLoadRoundTripsSnapshotBytes) {
   std::remove(path2.c_str());
 }
 
+// Pins the snapshot escaper byte by byte: quote and backslash are escaped,
+// newline / CR / tab get their short forms, every other byte below 0x20 is
+// \u00xx (lowercase hex), and everything else, 0x7f-0xff included, is raw.
+TEST(FactStoreTest, SaveEscapesEveryByte) {
+  std::string all_bytes;
+  std::string expected = "\"";
+  for (int b = 0; b < 256; ++b) {
+    char c = static_cast<char>(b);
+    all_bytes.push_back(c);
+    if (c == '"') {
+      expected += "\\\"";
+    } else if (c == '\\') {
+      expected += "\\\\";
+    } else if (c == '\n') {
+      expected += "\\n";
+    } else if (c == '\r') {
+      expected += "\\r";
+    } else if (c == '\t') {
+      expected += "\\t";
+    } else if (b < 0x20) {
+      const char* hex = "0123456789abcdef";
+      expected += "\\u00";
+      expected += hex[b >> 4];
+      expected += hex[b & 0xF];
+    } else {
+      expected += c;
+    }
+  }
+  expected += "\"";
+
+  std::string path = ::testing::TempDir() + "qkbfly_store_bytes.jsonl";
+  FactStore store;
+  (void)store.Ingest(MakeRecord(all_bytes, "r", "o", 1));
+  ASSERT_TRUE(store.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_NE(bytes.find("\"subject\":" + expected + ",\"relation\""),
+            std::string::npos);
+
+  FactStore loaded;
+  Status status = loaded.Load(path);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(loaded.LookupSubject(all_bytes).size(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(FactStoreTest, LoadRejectsSchemaViolations) {
   std::string path = ::testing::TempDir() + "qkbfly_store_bad.jsonl";
   auto write = [&](const std::string& contents) {
