@@ -49,30 +49,22 @@ void Print(const char* name, const StageResult& r, const char* unit) {
               r.per_doc.Percentile(0.95) * 1e3);
 }
 
-// Pulls the densify-stage p50 (milliseconds) out of a committed
-// BENCH_hotpath.json-shaped file. Deliberately string-level, like
-// ValidateJsonFile: the key is matched with its trailing quote-comma so
-// "hotpath/densify" never matches a longer stage name that shares it as a
-// prefix.
+// Looks up the densify-stage p50 (milliseconds) by record name in a
+// BENCH_hotpath.json-shaped report.
 bool ReadBaselineDensifyP50(const std::string& path, double* p50_ms) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-
-  size_t record = text.find("\"name\": \"hotpath/densify\",");
-  if (record == std::string::npos) return false;
-  size_t end = text.find('}', record);
-  size_t key = text.find("\"p50_ms\": ", record);
-  if (key == std::string::npos || (end != std::string::npos && key > end)) {
+  std::vector<BenchReport::Entry> entries;
+  std::string error;
+  if (!BenchReport::ReadJsonFile(path, &entries, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return false;
   }
-  *p50_ms = std::strtod(text.c_str() + key + std::strlen("\"p50_ms\": "),
-                        nullptr);
-  return *p50_ms > 0.0;
+  for (const BenchReport::Entry& entry : entries) {
+    if (entry.name == "hotpath/densify" && entry.has_stage) {
+      *p50_ms = entry.stage.p50_ms;
+      return *p50_ms > 0.0;
+    }
+  }
+  return false;
 }
 
 int Run(bool smoke, const char* baseline_path) {
@@ -312,8 +304,9 @@ int Run(bool smoke, const char* baseline_path) {
   }
   std::printf("\nWrote %s\n", path);
 
+  std::vector<BenchReport::Entry> written;
   std::string error;
-  if (!BenchReport::ValidateJsonFile(path, &error)) {
+  if (!BenchReport::ReadJsonFile(path, &written, &error)) {
     std::fprintf(stderr, "SCHEMA VALIDATION FAILED: %s\n", error.c_str());
     return 1;
   }

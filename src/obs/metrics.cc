@@ -1,11 +1,10 @@
 #include "obs/metrics.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/arena.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace qkbfly::obs {
@@ -220,184 +219,75 @@ std::string MetricsRegistry::ToJson(const MetricsSnapshot& snapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON schema validation (dependency-free scanner, same posture as
-// BenchReport::ValidateJsonFile)
+// JSON schema validation over the util/json DOM
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonScanner {
-  std::string_view text;
-  size_t pos = 0;
-  std::string error;
-
-  bool Fail(const std::string& message) {
-    if (error.empty()) {
-      error = message + " at offset " + std::to_string(pos);
-    }
+/// Checks one `{"name": <value>, ...}` section: snake_case names, each
+/// value accepted by `value_ok`.
+template <typename Fn>
+bool CheckMetricMap(json::Value section, const char* kind, Fn value_ok,
+                    std::string* error) {
+  if (!section.is_object()) {
+    *error = std::string(kind) + " section is not an object";
     return false;
   }
-
-  void SkipSpace() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(
-                                    text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos >= text.size() || text[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipSpace();
-    if (pos >= text.size() || text[pos] != '"') return Fail("expected string");
-    ++pos;
-    std::string value;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') return Fail("escapes not allowed in names");
-      value.push_back(text[pos]);
-      ++pos;
-    }
-    if (pos >= text.size()) return Fail("unterminated string");
-    ++pos;
-    if (out != nullptr) *out = std::move(value);
-    return true;
-  }
-
-  bool ParseNumber(double* out) {
-    SkipSpace();
-    size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    bool digits = false;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(text[pos]))) digits = true;
-      ++pos;
-    }
-    if (!digits) return Fail("expected number");
-    if (out != nullptr) {
-      *out = std::strtod(std::string(text.substr(start, pos - start)).c_str(),
-                         nullptr);
-    }
-    return true;
-  }
-};
-
-/// Parses `{"name": <value>, ...}` where each value is checked by `value_fn`.
-template <typename Fn>
-bool ParseMetricMap(JsonScanner& scanner, const char* section, Fn value_fn) {
-  if (!scanner.Consume('{')) return false;
-  if (scanner.Peek('}')) return scanner.Consume('}');
-  for (;;) {
-    std::string name;
-    if (!scanner.ParseString(&name)) return false;
+  for (size_t i = 0; i < section.size(); ++i) {
+    std::string name(section.key(i));
     if (!MetricsRegistry::IsValidName(name)) {
-      return scanner.Fail(std::string(section) + " name '" + name +
-                          "' is not snake_case");
+      *error = std::string(kind) + " name '" + name + "' is not snake_case";
+      return false;
     }
-    if (!scanner.Consume(':')) return false;
-    if (!value_fn(scanner, name)) return false;
-    if (scanner.Peek(',')) {
-      if (!scanner.Consume(',')) return false;
-      continue;
-    }
-    return scanner.Consume('}');
-  }
-}
-
-bool ParseHistogramObject(JsonScanner& scanner, const std::string& name) {
-  static const char* kRequired[] = {"count",  "sum_s", "min_s", "max_s",
-                                    "p50_s", "p95_s", "p99_s"};
-  if (!scanner.Consume('{')) return false;
-  std::vector<std::string> seen;
-  for (;;) {
-    std::string key;
-    if (!scanner.ParseString(&key)) return false;
-    bool known = false;
-    for (const char* r : kRequired) known = known || key == r;
-    if (!known) {
-      return scanner.Fail("unknown histogram key '" + key + "' in '" + name +
-                          "'");
-    }
-    seen.push_back(key);
-    if (!scanner.Consume(':')) return false;
-    double value = 0.0;
-    if (!scanner.ParseNumber(&value)) return false;
-    if (scanner.Peek(',')) {
-      if (!scanner.Consume(',')) return false;
-      continue;
-    }
-    break;
-  }
-  if (!scanner.Consume('}')) return false;
-  for (const char* r : kRequired) {
-    bool found = false;
-    for (const std::string& s : seen) found = found || s == r;
-    if (!found) {
-      return scanner.Fail("histogram '" + name + "' missing key '" +
-                          std::string(r) + "'");
-    }
+    if (!value_ok(section.at(i), name)) return false;
   }
   return true;
 }
 
 }  // namespace
 
-bool MetricsRegistry::ValidateJson(std::string_view json, std::string* error) {
-  JsonScanner scanner{json, 0, {}};
-  auto fail = [&](bool ok) {
-    if (!ok && error != nullptr) *error = scanner.error;
-    return ok;
-  };
-  if (!scanner.Consume('{')) return fail(false);
-
-  auto expect_section = [&](const char* want) {
-    std::string key;
-    if (!scanner.ParseString(&key)) return false;
-    if (key != want) {
-      return scanner.Fail(std::string("expected section '") + want +
-                          "', got '" + key + "'");
+bool MetricsRegistry::ValidateJson(std::string_view text, std::string* error) {
+  std::string local;
+  std::string* err = error != nullptr ? error : &local;
+  json::Document doc;
+  if (!doc.Parse(text, err)) return false;
+  json::Value root = doc.root();
+  static const char* kSections[] = {"counters", "gauges", "histograms"};
+  if (!root.is_object() || root.size() != 3) {
+    *err = "expected an object with counters, gauges and histograms";
+    return false;
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    if (root.key(i) != kSections[i]) {
+      *err = std::string("expected section '") + kSections[i] + "', got '" +
+             std::string(root.key(i)) + "'";
+      return false;
     }
-    return scanner.Consume(':');
-  };
-
-  auto number_value = [](JsonScanner& s, const std::string&) {
-    return s.ParseNumber(nullptr);
-  };
-
-  if (!expect_section("counters")) return fail(false);
-  if (!ParseMetricMap(scanner, "counter", number_value)) return fail(false);
-  if (!scanner.Consume(',')) return fail(false);
-  if (!expect_section("gauges")) return fail(false);
-  if (!ParseMetricMap(scanner, "gauge", number_value)) return fail(false);
-  if (!scanner.Consume(',')) return fail(false);
-  if (!expect_section("histograms")) return fail(false);
-  if (!ParseMetricMap(scanner, "histogram",
-                      [](JsonScanner& s, const std::string& name) {
-                        return ParseHistogramObject(s, name);
-                      })) {
-    return fail(false);
   }
-  if (!scanner.Consume('}')) return fail(false);
-  scanner.SkipSpace();
-  if (scanner.pos != json.size()) {
-    scanner.Fail("trailing content after metrics object");
-    return fail(false);
-  }
-  return true;
+
+  auto number = [&](json::Value value, const std::string& name) {
+    if (value.is_number()) return true;
+    *err = "metric '" + name + "' is not a number";
+    return false;
+  };
+  auto histogram = [&](json::Value value, const std::string& name) {
+    static const char* kKeys[] = {"count", "sum_s", "min_s", "max_s",
+                                  "p50_s", "p95_s", "p99_s"};
+    if (!value.is_object() || value.size() != 7) {
+      *err = "histogram '" + name + "' is not an object of 7 numbers";
+      return false;
+    }
+    for (const char* key : kKeys) {
+      if (!value.Find(key).is_number()) {
+        *err = "histogram '" + name + "' missing number '" + key + "'";
+        return false;
+      }
+    }
+    return true;
+  };
+  return CheckMetricMap(root.at(0), "counter", number, err) &&
+         CheckMetricMap(root.at(1), "gauge", number, err) &&
+         CheckMetricMap(root.at(2), "histogram", histogram, err);
 }
 
 std::string DefaultRegistryPrometheusText() {

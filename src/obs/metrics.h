@@ -162,7 +162,7 @@ class MetricsRegistry {
   /// Schema check for ToJson output (exact key set, numeric values,
   /// snake_case metric names). Returns false and fills `error` (when
   /// non-null) on the first violation.
-  static bool ValidateJson(std::string_view json, std::string* error);
+  static bool ValidateJson(std::string_view text, std::string* error);
 
  private:
   mutable std::mutex mutex_;

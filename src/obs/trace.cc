@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace qkbfly::obs {
@@ -117,26 +118,6 @@ std::vector<Span> Trace::Snapshot() const {
 
 namespace {
 
-void AppendEscaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void AppendAttributes(std::string& out, const Span& span) {
   if (span.attributes.empty()) return;
   out += ", \"attrs\": {";
@@ -144,9 +125,8 @@ void AppendAttributes(std::string& out, const Span& span) {
   for (size_t i = 0; i < span.attributes.size(); ++i) {
     const SpanAttribute& attr = span.attributes[i];
     if (i > 0) out += ", ";
-    out += '"';
-    AppendEscaped(out, attr.key);
-    out += "\": ";
+    json::AppendJsonString(attr.key, &out);
+    out += ": ";
     switch (attr.kind) {
       case SpanAttribute::Kind::kInt:
         std::snprintf(buf, sizeof(buf), "%lld",
@@ -161,9 +141,7 @@ void AppendAttributes(std::string& out, const Span& span) {
         out += attr.bool_value ? "true" : "false";
         break;
       case SpanAttribute::Kind::kString:
-        out += '"';
-        AppendEscaped(out, attr.string_value);
-        out += '"';
+        json::AppendJsonString(attr.string_value, &out);
         break;
     }
   }
@@ -175,9 +153,9 @@ void AppendSpanJson(std::string& out, const std::vector<Span>& spans,
                     SpanId id) {
   const Span& span = spans[static_cast<size_t>(id)];
   char buf[96];
-  out += "{\"name\": \"";
-  AppendEscaped(out, span.name);
-  std::snprintf(buf, sizeof(buf), "\", \"start_ms\": %.6f, \"duration_ms\": %.6f",
+  out += "{\"name\": ";
+  json::AppendJsonString(span.name, &out);
+  std::snprintf(buf, sizeof(buf), ", \"start_ms\": %.6f, \"duration_ms\": %.6f",
                 span.start_s * 1e3, span.DurationSeconds() * 1e3);
   out += buf;
   AppendAttributes(out, span);

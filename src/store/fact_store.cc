@@ -1,12 +1,12 @@
 #include "store/fact_store.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
+
+#include "util/json.h"
 
 namespace qkbfly {
 
@@ -14,225 +14,27 @@ namespace {
 
 constexpr char kSep = '\x1f';
 
-// ---------------------------------------------------------------------------
-// JSONL helpers: escape/emit on the Save side, a minimal strict parser for
-// the flat line objects on the Load side (strings, finite numbers, bools and
-// arrays of strings — the full value range of the snapshot schema).
-// ---------------------------------------------------------------------------
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendJsonStringArray(const std::vector<std::string>& values,
                            std::string* out) {
   out->push_back('[');
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out->push_back(',');
-    AppendJsonString(values[i], out);
+    json::AppendJsonString(values[i], out);
   }
   out->push_back(']');
 }
 
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBool, kStringArray };
-  Kind kind = Kind::kString;
-  std::string str;
-  double number = 0.0;
-  bool boolean = false;
-  std::vector<std::string> array;
-};
-
-/// Strict single-line object parser. Duplicate keys are rejected, so the
-/// schema checks below can key on exact field sets.
-class JsonLineParser {
- public:
-  explicit JsonLineParser(std::string_view line) : line_(line) {}
-
-  bool Parse(std::vector<std::pair<std::string, JsonValue>>* fields,
-             std::string* error) {
-    fields->clear();
-    SkipSpace();
-    if (!Consume('{')) return Fail("expected '{'", error);
-    SkipSpace();
-    if (Consume('}')) return AtEnd(error);
-    while (true) {
-      std::pair<std::string, JsonValue> field;
-      if (!ParseString(&field.first)) return Fail("bad key string", error);
-      for (const auto& existing : *fields) {
-        if (existing.first == field.first) {
-          return Fail("duplicate key '" + field.first + "'", error);
-        }
-      }
-      SkipSpace();
-      if (!Consume(':')) return Fail("expected ':'", error);
-      if (!ParseValue(&field.second, error)) return false;
-      fields->push_back(std::move(field));
-      SkipSpace();
-      if (Consume(',')) {
-        SkipSpace();
-        continue;
-      }
-      if (Consume('}')) return AtEnd(error);
-      return Fail("expected ',' or '}'", error);
-    }
+/// Reads an array of strings; false for any other value.
+bool GetStrings(json::Value array, std::vector<std::string>* out) {
+  if (!array.is_array()) return false;
+  out->clear();
+  out->reserve(array.size());
+  for (size_t i = 0; i < array.size(); ++i) {
+    json::Value element = array.at(i);
+    if (!element.is_string()) return false;
+    out->emplace_back(element.text());
   }
-
- private:
-  void SkipSpace() {
-    while (pos_ < line_.size() &&
-           (line_[pos_] == ' ' || line_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < line_.size() && line_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Fail(const std::string& what, std::string* error) {
-    *error = what + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  bool AtEnd(std::string* error) {
-    SkipSpace();
-    if (pos_ != line_.size()) return Fail("trailing characters", error);
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < line_.size()) {
-      char c = line_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= line_.size()) return false;
-      char esc = line_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > line_.size()) return false;
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = line_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
-          if (value > 0xFF) return false;  // snapshots are byte-oriented
-          out->push_back(static_cast<char>(value));
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseValue(JsonValue* out, std::string* error) {
-    SkipSpace();
-    if (pos_ >= line_.size()) return Fail("missing value", error);
-    char c = line_[pos_];
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      if (!ParseString(&out->str)) return Fail("bad string value", error);
-      return true;
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kStringArray;
-      out->array.clear();
-      SkipSpace();
-      if (Consume(']')) return true;
-      while (true) {
-        std::string element;
-        if (!ParseString(&element)) return Fail("bad array element", error);
-        out->array.push_back(std::move(element));
-        SkipSpace();
-        if (Consume(',')) continue;
-        if (Consume(']')) return true;
-        return Fail("expected ',' or ']'", error);
-      }
-    }
-    if (line_.compare(pos_, 4, "true") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (line_.compare(pos_, 5, "false") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    // Number.
-    size_t start = pos_;
-    while (pos_ < line_.size() &&
-           (std::isdigit(static_cast<unsigned char>(line_[pos_])) ||
-            line_[pos_] == '-' || line_[pos_] == '+' || line_[pos_] == '.' ||
-            line_[pos_] == 'e' || line_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("bad value", error);
-    std::string buf(line_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out->number = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) return Fail("bad number", error);
-    out->kind = JsonValue::Kind::kNumber;
-    return true;
-  }
-
-  std::string_view line_;
-  size_t pos_ = 0;
-};
-
-/// Field accessor enforcing presence + kind in one step.
-const JsonValue* FindField(
-    const std::vector<std::pair<std::string, JsonValue>>& fields,
-    std::string_view key, JsonValue::Kind kind) {
-  for (const auto& [name, value] : fields) {
-    if (name == key) return value.kind == kind ? &value : nullptr;
-  }
-  return nullptr;
+  return true;
 }
 
 void SortUnique(std::vector<std::string>* values) {
@@ -473,9 +275,9 @@ Status FactStore::Save(const std::string& path) const {
   char buf[48];
   for (const FactRecord& record : Snapshot()) {
     out.append("{\"kind\":\"fact\",\"subject\":");
-    AppendJsonString(record.subject, &out);
+    json::AppendJsonString(record.subject, &out);
     out.append(",\"relation\":");
-    AppendJsonString(record.relation, &out);
+    json::AppendJsonString(record.relation, &out);
     out.append(",\"args\":");
     AppendJsonStringArray(record.args, &out);
     out.append(record.negated ? ",\"negated\":true" : ",\"negated\":false");
@@ -493,9 +295,9 @@ Status FactStore::Save(const std::string& path) const {
   for (const auto& pair : qa_pairs_.All()) {
     if (pair->epoch < epoch()) continue;
     out.append("{\"kind\":\"qa\",\"question\":");
-    AppendJsonString(pair->question, &out);
+    json::AppendJsonString(pair->question, &out);
     out.append(",\"fingerprint\":");
-    AppendJsonString(pair->fingerprint, &out);
+    json::AppendJsonString(pair->fingerprint, &out);
     out.append(",\"epoch\":");
     AppendEpoch(pair->epoch, &out);
     std::snprintf(buf, sizeof(buf), ",\"documents\":%llu",
@@ -504,7 +306,7 @@ Status FactStore::Save(const std::string& path) const {
     out.append(",\"answers\":");
     AppendJsonStringArray(pair->answers, &out);
     out.append(",\"kb\":");
-    AppendJsonString(pair->kb_bytes, &out);
+    json::AppendJsonString(pair->kb_bytes, &out);
     out.append("}\n");
   }
 
@@ -539,6 +341,8 @@ Status FactStore::Load(const std::string& path) {
                                    ": " + what);
   };
 
+  json::Document doc;
+  std::string error;
   bool saw_header = false;
   while (pos < data.size()) {
     size_t eol = data.find('\n', pos);
@@ -548,87 +352,64 @@ Status FactStore::Load(const std::string& path) {
     ++line_no;
     if (line.empty()) continue;
 
-    std::vector<std::pair<std::string, JsonValue>> fields;
-    std::string error;
-    if (!JsonLineParser(line).Parse(&fields, &error)) return fail(error);
+    if (!doc.Parse(line, &error)) return fail(error);
+    json::Value root = doc.root();
+    if (!root.is_object()) return fail("record is not an object");
 
+    // Epochs and counts are exact unsigned integers: a fraction, a sign, an
+    // exponent or an overflow is a schema violation, never a cast.
     if (!saw_header) {
-      const JsonValue* version =
-          FindField(fields, "qkbfly_fact_store", JsonValue::Kind::kNumber);
-      const JsonValue* header_epoch =
-          FindField(fields, "epoch", JsonValue::Kind::kNumber);
-      if (version == nullptr || header_epoch == nullptr || fields.size() != 2 ||
-          version->number != 1.0 || header_epoch->number < 1.0) {
+      uint64_t version = 0;
+      CorpusEpoch header_epoch = 0;
+      if (root.size() != 2 ||
+          !root.Find("qkbfly_fact_store").GetUint64(&version) || version != 1 ||
+          !root.Find("epoch").GetUint64(&header_epoch) || header_epoch < 1) {
         return fail("bad snapshot header");
       }
-      epoch_.store(static_cast<CorpusEpoch>(header_epoch->number),
-                   std::memory_order_release);
+      epoch_.store(header_epoch, std::memory_order_release);
       saw_header = true;
       continue;
     }
 
-    const JsonValue* kind = FindField(fields, "kind", JsonValue::Kind::kString);
-    if (kind == nullptr) return fail("record missing string 'kind'");
-    if (kind->str == "fact") {
-      const JsonValue* subject =
-          FindField(fields, "subject", JsonValue::Kind::kString);
-      const JsonValue* relation =
-          FindField(fields, "relation", JsonValue::Kind::kString);
-      const JsonValue* args =
-          FindField(fields, "args", JsonValue::Kind::kStringArray);
-      const JsonValue* negated =
-          FindField(fields, "negated", JsonValue::Kind::kBool);
-      const JsonValue* confidence =
-          FindField(fields, "confidence", JsonValue::Kind::kNumber);
-      const JsonValue* record_epoch =
-          FindField(fields, "epoch", JsonValue::Kind::kNumber);
-      const JsonValue* docs =
-          FindField(fields, "docs", JsonValue::Kind::kStringArray);
-      const JsonValue* queries =
-          FindField(fields, "queries", JsonValue::Kind::kStringArray);
-      if (subject == nullptr || relation == nullptr || args == nullptr ||
-          negated == nullptr || confidence == nullptr ||
-          record_epoch == nullptr || docs == nullptr || queries == nullptr ||
-          fields.size() != 9) {
+    json::Value kind = root.Find("kind");
+    if (!kind.is_string()) return fail("record missing string 'kind'");
+    if (kind.text() == "fact") {
+      FactRecord record;
+      json::Value subject = root.Find("subject");
+      json::Value relation = root.Find("relation");
+      json::Value negated = root.Find("negated");
+      if (root.size() != 9 || !subject.is_string() || !relation.is_string() ||
+          !GetStrings(root.Find("args"), &record.args) || !negated.is_bool() ||
+          !root.Find("confidence").GetDouble(&record.confidence) ||
+          !root.Find("epoch").GetUint64(&record.epoch) ||
+          !GetStrings(root.Find("docs"), &record.doc_ids) ||
+          !GetStrings(root.Find("queries"), &record.queries)) {
         return fail("bad fact record schema");
       }
-      FactRecord record;
-      record.subject = subject->str;
-      record.relation = relation->str;
-      record.args = args->array;
-      record.negated = negated->boolean;
-      record.confidence = confidence->number;
-      record.epoch = static_cast<CorpusEpoch>(record_epoch->number);
-      record.doc_ids = docs->array;
-      record.queries = queries->array;
+      record.subject = subject.text();
+      record.relation = relation.text();
+      record.negated = negated.boolean();
       (void)Ingest(std::move(record));
-    } else if (kind->str == "qa") {
-      const JsonValue* question =
-          FindField(fields, "question", JsonValue::Kind::kString);
-      const JsonValue* fingerprint =
-          FindField(fields, "fingerprint", JsonValue::Kind::kString);
-      const JsonValue* pair_epoch =
-          FindField(fields, "epoch", JsonValue::Kind::kNumber);
-      const JsonValue* documents =
-          FindField(fields, "documents", JsonValue::Kind::kNumber);
-      const JsonValue* answers =
-          FindField(fields, "answers", JsonValue::Kind::kStringArray);
-      const JsonValue* kb = FindField(fields, "kb", JsonValue::Kind::kString);
-      if (question == nullptr || fingerprint == nullptr ||
-          pair_epoch == nullptr || documents == nullptr || answers == nullptr ||
-          kb == nullptr || fields.size() != 7) {
+    } else if (kind.text() == "qa") {
+      QaPair pair;
+      json::Value question = root.Find("question");
+      json::Value fingerprint = root.Find("fingerprint");
+      json::Value kb = root.Find("kb");
+      uint64_t documents = 0;
+      if (root.size() != 7 || !question.is_string() ||
+          !fingerprint.is_string() ||
+          !root.Find("epoch").GetUint64(&pair.epoch) ||
+          !root.Find("documents").GetUint64(&documents) ||
+          !GetStrings(root.Find("answers"), &pair.answers) || !kb.is_string()) {
         return fail("bad qa record schema");
       }
-      QaPair pair;
-      pair.question = question->str;
-      pair.fingerprint = fingerprint->str;
-      pair.epoch = static_cast<CorpusEpoch>(pair_epoch->number);
-      pair.documents = static_cast<size_t>(documents->number);
-      pair.answers = answers->array;
-      pair.kb_bytes = kb->str;
+      pair.question = question.text();
+      pair.fingerprint = fingerprint.text();
+      pair.documents = documents;
+      pair.kb_bytes = kb.text();
       qa_pairs_.Record(std::move(pair));
     } else {
-      return fail("unknown record kind '" + kind->str + "'");
+      return fail("unknown record kind '" + std::string(kind.text()) + "'");
     }
   }
   if (!saw_header) return fail("empty snapshot");

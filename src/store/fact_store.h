@@ -110,9 +110,11 @@ class FactStore {
   /// sorted by (question, fingerprint). Atomic via write-to-temp + rename.
   Status Save(const std::string& path) const;
 
-  /// Replaces the store's contents from a snapshot. Every line is schema-
-  /// validated (exact key set, value types); the first violation fails the
-  /// load with a line-numbered InvalidArgument and leaves the store empty.
+  /// Replaces the store's contents from a snapshot. Every line is parsed
+  /// by util/json and schema-validated (exact key set, value types, epochs
+  /// and document counts as exact uint64_t integers, finite confidences);
+  /// the first violation fails the load with a line-numbered
+  /// InvalidArgument and leaves the store empty.
   Status Load(const std::string& path);
 
   /// The question->answer-pair index persisted alongside the facts.

@@ -1,29 +1,17 @@
 #include "util/bench_report.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
+#include <type_traits>
+
+#include "util/json.h"
 
 namespace qkbfly {
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 void BenchReport::Add(std::string name, int docs, int threads, double wall_s,
                       uint64_t facts) {
@@ -63,11 +51,12 @@ bool BenchReport::WriteJson(const std::string& path) const {
   std::fprintf(f, "[\n");
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
+    std::string name;  // escaped, so it holds no NUL for %s
+    json::AppendJsonString(e.name, &name);
     std::fprintf(f,
-                 "  {\"name\": \"%s\", \"docs\": %d, \"threads\": %d, "
+                 "  {\"name\": %s, \"docs\": %d, \"threads\": %d, "
                  "\"wall_s\": %.6f, \"facts\": %" PRIu64,
-                 JsonEscape(e.name).c_str(), e.docs, e.threads, e.wall_s,
-                 e.facts);
+                 name.c_str(), e.docs, e.threads, e.wall_s, e.facts);
     if (e.has_cache) {
       std::fprintf(f,
                    ", \"hits\": %" PRIu64 ", \"misses\": %" PRIu64
@@ -97,141 +86,110 @@ bool BenchReport::WriteJson(const std::string& path) const {
 
 namespace {
 
-// Minimal recursive-descent scanner for the flat JSON this report emits.
-// Not a general parser: nested containers inside entry objects are schema
-// violations and rejected.
-struct JsonScanner {
-  const std::string& text;
-  size_t pos = 0;
-  std::string error;
+constexpr std::string_view kKeys[] = {"name",      "docs",   "threads", "wall_s",
+                                      "facts",     "hits",   "misses",  "hit_rate",
+                                      "p95_ms",    "items",  "rate",    "p50_ms",
+                                      "precision", "recall", "f1",      "mst_share"};
 
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
+/// Reads optional column `key` when present and marks its group present.
+template <typename T>
+bool ReadOptional(json::Value record, const char* key, T* out, bool* group) {
+  json::Value value = record.Find(key);
+  if (!value) return true;
+  *group = true;
+  if constexpr (std::is_same_v<T, uint64_t>) {
+    return value.GetUint64(out);
+  } else {
+    return value.GetDouble(out);
   }
+}
 
-  bool Fail(const std::string& message) {
-    error = message + " at offset " + std::to_string(pos);
+/// Checks and reads one report entry; false with `error` set on a
+/// violation.
+bool ReadEntry(json::Value record, BenchReport::Entry* entry,
+               std::string* error) {
+  if (!record.is_object()) {
+    *error = "not an object";
     return false;
   }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos >= text.size() || text[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
+  for (size_t i = 0; i < record.size(); ++i) {
+    if (std::find(std::begin(kKeys), std::end(kKeys), record.key(i)) ==
+        std::end(kKeys)) {
+      *error = "unknown key \"" + std::string(record.key(i)) + "\"";
+      return false;
     }
-    ++pos;
-    return true;
   }
-
-  bool ScanString(std::string* out) {
-    SkipSpace();
-    if (pos >= text.size() || text[pos] != '"') return Fail("expected string");
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') ++pos;  // escaped character
-      if (pos < text.size()) out->push_back(text[pos++]);
-    }
-    if (pos >= text.size()) return Fail("unterminated string");
-    ++pos;
-    return true;
+  json::Value name = record.Find("name");
+  uint64_t docs = 0;
+  uint64_t threads = 0;
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+  if (!name.is_string() || name.text().empty() ||
+      !record.Find("docs").GetUint64(&docs) || docs > kIntMax ||
+      !record.Find("threads").GetUint64(&threads) || threads > kIntMax ||
+      !record.Find("wall_s").GetDouble(&entry->wall_s) ||
+      !record.Find("facts").GetUint64(&entry->facts)) {
+    *error = "bad or missing required key (name/docs/threads/wall_s/facts)";
+    return false;
   }
-
-  bool ScanNumber() {
-    SkipSpace();
-    size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    bool digits = false;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(text[pos]))) digits = true;
-      ++pos;
-    }
-    if (!digits) {
-      pos = start;
-      return Fail("expected number");
-    }
-    return true;
+  entry->name = name.text();
+  entry->docs = static_cast<int>(docs);
+  entry->threads = static_cast<int>(threads);
+  // p95_ms is a column of both the cache and the stage group.
+  double p95_ms = 0.0;
+  bool has_p95 = false;
+  if (!ReadOptional(record, "hits", &entry->cache.hits, &entry->has_cache) ||
+      !ReadOptional(record, "misses", &entry->cache.misses,
+                    &entry->has_cache) ||
+      !ReadOptional(record, "hit_rate", &entry->cache.hit_rate,
+                    &entry->has_cache) ||
+      !ReadOptional(record, "items", &entry->stage.items, &entry->has_stage) ||
+      !ReadOptional(record, "rate", &entry->stage.rate, &entry->has_stage) ||
+      !ReadOptional(record, "p50_ms", &entry->stage.p50_ms,
+                    &entry->has_stage) ||
+      !ReadOptional(record, "p95_ms", &p95_ms, &has_p95) ||
+      !ReadOptional(record, "precision", &entry->quality.precision,
+                    &entry->has_quality) ||
+      !ReadOptional(record, "recall", &entry->quality.recall,
+                    &entry->has_quality) ||
+      !ReadOptional(record, "f1", &entry->quality.f1, &entry->has_quality) ||
+      !ReadOptional(record, "mst_share", &entry->quality.mst_share,
+                    &entry->has_quality)) {
+    *error = "bad optional column";
+    return false;
   }
-};
-
-bool IsKnownKey(const std::string& key) {
-  static const char* kKeys[] = {
-      "name",     "docs",     "threads", "wall_s", "facts",     "hits",
-      "misses",   "hit_rate", "p95_ms",  "items",  "rate",      "p50_ms",
-      "precision", "recall",  "f1",      "mst_share",
-  };
-  for (const char* k : kKeys) {
-    if (key == k) return true;
-  }
-  return false;
+  if (entry->has_cache) entry->cache.p95_ms = p95_ms;
+  if (entry->has_stage) entry->stage.p95_ms = p95_ms;
+  return true;
 }
 
 }  // namespace
 
-bool BenchReport::ValidateJsonFile(const std::string& path,
-                                   std::string* error) {
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
+bool BenchReport::ReadJsonFile(const std::string& path,
+                               std::vector<Entry>* entries,
+                               std::string* error) {
+  std::string local;
+  std::string* err = error != nullptr ? error : &local;
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    *err = "cannot open " + path;
     return false;
-  };
-
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return fail("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  JsonScanner scan{text};
-  if (!scan.Consume('[')) return fail(scan.error);
-  scan.SkipSpace();
-  bool first_entry = true;
-  while (scan.pos < text.size() && text[scan.pos] != ']') {
-    if (!first_entry && !scan.Consume(',')) return fail(scan.error);
-    first_entry = false;
-    if (!scan.Consume('{')) return fail(scan.error);
-    bool saw_name = false, saw_docs = false, saw_threads = false;
-    bool saw_wall = false, saw_facts = false;
-    bool first_key = true;
-    scan.SkipSpace();
-    while (scan.pos < text.size() && text[scan.pos] != '}') {
-      if (!first_key && !scan.Consume(',')) return fail(scan.error);
-      first_key = false;
-      std::string key;
-      if (!scan.ScanString(&key)) return fail(scan.error);
-      if (!scan.Consume(':')) return fail(scan.error);
-      if (!IsKnownKey(key)) return fail("unknown key \"" + key + "\"");
-      if (key == "name") {
-        std::string value;
-        if (!scan.ScanString(&value)) return fail(scan.error);
-        if (value.empty()) return fail("empty \"name\"");
-        saw_name = true;
-      } else {
-        if (!scan.ScanNumber()) return fail(scan.error);
-        if (key == "docs") saw_docs = true;
-        if (key == "threads") saw_threads = true;
-        if (key == "wall_s") saw_wall = true;
-        if (key == "facts") saw_facts = true;
-      }
-      scan.SkipSpace();
-    }
-    if (!scan.Consume('}')) return fail(scan.error);
-    if (!saw_name || !saw_docs || !saw_threads || !saw_wall || !saw_facts) {
-      return fail("entry missing a required key "
-                  "(name/docs/threads/wall_s/facts)");
-    }
-    scan.SkipSpace();
   }
-  if (!scan.Consume(']')) return fail(scan.error);
-  scan.SkipSpace();
-  if (scan.pos != text.size()) return fail("trailing content after array");
+  std::ostringstream text;
+  text << file.rdbuf();
+  json::Document doc;
+  if (!doc.Parse(text.str(), err)) return false;
+  json::Value root = doc.root();
+  if (!root.is_array()) {
+    *err = "report is not an array";
+    return false;
+  }
+  entries->assign(root.size(), Entry());
+  for (size_t i = 0; i < root.size(); ++i) {
+    if (!ReadEntry(root.at(i), &(*entries)[i], err)) {
+      *err = "entry " + std::to_string(i) + ": " + *err;
+      return false;
+    }
+  }
   return true;
 }
 

@@ -79,13 +79,15 @@ class BenchReport {
   /// false on I/O failure.
   bool WriteJson(const std::string& path) const;
 
-  /// Schema check for a written report: the file must parse as a JSON array
-  /// of flat objects, each carrying the required keys (name as a string;
-  /// docs, threads, wall_s, facts as numbers) and only known optional keys
-  /// (cache and stage columns, numeric). Returns false and fills `error`
-  /// (when non-null) on the first violation. Used by the bench-smoke tests
-  /// so the machine-readable output can never silently rot.
-  static bool ValidateJsonFile(const std::string& path, std::string* error);
+  /// Reads a written report back into `entries`, checking its schema: a
+  /// JSON array of flat objects, each carrying the required keys (name as a
+  /// non-empty string; docs, threads, facts as unsigned integers; wall_s as
+  /// a number) and only known optional columns (cache, stage and quality,
+  /// numeric). Returns false and fills `error` (when non-null) on the first
+  /// violation. The bench binaries read back every report they write, so
+  /// the machine-readable output can never silently rot.
+  static bool ReadJsonFile(const std::string& path, std::vector<Entry>* entries,
+                           std::string* error);
 
   const std::vector<Entry>& entries() const { return entries_; }
 

@@ -59,7 +59,7 @@ TEST(TraceTest, TypedAttributes) {
   trace.AddAttribute(trace.root(), "query", std::string_view("ennio"));
   trace.Finish();
 
-  const std::vector<SpanAttribute>& attrs = trace.Snapshot()[0].attributes;
+  const std::vector<SpanAttribute> attrs = trace.Snapshot()[0].attributes;
   ASSERT_EQ(attrs.size(), 4u);
   EXPECT_EQ(attrs[0].kind, SpanAttribute::Kind::kInt);
   EXPECT_EQ(attrs[0].int_value, 42);

@@ -312,6 +312,43 @@ TEST(FactStoreTest, LoadRejectsSchemaViolations) {
       "\"queries\":[],\"extra\":true}\n");
   EXPECT_FALSE(store.Load(path).ok());  // unknown extra key
 
+  // Epochs and document counts are exact non-negative integers: anything
+  // else is a line-numbered error, never a cast.
+  const std::string kHeader = "{\"qkbfly_fact_store\":1,\"epoch\":1}\n";
+  auto fact = [](const std::string& epoch) {
+    return "{\"kind\":\"fact\",\"subject\":\"a\",\"relation\":\"r\","
+           "\"args\":[],\"negated\":false,\"confidence\":0.5,\"epoch\":" +
+           epoch + ",\"docs\":[],\"queries\":[]}\n";
+  };
+  auto qa = [](const std::string& epoch, const std::string& documents) {
+    return "{\"kind\":\"qa\",\"question\":\"q\",\"fingerprint\":\"fp\","
+           "\"epoch\":" + epoch + ",\"documents\":" + documents +
+           ",\"answers\":[],\"kb\":\"\"}\n";
+  };
+  const std::pair<std::string, int> kBadNumbers[] = {
+      {"{\"qkbfly_fact_store\":1,\"epoch\":1e30}\n", 1},
+      {"{\"qkbfly_fact_store\":1,\"epoch\":1.5}\n", 1},
+      {"{\"qkbfly_fact_store\":1,\"epoch\":0}\n", 1},
+      {kHeader + fact("-3"), 2},
+      {kHeader + fact("1e30"), 2},
+      {kHeader + fact("1.5"), 2},
+      {kHeader + fact("18446744073709551616"), 2},
+      {kHeader + qa("1", "-1"), 2},
+      {kHeader + qa("1", "1.5"), 2},
+      {kHeader + qa("-3", "1"), 2},
+  };
+  for (const auto& [contents, line] : kBadNumbers) {
+    write(contents);
+    Status bad = store.Load(path);
+    EXPECT_FALSE(bad.ok()) << contents;
+    EXPECT_NE(bad.message().find("line " + std::to_string(line)),
+              std::string::npos)
+        << bad;
+  }
+  write(kHeader + fact("18446744073709551615") + qa("1", "3"));
+  EXPECT_TRUE(store.Load(path).ok());  // the full uint64_t range loads
+  EXPECT_EQ(store.fact_count(), 1u);
+
   EXPECT_EQ(store.Load(path + ".does-not-exist").code(), StatusCode::kNotFound);
   std::remove(path.c_str());
 }

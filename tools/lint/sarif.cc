@@ -1,43 +1,10 @@
 #include "lint/sarif.h"
 
-#include <cctype>
-#include <map>
-#include <utility>
+#include "util/json.h"
 
 namespace qkbfly::lint {
 
 namespace {
-
-void AppendEscaped(std::string_view s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          *out += "\\u00";
-          *out += hex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          *out += hex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 struct RuleDoc {
   const char* id;
@@ -57,223 +24,36 @@ constexpr RuleDoc kRuleDocs[] = {
     {"A1", "allocation on the densify hot path"},
 };
 
-// ---------------------------------------------------------------------------
-// Minimal JSON DOM for validation. Same hand-rolled recursive-descent idiom
-// as the metrics-schema checks in tests: no dependencies, first error wins.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
-
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-struct JsonParser {
-  std::string_view text = {};
-  size_t pos = 0;
-  std::string error = {};
-
-  bool Fail(const std::string& what) {
-    if (error.empty()) {
-      error = what + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n' ||
-                                 text[pos] == '\t' || text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != '"') return Fail("expected string");
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) return Fail("truncated escape");
-        char e = text[pos++];
-        switch (e) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return Fail("truncated \\u escape");
-            for (int i = 0; i < 4; ++i) {
-              if (std::isxdigit(static_cast<unsigned char>(text[pos + i])) ==
-                  0) {
-                return Fail("bad \\u escape");
-              }
-            }
-            // Validation only cares about well-formedness, not the code
-            // point; keep a placeholder.
-            pos += 4;
-            *out += '?';
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      } else {
-        *out += c;
-      }
-    }
-    if (pos >= text.size()) return Fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos >= text.size()) return Fail("unexpected end of input");
-    char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out->kind = JsonValue::kObject;
-      SkipWs();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        std::string key;
-        if (!ParseString(&key)) return false;
-        if (!Consume(':')) return false;
-        JsonValue v;
-        if (!ParseValue(&v)) return false;
-        out->obj.emplace_back(std::move(key), std::move(v));
-        SkipWs();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return Consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out->kind = JsonValue::kArray;
-      SkipWs();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        JsonValue v;
-        if (!ParseValue(&v)) return false;
-        out->arr.push_back(std::move(v));
-        SkipWs();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return Consume(']');
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::kString;
-      return ParseString(&out->str);
-    }
-    if (text.compare(pos, 4, "true") == 0) {
-      out->kind = JsonValue::kBool;
-      out->boolean = true;
-      pos += 4;
-      return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      out->kind = JsonValue::kBool;
-      pos += 5;
-      return true;
-    }
-    if (text.compare(pos, 4, "null") == 0) {
-      pos += 4;
-      return true;
-    }
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      size_t start = pos;
-      if (c == '-') ++pos;
-      while (pos < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-              text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-              text[pos] == '+' || text[pos] == '-')) {
-        ++pos;
-      }
-      out->kind = JsonValue::kNumber;
-      out->number = std::stod(std::string(text.substr(start, pos - start)));
-      return true;
-    }
-    return Fail("unexpected character");
-  }
-};
-
-bool CheckResult(const JsonValue& result, size_t i, std::string* error) {
+bool CheckResult(json::Value result, size_t i, std::string* error) {
   auto fail = [&](const std::string& what) {
     *error = "results[" + std::to_string(i) + "]: " + what;
     return false;
   };
-  if (result.kind != JsonValue::kObject) return fail("not an object");
-  const JsonValue* rule_id = result.Find("ruleId");
-  if (rule_id == nullptr || rule_id->kind != JsonValue::kString) {
-    return fail("missing string ruleId");
-  }
+  if (!result.is_object()) return fail("not an object");
+  json::Value rule_id = result.Find("ruleId");
+  if (!rule_id.is_string()) return fail("missing string ruleId");
   bool known = false;
   for (const RuleDoc& doc : kRuleDocs) {
-    if (rule_id->str == doc.id) known = true;
+    if (rule_id.text() == doc.id) known = true;
   }
-  if (!known) return fail("unknown ruleId '" + rule_id->str + "'");
-  const JsonValue* message = result.Find("message");
-  const JsonValue* text =
-      message != nullptr ? message->Find("text") : nullptr;
-  if (text == nullptr || text->kind != JsonValue::kString ||
-      text->str.empty()) {
+  if (!known) return fail("unknown ruleId '" + std::string(rule_id.text()) + "'");
+  json::Value text = result.Find("message").Find("text");
+  if (!text.is_string() || text.text().empty()) {
     return fail("missing message.text");
   }
-  const JsonValue* locations = result.Find("locations");
-  if (locations == nullptr || locations->kind != JsonValue::kArray ||
-      locations->arr.empty()) {
+  json::Value locations = result.Find("locations");
+  if (!locations.is_array() || locations.size() == 0) {
     return fail("missing locations");
   }
-  const JsonValue& loc = locations->arr.front();
-  const JsonValue* phys = loc.Find("physicalLocation");
-  if (phys == nullptr) return fail("missing physicalLocation");
-  const JsonValue* artifact = phys->Find("artifactLocation");
-  const JsonValue* uri = artifact != nullptr ? artifact->Find("uri") : nullptr;
-  if (uri == nullptr || uri->kind != JsonValue::kString || uri->str.empty()) {
+  json::Value phys = locations.at(0).Find("physicalLocation");
+  if (!phys) return fail("missing physicalLocation");
+  json::Value uri = phys.Find("artifactLocation").Find("uri");
+  if (!uri.is_string() || uri.text().empty()) {
     return fail("missing artifactLocation.uri");
   }
-  const JsonValue* region = phys->Find("region");
-  const JsonValue* start = region != nullptr ? region->Find("startLine")
-                                             : nullptr;
-  if (start == nullptr || start->kind != JsonValue::kNumber ||
-      start->number < 1.0) {
+  double start_line = 0.0;
+  if (!phys.Find("region").Find("startLine").GetDouble(&start_line) ||
+      start_line < 1.0) {
     return fail("region.startLine must be a number >= 1");
   }
   return true;
@@ -295,9 +75,9 @@ std::string SarifReport(const std::vector<Diagnostic>& diags) {
   for (size_t i = 0; i < sizeof(kRuleDocs) / sizeof(kRuleDocs[0]); ++i) {
     out += "            {\"id\": \"";
     out += kRuleDocs[i].id;
-    out += "\", \"shortDescription\": {\"text\": \"";
-    AppendEscaped(kRuleDocs[i].text, &out);
-    out += "\"}}";
+    out += "\", \"shortDescription\": {\"text\": ";
+    json::AppendJsonString(kRuleDocs[i].text, &out);
+    out += "}}";
     out += (i + 1 < sizeof(kRuleDocs) / sizeof(kRuleDocs[0])) ? ",\n" : "\n";
   }
   out += "          ]\n        }\n      },\n";
@@ -307,13 +87,13 @@ std::string SarifReport(const std::vector<Diagnostic>& diags) {
     out += "        {\n          \"ruleId\": \"";
     out += RuleName(d.rule);
     out += "\",\n          \"level\": \"error\",\n";
-    out += "          \"message\": {\"text\": \"";
-    AppendEscaped(d.message, &out);
-    out += "\"},\n          \"locations\": [\n";
+    out += "          \"message\": {\"text\": ";
+    json::AppendJsonString(d.message, &out);
+    out += "},\n          \"locations\": [\n";
     out += "            {\"physicalLocation\": {\n";
-    out += "              \"artifactLocation\": {\"uri\": \"";
-    AppendEscaped(d.file, &out);
-    out += "\"},\n              \"region\": {\"startLine\": ";
+    out += "              \"artifactLocation\": {\"uri\": ";
+    json::AppendJsonString(d.file, &out);
+    out += "},\n              \"region\": {\"startLine\": ";
     out += std::to_string(d.line > 0 ? d.line : 1);
     out += "}\n            }}\n          ]\n        }";
     out += (i + 1 < diags.size()) ? ",\n" : "\n";
@@ -323,51 +103,41 @@ std::string SarifReport(const std::vector<Diagnostic>& diags) {
 }
 
 bool ValidateSarif(std::string_view text, std::string* error) {
-  JsonParser parser{text};
-  JsonValue root;
-  if (!parser.ParseValue(&root)) {
-    if (error != nullptr) *error = "json: " + parser.error;
-    return false;
-  }
-  parser.SkipWs();
-  if (parser.pos != text.size()) {
-    if (error != nullptr) *error = "json: trailing data";
-    return false;
-  }
   std::string local;
   std::string* err = error != nullptr ? error : &local;
-  if (root.kind != JsonValue::kObject) {
+  json::Document doc;
+  if (!doc.Parse(text, err)) {
+    *err = "json: " + *err;
+    return false;
+  }
+  json::Value root = doc.root();
+  if (!root.is_object()) {
     *err = "root is not an object";
     return false;
   }
-  const JsonValue* version = root.Find("version");
-  if (version == nullptr || version->kind != JsonValue::kString ||
-      version->str != "2.1.0") {
+  json::Value version = root.Find("version");
+  if (!version.is_string() || version.text() != "2.1.0") {
     *err = "version must be \"2.1.0\"";
     return false;
   }
-  const JsonValue* runs = root.Find("runs");
-  if (runs == nullptr || runs->kind != JsonValue::kArray ||
-      runs->arr.empty()) {
+  json::Value runs = root.Find("runs");
+  if (!runs.is_array() || runs.size() == 0) {
     *err = "runs must be a non-empty array";
     return false;
   }
-  const JsonValue& run = runs->arr.front();
-  const JsonValue* tool = run.Find("tool");
-  const JsonValue* driver = tool != nullptr ? tool->Find("driver") : nullptr;
-  const JsonValue* name = driver != nullptr ? driver->Find("name") : nullptr;
-  if (name == nullptr || name->kind != JsonValue::kString ||
-      name->str.empty()) {
+  json::Value run = runs.at(0);
+  json::Value name = run.Find("tool").Find("driver").Find("name");
+  if (!name.is_string() || name.text().empty()) {
     *err = "tool.driver.name must be a non-empty string";
     return false;
   }
-  const JsonValue* results = run.Find("results");
-  if (results == nullptr || results->kind != JsonValue::kArray) {
+  json::Value results = run.Find("results");
+  if (!results.is_array()) {
     *err = "results must be an array";
     return false;
   }
-  for (size_t i = 0; i < results->arr.size(); ++i) {
-    if (!CheckResult(results->arr[i], i, err)) return false;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!CheckResult(results.at(i), i, err)) return false;
   }
   return true;
 }

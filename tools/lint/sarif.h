@@ -1,4 +1,4 @@
-// SARIF 2.1.0 export for lint diagnostics, plus a dependency-free validator.
+// SARIF 2.1.0 export for lint diagnostics, plus its validator.
 //
 // The report is the minimal static-analysis profile most viewers (GitHub
 // code scanning, VS Code SARIF viewer) accept:
@@ -10,8 +10,8 @@
 //                                 "artifactLocation": {"uri"},
 //                                 "region": {"startLine"} } } ] } ] } ] }
 //
-// ValidateSarif re-parses the emitted text with a small recursive-descent
-// JSON reader and checks that contract, so the exporter cannot silently
+// ValidateSarif re-parses the emitted text with the project's JSON reader
+// (src/util/json) and checks that contract, so the exporter cannot silently
 // drift: the driver validates every --sarif file before writing it and the
 // ctest suite validates fixtures.
 #ifndef QKBFLY_TOOLS_LINT_SARIF_H_
