@@ -92,10 +92,11 @@ class Parser {
   }
 
   /// Moves the children collected since `mark` into children_.
-  void CloseContainer(uint32_t node, size_t mark, uint32_t count) {
+  void CloseContainer(uint32_t node, size_t mark) {
     Document::Node& n = doc_.nodes_[node];
     n.begin = static_cast<uint32_t>(doc_.children_.size());
-    n.size = count;
+    size_t slots = doc_.pending_.size() - mark;
+    n.size = static_cast<uint32_t>(n.kind == Kind::kObject ? slots / 2 : slots);
     doc_.children_.insert(doc_.children_.end(), doc_.pending_.begin() + mark,
                           doc_.pending_.end());
     doc_.pending_.resize(mark);
@@ -136,7 +137,6 @@ class Parser {
     ++pos_;  // '{'
     uint32_t node = AddNode(Kind::kObject);
     size_t mark = doc_.pending_.size();
-    uint32_t count = 0;
     if (!Consume('}')) {
       do {
         SkipSpace();
@@ -157,11 +157,10 @@ class Parser {
         if (!Consume(':')) return Fail("expected ':'");
         doc_.pending_.push_back(NextNode());
         if (!ParseValue(depth)) return false;
-        ++count;
       } while (Consume(','));
       if (!Consume('}')) return Fail("expected ',' or '}'");
     }
-    CloseContainer(node, mark, count);
+    CloseContainer(node, mark);
     return true;
   }
 
@@ -169,16 +168,14 @@ class Parser {
     ++pos_;  // '['
     uint32_t node = AddNode(Kind::kArray);
     size_t mark = doc_.pending_.size();
-    uint32_t count = 0;
     if (!Consume(']')) {
       do {
         doc_.pending_.push_back(NextNode());
         if (!ParseValue(depth)) return false;
-        ++count;
       } while (Consume(','));
       if (!Consume(']')) return Fail("expected ',' or ']'");
     }
-    CloseContainer(node, mark, count);
+    CloseContainer(node, mark);
     return true;
   }
 
