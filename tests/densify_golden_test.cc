@@ -1,10 +1,12 @@
-// Golden digests of the four inference modes over a fixed gold subset. Each
-// mode runs BuildKb over the 12-article dataset densify_test uses; the test
-// pins a 64-bit FNV-1a digest of the serialized KB and, per document, of the
-// densifier's removal order, objective bits and assignments. The digests are
-// the reference the densify implementation is held to: a refactor that keeps
-// them is bit-identical for greedy, pipeline and ILP alike. Moving a digest
-// is a deliberate act and must be noted in CHANGES.md.
+// Golden digests of the four inference modes, and of the canonicalizer's
+// triples-only and tau = 0.9 branches, over a fixed gold subset. Each
+// configuration runs BuildKb over the 12-article dataset densify_test uses;
+// the test pins a 64-bit FNV-1a digest of the serialized KB and, per
+// document, of the densifier's removal order, objective bits and
+// assignments. The digests are the reference the densify and canonicalizer
+// implementations are held to: a refactor that keeps them is bit-identical
+// for greedy, pipeline and ILP alike, and for every canonicalizer branch.
+// Moving a digest is a deliberate act and must be noted in CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -58,12 +60,10 @@ struct Digests {
   uint64_t densify = 0;
 };
 
-Digests DigestMode(InferenceMode mode) {
+Digests DigestConfig(const EngineConfig& config, const char* name) {
   const SynthDataset& ds = Dataset();
   std::vector<Document> docs;
   for (const GoldDocument& gd : ds.wiki_eval) docs.push_back(gd.doc);
-  EngineConfig config;
-  config.mode = mode;
   QkbflyEngine engine(ds.repository.get(), &ds.patterns, &ds.stats, config);
   std::vector<DocumentResult> results;
   OnTheFlyKb kb = engine.BuildKb(docs, &results);
@@ -94,9 +94,15 @@ Digests DigestMode(InferenceMode mode) {
     }
   }
   out.densify = densify_hash.hash();
-  std::printf("%s kb=0x%016" PRIx64 " densify=0x%016" PRIx64 "\n",
-              InferenceModeName(mode), out.kb, out.densify);
+  std::printf("%s kb=0x%016" PRIx64 " densify=0x%016" PRIx64 "\n", name,
+              out.kb, out.densify);
   return out;
+}
+
+Digests DigestMode(InferenceMode mode) {
+  EngineConfig config;
+  config.mode = mode;
+  return DigestConfig(config, InferenceModeName(mode));
 }
 
 TEST(DensifyGoldenTest, Joint) {
@@ -121,6 +127,26 @@ TEST(DensifyGoldenTest, Ilp) {
   Digests d = DigestMode(InferenceMode::kIlp);
   EXPECT_EQ(d.kb, 0x7c6bf220ec48d202ull);
   EXPECT_EQ(d.densify, 0x3f2a58e0a2595ba1ull);
+}
+
+// The canonicalizer's two non-default branches over the joint densifier:
+// one SPO triple per relation edge, and the precision-oriented threshold
+// that drops most facts while their emerging clusters stay registered. The
+// densify digest equals Joint's; only the KB bytes move.
+TEST(DensifyGoldenTest, TriplesOnly) {
+  EngineConfig config;
+  config.canon.triples_only = true;
+  Digests d = DigestConfig(config, "QKBfly-triples");
+  EXPECT_EQ(d.kb, 0xa8bc32a0784ad346ull);
+  EXPECT_EQ(d.densify, 0x2bb3286252aa336full);
+}
+
+TEST(DensifyGoldenTest, ConfidenceThreshold09) {
+  EngineConfig config;
+  config.canon.confidence_threshold = 0.9;
+  Digests d = DigestConfig(config, "QKBfly-tau0.9");
+  EXPECT_EQ(d.kb, 0x702f85c0e7fe9606ull);
+  EXPECT_EQ(d.densify, 0x2bb3286252aa336full);
 }
 
 }  // namespace
