@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate, mirroring .github/workflows/ci.yml:
-#   1. configure + build the default tree
+#   1. configure + build the default tree, and compile the benchmark driver
+#      (perfbench/, its own CMake project against ../src)
 #   2. run the whole test suite (includes the `lint` and `lint_wholeprogram`
 #      ctest targets), then the whole-program lint with its <5s latency budget
 #      and SARIF export
@@ -25,6 +26,12 @@ done
 echo "==> configure + build (build/)"
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
+
+echo "==> benchmark driver compile (perfbench/)"
+# Compile only: perfbench links the engine and service APIs, and nothing
+# else builds it. Running it is perfbench/run.py's job.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-perfbench -j"$JOBS" --target qkbfly_perfbench
 
 echo "==> ctest (full suite, includes lint)"
 (cd build && ctest --output-on-failure -j"$JOBS")

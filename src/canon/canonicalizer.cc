@@ -17,11 +17,32 @@ struct Resolution {
   double confidence = 1.0;
 };
 
+/// String bytes of an argument; the struct itself is counted by its owner.
+size_t ArgTextBytes(const FactArg& arg) {
+  return arg.surface.size() + arg.normalized.size();
+}
+
 }  // namespace
 
-void Canonicalizer::Populate(OnTheFlyKb* kb, const SemanticGraph& graph,
-                             const DensifyResult& densified,
-                             const AnnotatedDocument& doc) const {
+size_t DocumentFacts::ApproxBytes() const {
+  size_t bytes = sizeof(*this);
+  for (const EmergingEntity& c : clusters) {
+    bytes += sizeof(c) + c.representative.size();
+    for (const std::string& m : c.mentions) bytes += sizeof(m) + m.size();
+  }
+  for (const Fact& f : facts) {
+    bytes += sizeof(f) + f.relation_pattern.size() + f.doc_id.size() +
+             ArgTextBytes(f.subject);
+    for (const FactArg& a : f.args) bytes += sizeof(a) + ArgTextBytes(a);
+  }
+  return bytes;
+}
+
+DocumentFacts Canonicalizer::Extract(const SemanticGraph& graph,
+                                     const DensifyResult& densified,
+                                     const AnnotatedDocument& doc) const {
+  DocumentFacts out;
+
   // ---- resolve every text node to a fact argument ---------------------------
   std::unordered_map<NodeId, Resolution> resolutions;
 
@@ -75,22 +96,24 @@ void Canonicalizer::Populate(OnTheFlyKb* kb, const SemanticGraph& graph,
         resolutions[n] = Resolution{arg, best->confidence};
       }
     } else {
-      // Emerging entity: one new id for the whole cluster.
-      std::vector<std::string> mentions;
-      std::string representative;
-      NerType ner = NerType::kNone;
+      // Emerging entity: one cluster for the whole component, numbered
+      // within this document until Merge registers it.
+      EmergingEntity cluster;
+      cluster.id = static_cast<EmergingId>(out.clusters.size());
       for (NodeId n : component) {
         const GraphNode& node = graph.node(n);
-        mentions.push_back(node.text);
-        if (node.text.size() > representative.size()) representative = node.text;
-        if (node.ner != NerType::kNone) ner = node.ner;
+        cluster.mentions.push_back(node.text);
+        if (node.text.size() > cluster.representative.size()) {
+          cluster.representative = node.text;
+        }
+        if (node.ner != NerType::kNone) cluster.ner = node.ner;
       }
-      EmergingId id = kb->AddEmergingEntity(representative, std::move(mentions), ner);
       FactArg arg;
       arg.kind = FactArg::Kind::kEmerging;
-      arg.emerging = id;
-      arg.surface = representative;
-      arg.ner = ner;
+      arg.emerging = cluster.id;
+      arg.surface = cluster.representative;
+      arg.ner = cluster.ner;
+      out.clusters.push_back(std::move(cluster));
       for (NodeId n : component) {
         resolutions[n] = Resolution{arg, 1.0};
       }
@@ -147,8 +170,7 @@ void Canonicalizer::Populate(OnTheFlyKb* kb, const SemanticGraph& graph,
   auto emit = [&](Fact fact, double confidence) {
     fact.confidence = confidence;
     if (confidence < options_.confidence_threshold) return;
-    fact.relation = kb->RelationFor(fact.relation_pattern);
-    kb->AddFact(std::move(fact));
+    out.facts.push_back(std::move(fact));
   };
 
   for (const auto& [clause_node, edges] : by_clause) {
@@ -204,6 +226,27 @@ void Canonicalizer::Populate(OnTheFlyKb* kb, const SemanticGraph& graph,
     fact.doc_id = doc.id;
     fact.sentence = graph.node(edge.a).sentence;
     emit(std::move(fact), std::min(subject_res->confidence, obj->confidence));
+  }
+  return out;
+}
+
+void Canonicalizer::Merge(OnTheFlyKb* kb, DocumentFacts facts) {
+  // Registration first and in order, exactly as the clusters were found:
+  // the KB's emerging ids (and so its bytes) depend on this order.
+  std::vector<EmergingId> ids;
+  ids.reserve(facts.clusters.size());
+  for (EmergingEntity& c : facts.clusters) {
+    ids.push_back(kb->AddEmergingEntity(std::move(c.representative),
+                                        std::move(c.mentions), c.ner));
+  }
+  auto remap = [&ids](FactArg& arg) {
+    if (arg.kind == FactArg::Kind::kEmerging) arg.emerging = ids[arg.emerging];
+  };
+  for (Fact& fact : facts.facts) {
+    remap(fact.subject);
+    for (FactArg& arg : fact.args) remap(arg);
+    fact.relation = kb->RelationFor(fact.relation_pattern);
+    kb->AddFact(std::move(fact));
   }
 }
 

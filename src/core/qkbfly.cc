@@ -31,56 +31,6 @@ std::string EngineConfig::Fingerprint() const {
   return buf;
 }
 
-namespace {
-
-size_t StringBytes(const std::string& s) { return sizeof(s) + s.size(); }
-
-size_t AnnotatedBytes(const AnnotatedDocument& doc) {
-  size_t bytes = StringBytes(doc.id) + StringBytes(doc.title);
-  for (const AnnotatedSentence& s : doc.sentences) {
-    bytes += sizeof(s) + s.text.size();
-    for (const Token& t : s.tokens) {
-      bytes += sizeof(t) + t.text.size() + t.lower.size() + t.lemma.size();
-    }
-    bytes += s.np_chunks.size() * sizeof(TokenSpan);
-    bytes += s.ner_mentions.size() * sizeof(NerMention);
-    for (const TimeMention& tm : s.time_mentions) {
-      bytes += sizeof(tm) + tm.normalized.size();
-    }
-  }
-  return bytes;
-}
-
-size_t GraphBytes(const SemanticGraph& graph) {
-  size_t bytes = sizeof(graph);
-  for (size_t i = 0; i < graph.node_count(); ++i) {
-    const GraphNode& n = graph.node(static_cast<NodeId>(i));
-    bytes += sizeof(n) + n.text.size() + n.normalized_literal.size() +
-             n.relation_pattern.size();
-  }
-  for (size_t i = 0; i < graph.edge_count(); ++i) {
-    bytes += sizeof(GraphEdge) + graph.edge(static_cast<EdgeId>(i)).label.size();
-  }
-  // The CSR adjacency index (offsets + both-endpoint edge lists) lives in
-  // the graph's arena; report the arena's actual block footprint.
-  bytes += graph.arena_resident_bytes();
-  return bytes;
-}
-
-size_t DensifiedBytes(const DensifyResult& densified) {
-  return sizeof(densified) +
-         densified.assignments.size() * sizeof(DensifyResult::Assignment) +
-         densified.removal_order.size() * sizeof(EdgeId) +
-         densified.pronoun_antecedents.size() * sizeof(std::pair<NodeId, NodeId>);
-}
-
-}  // namespace
-
-size_t DocumentResult::ApproxBytes() const {
-  return sizeof(*this) + AnnotatedBytes(annotated) + GraphBytes(graph) +
-         DensifiedBytes(densified);
-}
-
 const char* InferenceModeName(InferenceMode mode) {
   switch (mode) {
     case InferenceMode::kJoint: return "QKBfly";
@@ -209,7 +159,9 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
 }
 
 void QkbflyEngine::PopulateKb(OnTheFlyKb* kb, const DocumentResult& result) const {
-  canonicalizer_.Populate(kb, result.graph, result.densified, result.annotated);
+  Canonicalizer::Merge(kb, canonicalizer_.Extract(result.graph,
+                                                  result.densified,
+                                                  result.annotated));
 }
 
 OnTheFlyKb QkbflyEngine::BuildKb(const std::vector<Document>& docs,

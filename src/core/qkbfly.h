@@ -73,7 +73,8 @@ struct EngineConfig {
   /// doc-tier and query-tier caches can never serve a result computed under
   /// a different routing policy. Used as part of serving-layer cache keys,
   /// so two engines with the same fingerprint may share cached
-  /// DocumentResults.
+  /// DocumentFacts (the canonicalizer options are covered, so the cached
+  /// post-threshold facts are too).
   std::string Fingerprint() const;
 };
 
@@ -112,11 +113,6 @@ struct DocumentResult {
   DensifyResult densified;
   double seconds = 0.0;   ///< Wall time for this document.
   StageTimings timings;   ///< Per-stage breakdown of `seconds`.
-
-  /// Estimated heap footprint in bytes (strings, tokens, graph nodes/edges,
-  /// assignments). Used by the serving layer's byte-budgeted result cache;
-  /// an estimate, not an exact allocator count.
-  size_t ApproxBytes() const;
 };
 
 /// The end-to-end QKBfly system.
@@ -134,7 +130,8 @@ class QkbflyEngine {
   DocumentResult ProcessDocument(const Document& doc,
                                  obs::TraceContext trace = {}) const;
 
-  /// Runs stage 3, adding the document's facts to `kb`.
+  /// Runs stage 3, adding the document's facts to `kb`:
+  /// Canonicalizer::Merge(kb, Extract(result)).
   void PopulateKb(OnTheFlyKb* kb, const DocumentResult& result) const;
 
   /// Full run over a set of documents. With config().num_threads > 1 the
@@ -157,6 +154,7 @@ class QkbflyEngine {
   const PatternRepository& patterns() const { return *patterns_; }
   const BackgroundStats& stats() const { return *stats_; }
   const NlpPipeline& nlp() const { return nlp_; }
+  const Canonicalizer& canonicalizer() const { return canonicalizer_; }
 
   /// Creates an empty KB bound to this engine's repositories.
   OnTheFlyKb MakeKb() const { return OnTheFlyKb(repository_, patterns_); }

@@ -1,6 +1,6 @@
 // Per-query structured tracing: one Trace is a tree of timed spans
 // (retrieve -> fetch_or_compute -> process_document{annotate, graph_build,
-// densify} -> canonicalize) with typed attributes (doc id, cache hit/miss,
+// densify} + extract -> merge) with typed attributes (doc id, cache hit/miss,
 // edge counts, shed/degraded flags). Span capture is opt-in per query: the
 // pipeline threads a nullable TraceContext through its fan-out, and every
 // instrumentation point is a single branch when no trace is attached — the

@@ -39,9 +39,9 @@ DocumentResultCache::DocumentResultCache(Options options)
   evictions_ = registry.GetCounter("doc_cache_evictions_total",
                                    "DocumentResultCache LRU evictions");
   resident_bytes_ = registry.GetGauge(
-      "doc_cache_resident_bytes", "Ready DocumentResult bytes resident");
+      "doc_cache_resident_bytes", "Ready DocumentFacts bytes resident");
   resident_entries_ = registry.GetGauge(
-      "doc_cache_resident_entries", "Ready DocumentResult entries resident");
+      "doc_cache_resident_entries", "Ready DocumentFacts entries resident");
   baseline_ = TotalsNow();
 }
 
@@ -73,7 +73,7 @@ void DocumentResultCache::EvictOverBudgetLocked(Shard& shard) {
   }
 }
 
-std::shared_ptr<const DocumentResult> DocumentResultCache::FetchOrCompute(
+std::shared_ptr<const DocumentFacts> DocumentResultCache::FetchOrCompute(
     std::string_view doc_id, std::string_view fingerprint,
     const ComputeFn& compute, bool* was_hit) {
   std::string key;
@@ -83,7 +83,7 @@ std::shared_ptr<const DocumentResult> DocumentResultCache::FetchOrCompute(
   key.append(fingerprint);
 
   Shard& shard = ShardFor(key);
-  std::promise<std::shared_ptr<const DocumentResult>> promise;
+  std::promise<std::shared_ptr<const DocumentFacts>> promise;
 #if defined(QKBFLY_CHECK_INVARIANTS)
   CacheStats stats_before;
 #endif
@@ -114,9 +114,9 @@ std::shared_ptr<const DocumentResult> DocumentResultCache::FetchOrCompute(
 
   // Compute outside the lock; single-flight guarantees this thread is the
   // only one running `compute` for this key.
-  std::shared_ptr<const DocumentResult> value;
+  std::shared_ptr<const DocumentFacts> value;
   try {
-    value = std::make_shared<const DocumentResult>(compute());
+    value = std::make_shared<const DocumentFacts>(compute());
   } catch (...) {
     std::exception_ptr error = std::current_exception();
     {

@@ -1,9 +1,15 @@
 // Cross-query reuse of per-document extraction results. annotate -> graph ->
-// densify is query-independent (only stage 3, canonicalization, is built per
-// query), so DocumentResults keyed by (document id, engine-config
-// fingerprint) can be shared by every query that retrieves the same
-// document — the paper's demo keeps already-processed sentences around for
-// exactly this reason.
+// densify -> Canonicalizer::Extract is query-independent (only
+// Canonicalizer::Merge binds a document's facts into a per-query KB), so
+// each document's DocumentFacts, keyed by (document id, engine-config
+// fingerprint), can be shared by every query that retrieves it — the
+// paper's demo keeps already-processed sentences around for exactly this
+// reason.
+//
+// The tier caches the canonical facts, not the DocumentResult they came
+// from: Merge reads nothing else, and a DocumentResult (graph arena, nodes,
+// edges, tokens) is ~45x larger — ~91 KB against ~2 KB per cached document
+// on the perfbench serving corpus (DESIGN.md, "Serving layer").
 #ifndef QKBFLY_SERVICE_DOCUMENT_RESULT_CACHE_H_
 #define QKBFLY_SERVICE_DOCUMENT_RESULT_CACHE_H_
 
@@ -18,24 +24,26 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/qkbfly.h"
+#include "canon/canonicalizer.h"
+#include "corpus/document.h"
 #include "obs/metrics.h"
 #include "util/cache_stats.h"
 
 namespace qkbfly {
 
-/// A sharded, thread-safe, byte-budgeted LRU cache of DocumentResults with
+/// A sharded, thread-safe, byte-budgeted LRU cache of DocumentFacts with
 /// single-flight computation: when N threads ask for the same missing key
 /// concurrently, exactly one runs the compute function and the others block
 /// on its result. Entries are immutable once inserted (shared_ptr<const>),
-/// so readers never copy.
+/// so lookups share them; a reader copies only what it merges into its KB.
 ///
-/// Eviction is LRU per shard under a per-shard slice of the byte budget
-/// (entry sizes come from DocumentResult::ApproxBytes). In-flight entries
-/// are never evicted. Invalidation rule: the config fingerprint in the key
-/// must capture everything that changes the computation (see
-/// EngineConfig::Fingerprint), and document ids must be stable per content —
-/// a mutated document must get a new id.
+/// Eviction is LRU per shard under a per-shard slice of the byte budget (an
+/// entry is charged its key, its bookkeeping and DocumentFacts::ApproxBytes).
+/// In-flight entries are never evicted. Invalidation rule: the config
+/// fingerprint in the key must capture everything that changes the
+/// computation (see EngineConfig::Fingerprint — it covers the canonicalizer
+/// options, so post-threshold facts are keyed soundly), and document ids
+/// must be stable per content — a mutated document must get a new id.
 class DocumentResultCache {
  public:
   struct Options {
@@ -50,14 +58,14 @@ class DocumentResultCache {
   /// instance's contribution.
   ~DocumentResultCache() { Clear(); }
 
-  using ComputeFn = std::function<DocumentResult()>;
+  using ComputeFn = std::function<DocumentFacts()>;
 
   /// Returns the cached result for (doc_id, fingerprint), computing and
   /// inserting it on miss. `was_hit` (optional) reports whether this call
   /// avoided running `compute` — true both for ready entries and for joining
   /// another thread's in-flight computation. If `compute` throws, every
   /// waiter rethrows and the entry is dropped.
-  std::shared_ptr<const DocumentResult> FetchOrCompute(
+  std::shared_ptr<const DocumentFacts> FetchOrCompute(
       std::string_view doc_id, std::string_view fingerprint,
       const ComputeFn& compute, bool* was_hit = nullptr);
 
@@ -66,7 +74,7 @@ class DocumentResultCache {
   /// so each cache instance reports only its own traffic.
   CacheStats stats() const;
 
-  /// Total ApproxBytes of ready entries.
+  /// Total charged bytes of ready entries.
   size_t ApproxBytesUsed() const;
 
   /// Ready entries currently resident.
@@ -87,7 +95,7 @@ class DocumentResultCache {
 
  private:
   struct Entry {
-    std::shared_future<std::shared_ptr<const DocumentResult>> future;
+    std::shared_future<std::shared_ptr<const DocumentFacts>> future;
     bool ready = false;
     size_t bytes = 0;
     std::list<std::string>::iterator lru;  ///< Valid only when ready.

@@ -39,7 +39,7 @@ KbService::KbService(const QkbflyEngine* engine, const SearchEngine* search,
 
 KbService::~KbService() = default;
 
-std::shared_ptr<const DocumentResult> KbService::FetchOrCompute(
+std::shared_ptr<const DocumentFacts> KbService::FetchOrCompute(
     const Document& doc, CacheStats* tally, obs::TraceContext trace) {
   obs::ScopedSpan span(trace, "fetch_or_compute");
   span.AddAttribute("doc_id", std::string_view(doc.id));
@@ -48,7 +48,16 @@ std::shared_ptr<const DocumentResult> KbService::FetchOrCompute(
   auto result = cache_.FetchOrCompute(
       doc.id, fingerprint_,
       [this, &doc, compute_trace] {
-        return engine_->ProcessDocument(doc, compute_trace);
+        // Stages 1-2, then the query-independent half of stage 3; the
+        // DocumentResult is dropped here, only its facts are cached.
+        DocumentResult processed = engine_->ProcessDocument(doc, compute_trace);
+        obs::ScopedSpan extract(compute_trace, "extract");
+        DocumentFacts facts = engine_->canonicalizer().Extract(
+            processed.graph, processed.densified, processed.annotated);
+        extract.AddAttribute("facts", static_cast<int64_t>(facts.facts.size()));
+        extract.AddAttribute("clusters",
+                             static_cast<int64_t>(facts.clusters.size()));
+        return facts;
       },
       &was_hit);
   span.AddAttribute("cache_hit", was_hit);
@@ -67,14 +76,14 @@ OnTheFlyKb KbService::BuildKb(const std::vector<const Document*>& docs,
   local.documents = docs.size();
 
   WallTimer stage;
-  std::vector<std::shared_ptr<const DocumentResult>> results(docs.size());
+  std::vector<std::shared_ptr<const DocumentFacts>> results(docs.size());
   if (pool_ != nullptr && docs.size() > 1) {
     // The per-document tallies are written by pool workers; give each task
     // its own counter and merge after the barrier. The trace context rides
     // into each task by value, so every fetch_or_compute span parents to the
     // query span regardless of which worker runs it.
     std::vector<CacheStats> tallies(docs.size());
-    std::vector<std::future<std::shared_ptr<const DocumentResult>>> futures;
+    std::vector<std::future<std::shared_ptr<const DocumentFacts>>> futures;
     futures.reserve(docs.size());
     for (size_t i = 0; i < docs.size(); ++i) {
       const Document* doc = docs[i];
@@ -92,14 +101,16 @@ OnTheFlyKb KbService::BuildKb(const std::vector<const Document*>& docs,
   }
   local.process_s = stage.ElapsedSeconds();
 
-  // Canonicalize into the fresh per-query KB in input order — the same merge
-  // order as QkbflyEngine::BuildKb, so cached and uncached builds agree.
+  // Merge into the fresh per-query KB in input order — the same merge order
+  // as QkbflyEngine::BuildKb, so cached and uncached builds agree. Each
+  // document's emerging ids are local until Merge remaps them, so one cached
+  // entry serves any document order.
   stage.Restart();
   OnTheFlyKb kb = engine_->MakeKb();
   {
     obs::ScopedSpan span(trace, "merge");
     span.AddAttribute("documents", static_cast<int64_t>(results.size()));
-    for (const auto& result : results) engine_->PopulateKb(&kb, *result);
+    for (const auto& facts : results) Canonicalizer::Merge(&kb, *facts);
   }
   local.canonicalize_s = stage.ElapsedSeconds();
 

@@ -4,9 +4,13 @@
 //   query tier (QueryKbCache)  — whole answered queries, keyed by
 //     (normalized question, corpus epoch, config fingerprint); a hit skips
 //     everything, including retrieval.
-//   doc tier (DocumentResultCache) — per-document extraction results shared
-//     across queries; on a query-tier miss only retrieval and per-query
-//     canonicalization run per request.
+//   doc tier (DocumentResultCache) — each document's canonical facts
+//     (DocumentFacts, from Canonicalizer::Extract, ~2 KB each) shared across
+//     queries; on a query-tier miss only retrieval and Canonicalizer::Merge
+//     run per request for documents already extracted. A miss runs
+//     ProcessDocument then Extract and drops the DocumentResult (~91 KB), so
+//     the tier's byte budget holds ~45x more documents than it would whole
+//     results.
 //   fact store (FactStore)     — canonicalized facts + QA pairs accumulated
 //     across queries, optionally persisted (Save/Load) and optionally
 //     serving repeated questions across process restarts.
@@ -51,7 +55,7 @@ class ThreadPool;
 
 /// Serving configuration.
 struct KbServiceOptions {
-  /// Byte budget and sharding of the DocumentResult cache.
+  /// Byte budget and sharding of the doc tier (cached DocumentFacts).
   DocumentResultCache::Options cache;
 
   /// Worker threads for fanning cache misses of one query across documents.
@@ -103,8 +107,9 @@ struct ServiceStats {
   bool query_cache_hit = false;    ///< Served from the query tier.
   bool served_from_store = false;  ///< Served from persisted QA pairs.
   double retrieve_s = 0.0;     ///< Search-engine time (0 on query-tier hit).
-  double process_s = 0.0;      ///< Fetch-or-compute time (all documents).
-  double canonicalize_s = 0.0; ///< Per-query KB assembly time.
+  double process_s = 0.0;      ///< Fetch-or-compute time (all documents),
+                               ///< including Extract on misses.
+  double canonicalize_s = 0.0; ///< Per-query Merge (KB assembly) time.
   double total_s = 0.0;        ///< End-to-end latency.
 
   double CacheHitRate() const { return cache.HitRate(); }
@@ -137,9 +142,11 @@ class KbService {
 
   /// Document-level entry point (QaSystem routes here with its own
   /// retrieval): cache-backed equivalent of QkbflyEngine::BuildKb. The KB is
-  /// byte-identical to the uncached build — canonicalization merges results
-  /// in input order either way. An enabled `trace` gets per-document
-  /// `fetch_or_compute` spans (with cache-hit attributes) and a `merge` span.
+  /// byte-identical to the uncached build for every document order —
+  /// cached facts carry document-local emerging ids and Merge runs in input
+  /// order either way. An enabled `trace` gets per-document
+  /// `fetch_or_compute` spans (with cache-hit attributes; on a miss with
+  /// `process_document` and `extract` children) and a `merge` span.
   OnTheFlyKb BuildKb(const std::vector<const Document*>& docs,
                      ServiceStats* stats = nullptr,
                      obs::TraceContext trace = {});
@@ -174,9 +181,9 @@ class KbService {
   void ClearQueryTier() { query_cache_.Clear(); }
 
  private:
-  std::shared_ptr<const DocumentResult> FetchOrCompute(const Document& doc,
-                                                       CacheStats* tally,
-                                                       obs::TraceContext trace);
+  std::shared_ptr<const DocumentFacts> FetchOrCompute(const Document& doc,
+                                                      CacheStats* tally,
+                                                      obs::TraceContext trace);
 
   /// The cold pipeline: retrieval + BuildKb + fact ranking. Fills
   /// out->kb, out->answers, and the retrieval/process/canonicalize stats.

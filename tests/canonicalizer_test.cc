@@ -1,5 +1,6 @@
-// Focused tests of Stage 3: fact assembly, thresholds, triples-only mode
-// and emerging-entity clustering.
+// Focused tests of Stage 3: fact assembly, thresholds, triples-only mode,
+// emerging-entity clustering, and the Extract/Merge split (document-local
+// emerging ids).
 #include "canon/canonicalizer.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,15 @@ Pipeline RunStages12(const std::string& text) {
   return p;
 }
 
+/// Stage 3 of one document into `kb`: Extract, then Merge.
+void Canonicalize(const Canonicalizer::Options& options, const Pipeline& p,
+                  OnTheFlyKb* kb) {
+  const auto& ds = Dataset();
+  Canonicalizer canonicalizer(ds.repository.get(), &ds.patterns, options);
+  Canonicalizer::Merge(
+      kb, canonicalizer.Extract(p.graph, p.densified, p.annotated));
+}
+
 TEST(CanonicalizerTest, ThresholdSuppressesLowConfidenceFacts) {
   const auto& ds = Dataset();
   // A maximally ambiguous surname-only mention: confidence is split.
@@ -58,14 +68,12 @@ TEST(CanonicalizerTest, ThresholdSuppressesLowConfidenceFacts) {
   Canonicalizer::Options strict;
   strict.confidence_threshold = 0.99;
   OnTheFlyKb strict_kb(ds.repository.get(), &ds.patterns);
-  Canonicalizer(ds.repository.get(), &ds.patterns, strict)
-      .Populate(&strict_kb, p.graph, p.densified, p.annotated);
+  Canonicalize(strict, p, &strict_kb);
 
   Canonicalizer::Options lax;
   lax.confidence_threshold = 0.0;
   OnTheFlyKb lax_kb(ds.repository.get(), &ds.patterns);
-  Canonicalizer(ds.repository.get(), &ds.patterns, lax)
-      .Populate(&lax_kb, p.graph, p.densified, p.annotated);
+  Canonicalize(lax, p, &lax_kb);
 
   EXPECT_LE(strict_kb.size(), lax_kb.size());
 }
@@ -78,16 +86,14 @@ TEST(CanonicalizerTest, TriplesOnlySplitsHigherArity) {
   Canonicalizer::Options nary;
   nary.confidence_threshold = 0.0;
   OnTheFlyKb nary_kb(ds.repository.get(), &ds.patterns);
-  Canonicalizer(ds.repository.get(), &ds.patterns, nary)
-      .Populate(&nary_kb, p.graph, p.densified, p.annotated);
+  Canonicalize(nary, p, &nary_kb);
 
   Pipeline p2 = RunStages12(a.canonical_name + " married Anna Lewis in 2012.");
   Canonicalizer::Options triples;
   triples.confidence_threshold = 0.0;
   triples.triples_only = true;
   OnTheFlyKb triples_kb(ds.repository.get(), &ds.patterns);
-  Canonicalizer(ds.repository.get(), &ds.patterns, triples)
-      .Populate(&triples_kb, p2.graph, p2.densified, p2.annotated);
+  Canonicalize(triples, p2, &triples_kb);
 
   EXPECT_GE(nary_kb.higher_arity_count(), 1u);
   EXPECT_EQ(triples_kb.higher_arity_count(), 0u);
@@ -101,8 +107,7 @@ TEST(CanonicalizerTest, CoreferentMentionsShareOneEmergingEntity) {
   Canonicalizer::Options options;
   options.confidence_threshold = 0.0;
   OnTheFlyKb kb(ds.repository.get(), &ds.patterns);
-  Canonicalizer(ds.repository.get(), &ds.patterns, options)
-      .Populate(&kb, p.graph, p.densified, p.annotated);
+  Canonicalize(options, p, &kb);
   // The two "Zanthor Vexwing" mentions form one co-reference cluster and
   // hence one emerging entity.
   int zanthors = 0;
@@ -119,13 +124,48 @@ TEST(CanonicalizerTest, FactProvenanceRecorded) {
   Canonicalizer::Options options;
   options.confidence_threshold = 0.0;
   OnTheFlyKb kb(ds.repository.get(), &ds.patterns);
-  Canonicalizer(ds.repository.get(), &ds.patterns, options)
-      .Populate(&kb, p.graph, p.densified, p.annotated);
+  Canonicalize(options, p, &kb);
   ASSERT_FALSE(kb.facts().empty());
   for (const Fact& f : kb.facts()) {
     EXPECT_EQ(f.doc_id, "t");
     EXPECT_GE(f.sentence, 0);
   }
+}
+
+TEST(CanonicalizerTest, MergeRemapsDocumentLocalEmergingIds) {
+  const auto& ds = Dataset();
+  Pipeline p = RunStages12(
+      "Zanthor Vexwing married Quellin Dravosk. Quellin Dravosk won an award.");
+  Canonicalizer::Options options;
+  options.confidence_threshold = 0.0;
+  Canonicalizer canonicalizer(ds.repository.get(), &ds.patterns, options);
+  DocumentFacts facts =
+      canonicalizer.Extract(p.graph, p.densified, p.annotated);
+  ASSERT_GE(facts.clusters.size(), 2u);
+  for (size_t i = 0; i < facts.clusters.size(); ++i) {
+    EXPECT_EQ(facts.clusters[i].id, i);  // document-local, registration order
+  }
+
+  // Merging the same document twice registers its clusters twice, and the
+  // second copy's facts point at the second copy's ids.
+  OnTheFlyKb kb(ds.repository.get(), &ds.patterns);
+  Canonicalizer::Merge(&kb, facts);
+  Canonicalizer::Merge(&kb, facts);
+  const size_t n = facts.clusters.size();
+  ASSERT_EQ(kb.emerging_entities().size(), 2 * n);
+  for (size_t i = 0; i < 2 * n; ++i) {
+    EXPECT_EQ(kb.emerging_entities()[i].representative,
+              facts.clusters[i % n].representative);
+  }
+  bool saw_second_copy = false;
+  for (const Fact& f : kb.facts()) {
+    for (const FactArg* arg : {&f.subject, &f.args.front()}) {
+      if (arg->kind != FactArg::Kind::kEmerging) continue;
+      EXPECT_EQ(kb.emerging(arg->emerging).representative, arg->surface);
+      if (arg->emerging >= n) saw_second_copy = true;
+    }
+  }
+  EXPECT_TRUE(saw_second_copy);
 }
 
 }  // namespace

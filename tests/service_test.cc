@@ -81,11 +81,13 @@ DocumentStore* ServiceTest::news_ = nullptr;
 SearchEngine* ServiceTest::search_ = nullptr;
 QkbflyEngine* ServiceTest::engine_ = nullptr;
 
-DocumentResult FakeResult(const std::string& id) {
-  DocumentResult r;
-  r.annotated.id = id;
-  r.annotated.title = "title of " + id;
-  return r;
+DocumentFacts FakeFacts(const std::string& id) {
+  DocumentFacts facts;
+  Fact fact;
+  fact.relation_pattern = "title of";
+  fact.doc_id = id;
+  facts.facts.push_back(fact);
+  return facts;
 }
 
 TEST_F(ServiceTest, WarmAnswerIsByteIdenticalToCold) {
@@ -111,13 +113,76 @@ TEST_F(ServiceTest, WarmAnswerIsByteIdenticalToCold) {
 }
 
 TEST_F(ServiceTest, ServiceBuildMatchesUncachedEngineBuild) {
-  KbService service(engine_, search_);
   std::vector<const Document*> docs;
   for (const GoldDocument& gd : dataset_->wiki_eval) docs.push_back(&gd.doc);
+  std::vector<const Document*> reversed(docs.rbegin(), docs.rend());
 
-  std::string uncached = Serialize(engine_->BuildKb(docs));
-  EXPECT_EQ(Serialize(service.BuildKb(docs)), uncached);  // cold
-  EXPECT_EQ(Serialize(service.BuildKb(docs)), uncached);  // warm
+  // The default threshold, and tau = 0.9, under which some clusters lose
+  // every fact yet must still be registered by Merge.
+  EngineConfig precise_config;
+  precise_config.canon.confidence_threshold = 0.9;
+  QkbflyEngine precise(dataset_->repository.get(), &dataset_->patterns,
+                       &dataset_->stats, precise_config);
+  size_t clusters_without_facts = 0;
+  for (const QkbflyEngine* engine : {engine_, &precise}) {
+    SCOPED_TRACE(engine->config().Fingerprint());
+    KbService service(engine, search_);
+    std::string uncached = Serialize(engine->BuildKb(docs));
+    EXPECT_EQ(Serialize(service.BuildKb(docs)), uncached);  // cold
+    EXPECT_EQ(Serialize(service.BuildKb(docs)), uncached);  // warm
+
+    // The cached facts were extracted once, in the forward order; replaying
+    // the reversed order from the warm tier must still match the engine's
+    // own build of that order, so emerging ids cannot be baked into the
+    // cache.
+    ServiceStats stats;
+    OnTheFlyKb warm = service.BuildKb(reversed, &stats);
+    EXPECT_EQ(stats.cache.misses, 0u);
+    EXPECT_EQ(warm.Serialize(), engine->BuildKb(reversed).Serialize());
+
+    // Independently of Merge: every document's clusters are registered, in
+    // document order then cluster order, and every emerging argument names
+    // the entity it was extracted for.
+    std::vector<std::string> representatives;
+    size_t documents_with_clusters = 0;
+    for (const Document* doc : reversed) {
+      DocumentResult r = engine->ProcessDocument(*doc);
+      DocumentFacts facts =
+          engine->canonicalizer().Extract(r.graph, r.densified, r.annotated);
+      if (!facts.clusters.empty()) ++documents_with_clusters;
+      std::vector<bool> cited(facts.clusters.size(), false);
+      for (const Fact& f : facts.facts) {
+        if (f.subject.kind == FactArg::Kind::kEmerging) {
+          cited[f.subject.emerging] = true;
+        }
+        for (const FactArg& a : f.args) {
+          if (a.kind == FactArg::Kind::kEmerging) cited[a.emerging] = true;
+        }
+      }
+      for (size_t i = 0; i < facts.clusters.size(); ++i) {
+        representatives.push_back(facts.clusters[i].representative);
+        if (!cited[i]) ++clusters_without_facts;
+      }
+    }
+    ASSERT_GE(documents_with_clusters, 2u);
+    ASSERT_EQ(warm.emerging_entities().size(), representatives.size());
+    for (size_t i = 0; i < representatives.size(); ++i) {
+      EXPECT_EQ(warm.emerging_entities()[i].representative,
+                representatives[i]);
+    }
+    size_t emerging_args = 0;
+    for (const Fact& f : warm.facts()) {
+      std::vector<const FactArg*> args = {&f.subject};
+      for (const FactArg& a : f.args) args.push_back(&a);
+      for (const FactArg* a : args) {
+        if (a->kind != FactArg::Kind::kEmerging) continue;
+        ++emerging_args;
+        EXPECT_EQ(warm.emerging(a->emerging).representative, a->surface);
+      }
+    }
+    EXPECT_GT(emerging_args, 0u);
+  }
+  EXPECT_GT(clusters_without_facts, 0u);
 }
 
 TEST_F(ServiceTest, MetricsAccumulateAcrossQueries) {
@@ -176,9 +241,9 @@ TEST(DocumentResultCacheTest, SingleFlightComputesOnce) {
         ++computations;
         // Hold the in-flight window open so the other threads join it.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return FakeResult("doc");
+        return FakeFacts("doc");
       });
-      EXPECT_EQ(result->annotated.id, "doc");
+      EXPECT_EQ(result->facts.front().doc_id, "doc");
     });
   }
   for (std::thread& w : workers) w.join();
@@ -193,7 +258,7 @@ TEST(DocumentResultCacheTest, DistinguishesConfigFingerprints) {
   int computations = 0;
   auto compute = [&] {
     ++computations;
-    return FakeResult("doc");
+    return FakeFacts("doc");
   };
   (void)cache.FetchOrCompute("doc", "fp-a", compute);
   (void)cache.FetchOrCompute("doc", "fp-b", compute);
@@ -209,7 +274,7 @@ TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
   {
     DocumentResultCache probe(options);
     (void)probe.FetchOrCompute("probe", "fp",
-                               [] { return FakeResult("probe"); });
+                               [] { return FakeFacts("probe"); });
     entry_bytes = probe.ApproxBytesUsed();
     ASSERT_GT(entry_bytes, 0u);
   }
@@ -217,7 +282,7 @@ TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
   DocumentResultCache cache(options);
   for (int i = 0; i < 10; ++i) {
     std::string id = "doc" + std::to_string(i);
-    (void)cache.FetchOrCompute(id, "fp", [&] { return FakeResult(id); });
+    (void)cache.FetchOrCompute(id, "fp", [&] { return FakeFacts(id); });
   }
   CacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -226,31 +291,52 @@ TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
 
   // The most recent key survived; the oldest was evicted and recomputes.
   bool hit = false;
-  (void)cache.FetchOrCompute("doc9", "fp", [] { return FakeResult("doc9"); },
+  (void)cache.FetchOrCompute("doc9", "fp", [] { return FakeFacts("doc9"); },
                              &hit);
   EXPECT_TRUE(hit);
-  (void)cache.FetchOrCompute("doc0", "fp", [] { return FakeResult("doc0"); },
+  (void)cache.FetchOrCompute("doc0", "fp", [] { return FakeFacts("doc0"); },
                              &hit);
   EXPECT_FALSE(hit);
 }
 
 TEST(DocumentResultCacheTest, ClearDropsResidentEntries) {
   DocumentResultCache cache;
-  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeResult("doc"); });
+  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeFacts("doc"); });
   ASSERT_EQ(cache.entry_count(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.ApproxBytesUsed(), 0u);
   bool hit = true;
-  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeResult("doc"); },
+  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeFacts("doc"); },
                              &hit);
   EXPECT_FALSE(hit);
 }
 
-TEST_F(ServiceTest, ApproxBytesGrowsWithContent) {
-  DocumentResult empty;
-  DocumentResult real = engine_->ProcessDocument(dataset_->wiki_eval.front().doc);
-  EXPECT_GT(real.ApproxBytes(), empty.ApproxBytes());
+TEST_F(ServiceTest, DocumentFactsApproxBytesGrowsWithContent) {
+  DocumentResult r = engine_->ProcessDocument(dataset_->wiki_eval.front().doc);
+  DocumentFacts facts =
+      engine_->canonicalizer().Extract(r.graph, r.densified, r.annotated);
+  ASSERT_FALSE(facts.facts.empty());
+  EXPECT_GT(facts.ApproxBytes(), DocumentFacts().ApproxBytes());
+  DocumentFacts more = facts;
+  more.facts.push_back(facts.facts.front());
+  EXPECT_GT(more.ApproxBytes(), facts.ApproxBytes());
+  const size_t before = more.ApproxBytes();
+  more.clusters.push_back({0, "Zanthor Vexwing", {"Zanthor Vexwing"}, {}});
+  EXPECT_GT(more.ApproxBytes(), before);
+}
+
+TEST_F(ServiceTest, DocTierEntriesStayCompact) {
+  // The doc tier caches each document's canonical facts, a few KB apiece;
+  // a whole DocumentResult (graph arena, nodes, edges, tokens) is ~90 KB.
+  // Re-caching the intermediate artifacts would blow this bound.
+  KbService service(engine_, search_);
+  std::vector<const Document*> docs;
+  for (const GoldDocument& gd : dataset_->wiki_eval) docs.push_back(&gd.doc);
+  (void)service.BuildKb(docs);
+  ASSERT_EQ(service.cache().entry_count(), docs.size());
+  EXPECT_LT(service.cache().ApproxBytesUsed() / service.cache().entry_count(),
+            size_t{16} << 10);
 }
 
 TEST_F(ServiceTest, FingerprintSeparatesResultChangingConfigs) {

@@ -5,7 +5,9 @@
 // captured by value into each pool task, never via thread-local state.
 // Labeled `tsan` so `ctest -L tsan` runs the concurrent appends under the
 // race detector. Also asserts the determinism contract: the KB bytes are
-// identical with and without a live trace.
+// identical with and without a live trace, and the serving layer's miss
+// path: canonical extraction gets its own `extract` span beside
+// `process_document`, apart from the per-query `merge`.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 
 #include "core/qkbfly.h"
 #include "obs/trace.h"
+#include "service/kb_service.h"
 #include "synth/dataset.h"
 
 namespace qkbfly {
@@ -143,6 +146,52 @@ TEST_F(TracePropagationTest, SerialAndParallelSpanTreesMatchInShape) {
   (void)Build(4, {&parallel, parallel.root()});
   parallel.Finish();
   EXPECT_EQ(shape(serial), shape(parallel));
+}
+
+TEST_F(TracePropagationTest, ServiceMissSpansSplitProcessAndExtract) {
+  QkbflyEngine engine(dataset_->repository.get(), &dataset_->patterns,
+                      &dataset_->stats, EngineConfig());
+  KbServiceOptions options;
+  options.num_threads = 4;
+  KbService service(&engine, nullptr, options);
+  std::vector<const Document*> docs;
+  for (const Document& d : docs_) docs.push_back(&d);
+
+  // Children of each fetch_or_compute span, by name, plus the merge count.
+  auto children = [](const obs::Trace& t, int* merges) {
+    std::map<std::string, int> counts;
+    std::vector<obs::Span> spans = t.Snapshot();
+    *merges = 0;
+    for (const obs::Span& s : spans) {
+      if (s.name == "merge") {
+        EXPECT_EQ(s.parent, t.root());
+        ++*merges;
+      }
+      if (s.parent == obs::kNoSpan) continue;
+      if (spans[s.parent].name == "fetch_or_compute") ++counts[s.name];
+      if (s.name == "fetch_or_compute") {
+        EXPECT_EQ(s.parent, t.root());
+      }
+    }
+    return counts;
+  };
+
+  obs::Trace cold("build");
+  (void)service.BuildKb(docs, nullptr, {&cold, cold.root()});
+  cold.Finish();
+  int merges = 0;
+  std::map<std::string, int> expected = {
+      {"process_document", static_cast<int>(docs.size())},
+      {"extract", static_cast<int>(docs.size())}};
+  EXPECT_EQ(children(cold, &merges), expected);
+  EXPECT_EQ(merges, 1);
+
+  // A warm build extracts nothing: fetch_or_compute spans are leaves.
+  obs::Trace warm("build");
+  (void)service.BuildKb(docs, nullptr, {&warm, warm.root()});
+  warm.Finish();
+  EXPECT_TRUE(children(warm, &merges).empty());
+  EXPECT_EQ(merges, 1);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ size_t MatchBrace(const Context& ctx, size_t open) {
 bool IsSinkIdent(const Token& t) {
   static const char* kSinks[] = {
       "AddFact", "AddEmergingEntity", "RelationFor", "FactToString",
-      "Populate", "PopulateKb", "OnTheFlyKb", "Canonicalizer",
+      "Merge", "PopulateKb", "OnTheFlyKb", "Canonicalizer",
       "WriteBenchJson", "AppendBenchRow", "printf", "fprintf", "cout",
       "cerr",
   };
