@@ -1,7 +1,9 @@
 // qkbfly_serve: replay a query workload against the serving layer and print
 // a metrics report — per-query latency with cache hit ratio, warm vs cold,
-// the end-to-end latency histogram (p50/p95/p99), and the counters of both
-// system caches (DocumentResultCache and the LooseCandidates memo).
+// the end-to-end latency histogram (p50/p95/p99), and the counters of every
+// memo in the system: the query tier (QueryKbCache), the doc tier
+// (DocumentResultCache) and the LooseCandidates memo, all memo::ShardedLru
+// instances.
 //
 // Usage:
 //   qkbfly_serve [workload_file] [--repeat N] [--threads N] [--cache-mb M]

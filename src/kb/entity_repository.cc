@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -15,9 +16,7 @@ EntityRepository::EntityRepository(EntityRepository&& other) noexcept
       token_index_(std::move(other.token_index_)),
       by_name_(std::move(other.by_name_)),
       trie_(std::move(other.trie_)),
-      max_alias_tokens_(other.max_alias_tokens_) {
-  BindLooseCounters();
-}
+      max_alias_tokens_(other.max_alias_tokens_) {}
 
 EntityRepository& EntityRepository::operator=(EntityRepository&& other) noexcept {
   if (this == &other) return *this;
@@ -28,30 +27,26 @@ EntityRepository& EntityRepository::operator=(EntityRepository&& other) noexcept
   by_name_ = std::move(other.by_name_);
   trie_ = std::move(other.trie_);
   max_alias_tokens_ = other.max_alias_tokens_;
-  std::lock_guard<std::mutex> lock(loose_mutex_);
-  loose_cache_.clear();
-  loose_lru_.clear();
-  BindLooseCounters();  // restart the per-instance stats view at zero
+  loose_memo_ = std::make_unique<LooseMemo>();  // stats view restarts at zero
   return *this;
 }
 
-void EntityRepository::BindLooseCounters() {
+memo::Instruments memo::Traits<LooseCandidateIds>::Bind() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  loose_hits_ = registry.GetCounter("repo_loose_cache_hits_total",
-                                    "LooseCandidates memo hits");
-  loose_misses_ = registry.GetCounter("repo_loose_cache_misses_total",
-                                      "LooseCandidates memo misses");
-  loose_evictions_ = registry.GetCounter("repo_loose_cache_evictions_total",
-                                         "LooseCandidates memo LRU evictions");
-  loose_baseline_ = LooseTotalsNow();
-}
-
-CacheStats EntityRepository::LooseTotalsNow() const {
-  CacheStats totals;
-  totals.hits = loose_hits_->Value();
-  totals.misses = loose_misses_->Value();
-  totals.evictions = loose_evictions_->Value();
-  return totals;
+  Instruments m;
+  m.hits = registry.GetCounter("repo_loose_cache_hits_total",
+                               "LooseCandidates memo hits");
+  m.misses = registry.GetCounter("repo_loose_cache_misses_total",
+                                 "LooseCandidates memo misses");
+  m.evictions = registry.GetCounter("repo_loose_cache_evictions_total",
+                                    "LooseCandidates memo entries evicted by "
+                                    "the byte budget");
+  m.resident_bytes = registry.GetGauge("repo_loose_cache_resident_bytes",
+                                       "Ready LooseCandidates bytes resident");
+  m.resident_entries = registry.GetGauge(
+      "repo_loose_cache_resident_entries",
+      "Ready LooseCandidates entries resident");
+  return m;
 }
 
 EntityId EntityRepository::AddEntity(std::string_view canonical_name,
@@ -93,11 +88,7 @@ EntityId EntityRepository::AddEntity(std::string_view canonical_name,
   by_name_.emplace(e.canonical_name, id);
   entities_.push_back(std::move(e));
   // The new aliases can extend any previously cached candidate set.
-  {
-    std::lock_guard<std::mutex> lock(loose_mutex_);
-    loose_cache_.clear();
-    loose_lru_.clear();
-  }
+  loose_memo_->Clear();
   return id;
 }
 
@@ -166,36 +157,13 @@ std::vector<EntityId> EntityRepository::LooseCandidates(std::string_view mention
   // Every index lookup is case-insensitive, so (lowercased mention, limit)
   // fully determines the result.
   std::string lowered = Lowercase(mention);
-  std::string key = lowered;
-  key.push_back('\x1f');
-  key += std::to_string(limit);
-  {
-    std::lock_guard<std::mutex> lock(loose_mutex_);
-    auto it = loose_cache_.find(key);
-    if (it != loose_cache_.end()) {
-      loose_hits_->Increment();
-      loose_lru_.splice(loose_lru_.begin(), loose_lru_, it->second.lru);
-      return it->second.ids;
-    }
-    loose_misses_->Increment();
-  }
-  // Compute outside the lock; a concurrent duplicate compute is idempotent.
-  std::vector<EntityId> out = LooseCandidatesUncached(lowered, limit);
-  {
-    std::lock_guard<std::mutex> lock(loose_mutex_);
-    auto [it, inserted] = loose_cache_.try_emplace(std::move(key));
-    if (inserted) {
-      loose_lru_.push_front(it->first);
-      it->second.lru = loose_lru_.begin();
-      it->second.ids = out;
-      if (loose_cache_.size() > kLooseCacheCapacity) {
-        loose_cache_.erase(loose_lru_.back());
-        loose_lru_.pop_back();
-        loose_evictions_->Increment();
-      }
-    }
-  }
-  return out;
+  return loose_memo_
+      ->FetchOrCompute(memo::JoinKey({lowered, std::to_string(limit)}),
+                       [&] {
+                         return LooseCandidateIds{
+                             LooseCandidatesUncached(lowered, limit)};
+                       })
+      ->ids;
 }
 
 std::vector<EntityId> EntityRepository::LooseCandidatesUncached(
@@ -218,11 +186,6 @@ std::vector<EntityId> EntityRepository::LooseCandidatesUncached(
     }
   }
   return out;
-}
-
-CacheStats EntityRepository::loose_cache_stats() const {
-  // Counters are lock-free atomics; no loose_mutex_ hold needed.
-  return LooseTotalsNow() - loose_baseline_;
 }
 
 StatusOr<EntityId> EntityRepository::FindByName(

@@ -5,17 +5,16 @@
 #define QKBFLY_KB_ENTITY_REPOSITORY_H_
 
 #include <cstdint>
-#include <list>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "kb/type_system.h"
+#include "memo/sharded_lru.h"
 #include "nlp/lexicon.h"
 #include "nlp/ner.h"
-#include "obs/metrics.h"
 #include "util/cache_stats.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -35,6 +34,26 @@ struct Entity {
   Gender gender = Gender::kUnknown;  ///< For PERSON entities when known.
 };
 
+/// One memoized LooseCandidates result.
+struct LooseCandidateIds {
+  std::vector<EntityId> ids;
+
+  size_t ApproxBytes() const {
+    return sizeof(*this) + ids.capacity() * sizeof(EntityId);
+  }
+};
+
+namespace memo {
+template <>
+struct Traits<LooseCandidateIds> {
+  /// Room for ~4,000 entries at ~134 bytes charged each. The perfbench
+  /// build_cold world (seed 1) needs 1,252 entries (168 KB), so a repeated
+  /// build never misses.
+  static constexpr size_t kDefaultByteBudget = size_t{512} << 10;
+  static Instruments Bind();
+};
+}  // namespace memo
+
 /// The background entity dictionary. Implements Gazetteer so NER can
 /// recognize repository names, and provides candidate generation for NED.
 /// Thread-compatible once populated: all queries are const and may run
@@ -42,11 +61,9 @@ struct Entity {
 /// AddEntity must not race with queries.
 class EntityRepository : public Gazetteer {
  public:
-  explicit EntityRepository(const TypeSystem* types) : types_(types) {
-    BindLooseCounters();
-  }
+  explicit EntityRepository(const TypeSystem* types) : types_(types) {}
 
-  // Movable (mutexes are not, so the memo cache restarts cold); not copyable.
+  // Movable (the memo restarts cold, with a fresh stats view); not copyable.
   EntityRepository(EntityRepository&& other) noexcept;
   EntityRepository& operator=(EntityRepository&& other) noexcept;
   EntityRepository(const EntityRepository&) = delete;
@@ -77,7 +94,8 @@ class EntityRepository : public Gazetteer {
   /// token with the mention ("Kaelen Drax" also proposes every "Kaelen" and
   /// every "Drax"). Exact-alias candidates come first; capped at `limit`.
   /// The hottest repeated lookup in graph building, so results are memoized
-  /// in a thread-safe LRU keyed on (lowercased mention, limit).
+  /// in a memo::ShardedLru keyed on (lowercased mention, limit); concurrent
+  /// lookups of one missing key compute it once.
   std::vector<EntityId> LooseCandidates(std::string_view mention,
                                         size_t limit) const;
 
@@ -85,7 +103,7 @@ class EntityRepository : public Gazetteer {
   /// counters are `repo_loose_cache_*_total` in the default metrics
   /// registry; this view subtracts the construction-time baseline so each
   /// instance reports only its own traffic.
-  CacheStats loose_cache_stats() const;
+  CacheStats loose_cache_stats() const { return loose_memo_->stats(); }
 
   /// Entity id by exact canonical name.
   StatusOr<EntityId> FindByName(std::string_view canonical_name) const;
@@ -117,11 +135,6 @@ class EntityRepository : public Gazetteer {
 
   void InsertAliasIntoTrie(const std::string& key, NerType coarse);
 
-  /// Fetches the registry counters and re-baselines loose_cache_stats()
-  /// at the current totals (construction and move both restart the view).
-  void BindLooseCounters();
-  CacheStats LooseTotalsNow() const;
-
   std::vector<EntityId> LooseCandidatesUncached(const std::string& lowered,
                                                 size_t limit) const;
 
@@ -139,24 +152,10 @@ class EntityRepository : public Gazetteer {
   std::vector<AliasTrieNode> trie_;  ///< trie_[0] is the root.
   int max_alias_tokens_ = 0;
 
-  // LooseCandidates memo: LRU list holds keys, front = most recently used;
-  // invalidated wholesale by AddEntity. Guarded by loose_mutex_ so concurrent
-  // graph builders share one cache.
-  struct LooseCacheEntry {
-    std::vector<EntityId> ids;
-    std::list<std::string>::iterator lru;
-  };
-  static constexpr size_t kLooseCacheCapacity = 4096;
-  mutable std::mutex loose_mutex_;
-  mutable std::list<std::string> loose_lru_;
-  mutable std::unordered_map<std::string, LooseCacheEntry> loose_cache_;
-
-  // Live counters are registry instruments (process-wide, lock-free);
-  // loose_baseline_ is what they read when this instance (re)started.
-  obs::Counter* loose_hits_ = nullptr;
-  obs::Counter* loose_misses_ = nullptr;
-  obs::Counter* loose_evictions_ = nullptr;
-  CacheStats loose_baseline_;
+  // LooseCandidates memo, invalidated wholesale by AddEntity. Behind a
+  // pointer so a move can replace it (mutexes do not move).
+  using LooseMemo = memo::ShardedLru<LooseCandidateIds>;
+  std::unique_ptr<LooseMemo> loose_memo_ = std::make_unique<LooseMemo>();
 };
 
 }  // namespace qkbfly

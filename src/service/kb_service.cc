@@ -11,6 +11,25 @@
 
 namespace qkbfly {
 
+memo::Instruments memo::Traits<DocumentFacts>::Bind() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  Instruments m;
+  m.hits = registry.GetCounter("doc_cache_hits_total",
+                               "DocumentResultCache lookups served without "
+                               "computing (ready or joined in-flight)");
+  m.misses = registry.GetCounter("doc_cache_misses_total",
+                                 "DocumentResultCache lookups that ran the "
+                                 "compute function");
+  m.evictions = registry.GetCounter("doc_cache_evictions_total",
+                                    "DocumentResultCache entries evicted by "
+                                    "the byte budget");
+  m.resident_bytes = registry.GetGauge("doc_cache_resident_bytes",
+                                       "Ready DocumentFacts bytes resident");
+  m.resident_entries = registry.GetGauge(
+      "doc_cache_resident_entries", "Ready DocumentFacts entries resident");
+  return m;
+}
+
 KbService::KbService(const QkbflyEngine* engine, const SearchEngine* search,
                      KbServiceOptions options)
     : engine_(engine), search_(search), options_(options),
@@ -46,7 +65,7 @@ std::shared_ptr<const DocumentFacts> KbService::FetchOrCompute(
   bool was_hit = false;
   obs::TraceContext compute_trace = span.context();
   auto result = cache_.FetchOrCompute(
-      doc.id, fingerprint_,
+      memo::JoinKey({doc.id, fingerprint_}),
       [this, &doc, compute_trace] {
         // Stages 1-2, then the query-independent half of stage 3; the
         // DocumentResult is dropped here, only its facts are cached.
@@ -166,10 +185,10 @@ CorpusEpoch KbService::CurrentEpoch() const {
 }
 
 void KbService::SyncEpoch(CorpusEpoch epoch) {
-  // Tier by tier in the documented lock order (the locks are taken
-  // sequentially, never nested). The query tier's keys embed the epoch, so
-  // its EvictAll is memory reclamation; the doc tier's keys do not, so its
-  // EvictAll is the correctness-critical half of a corpus bump.
+  // Tier by tier; each tier takes its shard locks one at a time and never
+  // nests them. The query tier's keys embed the epoch, so its EvictAll is
+  // memory reclamation; the doc tier's keys do not, so its EvictAll is the
+  // correctness-critical half of a corpus bump.
   query_cache_.EvictAll(epoch);
   cache_.EvictAll(epoch);
   store_->SetEpoch(epoch);
@@ -193,73 +212,58 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
   SyncEpoch(epoch);
   std::string normalized = QaPairIndex::NormalizeQuestion(query);
 
-  if (!options_.enable_query_cache) {
-    AnswerCold(query, &out, query_trace);
-    store_->IngestKb(out.kb, query, epoch, query_trace);
-    QaPair pair;
-    pair.question = normalized;
-    pair.fingerprint = fingerprint_;
-    pair.epoch = epoch;
-    pair.documents = out.stats.documents;
-    pair.answers = out.answers;
-    pair.kb_bytes = out.kb.Serialize();
-    store_->qa_pairs().Record(std::move(pair));
-    out.stats.query_cache.misses = 1;
-  } else {
-    std::string key = QueryKbCache::Key(normalized, epoch, fingerprint_);
-    // `built` flags that *this thread* ran the cold pipeline, in which case
-    // out.kb already holds the directly-built KB (the byte-identity anchor).
-    // Waiters, hits, and store-served answers rebuild from the cached bytes
-    // instead; the Serialize/Deserialize round-trip contract makes the two
-    // paths byte-identical.
-    bool built = false;
-    bool was_hit = false;
-    auto cached = query_cache_.FetchOrCompute(
-        key,
-        [&]() -> CachedAnswer {
-          CachedAnswer answer;
-          if (options_.serve_from_store) {
-            std::shared_ptr<const QaPair> pair = store_->FindQaPair(
-                normalized, epoch, fingerprint_, options_.match_paraphrases,
-                query_trace);
-            if (pair != nullptr) {
-              answer.kb_bytes = pair->kb_bytes;
-              answer.answers = pair->answers;
-              answer.documents = pair->documents;
-              answer.from_store = true;
-              return answer;
-            }
+  // `built` flags that *this thread* ran the cold pipeline, in which case
+  // out.kb already holds the directly-built KB (the byte-identity anchor).
+  // Waiters, hits, and store-served answers rebuild from the cached bytes
+  // instead; the Serialize/Deserialize round-trip contract makes the two
+  // paths byte-identical.
+  bool built = false;
+  bool was_hit = false;
+  auto cached = query_cache_.FetchOrCompute(
+      QueryKey(normalized, epoch, fingerprint_),
+      [&]() -> CachedAnswer {
+        CachedAnswer answer;
+        if (options_.serve_from_store) {
+          std::shared_ptr<const QaPair> pair = store_->FindQaPair(
+              normalized, epoch, fingerprint_, options_.match_paraphrases,
+              query_trace);
+          if (pair != nullptr) {
+            answer.kb_bytes = pair->kb_bytes;
+            answer.answers = pair->answers;
+            answer.documents = pair->documents;
+            answer.from_store = true;
+            return answer;
           }
-          AnswerCold(query, &out, query_trace);
-          built = true;
-          answer.kb_bytes = out.kb.Serialize();
-          answer.answers = out.answers;
-          answer.documents = out.stats.documents;
-          store_->IngestKb(out.kb, query, epoch, query_trace);
-          QaPair pair;
-          pair.question = normalized;
-          pair.fingerprint = fingerprint_;
-          pair.epoch = epoch;
-          pair.documents = answer.documents;
-          pair.answers = answer.answers;
-          pair.kb_bytes = answer.kb_bytes;
-          store_->qa_pairs().Record(std::move(pair));
-          return answer;
-        },
-        &was_hit);
-    out.stats.query_cache_hit = was_hit;
-    out.stats.served_from_store = cached->from_store;
-    if (was_hit) {
-      out.stats.query_cache.hits = 1;
-    } else {
-      out.stats.query_cache.misses = 1;
-    }
-    if (!built) {
-      out.answers = cached->answers;
-      out.stats.documents = cached->documents;
-      Status status = out.kb.Deserialize(cached->kb_bytes);
-      QKB_CHECK(status.ok());
-    }
+        }
+        AnswerCold(query, &out, query_trace);
+        built = true;
+        answer.kb_bytes = out.kb.Serialize();
+        answer.answers = out.answers;
+        answer.documents = out.stats.documents;
+        store_->IngestKb(out.kb, query, epoch, query_trace);
+        QaPair pair;
+        pair.question = normalized;
+        pair.fingerprint = fingerprint_;
+        pair.epoch = epoch;
+        pair.documents = answer.documents;
+        pair.answers = answer.answers;
+        pair.kb_bytes = answer.kb_bytes;
+        store_->qa_pairs().Record(std::move(pair));
+        return answer;
+      },
+      &was_hit);
+  out.stats.query_cache_hit = was_hit;
+  out.stats.served_from_store = cached->from_store;
+  if (was_hit) {
+    out.stats.query_cache.hits = 1;
+  } else {
+    out.stats.query_cache.misses = 1;
+  }
+  if (!built) {
+    out.answers = cached->answers;
+    out.stats.documents = cached->documents;
+    Status status = out.kb.Deserialize(cached->kb_bytes);
+    QKB_CHECK(status.ok());
   }
 
   out.stats.total_s = total.ElapsedSeconds();

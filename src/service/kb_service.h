@@ -5,31 +5,40 @@
 //     (normalized question, corpus epoch, config fingerprint); a hit skips
 //     everything, including retrieval.
 //   doc tier (DocumentResultCache) — each document's canonical facts
-//     (DocumentFacts, from Canonicalizer::Extract, ~2 KB each) shared across
-//     queries; on a query-tier miss only retrieval and Canonicalizer::Merge
-//     run per request for documents already extracted. A miss runs
-//     ProcessDocument then Extract and drops the DocumentResult (~91 KB), so
-//     the tier's byte budget holds ~45x more documents than it would whole
-//     results.
+//     (DocumentFacts, from Canonicalizer::Extract, ~2 KB each) keyed by
+//     (document id, config fingerprint) and shared across queries; on a
+//     query-tier miss only retrieval and Canonicalizer::Merge run per
+//     request for documents already extracted. A miss runs ProcessDocument
+//     then Extract and drops the DocumentResult (~91 KB), so the tier's
+//     byte budget holds ~45x more documents than it would whole results.
 //   fact store (FactStore)     — canonicalized facts + QA pairs accumulated
 //     across queries, optionally persisted (Save/Load) and optionally
 //     serving repeated questions across process restarts.
 //
+// Both cache tiers are memo::ShardedLru instances (memo/sharded_lru.h): one
+// sharded, byte-budgeted, single-flight LRU over two value types.
+//
 // Corpus-epoch contract: every Answer() syncs the tiers to the current
 // epoch (SearchEngine::epoch(), else EngineConfig::corpus_epoch); a bump
-// lazily invalidates both tiers and stales the store's records.
+// lazily invalidates both tiers and stales the store's records. The doc
+// tier's keys carry no epoch, so its EvictAll is the correctness-critical
+// half of a bump; the query tier's keys do, so its EvictAll only reclaims
+// memory.
 //
 // Config-fingerprint contract: both cache tiers key on
 // EngineConfig::Fingerprint(), which covers every result-changing engine
 // field — including the parser routing policy (parser_mode +
-// parser_complexity_threshold) — so moving the quality/latency dial can
-// never serve results computed under a different policy.
+// parser_complexity_threshold) and the canonicalizer options — so moving
+// the quality/latency dial can never serve results computed under a
+// different policy. Document ids must be stable per content: a mutated
+// document must get a new id.
 //
 // Thread-safety contract: all public methods may be called concurrently from
 // any thread once the service is constructed; the engine and search index
 // are shared read-only, the caches, store and metrics are internally
-// synchronized. Lock order (qkbfly-lint C2): query-tier shard -> doc-tier
-// shard -> store shard -> metrics.
+// synchronized. Lock order (qkbfly-lint C2): memo shard -> store shard ->
+// metrics. Both tiers share the memo shard lock, which is never held while
+// a compute function runs, so the tiers never nest.
 #ifndef QKBFLY_SERVICE_KB_SERVICE_H_
 #define QKBFLY_SERVICE_KB_SERVICE_H_
 
@@ -40,10 +49,10 @@
 
 #include "canon/onthefly_kb.h"
 #include "core/qkbfly.h"
+#include "memo/sharded_lru.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "retrieval/search_engine.h"
-#include "service/document_result_cache.h"
 #include "store/fact_store.h"
 #include "store/query_cache.h"
 #include "util/cache_stats.h"
@@ -52,6 +61,18 @@
 namespace qkbfly {
 
 class ThreadPool;
+
+namespace memo {
+template <>
+struct Traits<DocumentFacts> {
+  static constexpr size_t kDefaultByteBudget = size_t{64} << 20;
+  static Instruments Bind();
+};
+}  // namespace memo
+
+/// The doc tier: each document's canonical facts, keyed by
+/// memo::JoinKey({document id, config fingerprint}).
+using DocumentResultCache = memo::ShardedLru<DocumentFacts>;
 
 /// Serving configuration.
 struct KbServiceOptions {
@@ -78,10 +99,6 @@ struct KbServiceOptions {
 
   /// Byte budget and sharding of the query-level cache tier.
   QueryKbCache::Options query_cache;
-
-  /// When false, Answer() skips the query tier entirely (every call runs
-  /// retrieval + the doc tier). The fact store still accumulates.
-  bool enable_query_cache = true;
 
   /// When true, a query-tier miss first probes the fact store's QA-pair
   /// index (exact normalized question, same epoch + fingerprint) before

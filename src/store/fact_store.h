@@ -5,11 +5,12 @@
 // queries amortize instead of rebuilding from scratch — plus the QaPairIndex
 // materializing question->answer pairs alongside the triple store.
 //
-// Concurrency follows the DocumentResultCache idiom: mutex-per-shard, keys
-// hashed to shards, counters/gauges in the process-wide metrics registry
-// (`store_facts_total`, `store_resident_bytes`). Lock order (documented in
-// DESIGN.md, enforced by qkbfly-lint C2): store shard mutexes rank below the
-// serving layer's cache tiers and above metrics.
+// Concurrency mirrors memo::ShardedLru (memo/sharded_lru.h): mutex-per-shard,
+// keys hashed to shards, counters/gauges in the process-wide metrics
+// registry (`store_facts_total`, `store_resident_bytes`). Lock order
+// (documented in DESIGN.md, enforced by qkbfly-lint C2): store shard mutexes
+// rank below the memo shard mutex of the serving layer's cache tiers and
+// above metrics.
 //
 // Persistence is a JSONL snapshot (`Save`/`Load`): one schema-validated JSON
 // object per line — a header, then facts, then QA pairs, each section in

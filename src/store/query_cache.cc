@@ -1,11 +1,6 @@
 #include "store/query_cache.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <utility>
-
-#include "util/invariants.h"
-#include "util/logging.h"
+#include "obs/metrics.h"
 
 namespace qkbfly {
 
@@ -15,205 +10,29 @@ size_t CachedAnswer::ApproxBytes() const {
   return bytes;
 }
 
-std::string QueryKbCache::Key(std::string_view normalized_query,
-                              CorpusEpoch epoch,
-                              std::string_view fingerprint) {
-  char epoch_buf[24];
-  std::snprintf(epoch_buf, sizeof(epoch_buf), "%llu",
-                static_cast<unsigned long long>(epoch));
-  std::string key;
-  key.reserve(normalized_query.size() + fingerprint.size() + 26);
-  key.append(normalized_query);
-  key.push_back('\x1f');
-  key.append(epoch_buf);
-  key.push_back('\x1f');
-  key.append(fingerprint);
-  return key;
+std::string QueryKey(std::string_view normalized_query, CorpusEpoch epoch,
+                     std::string_view fingerprint) {
+  return memo::JoinKey(
+      {normalized_query, std::to_string(epoch), fingerprint});
 }
 
-std::string QueryKbCache::CheckShardAccountingLocked(const Shard& qshard) {
-  size_t bytes = 0;
-  size_t ready = 0;
-  for (const auto& [key, entry] : qshard.map) {
-    if (!entry.ready) continue;
-    bytes += entry.bytes;
-    ++ready;
-  }
-  return CheckCacheShardAccounting(qshard.bytes, bytes, qshard.lru.size(),
-                                   ready);
-}
-
-QueryKbCache::QueryKbCache(Options options) : options_(options) {
-  int shards = std::max(1, options_.num_shards);
-  options_.num_shards = shards;
-  budget_per_shard_ = options_.byte_budget / static_cast<size_t>(shards);
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+memo::Instruments memo::Traits<CachedAnswer>::Bind() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  hits_ = registry.GetCounter("query_cache_hits_total",
-                              "QueryKbCache lookups served without answering "
-                              "(ready or joined in-flight)");
-  misses_ = registry.GetCounter("query_cache_misses_total",
-                                "QueryKbCache lookups that ran the full "
-                                "answer pipeline");
-  evictions_ = registry.GetCounter("query_cache_evictions_total",
-                                   "QueryKbCache evictions (LRU and "
-                                   "epoch-bump EvictAll)");
-  resident_bytes_ = registry.GetGauge("query_cache_resident_bytes",
-                                      "Ready CachedAnswer bytes resident");
-  resident_entries_ = registry.GetGauge(
+  Instruments m;
+  m.hits = registry.GetCounter("query_cache_hits_total",
+                               "QueryKbCache lookups served without answering "
+                               "(ready or joined in-flight)");
+  m.misses = registry.GetCounter("query_cache_misses_total",
+                                 "QueryKbCache lookups that ran the full "
+                                 "answer pipeline");
+  m.evictions = registry.GetCounter("query_cache_evictions_total",
+                                    "QueryKbCache entries evicted by the "
+                                    "byte budget");
+  m.resident_bytes = registry.GetGauge("query_cache_resident_bytes",
+                                       "Ready CachedAnswer bytes resident");
+  m.resident_entries = registry.GetGauge(
       "query_cache_resident_entries", "Ready CachedAnswer entries resident");
-  baseline_ = TotalsNow();
-}
-
-CacheStats QueryKbCache::TotalsNow() const {
-  CacheStats totals;
-  totals.hits = hits_->Value();
-  totals.misses = misses_->Value();
-  totals.evictions = evictions_->Value();
-  return totals;
-}
-
-QueryKbCache::Shard& QueryKbCache::ShardFor(const std::string& key) {
-  size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
-}
-
-void QueryKbCache::EvictOverBudgetLocked(Shard& qshard) {
-  while (qshard.bytes > budget_per_shard_ && !qshard.lru.empty()) {
-    const std::string& victim = qshard.lru.back();
-    auto it = qshard.map.find(victim);
-    QKB_CHECK(it != qshard.map.end());
-    qshard.bytes -= it->second.bytes;
-    resident_bytes_->Add(-static_cast<int64_t>(it->second.bytes));
-    resident_entries_->Add(-1);
-    qshard.map.erase(it);
-    qshard.lru.pop_back();
-    evictions_->Increment();
-  }
-}
-
-std::shared_ptr<const CachedAnswer> QueryKbCache::FetchOrCompute(
-    const std::string& key, const ComputeFn& compute, bool* was_hit) {
-  Shard& qshard = ShardFor(key);
-  std::promise<std::shared_ptr<const CachedAnswer>> promise;
-#if defined(QKBFLY_CHECK_INVARIANTS)
-  CacheStats stats_before;
-#endif
-  {
-    std::unique_lock<std::mutex> lock(qshard.mutex);
-#if defined(QKBFLY_CHECK_INVARIANTS)
-    stats_before = TotalsNow();
-#endif
-    auto it = qshard.map.find(key);
-    if (it != qshard.map.end()) {
-      // Ready entry or another thread's in-flight answer: no work runs on
-      // this thread either way, so it counts as a hit.
-      hits_->Increment();
-      if (it->second.ready) {
-        qshard.lru.splice(qshard.lru.begin(), qshard.lru, it->second.lru);
-      }
-      auto future = it->second.future;
-      lock.unlock();
-      if (was_hit != nullptr) *was_hit = true;
-      return future.get();  // blocks only while in-flight; rethrows failures
-    }
-    misses_->Increment();
-    Entry entry;
-    entry.future = promise.get_future().share();
-    qshard.map.emplace(key, std::move(entry));  // in-flight marker
-  }
-  if (was_hit != nullptr) *was_hit = false;
-
-  // Compute outside the lock; single-flight guarantees this thread is the
-  // only one answering this key. The doc-tier (and store shard) locks taken
-  // inside `compute` therefore never nest under a query-tier shard mutex.
-  std::shared_ptr<const CachedAnswer> value;
-  try {
-    value = std::make_shared<const CachedAnswer>(compute());
-  } catch (...) {
-    std::exception_ptr error = std::current_exception();
-    {
-      std::lock_guard<std::mutex> lock(qshard.mutex);
-      qshard.map.erase(key);  // never made it into the LRU
-    }
-    promise.set_exception(error);  // waiters rethrow from future.get()
-    std::rethrow_exception(error);
-  }
-  promise.set_value(value);
-
-  {
-    std::lock_guard<std::mutex> lock(qshard.mutex);
-    auto it = qshard.map.find(key);
-    // Only the computing thread transitions or erases an in-flight entry,
-    // so it is still present and not yet ready.
-    QKB_CHECK(it != qshard.map.end() && !it->second.ready);
-    it->second.ready = true;
-    it->second.bytes = it->first.size() + sizeof(Entry) + value->ApproxBytes();
-    qshard.lru.push_front(it->first);
-    it->second.lru = qshard.lru.begin();
-    qshard.bytes += it->second.bytes;
-    resident_bytes_->Add(static_cast<int64_t>(it->second.bytes));
-    resident_entries_->Add(1);
-    EvictOverBudgetLocked(qshard);
-    QKBFLY_INVARIANT(CheckShardAccountingLocked(qshard),
-                     "QueryKbCache::FetchOrCompute");
-    QKBFLY_INVARIANT(CheckCacheStatsMonotonic(stats_before, TotalsNow()),
-                     "QueryKbCache::FetchOrCompute");
-  }
-  return value;
-}
-
-void QueryKbCache::EvictAll(CorpusEpoch epoch) {
-  CorpusEpoch seen = epoch_.load(std::memory_order_acquire);
-  if (seen >= epoch) return;
-  epoch_.store(epoch, std::memory_order_release);
-  for (const auto& qshard : shards_) {
-    std::lock_guard<std::mutex> lock(qshard->mutex);
-    resident_bytes_->Add(-static_cast<int64_t>(qshard->bytes));
-    resident_entries_->Add(-static_cast<int64_t>(qshard->lru.size()));
-    evictions_->Increment(qshard->lru.size());
-    for (const std::string& key : qshard->lru) qshard->map.erase(key);
-    qshard->lru.clear();
-    qshard->bytes = 0;
-    QKBFLY_INVARIANT(CheckShardAccountingLocked(*qshard),
-                     "QueryKbCache::EvictAll");
-  }
-}
-
-CacheStats QueryKbCache::stats() const { return TotalsNow() - baseline_; }
-
-size_t QueryKbCache::ApproxBytesUsed() const {
-  size_t bytes = 0;
-  for (const auto& qshard : shards_) {
-    std::lock_guard<std::mutex> lock(qshard->mutex);
-    bytes += qshard->bytes;
-  }
-  return bytes;
-}
-
-size_t QueryKbCache::entry_count() const {
-  size_t count = 0;
-  for (const auto& qshard : shards_) {
-    std::lock_guard<std::mutex> lock(qshard->mutex);
-    count += qshard->lru.size();
-  }
-  return count;
-}
-
-void QueryKbCache::Clear() {
-  for (const auto& qshard : shards_) {
-    std::lock_guard<std::mutex> lock(qshard->mutex);
-    resident_bytes_->Add(-static_cast<int64_t>(qshard->bytes));
-    resident_entries_->Add(-static_cast<int64_t>(qshard->lru.size()));
-    for (const std::string& key : qshard->lru) qshard->map.erase(key);
-    qshard->lru.clear();
-    qshard->bytes = 0;
-    QKBFLY_INVARIANT(CheckShardAccountingLocked(*qshard),
-                     "QueryKbCache::Clear");
-  }
+  return m;
 }
 
 }  // namespace qkbfly

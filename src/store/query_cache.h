@@ -1,34 +1,23 @@
 // The query-level cache tier: whole answered queries, keyed by (normalized
 // question, corpus epoch, engine-config fingerprint). Sits above the
-// per-document DocumentResultCache — a hit here skips retrieval, per-document
+// per-document doc tier — a hit here skips retrieval, per-document
 // extraction AND canonicalization. The cached value stores the serialized KB
 // (OnTheFlyKb::Serialize bytes), so warm answers deserialize to a KB that is
 // byte-identical to the cold build (the Serialize/Deserialize round-trip
 // contract carries the identity guarantee).
 //
-// Same concurrency/accounting idiom as DocumentResultCache: mutex-per-shard,
-// single-flight misses, byte-budgeted per-shard LRU, registry instruments
-// (`query_cache_{hits,misses,evictions}_total`, resident gauges). Lock order
-// (qkbfly-lint C2): a query-tier shard mutex ranks above the doc-tier's —
-// in practice the compute function runs with no query-tier lock held, so the
-// tiers never actually nest.
+// The tier is a memo::ShardedLru<CachedAnswer> (memo/sharded_lru.h) that
+// reports through `query_cache_{hits,misses,evictions}_total` and the
+// `query_cache_resident_*` gauges.
 #ifndef QKBFLY_STORE_QUERY_CACHE_H_
 #define QKBFLY_STORE_QUERY_CACHE_H_
 
-#include <atomic>
-#include <functional>
-#include <future>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "corpus/document.h"
-#include "obs/metrics.h"
-#include "util/cache_stats.h"
+#include "memo/sharded_lru.h"
 
 namespace qkbfly {
 
@@ -42,89 +31,21 @@ struct CachedAnswer {
   size_t ApproxBytes() const;
 };
 
-/// Sharded, thread-safe, byte-budgeted LRU cache of CachedAnswers with
-/// single-flight computation (see DocumentResultCache for the idiom; this is
-/// the same machinery over a different value type and a richer key).
-class QueryKbCache {
- public:
-  struct Options {
-    size_t byte_budget = size_t{32} << 20;  ///< Total across all shards.
-    int num_shards = 8;
-  };
+/// The query tier's key: normalized query, corpus epoch, and engine
+/// fingerprint, '\x1f'-joined. Epoch in the key means a corpus bump
+/// naturally misses — EvictAll() only reclaims the dead entries' memory.
+std::string QueryKey(std::string_view normalized_query, CorpusEpoch epoch,
+                     std::string_view fingerprint);
 
-  explicit QueryKbCache(Options options);
-  QueryKbCache() : QueryKbCache(Options()) {}
-
-  /// Clears on destruction so the resident gauges drop this instance's
-  /// contribution.
-  ~QueryKbCache() { Clear(); }
-
-  using ComputeFn = std::function<CachedAnswer()>;
-
-  /// The cache key: normalized query, corpus epoch, and engine fingerprint,
-  /// '\x1f'-joined. Epoch in the key means a corpus bump naturally misses —
-  /// EvictAll() only reclaims the dead entries' memory.
-  static std::string Key(std::string_view normalized_query, CorpusEpoch epoch,
-                         std::string_view fingerprint);
-
-  /// Returns the cached answer for `key` (build it with Key()), computing
-  /// and inserting on miss with single-flight semantics. `was_hit` reports
-  /// whether this call avoided running `compute`. If `compute` throws, every
-  /// waiter rethrows and the entry is dropped.
-  std::shared_ptr<const CachedAnswer> FetchOrCompute(const std::string& key,
-                                                     const ComputeFn& compute,
-                                                     bool* was_hit = nullptr);
-
-  /// Drops every ready entry when `epoch` advances past the last one seen
-  /// (idempotent per epoch). Keys embed the epoch, so this is memory
-  /// reclamation, not a correctness requirement.
-  void EvictAll(CorpusEpoch epoch);
-
-  /// Hit/miss/eviction counters, baseline-adjusted to this instance.
-  CacheStats stats() const;
-
-  size_t ApproxBytesUsed() const;
-  size_t entry_count() const;
-  size_t byte_budget() const { return options_.byte_budget; }
-
-  /// Drops all ready entries. In-flight computations are untouched.
-  void Clear();
-
- private:
-  struct Entry {
-    std::shared_future<std::shared_ptr<const CachedAnswer>> future;
-    bool ready = false;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru;  ///< Valid only when ready.
-  };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> map;
-    std::list<std::string> lru;  ///< Ready keys, most recently used first.
-    size_t bytes = 0;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  void EvictOverBudgetLocked(Shard& qshard);
-  CacheStats TotalsNow() const;
-
-  /// Shard accounting invariant (util/invariants.h); requires qshard.mutex.
-  static std::string CheckShardAccountingLocked(const Shard& qshard);
-
-  Options options_;
-  size_t budget_per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<CorpusEpoch> epoch_{0};  ///< Last epoch EvictAll acted on.
-
-  // Registry instruments (process-wide, shared across instances).
-  obs::Counter* hits_;
-  obs::Counter* misses_;
-  obs::Counter* evictions_;
-  obs::Gauge* resident_bytes_;
-  obs::Gauge* resident_entries_;
-  CacheStats baseline_;
+namespace memo {
+template <>
+struct Traits<CachedAnswer> {
+  static constexpr size_t kDefaultByteBudget = size_t{32} << 20;
+  static Instruments Bind();
 };
+}  // namespace memo
+
+using QueryKbCache = memo::ShardedLru<CachedAnswer>;
 
 }  // namespace qkbfly
 

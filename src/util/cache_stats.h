@@ -1,7 +1,7 @@
-// Common hit/miss/eviction counters shared by every cache in the system
-// (the EntityRepository::LooseCandidates memo, the serving layer's
-// DocumentResultCache, ...), so benches and the serving CLI can report them
-// uniformly.
+// Common hit/miss/eviction counters shared by every memo in the system (each
+// memo::ShardedLru: the doc tier, the query tier and the
+// EntityRepository::LooseCandidates memo), so benches and the serving CLI
+// can report them uniformly.
 #ifndef QKBFLY_UTIL_CACHE_STATS_H_
 #define QKBFLY_UTIL_CACHE_STATS_H_
 
@@ -11,7 +11,9 @@ namespace qkbfly {
 
 /// Counters of one cache. A "hit" is any lookup satisfied without running
 /// the underlying computation (including joining an in-flight computation in
-/// single-flight caches); a "miss" is a lookup that had to compute.
+/// single-flight caches); a "miss" is a lookup that had to compute; an
+/// "eviction" is an entry the byte budget forced out (Clear() and epoch
+/// drops are not counted).
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;

@@ -28,9 +28,9 @@ namespace qkbfly {
 std::string CheckCacheStatsMonotonic(const CacheStats& before,
                                      const CacheStats& after);
 
-/// Per-shard bookkeeping of DocumentResultCache: the recorded byte total
-/// must equal the recomputed sum over ready entries, and the LRU list must
-/// hold exactly the ready entries.
+/// Per-shard bookkeeping of memo::ShardedLru: the recorded byte total must
+/// equal the recomputed sum over ready entries, and the LRU list must hold
+/// exactly the ready entries.
 std::string CheckCacheShardAccounting(size_t recorded_bytes,
                                       size_t recomputed_bytes,
                                       size_t lru_entries, size_t ready_entries);

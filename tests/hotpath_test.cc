@@ -264,6 +264,21 @@ TEST_F(LooseCandidatesTest, OrderIsDeterministic) {
   EXPECT_EQ(first, third);
 }
 
+TEST_F(LooseCandidatesTest, AddEntityInvalidatesCachedResult) {
+  // Cache a result, then add an entity sharing its "moor" token: the memo
+  // must drop the stale set and recompute it with the newcomer.
+  const std::vector<EntityId> before = repo_.LooseCandidates("Brenna Moor", 16);
+  EXPECT_EQ(before, std::vector<EntityId>{kaelen_});
+  const CacheStats cached = repo_.loose_cache_stats();
+  EXPECT_EQ(repo_.LooseCandidates("Brenna Moor", 16), before);
+  EXPECT_EQ(repo_.loose_cache_stats().hits, cached.hits + 1);
+
+  EntityId moor = repo_.AddEntity("Ansel Moor", {}, {*types_.Find("ACTOR")});
+  const std::vector<EntityId> after = repo_.LooseCandidates("Brenna Moor", 16);
+  EXPECT_EQ(repo_.loose_cache_stats().misses, cached.misses + 1);
+  EXPECT_EQ(after, (std::vector<EntityId>{kaelen_, moor}));
+}
+
 TEST_F(LooseCandidatesTest, NeverInternedTokenProposesNothing) {
   auto out = repo_.LooseCandidates("zzz-not-a-word-anywhere", 8);
   EXPECT_TRUE(out.empty());

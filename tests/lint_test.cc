@@ -325,6 +325,24 @@ TEST(RuleC2Test, FlagsDocTierAcquiredUnderStoreShard) {
   EXPECT_TRUE(Has(LintSource("src/store/a.cc", kSrc), Rule::kC2));
 }
 
+TEST(RuleC2Test, FlagsInversionInClassTemplateMember) {
+  // The memo shard locks live only in a class template's in-class members
+  // (memo::ShardedLru); the pass must still see them.
+  constexpr char kSrc[] = R"cc(
+    template <typename Value>
+    class Memo {
+     public:
+      template <typename Compute>
+      std::shared_ptr<const Value> Fetch(const Compute& compute) {
+        std::lock_guard<std::mutex> f(store_shard.mutex);
+        std::lock_guard<std::mutex> s(shard.mutex);
+        return nullptr;
+      }
+    };
+  )cc";
+  EXPECT_TRUE(Has(LintSource("src/memo/a.h", kSrc), Rule::kC2));
+}
+
 TEST(RuleC2Test, ScopeExitReleasesHeldLocks) {
   // The shard lock dies with its block, so the later metrics->shard sequence
   // in a sibling block is NOT an inversion.

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "synth/dataset.h"
@@ -107,6 +109,33 @@ TEST_F(ParallelBuildTest, LooseCandidateCacheCountsHits) {
   (void)Build(4);
   CacheStats warm = dataset_->repository->loose_cache_stats();
   EXPECT_GT(warm.hits, after.hits);
+}
+
+TEST_F(ParallelBuildTest, LooseCandidatesComputesAFreshMentionOnce) {
+  // Eight threads ask at once for a mention nobody has looked up (no graph
+  // builder uses this limit): one computes it, the rest join its in-flight
+  // entry or hit the ready one.
+  const EntityRepository& repo = *dataset_->repository;
+  const std::string mention =
+      repo.Get(0).canonical_name + " " + repo.Get(1).canonical_name;
+  constexpr size_t kLimit = 999;
+  constexpr size_t kThreads = 8;
+  const CacheStats before = repo.loose_cache_stats();
+  std::atomic<bool> go{false};
+  std::vector<std::vector<EntityId>> seen(kThreads);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      seen[t] = repo.LooseCandidates(mention, kLimit);
+    });
+  }
+  go.store(true);
+  for (std::thread& w : workers) w.join();
+  const CacheStats delta = repo.loose_cache_stats() - before;
+  EXPECT_EQ(delta.misses, 1u);
+  EXPECT_EQ(delta.hits, kThreads - 1);
+  for (const std::vector<EntityId>& ids : seen) EXPECT_EQ(ids, seen.front());
 }
 
 }  // namespace

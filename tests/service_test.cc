@@ -8,12 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "service/document_result_cache.h"
 #include "synth/dataset.h"
 
 namespace qkbfly {
@@ -91,11 +92,10 @@ DocumentFacts FakeFacts(const std::string& id) {
 }
 
 TEST_F(ServiceTest, WarmAnswerIsByteIdenticalToCold) {
-  // Doc-tier test: disable the query tier so the second Answer() exercises
-  // the per-document cache (store_test covers the query-warm path).
-  KbServiceOptions options;
-  options.enable_query_cache = false;
-  KbService service(engine_, search_, options);
+  // Doc-tier test: clear the query tier between the answers so the second
+  // Answer() exercises the per-document cache (store_test covers the
+  // query-warm path).
+  KbService service(engine_, search_);
   std::string query = dataset_->wiki_eval.front().doc.title;
 
   KbService::QueryResult cold = service.Answer(query);
@@ -104,6 +104,7 @@ TEST_F(ServiceTest, WarmAnswerIsByteIdenticalToCold) {
   EXPECT_EQ(cold.stats.cache.hits, 0u);
   EXPECT_EQ(cold.stats.cache.misses, cold.stats.documents);
 
+  service.ClearQueryTier();
   KbService::QueryResult warm = service.Answer(query);
   EXPECT_EQ(Serialize(warm.kb), Serialize(cold.kb));
   EXPECT_EQ(warm.answers, cold.answers);
@@ -237,7 +238,7 @@ TEST(DocumentResultCacheTest, SingleFlightComputesOnce) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
-      auto result = cache.FetchOrCompute("doc", "fp", [&] {
+      auto result = cache.FetchOrCompute(memo::JoinKey({"doc", "fp"}), [&] {
         ++computations;
         // Hold the in-flight window open so the other threads join it.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -260,9 +261,9 @@ TEST(DocumentResultCacheTest, DistinguishesConfigFingerprints) {
     ++computations;
     return FakeFacts("doc");
   };
-  (void)cache.FetchOrCompute("doc", "fp-a", compute);
-  (void)cache.FetchOrCompute("doc", "fp-b", compute);
-  (void)cache.FetchOrCompute("doc", "fp-a", compute);
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc", "fp-a"}), compute);
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc", "fp-b"}), compute);
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc", "fp-a"}), compute);
   EXPECT_EQ(computations, 2);
 }
 
@@ -273,7 +274,7 @@ TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
   size_t entry_bytes = 0;
   {
     DocumentResultCache probe(options);
-    (void)probe.FetchOrCompute("probe", "fp",
+    (void)probe.FetchOrCompute(memo::JoinKey({"probe", "fp"}),
                                [] { return FakeFacts("probe"); });
     entry_bytes = probe.ApproxBytesUsed();
     ASSERT_GT(entry_bytes, 0u);
@@ -282,7 +283,8 @@ TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
   DocumentResultCache cache(options);
   for (int i = 0; i < 10; ++i) {
     std::string id = "doc" + std::to_string(i);
-    (void)cache.FetchOrCompute(id, "fp", [&] { return FakeFacts(id); });
+    (void)cache.FetchOrCompute(memo::JoinKey({id, "fp"}),
+                               [&] { return FakeFacts(id); });
   }
   CacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -291,25 +293,61 @@ TEST(DocumentResultCacheTest, EvictsLruUnderByteBudget) {
 
   // The most recent key survived; the oldest was evicted and recomputes.
   bool hit = false;
-  (void)cache.FetchOrCompute("doc9", "fp", [] { return FakeFacts("doc9"); },
-                             &hit);
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc9", "fp"}),
+                             [] { return FakeFacts("doc9"); }, &hit);
   EXPECT_TRUE(hit);
-  (void)cache.FetchOrCompute("doc0", "fp", [] { return FakeFacts("doc0"); },
-                             &hit);
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc0", "fp"}),
+                             [] { return FakeFacts("doc0"); }, &hit);
   EXPECT_FALSE(hit);
 }
 
 TEST(DocumentResultCacheTest, ClearDropsResidentEntries) {
   DocumentResultCache cache;
-  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeFacts("doc"); });
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc", "fp"}),
+                             [] { return FakeFacts("doc"); });
   ASSERT_EQ(cache.entry_count(), 1u);
   cache.Clear();
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.ApproxBytesUsed(), 0u);
   bool hit = true;
-  (void)cache.FetchOrCompute("doc", "fp", [] { return FakeFacts("doc"); },
-                             &hit);
+  (void)cache.FetchOrCompute(memo::JoinKey({"doc", "fp"}),
+                             [] { return FakeFacts("doc"); }, &hit);
   EXPECT_FALSE(hit);
+}
+
+TEST(DocumentResultCacheTest, ComputeMayReenterTheMemo) {
+  // Every memo shares one shard-lock class, and none is held while
+  // `compute` runs: a compute may call back into the same one-shard cache
+  // and into another instance. A held lock would deadlock here, so a
+  // watchdog turns a hang into a failure.
+  DocumentResultCache::Options options;
+  options.num_shards = 1;
+  DocumentResultCache cache(options);
+  DocumentResultCache other(options);
+  std::future<std::string> outer = std::async(std::launch::async, [&] {
+    return cache
+        .FetchOrCompute(memo::JoinKey({"outer", "fp"}),
+                        [&] {
+                          auto inner = cache.FetchOrCompute(
+                              memo::JoinKey({"inner", "fp"}),
+                              [] { return FakeFacts("inner"); });
+                          auto peer = other.FetchOrCompute(
+                              memo::JoinKey({"outer", "fp"}),
+                              [] { return FakeFacts("peer"); });
+                          EXPECT_EQ(inner->facts.front().doc_id, "inner");
+                          EXPECT_EQ(peer->facts.front().doc_id, "peer");
+                          return FakeFacts("outer");
+                        })
+        ->facts.front()
+        .doc_id;
+  });
+  if (outer.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "a compute re-entering the memo deadlocked";
+    std::_Exit(1);
+  }
+  EXPECT_EQ(outer.get(), "outer");
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(other.entry_count(), 1u);
 }
 
 TEST_F(ServiceTest, DocumentFactsApproxBytesGrowsWithContent) {

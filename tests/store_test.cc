@@ -367,7 +367,7 @@ CachedAnswer FakeAnswer(const std::string& tag) {
 
 TEST(QueryKbCacheTest, SingleFlightComputesOnce) {
   QueryKbCache cache;
-  std::string key = QueryKbCache::Key("who married ann", 1, "fp");
+  std::string key = QueryKey("who married ann", 1, "fp");
   std::atomic<int> computations{0};
   constexpr int kThreads = 8;
   std::vector<std::thread> workers;
@@ -395,16 +395,16 @@ TEST(QueryKbCacheTest, KeySeparatesEpochAndFingerprint) {
     ++computations;
     return FakeAnswer("q");
   };
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp"), compute);
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 2, "fp"), compute);
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp2"), compute);
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp"), compute);
+  (void)cache.FetchOrCompute(QueryKey("q", 1, "fp"), compute);
+  (void)cache.FetchOrCompute(QueryKey("q", 2, "fp"), compute);
+  (void)cache.FetchOrCompute(QueryKey("q", 1, "fp2"), compute);
+  (void)cache.FetchOrCompute(QueryKey("q", 1, "fp"), compute);
   EXPECT_EQ(computations, 3);
 }
 
 TEST(QueryKbCacheTest, EvictAllIsIdempotentPerEpoch) {
   QueryKbCache cache;
-  (void)cache.FetchOrCompute(QueryKbCache::Key("q", 1, "fp"),
+  (void)cache.FetchOrCompute(QueryKey("q", 1, "fp"),
                              [] { return FakeAnswer("q"); });
   ASSERT_EQ(cache.entry_count(), 1u);
   cache.EvictAll(1);  // construction epoch is 0, so 1 advances and clears

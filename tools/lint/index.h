@@ -110,8 +110,8 @@ std::string ModuleOf(std::string_view path);
 /// the name maps. Lock nodes are named "Owner::member" where Owner is the
 /// class of the enclosing method (or the file's module for free functions)
 /// and member is the last component of the receiver expression, so
-/// "shard.mutex" inside DocumentResultCache::FetchOrCompute and
-/// "s->mutex" inside DocumentResultCache::Clear fold to the same node.
+/// "shard.mutex" inside ShardedLru::FetchOrCompute and "shard->mutex"
+/// inside ShardedLru::Clear fold to the same node.
 class ProjectIndexBuilder {
  public:
   void AddFile(std::string path, std::string_view source);

@@ -491,8 +491,12 @@ void CheckC1(const Context& ctx) {
 /// Documented lock order (outer acquired before inner):
 ///   rank 1  ThreadPool queue mutex        (name contains "pool" or lives in
 ///                                          util/thread_pool)
-///   rank 2  QueryKbCache shard            (name contains "qshard" or "query")
-///   rank 3  DocumentResultCache shard     (name contains "shard")
+///   rank 2  query-level lock              (name contains "qshard" or "query";
+///                                          none since the query tier became
+///                                          a memo::ShardedLru)
+///   rank 3  memo::ShardedLru shard        (name contains "shard": the doc
+///                                          tier, the query tier and the
+///                                          LooseCandidates memo)
 ///   rank 4  FactStore shard               (name contains "store")
 ///   rank 5  service metrics               (name contains "metrics")
 /// Acquiring a lower rank while holding a higher one inverts the order.

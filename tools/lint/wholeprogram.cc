@@ -29,7 +29,7 @@ void Report(const ProjectIndex& index, Rule rule, const std::string& file,
 
 /// Mirrors the documented C2 ranks (see lint/rules.cc LockRank), applied to
 /// "node@expr@file" lowercased so class names and paths participate:
-///   1 ThreadPool  2 query tier  3 doc-result tier  4 store shards
+///   1 ThreadPool  2 query-level  3 memo shards  4 store shards
 ///   5 metrics/observability.
 int DocumentedRank(const std::string& node, const std::string& expr,
                    const std::string& file) {
