@@ -133,7 +133,8 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
       case InferenceMode::kJoint:
       case InferenceMode::kNounOnly: {
         GreedyDensifier densifier(stats_, repository_, config_.params);
-        result.densified = densifier.Densify(&result.graph, result.annotated);
+        result.densified = densifier.Densify(&result.graph, result.annotated,
+                                             span.context());
         break;
       }
       case InferenceMode::kPipeline: {

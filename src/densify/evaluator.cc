@@ -1,6 +1,8 @@
 #include "densify/evaluator.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -53,56 +55,113 @@ NodeId EntityNodeAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
 
 }  // namespace
 
+namespace {
+
+// Mention data the means lane reads: lowercased text, exact-alias
+// candidates and whether the node has a sentence context.
+void BuildMentionData(const SemanticGraph& graph, const AnnotatedDocument& doc,
+                      const EntityRepository& repository,
+                      DensifyWorkspace* ws) {
+  const size_t n = graph.node_count();
+  if (ws->lowered.size() < n) ws->lowered.resize(n);  // strings never shrink
+  ws->exact.assign(n, nullptr);
+  ws->has_context.assign(n, 0);
+  const size_t sentences = doc.sentences.size();
+  if (ws->sentence_contexts.size() < sentences) {
+    ws->sentence_contexts.resize(sentences);
+  }
+  ws->sentence_built.assign(sentences, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const GraphNode& node = graph.node(static_cast<NodeId>(i));
+    if (node.kind == NodeKind::kEntity) continue;
+    LowercaseInto(node.text, &ws->lowered[i]);
+    ws->exact[i] = &repository.CandidatesForAliasLowered(ws->lowered[i]);
+    if ((node.kind == NodeKind::kNounPhrase ||
+         node.kind == NodeKind::kPronoun) &&
+        node.sentence >= 0 &&
+        node.sentence < static_cast<int>(sentences)) {
+      ws->has_context[i] = 1;
+    }
+  }
+}
+
+}  // namespace
+
+void BuildMeansLane(SemanticGraph* graph, const AnnotatedDocument& doc,
+                    const BackgroundStats& stats,
+                    const EntityRepository& repository,
+                    const DensifyParams& params, DensifyWorkspace* ws) {
+  // Hand-built test graphs arrive unfinalized; every adjacency query runs
+  // off the CSR index.
+  graph->Finalize();
+  ws->means_edges.clear();
+  ws->relation_edges.clear();
+  const size_t edges = graph->edge_count();
+  for (size_t e = 0; e < edges; ++e) {
+    switch (graph->edge(static_cast<EdgeId>(e)).kind) {
+      case EdgeKind::kMeans:
+        ws->means_edges.push_back(static_cast<EdgeId>(e));
+        break;
+      case EdgeKind::kRelation:
+        ws->relation_edges.push_back(static_cast<EdgeId>(e));
+        break;
+      default:
+        break;
+    }
+  }
+  BuildMentionData(*graph, doc, repository, ws);
+
+  // w(n_i, e_ij) = a1 * prior + a2 * sim, dampened 0.3x for loose
+  // (partial-name) candidates — the exact MeansWeight formula, one value per
+  // means edge. Mention contexts are shared per sentence (they are a pure
+  // function of the sentence tokens).
+  ws->mw_lane.assign(edges, 0.0);
+  for (EdgeId m : ws->means_edges) {
+    const GraphEdge& edge = graph->edge(m);
+    const size_t np = static_cast<size_t>(edge.a);
+    const EntityId entity = graph->node(edge.b).entity;
+    double prior = stats.PriorLowered(ws->lowered[np], entity);
+    double sim = 0.0;
+    if (ws->has_context[np]) {
+      const size_t s = static_cast<size_t>(graph->node(edge.a).sentence);
+      if (!ws->sentence_built[s]) {
+        stats.MentionContextInto(doc.sentences[s].tokens, &ws->scratch,
+                                 &ws->sentence_contexts[s]);
+        ws->sentence_built[s] = 1;
+      }
+      sim = WeightedOverlap(ws->sentence_contexts[s],
+                            stats.EntityContext(entity));
+    }
+    double weight = params.alpha1 * prior + params.alpha2 * sim;
+    const std::vector<EntityId>* exact = ws->exact[np];
+    const bool is_exact =
+        exact != nullptr &&
+        std::find(exact->begin(), exact->end(), entity) != exact->end();
+    ws->mw_lane[static_cast<size_t>(m)] = is_exact ? weight : 0.3 * weight;
+  }
+}
+
 DensifyEvaluator::DensifyEvaluator(SemanticGraph* graph,
                                    const AnnotatedDocument& doc,
                                    const BackgroundStats* stats,
                                    const EntityRepository* repository,
                                    const DensifyParams& params,
                                    DensifyWorkspace* workspace)
-    : graph_(graph), doc_(&doc), repository_(repository), stats_(stats),
+    : graph_(graph), repository_(repository), stats_(stats),
       params_(params), ws_(workspace) {
   if (ws_ == nullptr) {
     owned_ = std::make_unique<DensifyWorkspace>();
     ws_ = owned_.get();
   }
-  // Hand-built test graphs arrive unfinalized; every adjacency query below
-  // runs off the CSR index.
-  graph_->Finalize();
-  BuildEdgeLists();
-  BuildNodeData(doc);
+  BuildMeansLane(graph_, doc, *stats_, *repository_, params_, ws_);
+  BuildTypes();
   BuildUniverses();
-  BuildLanes();
+  BuildRelationLanes();
 }
 
-void DensifyEvaluator::BuildEdgeLists() {
-  ws_->means_edges.clear();
-  ws_->relation_edges.clear();
-  const size_t edges = graph_->edge_count();
-  for (size_t e = 0; e < edges; ++e) {
-    switch (graph_->edge(static_cast<EdgeId>(e)).kind) {
-      case EdgeKind::kMeans:
-        ws_->means_edges.push_back(static_cast<EdgeId>(e));
-        break;
-      case EdgeKind::kRelation:
-        ws_->relation_edges.push_back(static_cast<EdgeId>(e));
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-void DensifyEvaluator::BuildNodeData(const AnnotatedDocument& doc) {
+void DensifyEvaluator::BuildTypes() {
   DensifyWorkspace& ws = *ws_;
   const size_t n = graph_->node_count();
-  if (ws.lowered.size() < n) ws.lowered.resize(n);  // strings never shrink
-  ws.exact.assign(n, nullptr);
-  ws.has_context.assign(n, 0);
-  const size_t sentences = doc.sentences.size();
-  if (ws.sentence_contexts.size() < sentences) {
-    ws.sentence_contexts.resize(sentences);
-  }
-  ws.sentence_built.assign(sentences, 0);
   ws.types_of_node.assign(n, DensifyWorkspace::TypeRef{});
   ws.type_pool.clear();
   ws.literal_type.assign(n, 0);
@@ -123,14 +182,6 @@ void DensifyEvaluator::BuildNodeData(const AnnotatedDocument& doc) {
       ws.types_of_node[i] = {off,
                              static_cast<uint32_t>(ws.type_pool.size()) - off};
       continue;
-    }
-    LowercaseInto(node.text, &ws.lowered[i]);
-    ws.exact[i] = &repository_->CandidatesForAliasLowered(ws.lowered[i]);
-    if ((node.kind == NodeKind::kNounPhrase ||
-         node.kind == NodeKind::kPronoun) &&
-        node.sentence >= 0 &&
-        node.sentence < static_cast<int>(sentences)) {
-      ws.has_context[i] = 1;
     }
     // Literal / coarse-NER type of the node (at most one): out-of-repository
     // names still carry their coarse NER type, which lets type signatures
@@ -223,6 +274,29 @@ void DensifyEvaluator::BuildUniverses() {
       ws.pro_univ_off[i] = ws.pro_univ_off[i - 1];
     }
   }
+
+  // Pronoun links per noun phrase: a counting sort of the pronoun-NP sameAs
+  // edges by their noun phrase.
+  auto for_each_link = [&](auto&& f) {
+    for (NodeId p : graph_->NodesOfKind(NodeKind::kPronoun)) {
+      for (EdgeId se : graph_->IncidentEdges(p)) {
+        const GraphEdge& s = graph_->edge(se);
+        if (s.kind != EdgeKind::kSameAs) continue;
+        const NodeId np = s.a == p ? s.b : s.a;
+        if (graph_->node(np).kind == NodeKind::kNounPhrase) f(np, se, p);
+      }
+    }
+  };
+  ws.np_links_off.assign(n + 1, 0);
+  for_each_link([&ws](NodeId np, EdgeId, NodeId) {
+    ++ws.np_links_off[static_cast<size_t>(np) + 1];
+  });
+  for (size_t i = 0; i < n; ++i) ws.np_links_off[i + 1] += ws.np_links_off[i];
+  ws.cursor.assign(ws.np_links_off.begin(), ws.np_links_off.end() - 1);
+  ws.np_links.resize(ws.np_links_off[n]);
+  for_each_link([&ws](NodeId np, EdgeId se, NodeId p) {
+    ws.np_links[ws.cursor[static_cast<size_t>(np)]++] = {se, p};
+  });
 }
 
 uint32_t DensifyEvaluator::PatternIdOf(const std::string& pattern) {
@@ -251,51 +325,34 @@ double DensifyEvaluator::TsPairValue(
   return value;
 }
 
-void DensifyEvaluator::BuildLanes() {
+void DensifyEvaluator::BuildRelationLanes() {
   DensifyWorkspace& ws = *ws_;
-  const AnnotatedDocument& doc = *doc_;
   const size_t edges = graph_->edge_count();
-
-  // Means lane: w(n_i, e_ij) = a1 * prior + a2 * sim, dampened 0.3x for
-  // loose (partial-name) candidates — the exact MeansWeight formula, one
-  // value per means edge. Mention contexts are shared per sentence (they
-  // are a pure function of the sentence tokens).
-  ws.mw_lane.assign(edges, 0.0);
-  for (EdgeId m : ws.means_edges) {
-    const GraphEdge& edge = graph_->edge(m);
-    const NodeId np = edge.a;
-    const EntityId entity = graph_->node(edge.b).entity;
-    double prior = stats_->PriorLowered(ws.lowered[static_cast<size_t>(np)],
-                                        entity);
-    double sim = 0.0;
-    if (ws.has_context[static_cast<size_t>(np)]) {
-      const size_t s = static_cast<size_t>(graph_->node(np).sentence);
-      if (!ws.sentence_built[s]) {
-        stats_->MentionContextInto(doc.sentences[s].tokens, &ws.scratch,
-                                   &ws.sentence_contexts[s]);
-        ws.sentence_built[s] = 1;
-      }
-      sim = WeightedOverlap(ws.sentence_contexts[s],
-                            stats_->EntityContext(entity));
-    }
-    double weight = params_.alpha1 * prior + params_.alpha2 * sim;
-    const std::vector<EntityId>* exact = ws.exact[static_cast<size_t>(np)];
-    const bool is_exact =
-        exact != nullptr &&
-        std::find(exact->begin(), exact->end(), entity) != exact->end();
-    ws.mw_lane[static_cast<size_t>(m)] = is_exact ? weight : 0.3 * weight;
-  }
 
   // Relation lanes: per edge, dense per-pair term matrices with the
   // looseness factors folded in, so the greedy loop's re-evaluations are
-  // pure gathers. Each entry is one summand of the relation weight:
-  // factor_a * factor_b * memoized pure value.
+  // pure gathers. Each entry is one summand of the relation weight,
+  // factor_a * factor_b * memoized pure value, in fixed point.
   ws.rel_lanes.clear();
   ws.lane_of_edge.assign(edges, -1);
   ws.coh_pool.clear();
   ws.ts_pool.clear();
   ws.patterns.clear();
   ws.coherence_cache.Reset(2 * edges + 16);
+  // Sum over lanes of (largest entry x cells): it bounds every lane sum, the
+  // objective and every contribution delta (a lane counts at most twice).
+  int64_t sum_bound = 0;
+  auto add_bound = [&sum_bound](int64_t max_entry, size_t cells) {
+    int64_t lane_bound = 0;
+    QKB_CHECK(!__builtin_mul_overflow(max_entry, static_cast<int64_t>(cells),
+                                      &lane_bound) &&
+              !__builtin_add_overflow(sum_bound, lane_bound, &sum_bound) &&
+              sum_bound <= INT64_MAX / 2)
+        << "fixed-point lane sums could overflow int64_t";
+  };
+  auto to_fixed = [](double v) {
+    return static_cast<int64_t>(std::llround(v * DensifyWorkspace::kLaneOne));
+  };
 
   for (EdgeId r : ws.relation_edges) {
     const GraphEdge& e = graph_->edge(r);
@@ -307,6 +364,8 @@ void DensifyEvaluator::BuildLanes() {
     const SideRef sb = SideOf(*graph_, ws, e.b);
     lane.ua_len = sa.len;
     lane.ub_len = sb.len;
+    lane.act_a = ActiveOffset(e.a);
+    lane.act_b = ActiveOffset(e.b);
     lane.lit_a = ws.has_literal_type[static_cast<size_t>(e.a)] != 0;
     lane.lit_b = ws.has_literal_type[static_cast<size_t>(e.b)] != 0;
 
@@ -337,6 +396,7 @@ void DensifyEvaluator::BuildLanes() {
 
     // Coherence matrix: |Ua| x |Ub|.
     lane.coh_off = static_cast<uint32_t>(ws.coh_pool.size());
+    int64_t max_coh = 0;
     for (uint32_t i = 0; i < sa.len; ++i) {
       const EntityId ea = EntityAt(ws, sa, i);
       for (uint32_t j = 0; j < sb.len; ++j) {
@@ -349,15 +409,19 @@ void DensifyEvaluator::BuildLanes() {
           coh = stats_->Coherence(ea, eb);
           ws.coherence_cache.Insert(key, coh);
         }
-        ws.coh_pool.push_back(ws.factor_a[i] * ws.factor_b[j] * coh);
+        const int64_t entry = to_fixed(ws.factor_a[i] * ws.factor_b[j] * coh);
+        max_coh = std::max(max_coh, entry);
+        ws.coh_pool.push_back(entry);
       }
     }
+    add_bound(max_coh, static_cast<size_t>(sa.len) * sb.len);
 
     // Type-signature matrix: (|Ua|+1) x (|Ub|+1); the last row/column is the
     // literal fallback, selected at evaluation time when a side's active set
     // is empty. Slots for absent literal types are zero-filled placeholders
     // that are never read.
     lane.ts_off = static_cast<uint32_t>(ws.ts_pool.size());
+    int64_t max_ts = 0;
     for (uint32_t i = 0; i <= sa.len; ++i) {
       const bool row_lit = (i == sa.len);
       uint64_t ka = 0;
@@ -383,7 +447,7 @@ void DensifyEvaluator::BuildLanes() {
       for (uint32_t j = 0; j <= sb.len; ++j) {
         const bool col_lit = (j == sb.len);
         if (!row_valid || (col_lit && !lane.lit_b)) {
-          ws.ts_pool.push_back(0.0);
+          ws.ts_pool.push_back(0);
           continue;
         }
         uint64_t kb;
@@ -402,19 +466,43 @@ void DensifyEvaluator::BuildLanes() {
           tfb = ws.factor_b[j];
         }
         const double value = TsPairValue(table, pid, ka, kb, ta, tb);
-        ws.ts_pool.push_back(tfa * tfb * value);
+        const int64_t entry = to_fixed(tfa * tfb * value);
+        max_ts = std::max(max_ts, entry);
+        ws.ts_pool.push_back(entry);
       }
     }
+    add_bound(max_ts, (static_cast<size_t>(sa.len) + 1) * (sb.len + 1));
 
     ws.lane_of_edge[static_cast<size_t>(r)] =
         static_cast<int32_t>(ws.rel_lanes.size());
     ws.rel_lanes.push_back(lane);
   }
 
-  ws.lane_weight.assign(ws.rel_lanes.size(), 0.0);
-  ws.lane_epoch.assign(ws.rel_lanes.size(), 0);
-  ws.lane_cache_epoch = 1;
-  ws.synced_mutations = graph_->mutation_count();
+  // Lanes by endpoint (a self-loop lane is listed twice), for the lane
+  // walks of Contribution.
+  const size_t n = graph_->node_count();
+  ws.node_lanes_off.assign(n + 1, 0);
+  for (const DensifyWorkspace::RelationLane& lane : ws.rel_lanes) {
+    ++ws.node_lanes_off[static_cast<size_t>(lane.a) + 1];
+    ++ws.node_lanes_off[static_cast<size_t>(lane.b) + 1];
+  }
+  for (size_t i = 0; i < n; ++i) ws.node_lanes_off[i + 1] += ws.node_lanes_off[i];
+  ws.cursor.assign(ws.node_lanes_off.begin(), ws.node_lanes_off.end() - 1);
+  ws.node_lanes.resize(2 * ws.rel_lanes.size());
+  for (size_t li = 0; li < ws.rel_lanes.size(); ++li) {
+    const DensifyWorkspace::RelationLane& lane = ws.rel_lanes[li];
+    ws.node_lanes[ws.cursor[static_cast<size_t>(lane.a)]++] =
+        static_cast<uint32_t>(li);
+    ws.node_lanes[ws.cursor[static_cast<size_t>(lane.b)]++] =
+        static_cast<uint32_t>(li);
+  }
+
+  ws.active.resize(ws.np_univ.size() + ws.pro_univ.size());
+  ws.active_len.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    RefreshActiveList(static_cast<NodeId>(i));
+  }
+  ws.active_mutations = graph_->mutation_count();
 }
 
 std::vector<EntityId> DensifyEvaluator::EntOfNp(NodeId np) const {
@@ -460,12 +548,20 @@ bool DensifyEvaluator::GenderConflict(const GraphNode& pronoun, EntityId e) cons
   return g != pronoun.gender;
 }
 
-void DensifyEvaluator::CollectActiveSide(NodeId n,
-                                         std::vector<uint32_t>* out) const {
-  out->clear();
-  const DensifyWorkspace& ws = *ws_;
+uint32_t DensifyEvaluator::ActiveOffset(NodeId n) const {
+  const size_t id = static_cast<size_t>(n);
+  if (graph_->node(n).kind == NodeKind::kPronoun) {
+    return static_cast<uint32_t>(ws_->np_univ.size()) + ws_->pro_univ_off[id];
+  }
+  return ws_->np_univ_off[id];
+}
+
+void DensifyEvaluator::RefreshActiveList(NodeId n) const {
+  DensifyWorkspace& ws = *ws_;
   const GraphNode& node = graph_->node(n);
   const size_t id = static_cast<size_t>(n);
+  uint32_t* out = ws.active.data() + ActiveOffset(n);
+  uint32_t len = 0;
   if (node.kind == NodeKind::kPronoun) {
     const uint32_t begin = ws.pro_univ_off[id];
     const uint32_t end = ws.pro_univ_off[id + 1];
@@ -475,7 +571,7 @@ void DensifyEvaluator::CollectActiveSide(NodeId n,
         const DensifyWorkspace::SupportPair& pair = ws.pro_pairs[k];
         if (graph_->edge(pair.same_as).active &&
             graph_->edge(pair.means).active) {
-          out->push_back(i - begin);
+          out[len++] = i - begin;
           break;
         }
       }
@@ -484,53 +580,66 @@ void DensifyEvaluator::CollectActiveSide(NodeId n,
     const uint32_t begin = ws.np_univ_off[id];
     const uint32_t end = ws.np_univ_off[id + 1];
     for (uint32_t i = begin; i < end; ++i) {
-      if (graph_->edge(ws.np_univ[i].edge).active) out->push_back(i - begin);
+      if (graph_->edge(ws.np_univ[i].edge).active) out[len++] = i - begin;
     }
   }
+  ws.active_len[id] = len;
 }
 
-double DensifyEvaluator::LaneWeight(
-    const DensifyWorkspace::RelationLane& lane) const {
-  DensifyWorkspace& ws = *ws_;
-  CollectActiveSide(lane.a, &ws.act_a);
-  CollectActiveSide(lane.b, &ws.act_b);
-
-  double coherence = 0.0;
-  {
-    const double* coh = ws.coh_pool.data() + lane.coh_off;
-    for (uint32_t i : ws.act_a) {
-      const double* row = coh + static_cast<size_t>(i) * lane.ub_len;
-      for (uint32_t j : ws.act_b) coherence += row[j];
-    }
+void DensifyEvaluator::SyncActiveLists() const {
+  if (ws_->active_mutations == graph_->mutation_count()) return;
+  for (size_t i = 0; i < graph_->node_count(); ++i) {
+    RefreshActiveList(static_cast<NodeId>(i));
   }
+  ws_->active_mutations = graph_->mutation_count();
+}
 
+void DensifyEvaluator::SetActive(EdgeId e, bool active) {
+  SyncActiveLists();
+  // A means edge changes the same mentions whether it goes off or on.
+  ChangedMentionsInto(e, &ws_->sources);
+  graph_->SetEdgeActive(e, active);
+  for (NodeId s : ws_->sources) RefreshActiveList(s);
+  ws_->active_mutations = graph_->mutation_count();
+}
+
+void DensifyEvaluator::Deactivate(EdgeId e) { SetActive(e, false); }
+
+namespace {
+
+// Sum of m[i * stride + j] over i in rows, j in cols.
+int64_t BlockSum(const int64_t* m, size_t stride, Span<uint32_t> rows,
+                 Span<uint32_t> cols) {
+  int64_t sum = 0;
+  if (cols.empty()) return sum;
+  for (uint32_t i : rows) {
+    const int64_t* row = m + static_cast<size_t>(i) * stride;
+    for (uint32_t j : cols) sum += row[j];
+  }
+  return sum;
+}
+
+// Rows (columns) a type-signature gather reads for one side: its active
+// list, or the literal slot when the list is empty and the side has a
+// literal type.
+Span<uint32_t> TsSide(Span<uint32_t> list, bool literal,
+                      const uint32_t* literal_slot) {
+  if (list.empty() && literal) return {literal_slot, 1};
+  return list;
+}
+
+}  // namespace
+
+void DensifyEvaluator::LaneSums(const DensifyWorkspace::RelationLane& lane,
+                                Span<uint32_t> rows, Span<uint32_t> cols,
+                                int64_t* coh, int64_t* ts) const {
+  *coh = BlockSum(ws_->coh_pool.data() + lane.coh_off, lane.ub_len, rows, cols);
   // Empty active sides fall back to the literal row/column; an empty side
   // without literal types contributes no rows/columns at all.
-  double ts_score = 0.0;
-  {
-    const uint32_t lit_row = lane.ua_len;
-    const uint32_t lit_col = lane.ub_len;
-    const uint32_t* rows = ws.act_a.data();
-    size_t nrows = ws.act_a.size();
-    if (nrows == 0 && lane.lit_a) {
-      rows = &lit_row;
-      nrows = 1;
-    }
-    const uint32_t* cols = ws.act_b.data();
-    size_t ncols = ws.act_b.size();
-    if (ncols == 0 && lane.lit_b) {
-      cols = &lit_col;
-      ncols = 1;
-    }
-    const double* ts = ws.ts_pool.data() + lane.ts_off;
-    const size_t stride = static_cast<size_t>(lane.ub_len) + 1;
-    for (size_t i = 0; i < nrows; ++i) {
-      const double* row = ts + static_cast<size_t>(rows[i]) * stride;
-      for (size_t j = 0; j < ncols; ++j) ts_score += row[cols[j]];
-    }
-  }
-
-  return params_.alpha3 * coherence + params_.alpha4 * ts_score;
+  *ts = BlockSum(ws_->ts_pool.data() + lane.ts_off,
+                 static_cast<size_t>(lane.ub_len) + 1,
+                 TsSide(rows, lane.lit_a, &lane.ua_len),
+                 TsSide(cols, lane.lit_b, &lane.ub_len));
 }
 
 double DensifyEvaluator::PairWeight(EdgeId relation, EntityId a,
@@ -559,17 +668,17 @@ double DensifyEvaluator::PairWeight(EdgeId relation, EntityId a,
   const bool row = slot_of(lane.a, a, lane.lit_a, &i);
   const bool col = slot_of(lane.b, b, lane.lit_b, &j);
 
-  double coherence = 0.0;
-  double ts_score = 0.0;
+  int64_t coherence = 0;
+  int64_t ts_score = 0;
   if (row && col) {
     if (i < lane.ua_len && j < lane.ub_len) {
-      coherence += ws_->coh_pool[lane.coh_off +
-                                 static_cast<size_t>(i) * lane.ub_len + j];
+      coherence = ws_->coh_pool[lane.coh_off +
+                                static_cast<size_t>(i) * lane.ub_len + j];
     }
-    ts_score += ws_->ts_pool[lane.ts_off +
-                             static_cast<size_t>(i) * (lane.ub_len + 1) + j];
+    ts_score = ws_->ts_pool[lane.ts_off +
+                            static_cast<size_t>(i) * (lane.ub_len + 1) + j];
   }
-  return params_.alpha3 * coherence + params_.alpha4 * ts_score;
+  return LaneWeightOf(coherence, ts_score);
 }
 
 size_t DensifyEvaluator::LaneOf(EdgeId relation) const {
@@ -578,70 +687,130 @@ size_t DensifyEvaluator::LaneOf(EdgeId relation) const {
   return static_cast<size_t>(lane);
 }
 
-void DensifyEvaluator::SyncLaneCache() const {
-  DensifyWorkspace& ws = *ws_;
-  if (ws.synced_mutations == graph_->mutation_count()) return;
-  ++ws.lane_cache_epoch;
-  ws.synced_mutations = graph_->mutation_count();
-}
-
-double DensifyEvaluator::CommittedLaneWeight(size_t li) const {
-  DensifyWorkspace& ws = *ws_;
-  if (ws.lane_epoch[li] != ws.lane_cache_epoch) {
-    ws.lane_weight[li] = LaneWeight(ws.rel_lanes[li]);
-    ws.lane_epoch[li] = ws.lane_cache_epoch;
-  }
-  return ws.lane_weight[li];
-}
-
 double DensifyEvaluator::RelationEdgeWeight(EdgeId e) const {
-  SyncLaneCache();
-  return CommittedLaneWeight(LaneOf(e));
+  SyncActiveLists();
+  const DensifyWorkspace::RelationLane& lane = ws_->rel_lanes[LaneOf(e)];
+  int64_t coh = 0;
+  int64_t ts = 0;
+  LaneSums(lane, ActiveList(lane.act_a, lane.a), ActiveList(lane.act_b, lane.b),
+           &coh, &ts);
+  return LaneWeightOf(coh, ts);
 }
 
 double DensifyEvaluator::Objective() const {
-  SyncLaneCache();
+  SyncActiveLists();
   double total = 0.0;
   for (EdgeId e : ws_->means_edges) {
     if (!graph_->edge(e).active) continue;
     total += ws_->mw_lane[static_cast<size_t>(e)];
   }
-  for (size_t li = 0; li < ws_->rel_lanes.size(); ++li) {
-    total += CommittedLaneWeight(li);
+  int64_t coh = 0;
+  int64_t ts = 0;
+  for (const DensifyWorkspace::RelationLane& lane : ws_->rel_lanes) {
+    int64_t lane_coh = 0;
+    int64_t lane_ts = 0;
+    LaneSums(lane, ActiveList(lane.act_a, lane.a),
+             ActiveList(lane.act_b, lane.b), &lane_coh, &lane_ts);
+    coh += lane_coh;
+    ts += lane_ts;
   }
-  return total;
+  return total + LaneWeightOf(coh, ts);
 }
 
 double DensifyEvaluator::Contribution(EdgeId e) const {
   DensifyWorkspace& ws = *ws_;
   const GraphEdge& edge = graph_->edge(e);
   QKB_CHECK(edge.active);
-  SyncLaneCache();
-  AffectedRelationEdgesInto(e, &ws.affected);
-  // Both sums run over the same sorted list, so the cached "before" adds up
-  // exactly the doubles a fresh gather would.
-  double before = 0.0;
-  for (EdgeId r : ws.affected) before += CommittedLaneWeight(LaneOf(r));
-  double self = 0.0;
-  if (edge.kind == EdgeKind::kMeans) {
-    self = ws.mw_lane[static_cast<size_t>(e)];
-  }
-  graph_->SetEdgeActive(e, false);
-  double after = 0.0;
-  for (EdgeId r : ws.affected) after += LaneWeight(ws.rel_lanes[LaneOf(r)]);
-  graph_->SetEdgeActive(e, true);
-  // The off/on toggle restored every flag the cache was computed under.
-  ws.synced_mutations = graph_->mutation_count();
-  return self + (before - after);
-}
+  SyncActiveLists();
 
-void DensifyEvaluator::Deactivate(EdgeId e) {
-  DensifyWorkspace& ws = *ws_;
-  SyncLaneCache();
-  AffectedRelationEdgesInto(e, &ws.affected);
-  for (EdgeId r : ws.affected) ws.lane_epoch[LaneOf(r)] = 0;
-  graph_->SetEdgeActive(e, false);
-  ws.synced_mutations = graph_->mutation_count();
+  // Each changed mention's list with `e` off, split into the indices that
+  // stay (A') and those that drop out (A \ A'); A' is a subset of A. The
+  // noun phrase of a means edge loses exactly the slot of `e`; a pronoun
+  // keeps an entity iff a support pair avoiding `e` is active.
+  ChangedMentionsInto(e, &ws.sources);
+  ws.deltas.clear();
+  ws.delta_pool.clear();
+  for (NodeId s : ws.sources) {
+    const Span<uint32_t> list = ActiveList(ActiveOffset(s), s);
+    const size_t id = static_cast<size_t>(s);
+    const bool own_np = edge.kind == EdgeKind::kMeans && s == edge.a;
+    auto stays = [&](uint32_t i) {
+      if (own_np) return ws.np_univ[ws.np_univ_off[id] + i].edge != e;
+      const DensifyWorkspace::PronounCandidate& c =
+          ws.pro_univ[ws.pro_univ_off[id] + i];
+      for (uint32_t k = c.pair_begin; k < c.pair_end; ++k) {
+        const DensifyWorkspace::SupportPair& pair = ws.pro_pairs[k];
+        if (pair.same_as != e && pair.means != e &&
+            graph_->edge(pair.same_as).active &&
+            graph_->edge(pair.means).active) {
+          return true;
+        }
+      }
+      return false;
+    };
+    // Kept fills the slice from the front, removed from the back (in
+    // reverse; integer sums do not care).
+    const uint32_t begin = static_cast<uint32_t>(ws.delta_pool.size());
+    const uint32_t end = begin + static_cast<uint32_t>(list.size());
+    ws.delta_pool.resize(end);
+    uint32_t front = begin;
+    uint32_t back = end;
+    for (uint32_t i : list) ws.delta_pool[stays(i) ? front++ : --back] = i;
+    ws.deltas.push_back({begin, front - begin, front, end - front});
+  }
+
+  // One side of a lane: committed list A, kept A' and removed A \ A'.
+  struct Side {
+    Span<uint32_t> all, kept, removed;
+  };
+  auto side_of = [&](NodeId n, uint32_t offset) {
+    const Span<uint32_t> all = ActiveList(offset, n);
+    for (size_t k = 0; k < ws.sources.size(); ++k) {
+      if (ws.sources[k] != n) continue;
+      const DensifyWorkspace::SourceDelta& d = ws.deltas[k];
+      return Side{all, {ws.delta_pool.data() + d.kept_off, d.kept_len},
+                  {ws.delta_pool.data() + d.removed_off, d.removed_len}};
+    }
+    return Side{all, all, {}};
+  };
+
+  int64_t dcoh = 0;
+  int64_t dts = 0;
+  for (NodeId s : ws.sources) {
+    const size_t id = static_cast<size_t>(s);
+    for (uint32_t k = ws.node_lanes_off[id]; k < ws.node_lanes_off[id + 1];
+         ++k) {
+      const DensifyWorkspace::RelationLane& lane = ws.rel_lanes[ws.node_lanes[k]];
+      if (!graph_->edge(lane.edge).active) continue;
+      const Side a = side_of(lane.a, lane.act_a);
+      const Side b = side_of(lane.b, lane.act_b);
+      if (a.removed.empty() && b.removed.empty()) continue;
+      // W(A, B) - W(A', B') = W(A \ A', B) + W(A', B \ B').
+      const int64_t* coh = ws.coh_pool.data() + lane.coh_off;
+      dcoh += BlockSum(coh, lane.ub_len, a.removed, b.all) +
+              BlockSum(coh, lane.ub_len, a.kept, b.removed);
+      const bool a_to_literal = lane.lit_a && a.kept.empty() && !a.all.empty();
+      const bool b_to_literal = lane.lit_b && b.kept.empty() && !b.all.empty();
+      if (a_to_literal || b_to_literal) {
+        // A side empties into its literal slot, which is not a subset of
+        // the rows it had: difference the two full type-signature blocks.
+        int64_t unused = 0;
+        int64_t before = 0;
+        int64_t after = 0;
+        LaneSums(lane, a.all, b.all, &unused, &before);
+        LaneSums(lane, a.kept, b.kept, &unused, &after);
+        dts += before - after;
+      } else {
+        const int64_t* ts = ws.ts_pool.data() + lane.ts_off;
+        const size_t stride = static_cast<size_t>(lane.ub_len) + 1;
+        dts += BlockSum(ts, stride, a.removed,
+                        TsSide(b.all, lane.lit_b, &lane.ub_len)) +
+               BlockSum(ts, stride, TsSide(a.kept, lane.lit_a, &lane.ua_len),
+                        b.removed);
+      }
+    }
+  }
+  return ws.mw_lane[static_cast<size_t>(e)] + LaneWeightOf(dcoh, dts);
 }
 
 void DensifyEvaluator::ChangedMentionsInto(EdgeId e,
@@ -653,35 +822,16 @@ void DensifyEvaluator::ChangedMentionsInto(EdgeId e,
         graph_->node(edge.a).kind == NodeKind::kPronoun ? edge.a : edge.b);
     return;
   }
-  const NodeId mention = edge.a;
-  out->push_back(mention);
-  for (EdgeId se : graph_->IncidentEdges(mention)) {
-    const GraphEdge& s = graph_->edge(se);
-    if (!s.active || s.kind != EdgeKind::kSameAs) continue;
-    const NodeId other = s.a == mention ? s.b : s.a;
-    if (graph_->node(other).kind != NodeKind::kPronoun) continue;
-    if (std::find(out->begin(), out->end(), other) == out->end()) {
-      out->push_back(other);
+  const size_t mention = static_cast<size_t>(edge.a);
+  out->push_back(edge.a);
+  for (uint32_t k = ws_->np_links_off[mention];
+       k < ws_->np_links_off[mention + 1]; ++k) {
+    const DensifyWorkspace::PronounLink& link = ws_->np_links[k];
+    if (!graph_->edge(link.same_as).active) continue;
+    if (std::find(out->begin(), out->end(), link.pronoun) == out->end()) {
+      out->push_back(link.pronoun);
     }
   }
-}
-
-void DensifyEvaluator::AffectedRelationEdgesInto(EdgeId e,
-                                                 std::vector<EdgeId>* out) const {
-  out->clear();
-  DensifyWorkspace& ws = *ws_;
-  ChangedMentionsInto(e, &ws.sources);
-  for (NodeId s : ws.sources) {
-    for (EdgeId r : graph_->IncidentEdges(s)) {
-      const GraphEdge& re = graph_->edge(r);
-      if (re.active && re.kind == EdgeKind::kRelation) out->push_back(r);
-    }
-  }
-  // Canonical order: callers sum lane weights over these edges, and
-  // floating-point addition is order-sensitive, so source order must not
-  // pick the summation order. Duplicates (an edge incident to two sources)
-  // are deliberately kept.
-  std::sort(out->begin(), out->end());
 }
 
 void DensifyEvaluator::Preprocess() {
@@ -874,11 +1024,11 @@ void DensifyEvaluator::ComputeConfidencesInto(
         denom += chosen_c;
         continue;
       }
-      graph_->SetEdgeActive(chosen, false);
-      graph_->SetEdgeActive(c.edge, true);
+      SetActive(chosen, false);
+      SetActive(c.edge, true);
       denom += std::max(Contribution(c.edge), 0.0);
-      graph_->SetEdgeActive(c.edge, false);
-      graph_->SetEdgeActive(chosen, true);
+      SetActive(c.edge, false);
+      SetActive(chosen, true);
     }
 
     DensifyResult::Assignment a;

@@ -4,11 +4,13 @@
 // edge contributions c(x, y, S).
 //
 // The evaluator runs off flat per-edge weight lanes in a DensifyWorkspace:
-// construction builds candidate universes and dense coherence/type-signature
-// matrices once, and every later Contribution/Objective call is a
-// gather-and-sum over contiguous arrays with no hashing. The lanes are the
-// only implementation of the Section 4 weights: the greedy loop, the ILP
-// translation and the pipeline baseline all read them.
+// construction builds candidate universes and dense fixed-point
+// coherence/type-signature matrices once, and keeps every mention's active
+// candidate list committed. A Contribution call sums integer lane entries
+// over the rows and columns a removal drops, with no hashing and no
+// re-collection of unchanged sides. The lanes are the only implementation
+// of the Section 4 weights: the greedy loop, the ILP translation and the
+// pipeline baseline all read them.
 #ifndef QKBFLY_DENSIFY_EVALUATOR_H_
 #define QKBFLY_DENSIFY_EVALUATOR_H_
 
@@ -21,6 +23,7 @@
 #include "densify/workspace.h"
 #include "graph/semantic_graph.h"
 #include "kb/entity_repository.h"
+#include "util/span.h"
 
 namespace qkbfly {
 
@@ -124,19 +127,21 @@ class DensifyEvaluator {
   /// W(S): sum of active means weights and relation-edge weights.
   double Objective() const;
 
-  /// c(x, y, S) = W(S) - W(S \ {edge}), computed incrementally over the
-  /// relation edges the removal affects: the W(S) side is read from the
-  /// committed lane-weight cache, only the W(S \ {edge}) side is gathered.
+  /// c(x, y, S) = mw[e] + (a3 * dcoh + a4 * dts) / 2^32, where the integer
+  /// deltas sum, over the relation lanes incident to each mention the
+  /// removal changes (a lane incident to two such mentions counts twice),
+  /// the entries in the dropped rows and columns: W(A \ A', B) +
+  /// W(A', B \ B'). Exact, so independent of summation order.
   double Contribution(EdgeId e) const;
 
-  /// Removes `e` from the subgraph, invalidating exactly the cached lane
-  /// weights the removal changes. Toggling edges through the graph directly
-  /// stays correct but drops the whole cache on the next evaluation.
+  /// Removes `e` from the subgraph and refreshes the committed lists of the
+  /// mentions it changes. Toggling edges through the graph directly stays
+  /// correct but rebuilds every list on the next evaluation.
   void Deactivate(EdgeId e);
 
   /// Mentions whose active candidate set changes when the active edge `e`
   /// is removed: a means edge's noun phrase plus the pronouns linked to it
-  /// by active sameAs edges (in incident-edge order), or a sameAs edge's
+  /// by active sameAs edges (ascending by pronoun), or a sameAs edge's
   /// pronoun. Call before removing `e`.
   void ChangedMentionsInto(EdgeId e, std::vector<NodeId>* out) const;
 
@@ -176,38 +181,50 @@ class DensifyEvaluator {
 
  private:
   // Construction-time lane building (all storage in the workspace).
-  void BuildEdgeLists();
-  void BuildNodeData(const AnnotatedDocument& doc);
   void BuildUniverses();
-  void BuildLanes();
+  void BuildTypes();
+  void BuildRelationLanes();
   double TsPairValue(const BackgroundStats::TypeSignatureTable& table,
                      size_t pattern_id, uint64_t key_a, uint64_t key_b,
                      Span<TypeId> types_a, Span<TypeId> types_b) const;
   uint32_t PatternIdOf(const std::string& pattern);
 
-  /// Active universe indices of one relation-edge side, in universe order
-  /// (== ascending entity order for pronouns, means-edge order for NPs).
-  void CollectActiveSide(NodeId n, std::vector<uint32_t>* out) const;
+  /// Offset of a mention's committed list in ws_->active.
+  uint32_t ActiveOffset(NodeId n) const;
 
-  /// Sum of one lane under the current active flags: a3 * sum coh +
-  /// a4 * sum ts over the active candidate pairs.
-  double LaneWeight(const DensifyWorkspace::RelationLane& lane) const;
+  /// Recollects the committed active list of one mention from the flags:
+  /// universe indices in universe order (== ascending entity order for
+  /// pronouns, means-edge order for NPs). Empty for non-mentions.
+  void RefreshActiveList(NodeId n) const;
+
+  /// Rebuilds every list if the graph was toggled behind the evaluator's
+  /// back since the lists were last brought up to date.
+  void SyncActiveLists() const;
+
+  /// Toggles `e` and refreshes the lists of the mentions it changes.
+  void SetActive(EdgeId e, bool active);
+
+  /// Integer coherence and type-signature sums of one lane over the given
+  /// side lists (an empty side with a literal type reads its literal slot).
+  void LaneSums(const DensifyWorkspace::RelationLane& lane,
+                Span<uint32_t> rows, Span<uint32_t> cols, int64_t* coh,
+                int64_t* ts) const;
+
+  /// Committed list of a lane endpoint.
+  Span<uint32_t> ActiveList(uint32_t offset, NodeId n) const {
+    return {ws_->active.data() + offset,
+            ws_->active_len[static_cast<size_t>(n)]};
+  }
+
+  /// a3 * coh + a4 * ts of fixed-point sums, as a weight.
+  double LaneWeightOf(int64_t coh, int64_t ts) const {
+    return (params_.alpha3 * static_cast<double>(coh) +
+            params_.alpha4 * static_cast<double>(ts)) /
+           DensifyWorkspace::kLaneOne;
+  }
 
   /// Lane index of a relation edge.
   size_t LaneOf(EdgeId relation) const;
-
-  /// Drops the lane-weight cache if the graph was toggled behind the
-  /// evaluator's back since it last synced.
-  void SyncLaneCache() const;
-
-  /// LaneWeight of lane `li` under the committed flags, through the cache.
-  /// Requires a synced cache.
-  double CommittedLaneWeight(size_t li) const;
-
-  /// Active relation edges whose weight can change when `e` toggles, sorted
-  /// ascending, duplicates preserved (an edge incident to two sources is
-  /// summed twice, exactly as the legacy per-source concatenation did).
-  void AffectedRelationEdgesInto(EdgeId e, std::vector<EdgeId>* out) const;
 
   void IntersectSameAsClusters();
   void ApplyGenderConstraint();
@@ -216,13 +233,21 @@ class DensifyEvaluator {
   void ActiveEntitiesOfNp(NodeId np, std::vector<EntityId>* out) const;
 
   SemanticGraph* graph_;
-  const AnnotatedDocument* doc_;
   const EntityRepository* repository_;
   const BackgroundStats* stats_;
   DensifyParams params_;
   DensifyWorkspace* ws_;
   std::unique_ptr<DensifyWorkspace> owned_;  ///< When no workspace was given.
 };
+
+/// The means lane alone: collects the edge lists and mention data into `ws`
+/// and fills ws->mw_lane with w(n_i, e_ij) for every means edge. The
+/// evaluator builds it first; the pipeline baseline, which reads nothing
+/// else, builds only this.
+void BuildMeansLane(SemanticGraph* graph, const AnnotatedDocument& doc,
+                    const BackgroundStats& stats,
+                    const EntityRepository& repository,
+                    const DensifyParams& params, DensifyWorkspace* ws);
 
 /// Reads the surviving pronoun -> antecedent links off the pruned graph,
 /// ascending by pronoun node.

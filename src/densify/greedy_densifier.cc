@@ -33,14 +33,16 @@ struct HeapOrder {
 }  // namespace
 
 DensifyResult GreedyDensifier::Densify(SemanticGraph* graph,
-                                       const AnnotatedDocument& doc) const {
+                                       const AnnotatedDocument& doc,
+                                       obs::TraceContext trace) const {
   DensifyResult result;
-  Densify(graph, doc, &result);
+  Densify(graph, doc, &result, trace);
   return result;
 }
 
 void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc,
-                              DensifyResult* result) const {
+                              DensifyResult* result,
+                              obs::TraceContext trace) const {
   // One retained workspace per thread: universes, weight lanes and loop
   // buffers all live there, so a warm thread densifies a stream of documents
   // without heap allocations. thread_local keeps the batch pipeline's
@@ -48,12 +50,15 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
   static thread_local DensifyWorkspace workspace;
 
   result->Clear();
+  obs::ScopedSpan lanes(trace, "densify_lanes");
   DensifyEvaluator eval(graph, doc, stats_, repository_, params_, &workspace);
+  lanes.End();
 
+  obs::ScopedSpan loop(trace, "densify_loop");
   eval.SnapshotOriginalMeans();
   eval.Preprocess();
-
   RunHeapLoop(&eval, graph, result);
+  loop.End();
 
   // After the removal loop the O(1) degree counters must agree with a full
   // recount, or removability decisions (and thus the KB) were wrong. The
@@ -61,6 +66,7 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
   // qkbfly-lint: allow(A1)
   QKBFLY_INVARIANT(CheckGraphInvariants(*graph), "GreedyDensifier::Densify");
 
+  obs::ScopedSpan confidences(trace, "densify_confidences");
   result->objective = eval.Objective();
   eval.ComputeConfidencesInto(&result->assignments);
   ExtractPronounAntecedentsInto(*graph, &result->pronoun_antecedents);

@@ -6,6 +6,7 @@
 #define QKBFLY_DENSIFY_GREEDY_DENSIFIER_H_
 
 #include "densify/evaluator.h"
+#include "obs/trace.h"
 
 namespace qkbfly {
 
@@ -17,13 +18,18 @@ class GreedyDensifier {
                   DensifyParams params)
       : stats_(stats), repository_(repository), params_(params) {}
 
-  DensifyResult Densify(SemanticGraph* graph, const AnnotatedDocument& doc) const;
+  /// With an enabled `trace`, records three child spans under its parent:
+  /// densify_lanes (universes and weight lanes), densify_loop (constraints
+  /// and the removal loop) and densify_confidences (objective, confidences
+  /// and antecedents). Off by default, which costs one null check per span.
+  DensifyResult Densify(SemanticGraph* graph, const AnnotatedDocument& doc,
+                        obs::TraceContext trace = {}) const;
 
   /// Reuse form: clears and refills `*result`, so a caller looping over
   /// documents with one DensifyResult (and the retained thread-local
   /// workspace) densifies with zero steady-state heap allocations.
   void Densify(SemanticGraph* graph, const AnnotatedDocument& doc,
-               DensifyResult* result) const;
+               DensifyResult* result, obs::TraceContext trace = {}) const;
 
   const DensifyParams& params() const { return params_; }
 

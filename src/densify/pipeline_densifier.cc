@@ -8,7 +8,9 @@ namespace qkbfly {
 
 DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
                                          const AnnotatedDocument& doc) const {
-  const DensifyEvaluator eval(graph, doc, stats_, repository_, params_);
+  // Stage NED reads only the means lane; no relation lanes are built.
+  DensifyWorkspace ws;
+  BuildMeansLane(graph, doc, *stats_, *repository_, params_, &ws);
   DensifyResult result;
 
   // Stage NED: per-mention argmax of the means-edge weight alone.
@@ -20,7 +22,7 @@ DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
     double best_w = -1.0;
     double total = 0.0;
     for (const auto& [e, entity_node] : means) {
-      double w = eval.MeansEdgeWeight(e);
+      double w = ws.mw_lane[static_cast<size_t>(e)];
       total += std::max(w, 0.0);
       if (w > best_w) {
         best_w = w;

@@ -129,6 +129,14 @@ struct DensifyWorkspace {
   std::vector<uint32_t> pro_univ_off;  ///< node_count + 1
   std::vector<PronounCandidate> pro_univ;
   std::vector<SupportPair> pro_pairs;
+  // Per noun phrase, its sameAs links to pronouns (the pronouns a means
+  // edge of the noun phrase can change).
+  struct PronounLink {
+    EdgeId same_as;
+    NodeId pronoun;
+  };
+  std::vector<uint32_t> np_links_off;  ///< node_count + 1
+  std::vector<PronounLink> np_links;
 
   // --- weight lanes --------------------------------------------------------
   // Means lane: mw[e] for every means edge. Relation lanes: per relation
@@ -136,6 +144,10 @@ struct DensifyWorkspace {
   // type-signature matrix (the extra row/column is the literal fallback used
   // when a side's active candidate set is empty); looseness factors are
   // folded into every entry, so evaluating an edge is a gather-and-sum.
+  // Relation entries are fixed-point integers (value * kLaneOne, rounded):
+  // integer sums are exact and order-free, so a removal's effect on a lane is
+  // the sum over the removed rows and columns alone.
+  static constexpr double kLaneOne = 4294967296.0;  ///< 2^32
   struct RelationLane {
     EdgeId edge = -1;
     NodeId a = kNoNode;
@@ -144,25 +156,29 @@ struct DensifyWorkspace {
     uint32_t ts_off = 0;
     uint32_t ua_len = 0;
     uint32_t ub_len = 0;
+    uint32_t act_a = 0;  ///< Offset of a's committed list in `active`.
+    uint32_t act_b = 0;  ///< Offset of b's committed list in `active`.
     bool lit_a = false;
     bool lit_b = false;
   };
   std::vector<double> mw_lane;       ///< Indexed by EdgeId (means edges).
   std::vector<RelationLane> rel_lanes;
   std::vector<int32_t> lane_of_edge;  ///< EdgeId -> lane index, -1 otherwise.
-  std::vector<double> coh_pool;
-  std::vector<double> ts_pool;
+  std::vector<uint32_t> node_lanes_off;  ///< node_count + 1
+  std::vector<uint32_t> node_lanes;      ///< Lanes at each endpoint, ascending.
+  std::vector<int64_t> coh_pool;
+  std::vector<int64_t> ts_pool;
 
-  // --- committed lane-weight cache -----------------------------------------
-  // LaneWeight of each relation lane under the committed active flags. An
-  // entry is valid iff its epoch equals lane_cache_epoch; bumping the epoch
-  // drops every entry at once. synced_mutations is the graph's
-  // mutation_count() the cache is known to match: any toggle the evaluator
-  // did not make itself shows up as a mismatch and drops the cache.
-  std::vector<double> lane_weight;      ///< Indexed by lane.
-  std::vector<uint32_t> lane_epoch;     ///< Indexed by lane; 0 = invalid.
-  uint32_t lane_cache_epoch = 1;
-  uint64_t synced_mutations = 0;
+  // --- committed active lists ----------------------------------------------
+  // Each mention's active universe indices under the committed flags, in
+  // universe order: a CSR over the universes, where noun phrase n's list
+  // starts at np_univ_off[n] and pronoun p's at np_univ.size() +
+  // pro_univ_off[p]. active_mutations is the graph's mutation_count() the
+  // lists match; a toggle the evaluator did not make shows up as a mismatch
+  // and rebuilds every list.
+  std::vector<uint32_t> active;
+  std::vector<uint32_t> active_len;  ///< Indexed by NodeId.
+  uint64_t active_mutations = 0;
 
   // --- lane-build memos & scratch ------------------------------------------
   FlatPairCache coherence_cache;  ///< (e1 << 32 | e2) -> Coherence.
@@ -180,9 +196,18 @@ struct DensifyWorkspace {
 
   // --- evaluator runtime scratch -------------------------------------------
   std::vector<uint32_t> cursor;          ///< Counting-sort cursor scratch.
-  std::vector<uint32_t> act_a, act_b;    ///< Active universe indices per side.
-  std::vector<EdgeId> affected;          ///< AffectedRelationEdges buffer.
-  std::vector<NodeId> sources;
+  std::vector<NodeId> sources;           ///< ChangedMentionsInto buffer.
+  // Per changed mention of one Contribution call: its list with the edge
+  // removed (kept, in universe order) and the indices that drop out
+  // (removed, in any order), as slices of delta_pool.
+  struct SourceDelta {
+    uint32_t kept_off = 0;
+    uint32_t kept_len = 0;
+    uint32_t removed_off = 0;
+    uint32_t removed_len = 0;
+  };
+  std::vector<SourceDelta> deltas;
+  std::vector<uint32_t> delta_pool;
   std::vector<EntityId> ents, intersection, inter_tmp;
   std::vector<NodeId> component, dfs_stack;
   std::vector<uint32_t> visit_mark;

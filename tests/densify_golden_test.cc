@@ -107,14 +107,14 @@ Digests DigestMode(InferenceMode mode) {
 
 TEST(DensifyGoldenTest, Joint) {
   Digests d = DigestMode(InferenceMode::kJoint);
-  EXPECT_EQ(d.kb, 0x2664b2918ed66463ull);
-  EXPECT_EQ(d.densify, 0x2bb3286252aa336full);
+  EXPECT_EQ(d.kb, 0x68365440c18f39fcull);
+  EXPECT_EQ(d.densify, 0x6786b692945a3a39ull);
 }
 
 TEST(DensifyGoldenTest, NounOnly) {
   Digests d = DigestMode(InferenceMode::kNounOnly);
-  EXPECT_EQ(d.kb, 0x81fb3345a3bb6fa6ull);
-  EXPECT_EQ(d.densify, 0x3e0bfe2bb5dd8928ull);
+  EXPECT_EQ(d.kb, 0xf7d438dba03b2fa1ull);
+  EXPECT_EQ(d.densify, 0x58eeb648c5b058a1ull);
 }
 
 TEST(DensifyGoldenTest, Pipeline) {
@@ -125,8 +125,8 @@ TEST(DensifyGoldenTest, Pipeline) {
 
 TEST(DensifyGoldenTest, Ilp) {
   Digests d = DigestMode(InferenceMode::kIlp);
-  EXPECT_EQ(d.kb, 0x7c6bf220ec48d202ull);
-  EXPECT_EQ(d.densify, 0x3f2a58e0a2595ba1ull);
+  EXPECT_EQ(d.kb, 0xc31450038d8f6511ull);
+  EXPECT_EQ(d.densify, 0x0afb270909e1d42full);
 }
 
 // The canonicalizer's two non-default branches over the joint densifier:
@@ -137,16 +137,16 @@ TEST(DensifyGoldenTest, TriplesOnly) {
   EngineConfig config;
   config.canon.triples_only = true;
   Digests d = DigestConfig(config, "QKBfly-triples");
-  EXPECT_EQ(d.kb, 0xa8bc32a0784ad346ull);
-  EXPECT_EQ(d.densify, 0x2bb3286252aa336full);
+  EXPECT_EQ(d.kb, 0x216e789e606eee3dull);
+  EXPECT_EQ(d.densify, 0x6786b692945a3a39ull);
 }
 
 TEST(DensifyGoldenTest, ConfidenceThreshold09) {
   EngineConfig config;
   config.canon.confidence_threshold = 0.9;
   Digests d = DigestConfig(config, "QKBfly-tau0.9");
-  EXPECT_EQ(d.kb, 0x702f85c0e7fe9606ull);
-  EXPECT_EQ(d.densify, 0x2bb3286252aa336full);
+  EXPECT_EQ(d.kb, 0xf5844aa55656f8ceull);
+  EXPECT_EQ(d.densify, 0x6786b692945a3a39ull);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Tests for the single-core hot-path rewrite: the interned-symbol table, the
 // trie-backed gazetteer (against a linear reference), LooseCandidates
 // dedup/ordering, the heap-driven densifier (against a naive greedy
-// reference and its determinism guarantees) and the evaluator's committed
-// lane-weight cache (against freshly constructed evaluators).
+// reference and its determinism guarantees), the evaluator's committed
+// active lists (against freshly constructed evaluators) and its fixed-point
+// contributions (against a from-scratch integer brute force).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -459,8 +461,8 @@ TEST(DensifyDeterminismTest, PronounPronounRelationReachesThirdHop) {
 
 // Every value an evaluator returns must be bit-equal to the same call on a
 // freshly constructed evaluator over a copy of the graph, whether edges were
-// toggled through Deactivate (selective lane invalidation) or behind its
-// back through SemanticGraph::SetEdgeActive (mutation-counter resync).
+// toggled through Deactivate (committed-list refresh) or behind its back
+// through SemanticGraph::SetEdgeActive (mutation-counter rebuild).
 TEST(DensifyEvaluatorCacheTest, MatchesFreshEvaluatorUnderToggles) {
   const auto& ds = Dataset();
   const DensifyParams params;
@@ -542,7 +544,7 @@ TEST(DensifyEvaluatorCacheTest, MatchesFreshEvaluatorUnderToggles) {
     }
     expect_fresh("at the end");
 
-    // Confidences evaluate swapped subgraphs behind the cache's back.
+    // Confidences evaluate swapped subgraphs through the evaluator's toggle.
     std::vector<DensifyResult::Assignment> cached;
     std::vector<DensifyResult::Assignment> expected;
     SemanticGraph copy = p.graph;
@@ -560,6 +562,222 @@ TEST(DensifyEvaluatorCacheTest, MatchesFreshEvaluatorUnderToggles) {
   }
   // Both toggle paths were exercised.
   EXPECT_GT(deactivated, 0);
+  EXPECT_GT(behind_back, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Exact contributions against a from-scratch integer brute force
+// ---------------------------------------------------------------------------
+
+// Active universe slots of a lane endpoint, read straight off the flags.
+std::vector<uint32_t> ActiveSlots(const SemanticGraph& graph,
+                                  const DensifyWorkspace& ws, NodeId n) {
+  std::vector<uint32_t> out;
+  const GraphNode& node = graph.node(n);
+  const size_t id = static_cast<size_t>(n);
+  if (node.kind == NodeKind::kPronoun) {
+    for (uint32_t i = ws.pro_univ_off[id]; i < ws.pro_univ_off[id + 1]; ++i) {
+      const DensifyWorkspace::PronounCandidate& c = ws.pro_univ[i];
+      for (uint32_t k = c.pair_begin; k < c.pair_end; ++k) {
+        if (graph.edge(ws.pro_pairs[k].same_as).active &&
+            graph.edge(ws.pro_pairs[k].means).active) {
+          out.push_back(i - ws.pro_univ_off[id]);
+          break;
+        }
+      }
+    }
+  } else if (node.kind == NodeKind::kNounPhrase && !node.is_literal) {
+    for (uint32_t i = ws.np_univ_off[id]; i < ws.np_univ_off[id + 1]; ++i) {
+      if (graph.edge(ws.np_univ[i].edge).active) {
+        out.push_back(i - ws.np_univ_off[id]);
+      }
+    }
+  }
+  return out;
+}
+
+struct LaneTotals {
+  int64_t coh = 0;
+  int64_t ts = 0;
+  bool a_empty = false;
+  bool b_empty = false;
+};
+
+// W of one lane from scratch: every active pair's coherence entry, and the
+// type-signature entries with an empty side read from its literal slot.
+LaneTotals LaneFromScratch(const SemanticGraph& graph,
+                           const DensifyWorkspace& ws,
+                           const DensifyWorkspace::RelationLane& lane) {
+  const std::vector<uint32_t> a = ActiveSlots(graph, ws, lane.a);
+  const std::vector<uint32_t> b = ActiveSlots(graph, ws, lane.b);
+  LaneTotals t;
+  t.a_empty = a.empty();
+  t.b_empty = b.empty();
+  for (uint32_t i : a) {
+    for (uint32_t j : b) t.coh += ws.coh_pool[lane.coh_off + i * lane.ub_len + j];
+  }
+  std::vector<uint32_t> rows = a;
+  std::vector<uint32_t> cols = b;
+  if (rows.empty() && lane.lit_a) rows.push_back(lane.ua_len);
+  if (cols.empty() && lane.lit_b) cols.push_back(lane.ub_len);
+  for (uint32_t i : rows) {
+    for (uint32_t j : cols) {
+      t.ts += ws.ts_pool[lane.ts_off + i * (lane.ub_len + 1) + j];
+    }
+  }
+  return t;
+}
+
+struct BruteStats {
+  int contributions = 0;
+  int pronoun_lanes = 0;   ///< Changed lanes with a changed pronoun endpoint.
+  int literal_switches = 0;  ///< Sides that empty into their literal slot.
+};
+
+// mw[e] + (a3 * dcoh + a4 * dts) / 2^32 with the integer deltas summed from
+// scratch over every lane: W(S) - W(S \ e). A lane incident to two changed
+// mentions counts twice, as the densifier's contribution always has.
+double BruteContribution(const DensifyEvaluator& eval,
+                         const DensifyWorkspace& ws, SemanticGraph graph,
+                         EdgeId e, const DensifyParams& params,
+                         BruteStats* stats) {
+  std::vector<NodeId> changed;
+  eval.ChangedMentionsInto(e, &changed);
+  auto count = [&changed](NodeId n) {
+    return static_cast<int64_t>(
+        std::count(changed.begin(), changed.end(), n));
+  };
+  std::vector<LaneTotals> before;
+  for (const DensifyWorkspace::RelationLane& lane : ws.rel_lanes) {
+    before.push_back(LaneFromScratch(graph, ws, lane));
+  }
+  graph.SetEdgeActive(e, false);
+  int64_t dcoh = 0;
+  int64_t dts = 0;
+  for (size_t li = 0; li < ws.rel_lanes.size(); ++li) {
+    const DensifyWorkspace::RelationLane& lane = ws.rel_lanes[li];
+    const LaneTotals after = LaneFromScratch(graph, ws, lane);
+    const int64_t times = graph.edge(lane.edge).active
+                              ? count(lane.a) + count(lane.b)
+                              : 0;
+    if (times == 0) {
+      // Only lanes at a changed mention can move.
+      EXPECT_EQ(before[li].coh, after.coh) << "lane " << li;
+      EXPECT_EQ(before[li].ts, after.ts) << "lane " << li;
+      continue;
+    }
+    dcoh += times * (before[li].coh - after.coh);
+    dts += times * (before[li].ts - after.ts);
+    const bool moved =
+        before[li].coh != after.coh || before[li].ts != after.ts;
+    if (moved && (graph.node(lane.a).kind == NodeKind::kPronoun ||
+                  graph.node(lane.b).kind == NodeKind::kPronoun)) {
+      ++stats->pronoun_lanes;
+    }
+    if ((lane.lit_a && !before[li].a_empty && after.a_empty) ||
+        (lane.lit_b && !before[li].b_empty && after.b_empty)) {
+      ++stats->literal_switches;
+    }
+  }
+  ++stats->contributions;
+  return ws.mw_lane[static_cast<size_t>(e)] +
+         (params.alpha3 * static_cast<double>(dcoh) +
+          params.alpha4 * static_cast<double>(dts)) /
+             DensifyWorkspace::kLaneOne;
+}
+
+// Confidences recomputed with brute-force contributions in each swapped
+// subgraph, the way ComputeConfidencesInto defines them.
+std::vector<double> BruteConfidences(const DensifyEvaluator& eval,
+                                     const DensifyWorkspace& ws,
+                                     const SemanticGraph& graph,
+                                     const DensifyParams& params,
+                                     BruteStats* stats, int* swaps) {
+  std::vector<double> out;
+  for (size_t np = 0; np < graph.node_count(); ++np) {
+    const uint32_t begin = ws.np_univ_off[np];
+    const uint32_t end = ws.np_univ_off[np + 1];
+    EdgeId chosen = -1;
+    bool any_orig = false;
+    for (uint32_t i = begin; i < end; ++i) {
+      const EdgeId m = ws.np_univ[i].edge;
+      any_orig = any_orig || ws.orig_active[static_cast<size_t>(m)] != 0;
+      if (chosen < 0 && graph.edge(m).active) chosen = m;
+    }
+    if (!any_orig || chosen < 0) continue;
+    const double chosen_c = std::max(
+        BruteContribution(eval, ws, graph, chosen, params, stats), 0.0);
+    double denom = 0.0;
+    for (uint32_t i = begin; i < end; ++i) {
+      const EdgeId m = ws.np_univ[i].edge;
+      if (!ws.orig_active[static_cast<size_t>(m)]) continue;
+      if (m == chosen) {
+        denom += chosen_c;
+        continue;
+      }
+      SemanticGraph swapped = graph;
+      swapped.SetEdgeActive(chosen, false);
+      swapped.SetEdgeActive(m, true);
+      denom += std::max(
+          BruteContribution(eval, ws, swapped, m, params, stats), 0.0);
+      ++*swaps;
+    }
+    out.push_back(chosen_c > 1e-12 ? (denom > 0.0 ? chosen_c / denom : 1.0)
+                                   : -1.0);
+  }
+  return out;
+}
+
+TEST(DensifyExactnessTest, ContributionMatchesIntegerBruteForce) {
+  const auto& ds = Dataset();
+  const DensifyParams params;
+  Rng rng(29);
+  BruteStats stats;
+  int behind_back = 0;
+  int swaps = 0;
+  for (const GoldDocument& gd : ds.wiki_eval) {
+    Prepared p = Prepare(ds, gd.doc);
+    DensifyEvaluator eval(&p.graph, p.doc, &ds.stats, ds.repository.get(),
+                          params);
+    const DensifyWorkspace& ws = eval.workspace();
+    eval.SnapshotOriginalMeans();
+    eval.Preprocess();
+    for (int step = 0;; ++step) {
+      const std::vector<EdgeId> removable = eval.RemovableEdges();
+      if (removable.empty()) break;
+      for (EdgeId e : removable) {
+        EXPECT_EQ(eval.Contribution(e),
+                  BruteContribution(eval, ws, p.graph, e, params, &stats))
+            << gd.doc.id << " step " << step << " edge " << e;
+      }
+      // Mostly committed removals; every fifth step goes behind the
+      // evaluator's back.
+      const EdgeId e = rng.Choose(removable);
+      if (rng.NextInt(0, 4) == 0) {
+        p.graph.SetEdgeActive(e, false);
+        ++behind_back;
+      } else {
+        eval.Deactivate(e);
+      }
+    }
+    // The confidence path swaps edges through the evaluator.
+    const std::vector<double> expected =
+        BruteConfidences(eval, ws, p.graph, params, &stats, &swaps);
+    std::vector<DensifyResult::Assignment> got;
+    eval.ComputeConfidencesInto(&got);
+    ASSERT_EQ(got.size(), expected.size()) << gd.doc.id;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (expected[i] < 0.0) continue;  // no evidence: a fixed fallback
+      EXPECT_EQ(got[i].confidence, expected[i]) << gd.doc.id << " " << i;
+    }
+  }
+  std::printf("exactness: %d contributions, %d pronoun lanes, %d literal "
+              "switches, %d swaps, %d behind-back toggles\n",
+              stats.contributions, stats.pronoun_lanes,
+              stats.literal_switches, swaps, behind_back);
+  EXPECT_GT(stats.pronoun_lanes, 0);
+  EXPECT_GT(stats.literal_switches, 0);
+  EXPECT_GT(swaps, 0);
   EXPECT_GT(behind_back, 0);
 }
 

@@ -1,7 +1,8 @@
 // Trace propagation across the thread-pool fan-out: a multi-threaded
 // BuildKb with one Trace attached must yield a single consistent span tree —
 // every document's process_document span parented under the build_kb span,
-// every stage span under its document span — because the TraceContext is
+// every stage span under its document span, the densify span's three
+// children (lanes, loop, confidences) under it — because the TraceContext is
 // captured by value into each pool task, never via thread-local state.
 // Labeled `tsan` so `ctest -L tsan` runs the concurrent appends under the
 // race detector. Also asserts the determinism contract: the KB bytes are
@@ -106,6 +107,14 @@ TEST_F(TracePropagationTest, ParallelBuildYieldsOneConsistentSpanTree) {
       EXPECT_EQ(s.parent, build_kb);
       ++stage_counts[s.name];
     }
+    // The greedy densifier splits its span into lanes, loop and confidences.
+    if (s.name == "densify_lanes" || s.name == "densify_loop" ||
+        s.name == "densify_confidences") {
+      ASSERT_GE(s.parent, 0);
+      ASSERT_LT(static_cast<size_t>(s.parent), spans.size());
+      EXPECT_EQ(spans[s.parent].name, "densify");
+      ++stage_counts[s.name];
+    }
     // All spans closed, timed within the trace.
     EXPECT_GE(s.end_s, s.start_s);
   }
@@ -114,6 +123,9 @@ TEST_F(TracePropagationTest, ParallelBuildYieldsOneConsistentSpanTree) {
   EXPECT_EQ(stage_counts["annotate"], expected);
   EXPECT_EQ(stage_counts["graph_build"], expected);
   EXPECT_EQ(stage_counts["densify"], expected);
+  EXPECT_EQ(stage_counts["densify_lanes"], expected);
+  EXPECT_EQ(stage_counts["densify_loop"], expected);
+  EXPECT_EQ(stage_counts["densify_confidences"], expected);
   EXPECT_EQ(stage_counts["canonicalize"], expected);
 }
 
