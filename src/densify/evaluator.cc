@@ -53,10 +53,6 @@ NodeId EntityNodeAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
                    : ws.np_univ[s.off + i].entity_node;
 }
 
-}  // namespace
-
-namespace {
-
 // Mention data the means lane reads: lowercased text, exact-alias
 // candidates and whether the node has a sentence context.
 void BuildMentionData(const SemanticGraph& graph, const AnnotatedDocument& doc,

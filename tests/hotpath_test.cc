@@ -750,7 +750,7 @@ TEST(DensifyExactnessTest, ContributionMatchesIntegerBruteForce) {
                   BruteContribution(eval, ws, p.graph, e, params, &stats))
             << gd.doc.id << " step " << step << " edge " << e;
       }
-      // Mostly committed removals; every fifth step goes behind the
+      // Mostly committed removals; about one step in five goes behind the
       // evaluator's back.
       const EdgeId e = rng.Choose(removable);
       if (rng.NextInt(0, 4) == 0) {
