@@ -7,6 +7,7 @@
 #include "core/qkbfly.h"
 #include "eval/fact_matching.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 #include "openie/defie.h"
 #include "synth/dataset.h"
 #include "util/bench_report.h"
@@ -134,9 +135,24 @@ void Run() {
       engine_config.num_threads = threads;
       QkbflyEngine engine(ds->repository.get(), &ds->patterns, &ds->stats,
                           engine_config);
-      std::vector<DocumentResult> results;
+      // The engine's per-stage registry histograms; this build's share of
+      // each is the delta across it.
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+      struct Stage {
+        const char* label;
+        obs::Histogram* seconds;
+        LatencyHistogram before;
+      };
+      Stage stages[] = {
+          {"annotate", registry.GetHistogram("pipeline_annotate_seconds"), {}},
+          {"graph-build",
+           registry.GetHistogram("pipeline_graph_build_seconds"), {}},
+          {"densify", registry.GetHistogram("pipeline_densify_seconds"), {}},
+          {"canonicalize",
+           registry.GetHistogram("pipeline_canonicalize_seconds"), {}}};
+      for (Stage& stage : stages) stage.before = stage.seconds->Snapshot();
       WallTimer timer;
-      OnTheFlyKb kb = engine.BuildKb(docs, &results);
+      OnTheFlyKb kb = engine.BuildKb(docs);
       double wall = timer.ElapsedSeconds();
       if (threads == 1) {
         serial_wall = wall;
@@ -148,10 +164,15 @@ void Run() {
       report.Add("table3_fact_extraction", static_cast<int>(docs.size()),
                  threads, wall, kb.size());
       if (threads == 1) {
-        StageTimingSummary stages;
-        for (const DocumentResult& r : results) stages.Add(r.timings);
-        std::printf("Per-stage wall time at 1 thread:\n%s",
-                    stages.Report().c_str());
+        std::printf("Per-stage mean wall time at 1 thread:\n");
+        for (const Stage& stage : stages) {
+          LatencyHistogram after = stage.seconds->Snapshot();
+          double count =
+              static_cast<double>(after.count() - stage.before.count());
+          std::printf("  %-12s mean %9.3f ms\n", stage.label,
+                      (after.sum_seconds() - stage.before.sum_seconds()) /
+                          count * 1e3);
+        }
       }
     }
     CacheStats cache = ds->repository->loose_cache_stats();

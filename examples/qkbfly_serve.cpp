@@ -49,6 +49,7 @@
 #include "parser/router.h"
 #include "service/kb_service.h"
 #include "synth/dataset.h"
+#include "util/latency_histogram.h"
 
 using namespace qkbfly;
 
@@ -200,6 +201,7 @@ int main(int argc, char** argv) {
   std::printf("%-28s %6s %6s %8s %10s %7s\n", "query", "docs", "facts",
               "hitrate", "latency ms", "path");
 
+  LatencyHistogram latency;
   LatencyHistogram cold_latency;
   LatencyHistogram warm_latency;
   size_t query_tier_hits = 0;
@@ -211,6 +213,7 @@ int main(int argc, char** argv) {
     // query-tier hit, a store-served answer, or an all-hits doc-tier pass.
     bool warm = s.query_cache_hit || s.served_from_store ||
                 (s.cache.misses == 0 && s.documents > 0);
+    latency.Record(s.total_s);
     (warm ? warm_latency : cold_latency).Record(s.total_s);
     if (s.query_cache_hit) ++query_tier_hits;
     if (s.served_from_store) ++store_serves;
@@ -223,11 +226,10 @@ int main(int argc, char** argv) {
                 s.total_s * 1e3, path);
   }
 
-  KbService::Metrics metrics = service.metrics();
   std::printf("\n== Service metrics ==\n");
   std::printf("queries      %llu\n",
-              static_cast<unsigned long long>(metrics.queries));
-  std::printf("latency      %s\n", metrics.latency.Report().c_str());
+              static_cast<unsigned long long>(latency.count()));
+  std::printf("latency      %s\n", latency.Report().c_str());
   if (cold_latency.count() > 0) {
     std::printf("  cold       %s\n", cold_latency.Report().c_str());
   }
@@ -244,14 +246,14 @@ int main(int argc, char** argv) {
                 c.HitRate() * 100.0);
   };
   std::printf("\n== Caches ==\n");
-  print_cache("QueryKbCache", metrics.query_cache);
+  print_cache("QueryKbCache", service.query_cache().stats());
   std::printf("%-22s %8zu entries, %zu / %zu bytes  "
               "(%zu query-tier hits, %zu store-served)\n", "",
               service.query_cache().entry_count(),
               service.query_cache().ApproxBytesUsed(),
               service.query_cache().byte_budget(), query_tier_hits,
               store_serves);
-  print_cache("DocumentResultCache", metrics.cache);
+  print_cache("DocumentResultCache", service.cache().stats());
   std::printf("%-22s %8zu entries, %zu / %zu bytes\n", "",
               service.cache().entry_count(), service.cache().ApproxBytesUsed(),
               service.cache().byte_budget());

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -28,10 +30,13 @@ void AppendEscaped(std::string_view field, std::string* out) {
   }
 }
 
+/// Inverse of AppendEscaped; rejects what it never emits (a raw CR, a
+/// dangling or unknown escape), so an accepted field re-escapes to itself.
 bool Unescape(std::string_view field, std::string* out) {
   out->clear();
   for (size_t i = 0; i < field.size(); ++i) {
     char c = field[i];
+    if (c == '\r') return false;
     if (c != '\\') {
       out->push_back(c);
       continue;
@@ -61,23 +66,38 @@ std::vector<std::string_view> SplitFields(std::string_view line) {
   return fields;
 }
 
-bool ParseUint(std::string_view s, uint64_t* out) {
-  if (s.empty()) return false;
+/// Parses a non-negative integer exactly as Serialize prints one: decimal
+/// digits, no sign, no leading zero, at most `max`. Any other spelling would
+/// either re-serialize differently or alias another id once narrowed.
+bool ParseUint(std::string_view s, uint64_t max, uint64_t* out) {
+  // Up to 19 digits cannot overflow a uint64_t, so one range check at the
+  // end suffices (this runs on every query-tier hit).
+  if (s.empty() || s.size() > 19 || (s.size() > 1 && s.front() == '0')) {
+    return false;
+  }
   uint64_t value = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
     value = value * 10 + static_cast<uint64_t>(c - '0');
   }
+  if (value > max) return false;
   *out = value;
   return true;
 }
 
-bool ParseInt(std::string_view s, int64_t* out) {
+/// Parses an int as "%d" prints it: ParseUint's rules plus an optional
+/// '-', which never precedes 0.
+bool ParseInt(std::string_view s, int* out) {
   bool negative = !s.empty() && s.front() == '-';
+  uint64_t max = static_cast<uint64_t>(std::numeric_limits<int>::max()) +
+                 (negative ? 1 : 0);
   uint64_t magnitude = 0;
-  if (!ParseUint(negative ? s.substr(1) : s, &magnitude)) return false;
-  *out = negative ? -static_cast<int64_t>(magnitude)
-                  : static_cast<int64_t>(magnitude);
+  if (!ParseUint(negative ? s.substr(1) : s, max, &magnitude) ||
+      (negative && magnitude == 0)) {
+    return false;
+  }
+  *out = static_cast<int>(negative ? -static_cast<int64_t>(magnitude)
+                                   : static_cast<int64_t>(magnitude));
   return true;
 }
 
@@ -89,11 +109,14 @@ void AppendDouble(double value, std::string* out) {
   out->append(buf);
 }
 
+/// Any finite spelling strtod reads: confidence round-trips by value, not
+/// by bytes (Serialize re-prints it with %.17g).
 bool ParseDouble(std::string_view s, double* out) {
   std::string buf(s);
   char* end = nullptr;
   *out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && !buf.empty();
+  return end == buf.c_str() + buf.size() && !buf.empty() &&
+         std::isfinite(*out);
 }
 
 void AppendArg(const FactArg& arg, std::string* out) {
@@ -111,20 +134,22 @@ void AppendArg(const FactArg& arg, std::string* out) {
 constexpr size_t kArgFields = 6;
 constexpr char kHeader[] = "qkbfly-kb\t1";
 
+constexpr uint64_t kMaxId = std::numeric_limits<uint32_t>::max();
+constexpr uint64_t kMaxNer = static_cast<uint64_t>(NerType::kNumber);
+
 bool ParseArg(const std::vector<std::string_view>& fields, size_t at,
               FactArg* arg) {
-  int64_t kind = 0;
+  uint64_t kind = 0;
   uint64_t entity = 0;
   uint64_t emerging = 0;
-  int64_t ner = 0;
-  if (!ParseInt(fields[at], &kind) || kind < 0 ||
-      kind > static_cast<int64_t>(FactArg::Kind::kLiteral) ||
-      !ParseUint(fields[at + 1], &entity) ||
-      !ParseUint(fields[at + 2], &emerging) ||
+  uint64_t ner = 0;
+  if (!ParseUint(fields[at],
+                 static_cast<uint64_t>(FactArg::Kind::kLiteral), &kind) ||
+      !ParseUint(fields[at + 1], kMaxId, &entity) ||
+      !ParseUint(fields[at + 2], kMaxId, &emerging) ||
       !Unescape(fields[at + 3], &arg->surface) ||
       !Unescape(fields[at + 4], &arg->normalized) ||
-      !ParseInt(fields[at + 5], &ner) || ner < 0 ||
-      ner > static_cast<int64_t>(NerType::kNumber)) {
+      !ParseUint(fields[at + 5], kMaxNer, &ner)) {
     return false;
   }
   arg->kind = static_cast<FactArg::Kind>(kind);
@@ -311,11 +336,8 @@ Status OnTheFlyKb::Deserialize(std::string_view data) {
     auto fields = SplitFields(line);
     if (fields[0] == "E") {
       if (fields.size() < 3) return fail("short emerging-entity record");
-      int64_t ner = 0;
-      if (!ParseInt(fields[1], &ner) || ner < 0 ||
-          ner > static_cast<int64_t>(NerType::kNumber)) {
-        return fail("bad NER type");
-      }
+      uint64_t ner = 0;
+      if (!ParseUint(fields[1], kMaxNer, &ner)) return fail("bad NER type");
       EmergingEntity e;
       e.id = static_cast<EmergingId>(emerging_.size());
       e.ner = static_cast<NerType>(ner);
@@ -340,21 +362,20 @@ Status OnTheFlyKb::Deserialize(std::string_view data) {
       }
       Fact f;
       uint64_t relation = 0;
-      int64_t negated = 0;
-      int64_t sentence = 0;
-      if (!ParseUint(fields[1], &relation) ||
+      uint64_t negated = 0;
+      if (!ParseUint(fields[1], kMaxId, &relation) ||
           !Unescape(fields[2], &f.relation_pattern) ||
-          !ParseInt(fields[3], &negated) || (negated != 0 && negated != 1) ||
+          !ParseUint(fields[3], 1, &negated) ||
           !ParseDouble(fields[4], &f.confidence) ||
-          !Unescape(fields[5], &f.doc_id) || !ParseInt(fields[6], &sentence)) {
+          !Unescape(fields[5], &f.doc_id) ||
+          !ParseInt(fields[6], &f.sentence)) {
         return fail("bad fact fields");
       }
-      f.relation = static_cast<RelationId>(relation);
-      if (f.relation >= patterns_->size() + new_relation_names_.size()) {
+      if (relation >= patterns_->size() + new_relation_names_.size()) {
         return fail("fact references undeclared relation");
       }
+      f.relation = static_cast<RelationId>(relation);
       f.negated = negated == 1;
-      f.sentence = static_cast<int>(sentence);
       if (!ParseArg(fields, 7, &f.subject)) return fail("bad subject arg");
       size_t extra = (fields.size() - 7) / kArgFields - 1;
       f.args.resize(extra);

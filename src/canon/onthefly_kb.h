@@ -88,7 +88,11 @@ class OnTheFlyKb {
   /// Rebuilds this KB from Serialize() output. The KB must be empty and
   /// bound to the same repositories the serialized KB was built against
   /// (entity and relation ids are repository-relative). Round-trip contract:
-  /// Deserialize(s) succeeded implies Serialize() == s byte-for-byte.
+  /// when Deserialize(s) succeeds, Serialize() reproduces s field for field:
+  /// every field byte for byte except a fact's confidence, which round-trips
+  /// by value (any finite strtod spelling; re-printed with %.17g). Integers
+  /// must be spelled as Serialize prints them and fit their field, so no
+  /// input aliases another id. On failure the KB is left empty.
   Status Deserialize(std::string_view data);
 
  private:

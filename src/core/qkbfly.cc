@@ -77,45 +77,28 @@ QkbflyEngine::QkbflyEngine(const EntityRepository* repository,
       "Per-document canonicalization (KB merge) time");
 }
 
-void StageTimingSummary::Add(const StageTimings& timings) {
-  annotate.Add(timings.annotate_s);
-  graph.Add(timings.graph_s);
-  densify.Add(timings.densify_s);
-  canonicalize.Add(timings.canonicalize_s);
-}
-
-std::string StageTimingSummary::Report() const {
-  std::string out;
-  char line[128];
-  auto row = [&](const char* name, const TimingStats& stats) {
-    std::snprintf(line, sizeof(line),
-                  "  %-12s mean %9.3f ms   p95 %9.3f ms\n", name,
-                  stats.Mean() * 1e3, stats.Percentile(0.95) * 1e3);
-    out += line;
-  };
-  row("annotate", annotate);
-  row("graph-build", graph);
-  row("densify", densify);
-  row("canonicalize", canonicalize);
-  return out;
-}
-
 DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
                                              obs::TraceContext trace) const {
   obs::ScopedSpan doc_span(trace, "process_document");
   doc_span.AddAttribute("doc_id", std::string_view(doc.id));
 
+  // One clock read per stage: each stage's time is the delta since the
+  // previous read, and the last read is the document's total.
   WallTimer timer;
-  WallTimer stage;
+  double stage_start = 0.0;
+  auto observe = [&](obs::Histogram* histogram) {
+    double now = timer.ElapsedSeconds();
+    histogram->Observe(now - stage_start);
+    stage_start = now;
+  };
+
   DocumentResult result;
   {
     obs::ScopedSpan span(doc_span.context(), "annotate");
     result.annotated = nlp_.Annotate(doc.id, doc.title, doc.text);
   }
-  result.timings.annotate_s = stage.ElapsedSeconds();
-  annotate_seconds_->Observe(result.timings.annotate_s);
+  observe(annotate_seconds_);
 
-  stage.Restart();
   {
     obs::ScopedSpan span(doc_span.context(), "graph_build");
     span.AddAttribute("parse", std::string_view(builder_->parser().Name()));
@@ -123,10 +106,8 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
     span.AddAttribute("nodes", static_cast<int64_t>(result.graph.node_count()));
     span.AddAttribute("edges", static_cast<int64_t>(result.graph.edge_count()));
   }
-  result.timings.graph_s = stage.ElapsedSeconds();
-  graph_build_seconds_->Observe(result.timings.graph_s);
+  observe(graph_build_seconds_);
 
-  stage.Restart();
   {
     obs::ScopedSpan span(doc_span.context(), "densify");
     switch (config_.mode) {
@@ -151,11 +132,10 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
     span.AddAttribute("assignments",
                       static_cast<int64_t>(result.densified.assignments.size()));
   }
-  result.timings.densify_s = stage.ElapsedSeconds();
-  densify_seconds_->Observe(result.timings.densify_s);
+  observe(densify_seconds_);
 
   documents_total_->Increment();
-  result.seconds = timer.ElapsedSeconds();
+  result.seconds = stage_start;
   return result;
 }
 
@@ -195,9 +175,9 @@ OnTheFlyKb QkbflyEngine::BuildKb(const std::vector<const Document*>& docs,
     span.AddAttribute("doc_id", std::string_view(result.annotated.id));
     WallTimer timer;
     PopulateKb(&kb, result);
-    result.timings.canonicalize_s = timer.ElapsedSeconds();
-    canonicalize_seconds_->Observe(result.timings.canonicalize_s);
-    result.seconds += result.timings.canonicalize_s;
+    double seconds = timer.ElapsedSeconds();
+    canonicalize_seconds_->Observe(seconds);
+    result.seconds += seconds;
     if (doc_results != nullptr) doc_results->push_back(std::move(result));
   };
 

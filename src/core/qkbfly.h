@@ -21,7 +21,6 @@
 #include "parser/router.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace qkbfly {
 
@@ -78,41 +77,16 @@ struct EngineConfig {
   std::string Fingerprint() const;
 };
 
-/// Per-stage wall times for one document (seconds). annotate/graph/densify
-/// are measured inside ProcessDocument; canonicalize is filled in by BuildKb
-/// when the document is merged into the KB.
-struct StageTimings {
-  double annotate_s = 0.0;
-  double graph_s = 0.0;
-  double densify_s = 0.0;
-  double canonicalize_s = 0.0;
-
-  double TotalSeconds() const {
-    return annotate_s + graph_s + densify_s + canonicalize_s;
-  }
-};
-
-/// Aggregates StageTimings across a corpus; reports mean and p95 per stage.
-struct StageTimingSummary {
-  TimingStats annotate;
-  TimingStats graph;
-  TimingStats densify;
-  TimingStats canonicalize;
-
-  void Add(const StageTimings& timings);
-
-  /// Multi-line "stage  mean  p95" table (milliseconds) for bench output.
-  std::string Report() const;
-};
-
 /// The per-document intermediate artifacts, exposed so experiments can
 /// evaluate individual stages (e.g. mention-level NED precision, Table 4).
 struct DocumentResult {
   AnnotatedDocument annotated;
   SemanticGraph graph;
   DensifyResult densified;
-  double seconds = 0.0;   ///< Wall time for this document.
-  StageTimings timings;   ///< Per-stage breakdown of `seconds`.
+  /// Wall time for this document: annotate + graph build + densify, plus
+  /// canonicalize once BuildKb has merged it. Each stage's own time goes to
+  /// its `pipeline_*_seconds` registry histogram.
+  double seconds = 0.0;
 };
 
 /// The end-to-end QKBfly system.
@@ -138,7 +112,7 @@ class QkbflyEngine {
   /// per-document stages run on a thread pool; canonicalization merges the
   /// results in input order, so the KB matches the serial run exactly. When
   /// `doc_results` is non-null it receives one DocumentResult per input
-  /// document (in input order) with all four stage timings filled in.
+  /// document (in input order).
   /// The trace context is propagated by value into every pooled task, so the
   /// parallel path yields the same span tree as the serial one (per-document
   /// spans all parent to this call's `build_kb` span).

@@ -3,9 +3,10 @@
 // their instruments once (construction time, under one registry mutex) and
 // then update them lock-free (counters/gauges are relaxed atomics) or with
 // one short mutex hold (histograms wrap util/latency_histogram, which is not
-// internally synchronized). Ad-hoc per-component counter structs are gone;
-// `CacheStats`, `KbService::Metrics`, and friends are *views* assembled from
-// registry instruments.
+// internally synchronized). Ad-hoc per-component counter and timing structs
+// are gone: each layer's time has one record here (plus its span when
+// tracing is on), and `CacheStats` from a memo's stats() is a per-instance
+// view of registry counters. Tests and tools read deltas of the registry.
 //
 // Naming convention (enforced at registration and statically by qkbfly-lint
 // rule O1): `snake_case` literals, `<subsystem>_<what>[_total|_seconds|

@@ -48,12 +48,13 @@ KbService::KbService(const QkbflyEngine* engine, const SearchEngine* search,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   queries_total_ = registry.GetCounter("service_queries_total",
                                        "Answer() calls served");
+  store_qa_rejected_total_ = registry.GetCounter(
+      "store_qa_rejected_total",
+      "Stored QA pairs whose KB bytes failed to deserialize (answered cold)");
   answer_seconds_ = registry.GetHistogram("service_answer_seconds",
                                           "End-to-end Answer() latency");
   retrieve_seconds_ = registry.GetHistogram(
       "service_retrieve_seconds", "Per-query search-engine retrieval time");
-  queries_baseline_ = queries_total_->Value();
-  latency_baseline_ = answer_seconds_->Snapshot();
 }
 
 KbService::~KbService() = default;
@@ -166,6 +167,7 @@ void KbService::AnswerCold(const std::string& query, QueryResult* out,
 
   // Rank facts by confidence (stable, so ties keep canonicalization order)
   // and render the top ones as the human-readable answer.
+  obs::ScopedSpan span(trace, "render");
   std::vector<const Fact*> ranked;
   ranked.reserve(out->kb.facts().size());
   for (const Fact& f : out->kb.facts()) ranked.push_back(&f);
@@ -212,11 +214,11 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
   SyncEpoch(epoch);
   std::string normalized = QaPairIndex::NormalizeQuestion(query);
 
-  // `built` flags that *this thread* ran the cold pipeline, in which case
-  // out.kb already holds the directly-built KB (the byte-identity anchor).
-  // Waiters, hits, and store-served answers rebuild from the cached bytes
-  // instead; the Serialize/Deserialize round-trip contract makes the two
-  // paths byte-identical.
+  // `built` flags that out.kb already holds this answer's KB: *this thread*
+  // ran the cold pipeline (the byte-identity anchor) or deserialized a
+  // stored QA pair. Waiters and hits rebuild from the cached bytes instead;
+  // the Serialize/Deserialize round-trip contract makes the paths
+  // byte-identical. Only bytes that deserialized here enter the query tier.
   bool built = false;
   bool was_hit = false;
   auto cached = query_cache_.FetchOrCompute(
@@ -228,19 +230,29 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
               normalized, epoch, fingerprint_, options_.match_paraphrases,
               query_trace);
           if (pair != nullptr) {
-            answer.kb_bytes = pair->kb_bytes;
-            answer.answers = pair->answers;
-            answer.documents = pair->documents;
-            answer.from_store = true;
-            return answer;
+            obs::ScopedSpan span(query_trace, "deserialize");
+            if (out.kb.Deserialize(pair->kb_bytes).ok()) {
+              built = true;
+              answer.kb_bytes = pair->kb_bytes;
+              answer.answers = pair->answers;
+              answer.documents = pair->documents;
+              answer.from_store = true;
+              return answer;
+            }
+            // A failed Deserialize leaves out.kb empty for the cold build.
+            store_qa_rejected_total_->Increment();
           }
         }
         AnswerCold(query, &out, query_trace);
         built = true;
-        answer.kb_bytes = out.kb.Serialize();
+        {
+          obs::ScopedSpan span(query_trace, "serialize");
+          answer.kb_bytes = out.kb.Serialize();
+        }
         answer.answers = out.answers;
         answer.documents = out.stats.documents;
         store_->IngestKb(out.kb, query, epoch, query_trace);
+        obs::ScopedSpan span(query_trace, "qa_record");
         QaPair pair;
         pair.question = normalized;
         pair.fingerprint = fingerprint_;
@@ -259,9 +271,10 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
   } else {
     out.stats.query_cache.misses = 1;
   }
+  out.answers = cached->answers;
+  out.stats.documents = cached->documents;
   if (!built) {
-    out.answers = cached->answers;
-    out.stats.documents = cached->documents;
+    obs::ScopedSpan span(query_trace, "deserialize");
     Status status = out.kb.Deserialize(cached->kb_bytes);
     QKB_CHECK(status.ok());
   }
@@ -283,16 +296,6 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
     trace_sink_.Offer(std::move(trace));
   }
   return out;
-}
-
-KbService::Metrics KbService::metrics() const {
-  Metrics m;
-  m.queries = queries_total_->Value() - queries_baseline_;
-  m.latency = answer_seconds_->Snapshot();
-  m.latency.SubtractPrefix(latency_baseline_);
-  m.cache = cache_.stats();
-  m.query_cache = query_cache_.stats();
-  return m;
 }
 
 }  // namespace qkbfly

@@ -56,7 +56,6 @@
 #include "store/fact_store.h"
 #include "store/query_cache.h"
 #include "util/cache_stats.h"
-#include "util/latency_histogram.h"
 
 namespace qkbfly {
 
@@ -155,6 +154,9 @@ class KbService {
   /// (retrieve, build the KB through the doc tier, rank facts into
   /// `answers`, ingest the facts into the store). Warm answers deserialize
   /// the cached KB bytes, so result.kb is byte-identical to the cold build.
+  /// A stored QA pair whose KB bytes do not deserialize (a corrupt snapshot)
+  /// is skipped: the answer is built cold and `store_qa_rejected_total`
+  /// counts the rejection.
   QueryResult Answer(const std::string& query);
 
   /// Document-level entry point (QaSystem routes here with its own
@@ -167,17 +169,6 @@ class KbService {
   OnTheFlyKb BuildKb(const std::vector<const Document*>& docs,
                      ServiceStats* stats = nullptr,
                      obs::TraceContext trace = {});
-
-  /// Service-wide metrics snapshot: a view over the default metrics registry
-  /// (`service_queries_total`, `service_answer_seconds`, `doc_cache_*`),
-  /// baselined at construction so the numbers cover this instance only.
-  struct Metrics {
-    uint64_t queries = 0;
-    CacheStats cache;           ///< Cumulative DocumentResultCache counters.
-    CacheStats query_cache;     ///< Cumulative QueryKbCache counters.
-    LatencyHistogram latency;   ///< End-to-end Answer() latencies.
-  };
-  Metrics metrics() const;
 
   /// The slowest-N retained query traces (empty unless
   /// options().keep_slowest_traces > 0).
@@ -226,12 +217,11 @@ class KbService {
   std::unique_ptr<ThreadPool> pool_;  ///< Present when num_threads > 1.
   obs::TraceSink trace_sink_;
 
-  // Registry instruments plus the construction-time baseline for metrics().
+  // Registry instruments, fetched once at construction (stable pointers).
   obs::Counter* queries_total_;
+  obs::Counter* store_qa_rejected_total_;
   obs::Histogram* answer_seconds_;
   obs::Histogram* retrieve_seconds_;
-  uint64_t queries_baseline_ = 0;
-  LatencyHistogram latency_baseline_;
 };
 
 }  // namespace qkbfly

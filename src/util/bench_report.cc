@@ -25,13 +25,6 @@ void BenchReport::Add(std::string name, int docs, int threads, double wall_s,
 }
 
 void BenchReport::Add(std::string name, int docs, int threads, double wall_s,
-                      uint64_t facts, const CacheFields& cache) {
-  Add(std::move(name), docs, threads, wall_s, facts);
-  entries_.back().has_cache = true;
-  entries_.back().cache = cache;
-}
-
-void BenchReport::Add(std::string name, int docs, int threads, double wall_s,
                       uint64_t facts, const StageFields& stage) {
   Add(std::move(name), docs, threads, wall_s, facts);
   entries_.back().has_stage = true;
@@ -57,13 +50,6 @@ bool BenchReport::WriteJson(const std::string& path) const {
                  "  {\"name\": %s, \"docs\": %d, \"threads\": %d, "
                  "\"wall_s\": %.6f, \"facts\": %" PRIu64,
                  name.c_str(), e.docs, e.threads, e.wall_s, e.facts);
-    if (e.has_cache) {
-      std::fprintf(f,
-                   ", \"hits\": %" PRIu64 ", \"misses\": %" PRIu64
-                   ", \"hit_rate\": %.4f, \"p95_ms\": %.4f",
-                   e.cache.hits, e.cache.misses, e.cache.hit_rate,
-                   e.cache.p95_ms);
-    }
     if (e.has_stage) {
       std::fprintf(f,
                    ", \"items\": %" PRIu64
@@ -86,10 +72,9 @@ bool BenchReport::WriteJson(const std::string& path) const {
 
 namespace {
 
-constexpr std::string_view kKeys[] = {"name",      "docs",   "threads", "wall_s",
-                                      "facts",     "hits",   "misses",  "hit_rate",
-                                      "p95_ms",    "items",  "rate",    "p50_ms",
-                                      "precision", "recall", "f1",      "mst_share"};
+constexpr std::string_view kKeys[] = {
+    "name",   "docs", "threads", "wall_s", "facts",     "items", "rate",
+    "p50_ms", "p95_ms", "precision", "recall", "f1", "mst_share"};
 
 /// Reads optional column `key` when present and marks its group present.
 template <typename T>
@@ -134,19 +119,12 @@ bool ReadEntry(json::Value record, BenchReport::Entry* entry,
   entry->name = name.text();
   entry->docs = static_cast<int>(docs);
   entry->threads = static_cast<int>(threads);
-  // p95_ms is a column of both the cache and the stage group.
-  double p95_ms = 0.0;
-  bool has_p95 = false;
-  if (!ReadOptional(record, "hits", &entry->cache.hits, &entry->has_cache) ||
-      !ReadOptional(record, "misses", &entry->cache.misses,
-                    &entry->has_cache) ||
-      !ReadOptional(record, "hit_rate", &entry->cache.hit_rate,
-                    &entry->has_cache) ||
-      !ReadOptional(record, "items", &entry->stage.items, &entry->has_stage) ||
+  if (!ReadOptional(record, "items", &entry->stage.items, &entry->has_stage) ||
       !ReadOptional(record, "rate", &entry->stage.rate, &entry->has_stage) ||
       !ReadOptional(record, "p50_ms", &entry->stage.p50_ms,
                     &entry->has_stage) ||
-      !ReadOptional(record, "p95_ms", &p95_ms, &has_p95) ||
+      !ReadOptional(record, "p95_ms", &entry->stage.p95_ms,
+                    &entry->has_stage) ||
       !ReadOptional(record, "precision", &entry->quality.precision,
                     &entry->has_quality) ||
       !ReadOptional(record, "recall", &entry->quality.recall,
@@ -157,8 +135,6 @@ bool ReadEntry(json::Value record, BenchReport::Entry* entry,
     *error = "bad optional column";
     return false;
   }
-  if (entry->has_cache) entry->cache.p95_ms = p95_ms;
-  if (entry->has_stage) entry->stage.p95_ms = p95_ms;
   return true;
 }
 

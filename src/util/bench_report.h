@@ -14,16 +14,6 @@ namespace qkbfly {
 /// Collects bench records and serializes them to a JSON file.
 class BenchReport {
  public:
-  /// Optional cache/latency columns for workloads that run through a cache
-  /// (the serving bench, the pipeline bench's LooseCandidates memo). Emitted
-  /// into the JSON record only when attached via the cache-taking Add().
-  struct CacheFields {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    double hit_rate = 0.0;
-    double p95_ms = 0.0;  ///< p95 latency of the workload's unit of work.
-  };
-
   /// Optional per-stage throughput columns for hot-path workloads
   /// (BENCH_hotpath.json): the stage's unit of work (tokens, gazetteer
   /// positions, edges removed), its rate per second, and the per-document
@@ -52,8 +42,6 @@ class BenchReport {
     int threads = 1;      ///< Worker threads used.
     double wall_s = 0.0;  ///< End-to-end wall time in seconds.
     uint64_t facts = 0;   ///< Facts (or outputs) produced.
-    bool has_cache = false;
-    CacheFields cache;
     bool has_stage = false;
     StageFields stage;
     bool has_quality = false;
@@ -62,10 +50,6 @@ class BenchReport {
 
   void Add(std::string name, int docs, int threads, double wall_s,
            uint64_t facts);
-
-  /// Same record plus the optional cache columns.
-  void Add(std::string name, int docs, int threads, double wall_s,
-           uint64_t facts, const CacheFields& cache);
 
   /// Same record plus the optional stage-throughput columns.
   void Add(std::string name, int docs, int threads, double wall_s,
@@ -82,7 +66,7 @@ class BenchReport {
   /// Reads a written report back into `entries`, checking its schema: a
   /// JSON array of flat objects, each carrying the required keys (name as a
   /// non-empty string; docs, threads, facts as unsigned integers; wall_s as
-  /// a number) and only known optional columns (cache, stage and quality,
+  /// a number) and only known optional columns (stage and quality,
   /// numeric). Returns false and fills `error` (when non-null) on the first
   /// violation. The bench binaries read back every report they write, so
   /// the machine-readable output can never silently rot.

@@ -32,33 +32,6 @@ void LatencyHistogram::Record(double seconds) {
   ++count_;
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  for (int i = 0; i < kBuckets; ++i) counts_[static_cast<size_t>(i)] +=
-      other.counts_[static_cast<size_t>(i)];
-  if (count_ == 0 || other.min_s_ < min_s_) min_s_ = other.min_s_;
-  max_s_ = std::max(max_s_, other.max_s_);
-  sum_s_ += other.sum_s_;
-  count_ += other.count_;
-}
-
-void LatencyHistogram::SubtractPrefix(const LatencyHistogram& baseline) {
-  if (baseline.count_ == 0) return;
-  for (int i = 0; i < kBuckets; ++i) {
-    size_t b = static_cast<size_t>(i);
-    counts_[b] = counts_[b] >= baseline.counts_[b]
-                     ? counts_[b] - baseline.counts_[b]
-                     : 0;
-  }
-  count_ = count_ >= baseline.count_ ? count_ - baseline.count_ : 0;
-  sum_s_ = std::max(0.0, sum_s_ - baseline.sum_s_);
-  if (count_ == 0) {
-    min_s_ = 0.0;
-    max_s_ = 0.0;
-    sum_s_ = 0.0;
-  }
-}
-
 uint64_t LatencyHistogram::BucketSamples(int bucket) const {
   if (bucket < 0 || bucket >= kBuckets) return 0;
   return counts_[static_cast<size_t>(bucket)];

@@ -1,5 +1,6 @@
 // Log-bucketed latency histogram for service-wide metrics: constant-size,
-// mergeable, with interpolated p50/p95/p99 queries. Resolution is
+// with interpolated p50/p95/p99 queries. It is the storage behind every
+// obs::Histogram in the metrics registry. Resolution is
 // 2^(1/4) per bucket (~19% relative error worst case), which is plenty for
 // "is warm an order of magnitude below cold" serving questions.
 #ifndef QKBFLY_UTIL_LATENCY_HISTOGRAM_H_
@@ -14,7 +15,7 @@ namespace qkbfly {
 /// Fixed-size histogram over latencies. Buckets are geometric in
 /// microseconds: bucket i covers [2^(i/4), 2^((i+1)/4)) us, so the range
 /// spans sub-microsecond to ~17 minutes. Not internally synchronized;
-/// owners guard it (obs::Histogram) or keep one per thread and Merge().
+/// owners guard it (obs::Histogram) or use it from one thread.
 class LatencyHistogram {
  public:
   // 160 quarter-octave buckets: 2^(160/4) us ~= 1.1e6 s upper bound.
@@ -23,16 +24,6 @@ class LatencyHistogram {
   /// Records one sample. Negative and NaN inputs are clamped to zero (they
   /// can only come from clock anomalies and must not poison min/max).
   void Record(double seconds);
-
-  /// Adds all of `other`'s samples to this histogram.
-  void Merge(const LatencyHistogram& other);
-
-  /// Removes the samples of an earlier snapshot of this same histogram
-  /// (`baseline` must have been copied from *this before the samples being
-  /// kept were recorded). Used to turn cumulative registry histograms into
-  /// per-instance views. min/max stay exact when the baseline is empty (the
-  /// common fresh-instance case) and remain conservative bounds otherwise.
-  void SubtractPrefix(const LatencyHistogram& baseline);
 
   uint64_t count() const { return count_; }
   double min_seconds() const { return count_ == 0 ? 0.0 : min_s_; }

@@ -31,32 +31,9 @@ TEST(BenchReportTest, WritesPlainEntries) {
   EXPECT_NE(json.find("\"name\": \"workload/a\""), std::string::npos);
   EXPECT_NE(json.find("\"docs\": 10"), std::string::npos);
   EXPECT_NE(json.find("\"facts\": 42"), std::string::npos);
-  // No cache columns unless attached.
-  EXPECT_EQ(json.find("\"hits\""), std::string::npos);
-  EXPECT_EQ(json.find("\"hit_rate\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(BenchReportTest, WritesCacheFieldsWhenAttached) {
-  BenchReport report;
-  BenchReport::CacheFields cache;
-  cache.hits = 90;
-  cache.misses = 10;
-  cache.hit_rate = 0.9;
-  cache.p95_ms = 12.5;
-  report.Add("service_warm", 100, 1, 0.25, 300, cache);
-  report.Add("no_cache", 5, 1, 0.1, 7);
-  std::string path = TempPath("bench_cache.json");
-  ASSERT_TRUE(report.WriteJson(path));
-  std::string json = ReadFile(path);
-  EXPECT_NE(json.find("\"hits\": 90"), std::string::npos);
-  EXPECT_NE(json.find("\"misses\": 10"), std::string::npos);
-  EXPECT_NE(json.find("\"hit_rate\": 0.9000"), std::string::npos);
-  EXPECT_NE(json.find("\"p95_ms\": 12.5000"), std::string::npos);
-  // The cache-free record in the same file stays schema-compatible.
-  EXPECT_NE(json.find("\"name\": \"no_cache\""), std::string::npos);
-  size_t second = json.find("\"name\": \"no_cache\"");
-  EXPECT_EQ(json.find("\"hits\"", second), std::string::npos);
+  // No optional columns unless attached.
+  EXPECT_EQ(json.find("\"items\""), std::string::npos);
+  EXPECT_EQ(json.find("\"precision\""), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -73,12 +50,6 @@ TEST(BenchReportTest, EscapesNames) {
 TEST(BenchReportTest, ReadsBackEveryColumnGroup) {
   BenchReport report;
   report.Add("plain \"quoted\"\nname\x01", 10, 2, 1.5, 42);
-  BenchReport::CacheFields cache;
-  cache.hits = 90;
-  cache.misses = 10;
-  cache.hit_rate = 0.9;
-  cache.p95_ms = 12.5;
-  report.Add("cache", 100, 1, 0.25, 300, cache);
   BenchReport::StageFields stage;
   stage.items = 7;
   stage.rate = 28.0;
@@ -107,23 +78,18 @@ TEST(BenchReportTest, ReadsBackEveryColumnGroup) {
     EXPECT_EQ(read[i].threads, wrote[i].threads);
     EXPECT_DOUBLE_EQ(read[i].wall_s, wrote[i].wall_s);
     EXPECT_EQ(read[i].facts, wrote[i].facts);
-    EXPECT_EQ(read[i].has_cache, wrote[i].has_cache);
     EXPECT_EQ(read[i].has_stage, wrote[i].has_stage);
     EXPECT_EQ(read[i].has_quality, wrote[i].has_quality);
   }
   // The values above are exact at the written precision.
-  EXPECT_EQ(read[1].cache.hits, 90u);
-  EXPECT_EQ(read[1].cache.misses, 10u);
-  EXPECT_DOUBLE_EQ(read[1].cache.hit_rate, 0.9);
-  EXPECT_DOUBLE_EQ(read[1].cache.p95_ms, 12.5);
-  EXPECT_EQ(read[2].stage.items, 7u);
-  EXPECT_DOUBLE_EQ(read[2].stage.rate, 28.0);
-  EXPECT_DOUBLE_EQ(read[2].stage.p50_ms, 0.125);
-  EXPECT_DOUBLE_EQ(read[2].stage.p95_ms, 0.5);
-  EXPECT_DOUBLE_EQ(read[3].quality.precision, 0.75);
-  EXPECT_DOUBLE_EQ(read[3].quality.recall, 0.5);
-  EXPECT_DOUBLE_EQ(read[3].quality.f1, 0.6);
-  EXPECT_DOUBLE_EQ(read[3].quality.mst_share, 0.25);
+  EXPECT_EQ(read[1].stage.items, 7u);
+  EXPECT_DOUBLE_EQ(read[1].stage.rate, 28.0);
+  EXPECT_DOUBLE_EQ(read[1].stage.p50_ms, 0.125);
+  EXPECT_DOUBLE_EQ(read[1].stage.p95_ms, 0.5);
+  EXPECT_DOUBLE_EQ(read[2].quality.precision, 0.75);
+  EXPECT_DOUBLE_EQ(read[2].quality.recall, 0.5);
+  EXPECT_DOUBLE_EQ(read[2].quality.f1, 0.6);
+  EXPECT_DOUBLE_EQ(read[2].quality.mst_share, 0.25);
   std::remove(path.c_str());
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lint/sarif.h"
+#include "mutate.h"
 #include "obs/metrics.h"
 #include "store/fact_store.h"
 #include "util/rng.h"
@@ -210,30 +211,9 @@ size_t Walk(Value v) {
   return visited;
 }
 
-/// One to three random edits: truncate, overwrite a byte, insert a byte, or
-/// delete a byte. Overwrites and insertions favour JSON-significant bytes.
-std::string Mutate(const std::string& seed, Rng& rng) {
-  static const char kSignificant[] = "{}[]\",:\\-+.0123456789eEutn \n\x01";
-  std::string s = seed;
-  int edits = rng.NextInt(1, 3);
-  for (int e = 0; e < edits && !s.empty(); ++e) {
-    size_t at = rng.NextUint64(s.size());
-    char byte = rng.NextBool(0.5)
-                    ? kSignificant[rng.NextUint64(sizeof(kSignificant) - 1)]
-                    : static_cast<char>(rng.NextUint64(256));
-    int kind = rng.NextInt(0, 3);
-    if (kind == 0) {
-      s.resize(at);
-    } else if (kind == 1) {
-      s[at] = byte;
-    } else if (kind == 2) {
-      s.insert(at, 1, byte);
-    } else {
-      s.erase(at, 1);
-    }
-  }
-  return s;
-}
+/// The bytes JSON readers treat specially, for Mutate.
+constexpr std::string_view kJsonSignificant =
+    "{}[]\",:\\-+.0123456789eEutn \n\x01";
 
 std::string SnapshotSeed(const std::string& path) {
   FactStore store;
@@ -304,7 +284,7 @@ TEST(JsonMutationTest, NoMutantCrashesAndAcceptedSnapshotsAreStable) {
   constexpr int kRounds = 2000;
   for (int round = 0; round < kRounds; ++round) {
     for (const std::string* seed : {&snapshot, &metrics, &sarif}) {
-      std::string mutant = Mutate(*seed, rng);
+      std::string mutant = Mutate(*seed, kJsonSignificant, rng);
       if (doc.Parse(mutant, &error)) {
         ++parsed;
         EXPECT_GT(Walk(doc.root()), 0u);

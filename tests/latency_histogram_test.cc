@@ -53,35 +53,6 @@ TEST(LatencyHistogramTest, PercentilesAreMonotone) {
   }
 }
 
-TEST(LatencyHistogramTest, MergeMatchesCombinedRecording) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  LatencyHistogram combined;
-  for (int i = 1; i <= 50; ++i) {
-    double v = static_cast<double>(i) * 1e-3;
-    (i % 2 == 0 ? a : b).Record(v);
-    combined.Record(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_DOUBLE_EQ(a.min_seconds(), combined.min_seconds());
-  EXPECT_DOUBLE_EQ(a.max_seconds(), combined.max_seconds());
-  for (double p : {0.5, 0.95, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.PercentileSeconds(p), combined.PercentileSeconds(p));
-  }
-}
-
-TEST(LatencyHistogramTest, MergeIntoEmpty) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  b.Record(0.004);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.min_seconds(), 0.004);
-  a.Merge(LatencyHistogram());  // merging empty is a no-op
-  EXPECT_EQ(a.count(), 1u);
-}
-
 TEST(LatencyHistogramTest, NegativeAndNanSamplesClampToZero) {
   LatencyHistogram h;
   h.Record(-0.5);
@@ -114,36 +85,6 @@ TEST(LatencyHistogramTest, BucketAccessorsMatchRecording) {
   uint64_t total = 0;
   for (int b = 0; b <= top; ++b) total += h.BucketSamples(b);
   EXPECT_EQ(total, h.count());
-}
-
-TEST(LatencyHistogramTest, SubtractPrefixYieldsDeltaView) {
-  LatencyHistogram cumulative;
-  cumulative.Record(0.001);
-  cumulative.Record(0.002);
-  LatencyHistogram baseline = cumulative;  // snapshot before "my" samples
-  cumulative.Record(0.010);
-  cumulative.Record(0.040);
-
-  LatencyHistogram view = cumulative;
-  view.SubtractPrefix(baseline);
-  EXPECT_EQ(view.count(), 2u);
-  // Delta percentiles reflect only the post-baseline samples (within the
-  // quarter-octave bucket resolution).
-  EXPECT_GT(view.PercentileSeconds(0.5), 0.005);
-
-  // Empty baseline is a no-op and keeps exact extremes.
-  LatencyHistogram untouched = cumulative;
-  untouched.SubtractPrefix(LatencyHistogram());
-  EXPECT_EQ(untouched.count(), 4u);
-  EXPECT_DOUBLE_EQ(untouched.min_seconds(), 0.001);
-  EXPECT_DOUBLE_EQ(untouched.max_seconds(), 0.040);
-
-  // Subtracting everything resets to an empty histogram.
-  LatencyHistogram empty = cumulative;
-  empty.SubtractPrefix(cumulative);
-  EXPECT_EQ(empty.count(), 0u);
-  EXPECT_DOUBLE_EQ(empty.PercentileSeconds(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(empty.sum_seconds(), 0.0);
 }
 
 TEST(LatencyHistogramTest, ReportMentionsPercentiles) {

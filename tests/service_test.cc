@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "synth/dataset.h"
 
 namespace qkbfly {
@@ -187,22 +188,33 @@ TEST_F(ServiceTest, ServiceBuildMatchesUncachedEngineBuild) {
 }
 
 TEST_F(ServiceTest, MetricsAccumulateAcrossQueries) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* served = registry.GetCounter("service_queries_total");
+  obs::Histogram* latency = registry.GetHistogram("service_answer_seconds");
+  const uint64_t served_before = served->Value();
+  const LatencyHistogram latency_before = latency->Snapshot();
+
   KbService service(engine_, search_);
   auto queries = SomeQueries(4);
   for (int round = 0; round < 2; ++round) {
     for (const std::string& q : queries) (void)service.Answer(q);
   }
-  KbService::Metrics m = service.metrics();
-  EXPECT_EQ(m.queries, queries.size() * 2);
-  EXPECT_EQ(m.latency.count(), queries.size() * 2);
-  EXPECT_GT(m.latency.PercentileSeconds(0.95), 0.0);
-  EXPECT_GT(m.cache.hits, 0u);
-  EXPECT_GT(m.cache.misses, 0u);
+  const LatencyHistogram latency_after = latency->Snapshot();
+  EXPECT_EQ(served->Value() - served_before, queries.size() * 2);
+  EXPECT_EQ(latency_after.count() - latency_before.count(),
+            queries.size() * 2);
+  EXPECT_GT(latency_after.sum_seconds() - latency_before.sum_seconds(), 0.0);
+  CacheStats cache = service.cache().stats();
+  EXPECT_GT(cache.hits, 0u);
+  EXPECT_GT(cache.misses, 0u);
   EXPECT_GT(service.cache().entry_count(), 0u);
   EXPECT_LE(service.cache().ApproxBytesUsed(), service.cache().byte_budget());
 }
 
 TEST_F(ServiceTest, ConcurrentQueriesAreSafeAndDeterministic) {
+  obs::Counter* served =
+      obs::MetricsRegistry::Default().GetCounter("service_queries_total");
+  const uint64_t served_before = served->Value();
   KbService service(engine_, search_);
   auto queries = SomeQueries(4);
 
@@ -227,7 +239,7 @@ TEST_F(ServiceTest, ConcurrentQueriesAreSafeAndDeterministic) {
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(service.metrics().queries,
+  EXPECT_EQ(served->Value() - served_before,
             queries.size() + kThreads * kRounds);
 }
 

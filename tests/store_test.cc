@@ -1,16 +1,20 @@
-// Fact-store & query-tier tests: OnTheFlyKb serialization round-trip, the
-// sharded FactStore (merge semantics, epoch staleness, JSONL snapshot
+// Fact-store & query-tier tests: OnTheFlyKb serialization round-trip (plus
+// a seeded mutation test of Deserialize — labeled asan), the sharded
+// FactStore (merge semantics, epoch staleness, JSONL snapshot
 // save/load), the QaPairIndex, the query-level cache tier in KbService
 // (cold / doc-warm / query-warm byte-identity, also under 4-thread
-// concurrency — labeled tsan), epoch-bump invalidation of both tiers, and
-// answer reproduction across a simulated process restart.
+// concurrency — labeled tsan), epoch-bump invalidation of both tiers,
+// answer reproduction across a simulated process restart, and a cold
+// fallback when a restored QA pair's KB bytes are corrupt.
 #include "store/fact_store.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -18,10 +22,13 @@
 #include <thread>
 #include <vector>
 
+#include "mutate.h"
+#include "obs/metrics.h"
 #include "service/kb_service.h"
 #include "store/qa_pair_index.h"
 #include "store/query_cache.h"
 #include "synth/dataset.h"
+#include "util/rng.h"
 
 namespace qkbfly {
 namespace {
@@ -110,6 +117,97 @@ TEST_F(StoreTest, KbDeserializeRejectsBadInput) {
   EXPECT_FALSE(bad.ok());
   EXPECT_NE(bad.message().find("line 2"), std::string::npos) << bad;
   EXPECT_EQ(fresh.size(), 0u);  // failed loads leave the KB empty
+
+  // Integers that parse to another id or re-serialize differently: a
+  // relation id past 2^32 (it would narrow onto a real relation) and a
+  // leading zero.
+  std::string bytes = built.Serialize();
+  size_t at = bytes.find("\nF\t");
+  ASSERT_NE(at, std::string::npos);
+  at += 3;
+  size_t end = bytes.find('\t', at);
+  std::string relation = bytes.substr(at, end - at);
+  for (const std::string& alias :
+       {std::to_string(std::stoull(relation) + (uint64_t{1} << 32)),
+        "0" + relation}) {
+    std::string aliased = bytes;
+    aliased.replace(at, end - at, alias);
+    OnTheFlyKb rebuilt = engine_->MakeKb();
+    EXPECT_FALSE(rebuilt.Deserialize(aliased).ok()) << alias;
+    EXPECT_EQ(rebuilt.Serialize(), "qkbfly-kb\t1\n") << alias;
+  }
+}
+
+/// Splits Serialize()-shaped text into records and fields.
+std::vector<std::vector<std::string>> Records(const std::string& text) {
+  std::vector<std::vector<std::string>> records;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    std::vector<std::string>& fields = records.emplace_back();
+    size_t start = pos;
+    for (size_t i = pos; i <= eol; ++i) {
+      if (i == eol || text[i] == '\t') {
+        fields.push_back(text.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+    pos = eol + 1;
+  }
+  return records;
+}
+
+/// Empty when `got` matches `want` field for field, a fact's confidence
+/// (field 4 of an F record) compared as a parsed double; else the first
+/// difference.
+std::string FieldDiff(const std::string& want, const std::string& got) {
+  std::vector<std::vector<std::string>> a = Records(want);
+  std::vector<std::vector<std::string>> b = Records(got);
+  if (a.size() != b.size()) return "record count differs";
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) {
+      return "field count differs in record " + std::to_string(r);
+    }
+    for (size_t f = 0; f < a[r].size(); ++f) {
+      bool same = a[r][0] == "F" && f == 4
+                      ? std::strtod(a[r][f].c_str(), nullptr) ==
+                            std::strtod(b[r][f].c_str(), nullptr)
+                      : a[r][f] == b[r][f];
+      if (!same) {
+        return "record " + std::to_string(r) + " field " + std::to_string(f) +
+               ": \"" + a[r][f] + "\" vs \"" + b[r][f] + "\"";
+      }
+    }
+  }
+  return "";
+}
+
+// Seeded mutation test of OnTheFlyKb::Deserialize, the reader behind every
+// query-tier hit and store-served answer: each mutant of a real KB either
+// fails and leaves the KB empty, or re-serializes to itself field for field.
+TEST_F(StoreTest, KbDeserializeMutantsFailCleanlyOrRoundTrip) {
+  std::vector<const Document*> docs;
+  for (size_t i = 0; i < 3; ++i) docs.push_back(&dataset_->wiki_eval[i].doc);
+  const std::string seed = engine_->BuildKb(docs).Serialize();
+  ASSERT_GT(Records(seed).size(), 10u);
+
+  constexpr std::string_view kKbSignificant = "\t\n\r\\-+.0123456789eEFER";
+  Rng rng(20261017);
+  size_t accepted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string mutant = Mutate(seed, kKbSignificant, rng);
+    OnTheFlyKb kb = engine_->MakeKb();
+    if (!kb.Deserialize(mutant).ok()) {
+      ASSERT_EQ(kb.Serialize(), "qkbfly-kb\t1\n") << "round " << round;
+      continue;
+    }
+    ++accepted;
+    std::string diff = FieldDiff(mutant, kb.Serialize());
+    ASSERT_TRUE(diff.empty()) << "round " << round << ": " << diff;
+  }
+  // Most mutants land in free-text fields and stay valid.
+  EXPECT_GT(accepted, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -542,6 +640,56 @@ TEST_F(StoreTest, StoreSnapshotReproducesAnswersAcrossRestart) {
     EXPECT_EQ(replayed.kb.Serialize(), cold_bytes);
     EXPECT_EQ(replayed.answers, cold_answers);
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreTest, CorruptStoredKbIsAnsweredCold) {
+  std::string path = TempPath("corrupt.jsonl");
+  std::string query = dataset_->wiki_eval.front().doc.title;
+  std::string cold_bytes;
+  std::vector<std::string> cold_answers;
+  {
+    auto search = MakeSearch();
+    KbService service(engine_, search.get());
+    KbService::QueryResult cold = service.Answer(query);
+    ASSERT_GT(cold.kb.size(), 0u);
+    cold_bytes = cold.kb.Serialize();
+    cold_answers = cold.answers;
+    ASSERT_TRUE(service.fact_store()->Save(path).ok());
+  }
+  // Break the stored KB's header inside its JSON string: the snapshot still
+  // loads, but the QA pair's KB bytes no longer deserialize.
+  std::string snapshot;
+  {
+    std::ifstream in(path, std::ios::binary);
+    snapshot.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  size_t at = snapshot.find("qkbfly-kb");
+  ASSERT_NE(at, std::string::npos);
+  snapshot.replace(at, 9, "corrupt-kb");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << snapshot;
+  FactStore loaded;
+  ASSERT_TRUE(loaded.Load(path).ok());
+
+  obs::Counter* rejected =
+      obs::MetricsRegistry::Default().GetCounter("store_qa_rejected_total");
+  const uint64_t rejected_before = rejected->Value();
+  auto search = MakeSearch();
+  KbServiceOptions options;
+  options.fact_store = &loaded;
+  options.serve_from_store = true;
+  KbService service(engine_, search.get(), options);
+  KbService::QueryResult answer = service.Answer(query);
+  EXPECT_FALSE(answer.stats.served_from_store);
+  EXPECT_EQ(answer.kb.Serialize(), cold_bytes);
+  EXPECT_EQ(answer.answers, cold_answers);
+  EXPECT_EQ(rejected->Value() - rejected_before, 1u);
+
+  // Only the rebuilt bytes reached the query tier.
+  KbService::QueryResult again = service.Answer(query);
+  EXPECT_TRUE(again.stats.query_cache_hit);
+  EXPECT_EQ(again.kb.Serialize(), cold_bytes);
   std::remove(path.c_str());
 }
 

@@ -8,12 +8,16 @@
 // race detector. Also asserts the determinism contract: the KB bytes are
 // identical with and without a live trace, and the serving layer's miss
 // path: canonical extraction gets its own `extract` span beside
-// `process_document`, apart from the per-query `merge`.
+// `process_document`, apart from the per-query `merge`; and every step of
+// KbService::Answer has a span (render, serialize, qa_record on a cold
+// answer; deserialize on a query-tier hit).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/qkbfly.h"
@@ -204,6 +208,41 @@ TEST_F(TracePropagationTest, ServiceMissSpansSplitProcessAndExtract) {
   warm.Finish();
   EXPECT_TRUE(children(warm, &merges).empty());
   EXPECT_EQ(merges, 1);
+}
+
+TEST_F(TracePropagationTest, AnswerSpansCoverEveryStep) {
+  DocumentStore wiki;
+  DocumentStore news;
+  for (const GoldDocument& gd : dataset_->wiki_eval) (void)wiki.Add(gd.doc);
+  for (const GoldDocument& gd : dataset_->news) (void)news.Add(gd.doc);
+  SearchEngine search(&wiki, &news);
+  QkbflyEngine engine(dataset_->repository.get(), &dataset_->patterns,
+                      &dataset_->stats, EngineConfig());
+  KbServiceOptions options;
+  options.keep_slowest_traces = 2;
+  KbService service(&engine, &search, options);
+  const std::string query = dataset_->wiki_eval.front().doc.title;
+  ASSERT_FALSE(service.Answer(query).stats.query_cache_hit);
+  ASSERT_TRUE(service.Answer(query).stats.query_cache_hit);
+
+  // Span names per trace; the cold answer's trace is the one that retrieved.
+  std::vector<std::shared_ptr<const obs::Trace>> traces =
+      service.traces().Slowest();
+  ASSERT_EQ(traces.size(), 2u);
+  std::vector<std::map<std::string, int>> names(2);
+  for (size_t t = 0; t < 2; ++t) {
+    for (const obs::Span& s : traces[t]->Snapshot()) ++names[t][s.name];
+  }
+  if (names[0].count("retrieve") == 0) std::swap(names[0], names[1]);
+  const std::map<std::string, int>& cold = names[0];
+  const std::map<std::string, int>& hit = names[1];
+  for (const char* step : {"retrieve", "merge", "render", "serialize",
+                           "store_ingest", "qa_record"}) {
+    EXPECT_EQ(cold.count(step), 1u) << step;
+  }
+  EXPECT_EQ(cold.count("deserialize"), 0u);
+  EXPECT_EQ(hit.count("deserialize"), 1u);
+  EXPECT_EQ(hit.count("retrieve"), 0u);
 }
 
 }  // namespace
