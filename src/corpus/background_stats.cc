@@ -62,8 +62,7 @@ double BackgroundStats::PriorLowered(std::string_view lowered_mention,
 
 const SparseVector& BackgroundStats::EntityContext(EntityId entity) const {
   static const SparseVector kEmpty;
-  auto it = entity_contexts_.find(entity);
-  return it == entity_contexts_.end() ? kEmpty : it->second;
+  return entity < entity_contexts_.size() ? entity_contexts_[entity] : kEmpty;
 }
 
 SparseVector BackgroundStats::MentionContext(
@@ -288,6 +287,7 @@ BackgroundStats StatisticsBuilder::Build(const DocumentStore& corpus,
   // sentences may not have hit touch_term when a sentence failed to split
   // identically; make the frequency table cover every interned term.)
   stats.doc_freq_.resize(stats.terms_.size(), 0);
+  stats.entity_contexts_.resize(repository_->size());
   for (auto& [entity, tf] : entity_tf) {
     SparseVector v;
     for (const auto& [term, freq] : tf) {
@@ -296,11 +296,12 @@ BackgroundStats StatisticsBuilder::Build(const DocumentStore& corpus,
       v.Add(term, freq * idf);
     }
     v.Finalize();
-    stats.entity_contexts_.emplace(entity, std::move(v));
+    QKB_CHECK_LT(entity, stats.entity_contexts_.size());  // a repository id
+    stats.entity_contexts_[entity] = std::move(v);
   }
 
   QKB_LOG(Info) << "background stats: " << stats.anchor_counts_.size()
-                << " anchored mentions, " << stats.entity_contexts_.size()
+                << " anchored mentions, " << entity_tf.size()
                 << " entity contexts, " << stats.type_sig_totals_.size()
                 << " relation patterns";
   return stats;

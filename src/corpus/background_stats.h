@@ -101,7 +101,9 @@ class BackgroundStats {
   StringMap<std::unordered_map<EntityId, uint32_t>> anchor_counts_;
   StringMap<uint32_t> mention_totals_;
 
-  std::unordered_map<EntityId, SparseVector> entity_contexts_;
+  // Indexed by EntityId; entities without context evidence hold an empty
+  // vector.
+  std::vector<SparseVector> entity_contexts_;
 
   StringInterner terms_;
   std::vector<uint32_t> doc_freq_;  // indexed by term id

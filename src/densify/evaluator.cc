@@ -11,15 +11,12 @@ namespace qkbfly {
 
 namespace {
 
-// Side keys of the type-signature memo: entity ids, or literal node ids
-// tagged with the high bit; an (absurdly large) entity id that would collide
-// with the tag bypasses the cache instead.
+// Side keys of the type-signature memo: an entity's type-set id, or a
+// literal's TypeId tagged with the high bit. Both stay below the tag: a
+// repository has far fewer than 2^31 type sets, a type system fewer types.
 constexpr uint64_t kLiteralBit = 0x80000000ull;
-constexpr uint64_t kUncacheable = ~0ull;
 
-uint64_t CoherenceKey(EntityId e1, EntityId e2) {
-  return (static_cast<uint64_t>(e1) << 32) | e2;
-}
+uint64_t LiteralKey(TypeId t) { return kLiteralBit | t; }
 
 /// One relation-edge side: a view of the node's candidate universe.
 struct SideRef {
@@ -46,11 +43,6 @@ SideRef SideOf(const SemanticGraph& graph, const DensifyWorkspace& ws,
 EntityId EntityAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
   return s.pronoun ? ws.pro_univ[s.off + i].entity
                    : ws.np_univ[s.off + i].entity;
-}
-
-NodeId EntityNodeAt(const DensifyWorkspace& ws, const SideRef& s, uint32_t i) {
-  return s.pronoun ? ws.pro_univ[s.off + i].entity_node
-                   : ws.np_univ[s.off + i].entity_node;
 }
 
 // Mention data the means lane reads: lowercased text, exact-alias
@@ -158,27 +150,17 @@ DensifyEvaluator::DensifyEvaluator(SemanticGraph* graph,
 void DensifyEvaluator::BuildTypes() {
   DensifyWorkspace& ws = *ws_;
   const size_t n = graph_->node_count();
-  ws.types_of_node.assign(n, DensifyWorkspace::TypeRef{});
-  ws.type_pool.clear();
   ws.literal_type.assign(n, 0);
   ws.has_literal_type.assign(n, 0);
   ws.visit_mark.assign(n, 0);
   ws.visit_epoch = 0;
 
+  // Entity nodes need nothing here: their type lists are the repository's
+  // interned type closures.
   const TypeSystem& ts = repository_->type_system();
   for (size_t i = 0; i < n; ++i) {
     const GraphNode& node = graph_->node(static_cast<NodeId>(i));
-    if (node.kind == NodeKind::kEntity) {
-      // The entity's types with ancestors, flattened in repository order
-      // (no dedup).
-      uint32_t off = static_cast<uint32_t>(ws.type_pool.size());
-      for (TypeId t : repository_->Get(node.entity).types) {
-        ts.AncestorsInto(t, &ws.type_pool);
-      }
-      ws.types_of_node[i] = {off,
-                             static_cast<uint32_t>(ws.type_pool.size()) - off};
-      continue;
-    }
+    if (node.kind == NodeKind::kEntity) continue;
     // Literal / coarse-NER type of the node (at most one): out-of-repository
     // names still carry their coarse NER type, which lets type signatures
     // constrain relations with emerging arguments. The Find keys are short
@@ -308,15 +290,22 @@ uint32_t DensifyEvaluator::PatternIdOf(const std::string& pattern) {
 
 double DensifyEvaluator::TsPairValue(
     const BackgroundStats::TypeSignatureTable& table, size_t pattern_id,
-    uint64_t key_a, uint64_t key_b, Span<TypeId> types_a,
-    Span<TypeId> types_b) const {
-  if (key_a == kUncacheable || key_b == kUncacheable) {
-    return stats_->TypeSignatureSum(table, types_a, types_b);
-  }
+    uint64_t key_a, uint64_t key_b) const {
   const uint64_t pair_key = (key_a << 32) | key_b;
   FlatPairCache& cache = ws_->ts_caches[pattern_id];
   if (const double* hit = cache.Lookup(pair_key)) return *hit;
-  double value = stats_->TypeSignatureSum(table, types_a, types_b);
+  // The type list a side key stands for: the one literal type, or a type
+  // set's closure.
+  TypeId literal[2];
+  auto types_of = [&](uint64_t key, TypeId* slot) -> Span<TypeId> {
+    if (key & kLiteralBit) {
+      *slot = static_cast<TypeId>(key & ~kLiteralBit);
+      return {slot, 1};
+    }
+    return repository_->TypeClosure(static_cast<uint32_t>(key));
+  };
+  const double value = stats_->TypeSignatureSum(
+      table, types_of(key_a, &literal[0]), types_of(key_b, &literal[1]));
   cache.Insert(pair_key, value);
   return value;
 }
@@ -334,7 +323,6 @@ void DensifyEvaluator::BuildRelationLanes() {
   ws.coh_pool.clear();
   ws.ts_pool.clear();
   ws.patterns.clear();
-  ws.coherence_cache.Reset(2 * edges + 16);
   // Sum over lanes of (largest entry x cells): it bounds every lane sum, the
   // objective and every contribution delta (a lane counts at most twice).
   int64_t sum_bound = 0;
@@ -348,6 +336,10 @@ void DensifyEvaluator::BuildRelationLanes() {
   };
   auto to_fixed = [](double v) {
     return static_cast<int64_t>(std::llround(v * DensifyWorkspace::kLaneOne));
+  };
+  // Type-signature side key of an entity: its type-set id.
+  auto entity_key = [this](EntityId e) -> uint64_t {
+    return repository_->Get(e).type_set;
   };
 
   for (EdgeId r : ws.relation_edges) {
@@ -390,22 +382,22 @@ void DensifyEvaluator::BuildRelationLanes() {
     const uint32_t pid = PatternIdOf(e.label);
     const BackgroundStats::TypeSignatureTable table = ws.patterns[pid].second;
 
-    // Coherence matrix: |Ua| x |Ub|.
+    // Coherence matrix: |Ua| x |Ub|, one WeightedOverlapRow per row (the
+    // Coherence(ea, eb) of every cell, bit for bit).
     lane.coh_off = static_cast<uint32_t>(ws.coh_pool.size());
+    ws.col_contexts.resize(sb.len);
+    for (uint32_t j = 0; j < sb.len; ++j) {
+      ws.col_contexts[j] = &stats_->EntityContext(EntityAt(ws, sb, j));
+    }
+    ws.coh_row.resize(sb.len);
     int64_t max_coh = 0;
     for (uint32_t i = 0; i < sa.len; ++i) {
-      const EntityId ea = EntityAt(ws, sa, i);
+      WeightedOverlapRow(stats_->EntityContext(EntityAt(ws, sa, i)),
+                         {ws.col_contexts.data(), sb.len}, &ws.overlap_dense,
+                         ws.coh_row.data());
       for (uint32_t j = 0; j < sb.len; ++j) {
-        const EntityId eb = EntityAt(ws, sb, j);
-        const uint64_t key = CoherenceKey(ea, eb);
-        double coh;
-        if (const double* hit = ws.coherence_cache.Lookup(key)) {
-          coh = *hit;
-        } else {
-          coh = stats_->Coherence(ea, eb);
-          ws.coherence_cache.Insert(key, coh);
-        }
-        const int64_t entry = to_fixed(ws.factor_a[i] * ws.factor_b[j] * coh);
+        const int64_t entry =
+            to_fixed(ws.factor_a[i] * ws.factor_b[j] * ws.coh_row[j]);
         max_coh = std::max(max_coh, entry);
         ws.coh_pool.push_back(entry);
       }
@@ -417,51 +409,31 @@ void DensifyEvaluator::BuildRelationLanes() {
     // is empty. Slots for absent literal types are zero-filled placeholders
     // that are never read.
     lane.ts_off = static_cast<uint32_t>(ws.ts_pool.size());
+    ws.ts_key_b.resize(sb.len + 1);
+    for (uint32_t j = 0; j < sb.len; ++j) {
+      ws.ts_key_b[j] = entity_key(EntityAt(ws, sb, j));
+    }
+    ws.ts_key_b[sb.len] =
+        LiteralKey(ws.literal_type[static_cast<size_t>(e.b)]);
     int64_t max_ts = 0;
     for (uint32_t i = 0; i <= sa.len; ++i) {
       const bool row_lit = (i == sa.len);
-      uint64_t ka = 0;
-      Span<TypeId> ta(nullptr, 0);
-      double tfa = 1.0;
-      bool row_valid = true;
-      if (row_lit) {
-        if (!lane.lit_a) {
-          row_valid = false;
-        } else {
-          ka = kLiteralBit | static_cast<uint64_t>(static_cast<uint32_t>(e.a));
-          ta = Span<TypeId>(ws.literal_type.data() + static_cast<size_t>(e.a),
-                            1);
-        }
-      } else {
-        const EntityId ea = EntityAt(ws, sa, i);
-        ka = ea < kLiteralBit ? ea : kUncacheable;
-        const DensifyWorkspace::TypeRef tr =
-            ws.types_of_node[static_cast<size_t>(EntityNodeAt(ws, sa, i))];
-        ta = Span<TypeId>(ws.type_pool.data() + tr.off, tr.len);
-        tfa = ws.factor_a[i];
+      if (row_lit && !lane.lit_a) {
+        ws.ts_pool.insert(ws.ts_pool.end(), sb.len + 1, 0);
+        continue;
       }
+      const uint64_t ka =
+          row_lit ? LiteralKey(ws.literal_type[static_cast<size_t>(e.a)])
+                  : entity_key(EntityAt(ws, sa, i));
+      const double tfa = row_lit ? 1.0 : ws.factor_a[i];
       for (uint32_t j = 0; j <= sb.len; ++j) {
         const bool col_lit = (j == sb.len);
-        if (!row_valid || (col_lit && !lane.lit_b)) {
+        if (col_lit && !lane.lit_b) {
           ws.ts_pool.push_back(0);
           continue;
         }
-        uint64_t kb;
-        Span<TypeId> tb(nullptr, 0);
-        double tfb = 1.0;
-        if (col_lit) {
-          kb = kLiteralBit | static_cast<uint64_t>(static_cast<uint32_t>(e.b));
-          tb = Span<TypeId>(ws.literal_type.data() + static_cast<size_t>(e.b),
-                            1);
-        } else {
-          const EntityId eb = EntityAt(ws, sb, j);
-          kb = eb < kLiteralBit ? eb : kUncacheable;
-          const DensifyWorkspace::TypeRef tr =
-              ws.types_of_node[static_cast<size_t>(EntityNodeAt(ws, sb, j))];
-          tb = Span<TypeId>(ws.type_pool.data() + tr.off, tr.len);
-          tfb = ws.factor_b[j];
-        }
-        const double value = TsPairValue(table, pid, ka, kb, ta, tb);
+        const double tfb = col_lit ? 1.0 : ws.factor_b[j];
+        const double value = TsPairValue(table, pid, ka, ws.ts_key_b[j]);
         const int64_t entry = to_fixed(tfa * tfb * value);
         max_ts = std::max(max_ts, entry);
         ws.ts_pool.push_back(entry);

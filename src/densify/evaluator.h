@@ -184,9 +184,9 @@ class DensifyEvaluator {
   void BuildUniverses();
   void BuildTypes();
   void BuildRelationLanes();
+  /// TypeSignatureSum of two side keys' type lists, memoized per pattern.
   double TsPairValue(const BackgroundStats::TypeSignatureTable& table,
-                     size_t pattern_id, uint64_t key_a, uint64_t key_b,
-                     Span<TypeId> types_a, Span<TypeId> types_b) const;
+                     size_t pattern_id, uint64_t key_a, uint64_t key_b) const;
   uint32_t PatternIdOf(const std::string& pattern);
 
   /// Offset of a mention's committed list in ws_->active.

@@ -18,9 +18,9 @@
 namespace qkbfly {
 
 /// Open-addressing u64 -> double memo with linear probing. Key ~0 is the
-/// empty sentinel (unreachable for the entity/type keys stored here: valid
-/// entity ids are < kInvalidEntity and uncacheable keys bypass the memo).
-/// Reset() refills the sentinel in place; the table only ever grows.
+/// empty sentinel (unreachable for the type-signature keys stored here: both
+/// halves of a key are below 2^32 - 1). Reset() refills the sentinel in
+/// place; the table only ever grows.
 class FlatPairCache {
  public:
   static constexpr uint64_t kEmptyKey = ~0ull;
@@ -94,13 +94,7 @@ struct DensifyWorkspace {
   std::vector<uint8_t> sentence_built;
   std::string scratch;
 
-  // --- entity / literal types ----------------------------------------------
-  struct TypeRef {
-    uint32_t off = 0;
-    uint32_t len = 0;
-  };
-  std::vector<TypeId> type_pool;
-  std::vector<TypeRef> types_of_node;   ///< Indexed by entity NodeId.
+  // --- literal types (entity types are the repository's type closures) ---
   std::vector<TypeId> literal_type;     ///< Indexed by NodeId.
   std::vector<uint8_t> has_literal_type;
 
@@ -181,11 +175,20 @@ struct DensifyWorkspace {
   uint64_t active_mutations = 0;
 
   // --- lane-build memos & scratch ------------------------------------------
-  FlatPairCache coherence_cache;  ///< (e1 << 32 | e2) -> Coherence.
-  std::vector<FlatPairCache> ts_caches;  ///< Per pattern id.
+  /// Per pattern id: (side key a << 32 | side key b) -> TypeSignatureSum,
+  /// where a side key is an entity's type-set id, or a literal's TypeId
+  /// tagged with the high bit.
+  std::vector<FlatPairCache> ts_caches;
   std::vector<std::pair<const std::string*, BackgroundStats::TypeSignatureTable>>
       patterns;
   std::vector<double> factor_a, factor_b;
+  std::vector<uint64_t> ts_key_b;  ///< Side keys of one lane's columns.
+  // Coherence row kernel: the columns' entity contexts, one row of
+  // WeightedOverlapRow output, and its dense scatter array (one slot per
+  // context term, all zero between rows).
+  std::vector<const SparseVector*> col_contexts;
+  std::vector<double> coh_row;
+  std::vector<double> overlap_dense;
   struct PronounTriple {
     EntityId entity;
     NodeId entity_node;

@@ -16,7 +16,9 @@ EntityRepository::EntityRepository(EntityRepository&& other) noexcept
       token_index_(std::move(other.token_index_)),
       by_name_(std::move(other.by_name_)),
       trie_(std::move(other.trie_)),
-      max_alias_tokens_(other.max_alias_tokens_) {}
+      max_alias_tokens_(other.max_alias_tokens_),
+      type_closures_(std::move(other.type_closures_)),
+      type_set_ids_(std::move(other.type_set_ids_)) {}
 
 EntityRepository& EntityRepository::operator=(EntityRepository&& other) noexcept {
   if (this == &other) return *this;
@@ -27,6 +29,8 @@ EntityRepository& EntityRepository::operator=(EntityRepository&& other) noexcept
   by_name_ = std::move(other.by_name_);
   trie_ = std::move(other.trie_);
   max_alias_tokens_ = other.max_alias_tokens_;
+  type_closures_ = std::move(other.type_closures_);
+  type_set_ids_ = std::move(other.type_set_ids_);
   loose_memo_ = std::make_unique<LooseMemo>();  // stats view restarts at zero
   return *this;
 }
@@ -59,6 +63,12 @@ EntityId EntityRepository::AddEntity(std::string_view canonical_name,
   e.canonical_name = std::string(canonical_name);
   e.types = types;
   e.gender = gender;
+  std::vector<TypeId> closure;
+  for (TypeId t : types) types_->AncestorsInto(t, &closure);
+  auto [it, inserted] = type_set_ids_.emplace(
+      closure, static_cast<uint32_t>(type_closures_.size()));
+  if (inserted) type_closures_.push_back(std::move(closure));
+  e.type_set = it->second;
   e.aliases.push_back(e.canonical_name);
   for (const std::string& a : aliases) {
     if (!EqualsIgnoreCase(a, canonical_name)) e.aliases.push_back(a);

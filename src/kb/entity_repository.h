@@ -5,6 +5,7 @@
 #define QKBFLY_KB_ENTITY_REPOSITORY_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -16,6 +17,7 @@
 #include "nlp/lexicon.h"
 #include "nlp/ner.h"
 #include "util/cache_stats.h"
+#include "util/span.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/symbol_table.h"
@@ -32,6 +34,9 @@ struct Entity {
   std::vector<std::string> aliases;  ///< Includes the canonical name.
   std::vector<TypeId> types;         ///< Most-specific types.
   Gender gender = Gender::kUnknown;  ///< For PERSON entities when known.
+  /// Dense id of the entity's type closure (EntityRepository::TypeClosure):
+  /// two entities share an id exactly when their closures are equal.
+  uint32_t type_set = 0;
 };
 
 /// One memoized LooseCandidates result.
@@ -114,6 +119,15 @@ class EntityRepository : public Gazetteer {
   /// True iff the entity has a (transitive) type `t`.
   bool HasType(EntityId id, TypeId t) const;
 
+  /// The ancestor closure of a type set: the concatenated
+  /// TypeSystem::AncestorsInto of the entity's types, in repository order
+  /// and without dedup (the type lists the Section 4 type signature sums
+  /// over). Interned once per distinct closure at AddEntity.
+  Span<TypeId> TypeClosure(uint32_t type_set) const {
+    const std::vector<TypeId>& c = type_closures_[type_set];
+    return {c.data(), c.size()};
+  }
+
   const TypeSystem& type_system() const { return *types_; }
 
   // Gazetteer. One walk of a token-level trie keyed on interned symbols:
@@ -151,6 +165,9 @@ class EntityRepository : public Gazetteer {
       by_name_;
   std::vector<AliasTrieNode> trie_;  ///< trie_[0] is the root.
   int max_alias_tokens_ = 0;
+  // Distinct type closures, indexed by type-set id, and their interning map.
+  std::vector<std::vector<TypeId>> type_closures_;
+  std::map<std::vector<TypeId>, uint32_t> type_set_ids_;
 
   // LooseCandidates memo, invalidated wholesale by AddEntity. Behind a
   // pointer so a move can replace it (mutexes do not move).

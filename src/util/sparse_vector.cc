@@ -25,23 +25,15 @@ void SparseVector::Finalize() {
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [](const Entry& e) { return e.value == 0.0; }),
                  entries_.end());
+  sum_ = 0.0;
+  for (const Entry& e : entries_) sum_ += e.value;
   finalized_ = true;
-}
-
-double SparseVector::Sum() const {
-  double sum = 0.0;
-  for (const Entry& e : entries_) sum += e.value;
-  return sum;
 }
 
 double SparseVector::Norm() const {
   double ss = 0.0;
   for (const Entry& e : entries_) ss += e.value * e.value;
   return std::sqrt(ss);
-}
-
-void SparseVector::Scale(double factor) {
-  for (Entry& e : entries_) e.value *= factor;
 }
 
 namespace {
@@ -90,6 +82,42 @@ double WeightedOverlap(const SparseVector& a, const SparseVector& b) {
   double denom = std::min(a.Sum(), b.Sum());
   if (denom <= 0.0) return 0.0;
   return overlap / denom;
+}
+
+void WeightedOverlapRow(const SparseVector& row,
+                        Span<const SparseVector*> cols,
+                        std::vector<double>* dense, double* out) {
+  if (cols.empty()) return;
+  if (row.empty()) {
+    std::fill(out, out + cols.size(), 0.0);
+    return;
+  }
+  QKB_CHECK(row.finalized());
+  const auto& er = row.entries();
+  // Entries are ascending, so the last id bounds the row: a column walk
+  // stops at the first id past it.
+  const size_t extent = static_cast<size_t>(er.back().id) + 1;
+  if (dense->size() < extent) dense->resize(extent, 0.0);
+  double* d = dense->data();
+  for (const SparseVector::Entry& e : er) d[e.id] = e.value;
+  const double row_sum = row.Sum();
+  for (size_t j = 0; j < cols.size(); ++j) {
+    const SparseVector& col = *cols[j];
+    if (col.empty()) {
+      out[j] = 0.0;
+      continue;
+    }
+    QKB_CHECK(col.finalized());
+    double overlap = 0.0;
+    for (const SparseVector::Entry& e : col.entries()) {
+      if (e.id >= extent) break;
+      const double x = d[e.id];
+      if (x != 0.0) overlap += std::min(x, e.value);
+    }
+    const double denom = std::min(row_sum, col.Sum());
+    out[j] = denom <= 0.0 ? 0.0 : overlap / denom;
+  }
+  for (const SparseVector::Entry& e : er) d[e.id] = 0.0;
 }
 
 }  // namespace qkbfly

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/span.h"
+
 namespace qkbfly {
 
 /// A sparse vector stored as (id, value) pairs sorted by id. Construction via
@@ -27,10 +29,12 @@ class SparseVector {
   /// Empties the vector, keeping its capacity for reuse.
   void Clear() {
     entries_.clear();
+    sum_ = 0.0;
     finalized_ = false;
   }
 
-  /// Sorts entries by id and sums duplicates; drops zero entries.
+  /// Sorts entries by id and sums duplicates; drops zero entries, so a
+  /// finalized vector holds no zero value. Caches the sum of the values.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -38,17 +42,16 @@ class SparseVector {
   size_t size() const { return entries_.size(); }
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Sum of all values (the denominator of the weighted-overlap measure).
-  double Sum() const;
+  /// Sum of all values (the denominator of the weighted-overlap measure),
+  /// as of the last Finalize(); 0 for a vector never finalized.
+  double Sum() const { return sum_; }
 
   /// Euclidean norm.
   double Norm() const;
 
-  /// Multiplies every value by `factor`.
-  void Scale(double factor);
-
  private:
   std::vector<Entry> entries_;
+  double sum_ = 0.0;
   bool finalized_ = false;
 };
 
@@ -62,6 +65,17 @@ double CosineSimilarity(const SparseVector& a, const SparseVector& b);
 ///   sim(a, b) = sum_k min(a_k, b_k) / min(sum_k a_k, sum_k b_k).
 /// Returns 0 for empty vectors. Both inputs must be finalized.
 double WeightedOverlap(const SparseVector& a, const SparseVector& b);
+
+/// WeightedOverlap(row, *cols[j]) into out[j] for every column, bit for bit.
+/// `row` is scattered once into `dense` (indexed by id, all zero on entry
+/// and again on return; grown to cover the row), and each column walks only
+/// its own entries in ascending id. That is the one-pair merge's
+/// intersection, in the same order, with the same min terms and the same
+/// denominator. The presence test `dense[id] != 0` relies on finalized
+/// vectors holding no zero value. All inputs must be finalized or empty.
+void WeightedOverlapRow(const SparseVector& row,
+                        Span<const SparseVector*> cols,
+                        std::vector<double>* dense, double* out);
 
 }  // namespace qkbfly
 

@@ -3,12 +3,15 @@
 // dedup/ordering, the heap-driven densifier (against a naive greedy
 // reference and its determinism guarantees), the evaluator's committed
 // active lists (against freshly constructed evaluators) and its fixed-point
-// contributions (against a from-scratch integer brute force).
+// contributions (against a from-scratch integer brute force), and the
+// relation lanes' pair weights (against the Section 4 definition).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "densify/greedy_densifier.h"
@@ -857,6 +860,137 @@ TEST(DensifyDeterminismTest, RemovalOrderMatchesEdgesRemoved) {
       EXPECT_FALSE(p.graph.edge(e).active);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Relation lanes against the Section 4 definition
+// ---------------------------------------------------------------------------
+
+// One side of a relation edge fixed to a candidate (or, for kInvalidEntity,
+// to the node's literal type): the type list the type signature sums over
+// and the looseness factor. `selects` is false for kInvalidEntity on a node
+// without a literal type.
+struct ReferenceSide {
+  bool selects = true;
+  bool literal = false;
+  std::vector<TypeId> types;
+  double factor = 1.0;
+};
+
+ReferenceSide SideFor(const SynthDataset& ds, const GraphNode& node,
+                      EntityId e) {
+  const EntityRepository& repo = *ds.repository;
+  const TypeSystem& ts = repo.type_system();
+  ReferenceSide side;
+  if (e == kInvalidEntity) {
+    side.literal = true;
+    std::optional<TypeId> type;
+    if (node.kind == NodeKind::kEntity) {
+      // Entity nodes never carry a literal type.
+    } else if (node.ner == NerType::kTime) {
+      type = ts.time();
+    } else if (node.ner == NerType::kNumber) {
+      type = ts.number();
+    } else if (node.ner != NerType::kNone) {
+      type = ts.Find(NerTypeName(node.ner));
+    }
+    side.selects = type.has_value();
+    if (type) side.types.push_back(*type);
+    return side;
+  }
+  for (TypeId t : repo.Get(e).types) ts.AncestorsInto(t, &side.types);
+  const std::vector<EntityId>& exact = repo.CandidatesForAlias(node.text);
+  side.factor =
+      std::find(exact.begin(), exact.end(), e) != exact.end() ? 1.0 : 0.3;
+  return side;
+}
+
+// Candidate universe of a relation endpoint, in universe order.
+std::vector<EntityId> UniverseOf(const SemanticGraph& graph,
+                                 const DensifyWorkspace& ws, NodeId n) {
+  std::vector<EntityId> out;
+  const GraphNode& node = graph.node(n);
+  const size_t id = static_cast<size_t>(n);
+  if (node.kind == NodeKind::kPronoun) {
+    for (uint32_t i = ws.pro_univ_off[id]; i < ws.pro_univ_off[id + 1]; ++i) {
+      out.push_back(ws.pro_univ[i].entity);
+    }
+  } else if (node.kind == NodeKind::kNounPhrase && !node.is_literal) {
+    for (uint32_t i = ws.np_univ_off[id]; i < ws.np_univ_off[id + 1]; ++i) {
+      out.push_back(ws.np_univ[i].entity);
+    }
+  }
+  return out;
+}
+
+// a3 * coh(e1, e2) + a4 * ts(types(e1), pattern, types(e2)), each summand
+// scaled by both looseness factors and rounded to 2^-32 as the lanes store
+// it; coherence needs an entity on both sides.
+double ReferencePairWeight(const SynthDataset& ds, const std::string& pattern,
+                           const ReferenceSide& sa, EntityId a,
+                           const ReferenceSide& sb, EntityId b,
+                           const DensifyParams& params) {
+  if (!sa.selects || !sb.selects) return 0.0;
+  const double one = 4294967296.0;  // 2^32
+  const double factors = sa.factor * sb.factor;
+  int64_t coh = 0;
+  if (!sa.literal && !sb.literal) {
+    coh = std::llround(factors * ds.stats.Coherence(a, b) * one);
+  }
+  const int64_t ts = std::llround(
+      factors * ds.stats.TypeSignatureSum(sa.types, pattern, sb.types) * one);
+  return (params.alpha3 * static_cast<double>(coh) +
+          params.alpha4 * static_cast<double>(ts)) /
+         one;
+}
+
+TEST(DensifyLaneTest, PairWeightMatchesSection4Definition) {
+  const auto& ds = Dataset();
+  const DensifyParams params;
+  int pairs = 0;
+  int literal_slots = 0;
+  int pronoun_sides = 0;
+  int nonzero_coh = 0;
+  std::vector<const GoldDocument*> docs;
+  for (const GoldDocument& gd : ds.wiki_eval) docs.push_back(&gd);
+  for (const GoldDocument& gd : ds.news) docs.push_back(&gd);
+  for (const GoldDocument* gd : docs) {
+    Prepared p = Prepare(ds, gd->doc);
+    DensifyEvaluator eval(&p.graph, p.doc, &ds.stats, ds.repository.get(),
+                          params);
+    const DensifyWorkspace& ws = eval.workspace();
+    for (EdgeId r : eval.relation_edges()) {
+      const GraphEdge& edge = p.graph.edge(r);
+      std::vector<EntityId> ua = UniverseOf(p.graph, ws, edge.a);
+      std::vector<EntityId> ub = UniverseOf(p.graph, ws, edge.b);
+      pronoun_sides += (p.graph.node(edge.a).kind == NodeKind::kPronoun) +
+                       (p.graph.node(edge.b).kind == NodeKind::kPronoun);
+      ua.push_back(kInvalidEntity);  // the literal slot
+      ub.push_back(kInvalidEntity);
+      for (EntityId a : ua) {
+        const ReferenceSide sa = SideFor(ds, p.graph.node(edge.a), a);
+        for (EntityId b : ub) {
+          const ReferenceSide sb = SideFor(ds, p.graph.node(edge.b), b);
+          EXPECT_EQ(eval.PairWeight(r, a, b),
+                    ReferencePairWeight(ds, edge.label, sa, a, sb, b, params))
+              << gd->doc.id << " edge " << r << " (" << a << ", " << b << ")";
+          ++pairs;
+          if ((sa.literal && sa.selects) || (sb.literal && sb.selects)) {
+            ++literal_slots;
+          }
+          if (!sa.literal && !sb.literal && ds.stats.Coherence(a, b) > 0.0) {
+            ++nonzero_coh;
+          }
+        }
+      }
+    }
+  }
+  std::printf("lanes: %d pairs, %d literal slots, %d pronoun sides, %d with "
+              "coherence\n",
+              pairs, literal_slots, pronoun_sides, nonzero_coh);
+  EXPECT_GT(literal_slots, 0);
+  EXPECT_GT(pronoun_sides, 0);
+  EXPECT_GT(nonzero_coh, 0);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "kb/entity_repository.h"
 #include "kb/pattern_repository.h"
 #include "kb/type_system.h"
@@ -126,6 +129,44 @@ TEST_F(EntityRepositoryTest, NerIntegration) {
   ASSERT_GE(s.ner_mentions.size(), 2u);
   EXPECT_EQ(SpanText(s.tokens, s.ner_mentions[0].span), "Brad Pitt");
   EXPECT_EQ(s.ner_mentions[0].type, NerType::kPerson);
+}
+
+TEST_F(EntityRepositoryTest, TypeClosureIsConcatenatedAncestors) {
+  const TypeId actor = *types_.Find("ACTOR");
+  const TypeId singer = *types_.Find("SINGER");
+  const TypeId city = *types_.Find("CITY");
+  // Same closure as actor_, a multi-type entity in both orders, an
+  // untyped one, and one whose types repeat.
+  const EntityId twin = repo_.AddEntity("Tom Ford", {}, {actor});
+  const EntityId both = repo_.AddEntity("Cher", {}, {actor, singer});
+  const EntityId swapped = repo_.AddEntity("Madonna", {}, {singer, actor});
+  const EntityId untyped = repo_.AddEntity("Somebody", {}, {});
+  const EntityId doubled = repo_.AddEntity("Paris", {}, {city, city});
+  const std::vector<EntityId> all = {actor_, city_,    club_,   twin,
+                                     both,   swapped, untyped, doubled};
+  std::vector<std::vector<TypeId>> closures;
+  for (EntityId e : all) {
+    std::vector<TypeId> want;
+    for (TypeId t : repo_.Get(e).types) types_.AncestorsInto(t, &want);
+    const Span<TypeId> got = repo_.TypeClosure(repo_.Get(e).type_set);
+    EXPECT_EQ(std::vector<TypeId>(got.begin(), got.end()), want)
+        << repo_.Get(e).canonical_name;
+    closures.push_back(want);
+  }
+  // Equal ids exactly when the closures are equal; ids are dense.
+  std::set<uint32_t> ids;
+  for (size_t i = 0; i < all.size(); ++i) {
+    for (size_t j = 0; j < all.size(); ++j) {
+      EXPECT_EQ(repo_.Get(all[i]).type_set == repo_.Get(all[j]).type_set,
+                closures[i] == closures[j])
+          << i << " vs " << j;
+    }
+    ids.insert(repo_.Get(all[i]).type_set);
+  }
+  EXPECT_EQ(ids, (std::set<uint32_t>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(repo_.Get(twin).type_set, repo_.Get(actor_).type_set);
+  EXPECT_NE(repo_.Get(both).type_set, repo_.Get(swapped).type_set);
+  EXPECT_TRUE(repo_.TypeClosure(repo_.Get(untyped).type_set).empty());
 }
 
 TEST(PatternRepositoryTest, Normalization) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace qkbfly {
 namespace {
 
@@ -86,11 +91,93 @@ TEST(SparseVectorTest, WeightedOverlapEmptyIsZero) {
   EXPECT_DOUBLE_EQ(WeightedOverlap(a, empty), 0.0);
 }
 
-TEST(SparseVectorTest, ScaleMultipliesValues) {
-  auto v = Make({{1, 2.0}, {2, 4.0}});
-  v.Scale(0.5);
-  EXPECT_DOUBLE_EQ(v.entries()[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(v.entries()[1].value, 2.0);
+TEST(SparseVectorTest, SumIsCachedByFinalizeAndResetByClear) {
+  SparseVector v;
+  EXPECT_EQ(v.Sum(), 0.0);
+  v.Add(3, 0.1);
+  v.Add(1, 0.2);
+  v.Add(3, 0.7);
+  v.Finalize();
+  // Summed in ascending id order after the merge: 0.2 + (0.1 + 0.7).
+  EXPECT_EQ(v.Sum(), 0.2 + (0.1 + 0.7));
+  v.Clear();
+  EXPECT_EQ(v.Sum(), 0.0);
+}
+
+// A random finalized vector: `n` draws of ids below `universe`, so
+// duplicate ids meet in Finalize; some values negative when `signed_values`.
+SparseVector RandomVector(Rng& rng, int n, uint32_t universe,
+                          bool signed_values) {
+  SparseVector v;
+  for (int k = 0; k < n; ++k) {
+    double value = rng.NextDouble() * 4.0;
+    if (signed_values && rng.NextBool(0.3)) value = -value;
+    v.Add(static_cast<uint32_t>(rng.NextUint64(universe)), value);
+  }
+  v.Finalize();
+  return v;
+}
+
+// The row kernel must produce the same bytes as the one-pair merge for
+// every column, and leave its dense array all zero.
+void ExpectRowMatchesPairs(const SparseVector& row,
+                           const std::vector<SparseVector>& cols,
+                           std::vector<double>* dense, const char* what) {
+  std::vector<const SparseVector*> ptrs;
+  for (const SparseVector& c : cols) ptrs.push_back(&c);
+  std::vector<double> got(cols.size(), -1.0);
+  WeightedOverlapRow(row, {ptrs.data(), ptrs.size()}, dense, got.data());
+  for (size_t j = 0; j < cols.size(); ++j) {
+    const double want = WeightedOverlap(row, cols[j]);
+    EXPECT_EQ(std::memcmp(&got[j], &want, sizeof(double)), 0)
+        << what << " column " << j << ": " << got[j] << " vs " << want;
+  }
+  for (double d : *dense) ASSERT_EQ(d, 0.0) << what;
+}
+
+TEST(SparseVectorTest, WeightedOverlapRowIsBitIdenticalToPairs) {
+  Rng rng(97);
+  std::vector<double> dense;  // shared across rows, as the densifier does
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool signed_values = trial % 3 == 0;
+    const uint32_t universe = trial % 2 == 0 ? 40 : 600;
+    SparseVector row =
+        RandomVector(rng, rng.NextInt(0, 30), universe, signed_values);
+    std::vector<SparseVector> cols;
+    for (int c = 0, n = rng.NextInt(1, 8); c < n; ++c) {
+      cols.push_back(
+          RandomVector(rng, rng.NextInt(0, 30), universe, signed_values));
+    }
+    ExpectRowMatchesPairs(row, cols, &dense, "random");
+  }
+}
+
+TEST(SparseVectorTest, WeightedOverlapRowEdgeCases) {
+  std::vector<double> dense;
+  SparseVector empty;  // never finalized, as BackgroundStats' empty context
+  SparseVector finalized_empty;
+  finalized_empty.Finalize();
+  const SparseVector row = Make({{2, 1.5}, {5, 0.25}, {9, 3.0}});
+  const SparseVector disjoint = Make({{1, 1.0}, {7, 2.0}, {400, 1.0}});
+  const SparseVector subset = Make({{5, 0.5}, {9, 0.125}});
+  const SparseVector superset = Make({{1, 4.0}, {2, 1.5}, {5, 0.25}, {9, 3.0}});
+  const SparseVector negative = Make({{2, -1.0}, {5, 2.0}, {9, -0.5}});
+  // Duplicate ids merged by Finalize, one pair cancelling to a dropped zero.
+  SparseVector duplicates;
+  for (auto [id, value] : std::vector<std::pair<uint32_t, double>>{
+           {9, 1.0}, {2, 0.75}, {9, 0.5}, {5, 1.0}, {5, -1.0}, {2, 0.25}}) {
+    duplicates.Add(id, value);
+  }
+  duplicates.Finalize();
+  ASSERT_EQ(duplicates.size(), 2u);
+  const std::vector<SparseVector> cols = {empty,  finalized_empty, disjoint,
+                                          subset, superset,        negative,
+                                          duplicates, row};
+  ExpectRowMatchesPairs(row, cols, &dense, "row");
+  ExpectRowMatchesPairs(empty, cols, &dense, "empty row");
+  ExpectRowMatchesPairs(negative, cols, &dense, "negative row");
+  ExpectRowMatchesPairs(duplicates, cols, &dense, "duplicate-id row");
+  ExpectRowMatchesPairs(disjoint, cols, &dense, "wide row");
 }
 
 }  // namespace
