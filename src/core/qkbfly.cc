@@ -75,6 +75,11 @@ QkbflyEngine::QkbflyEngine(const EntityRepository* repository,
   canonicalize_seconds_ = registry.GetHistogram(
       "pipeline_canonicalize_seconds",
       "Per-document canonicalization (KB merge) time");
+  densify_contributions_total_ = registry.GetCounter(
+      "densify_contributions_total",
+      "Edge contributions evaluated by the greedy densify loop");
+  densify_edges_removed_total_ = registry.GetCounter(
+      "densify_edges_removed_total", "Edges removed by densification");
 }
 
 DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
@@ -134,6 +139,10 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
   }
   observe(densify_seconds_);
 
+  densify_contributions_total_->Increment(
+      static_cast<uint64_t>(result.densified.contributions_evaluated));
+  densify_edges_removed_total_->Increment(
+      static_cast<uint64_t>(result.densified.edges_removed));
   documents_total_->Increment();
   result.seconds = stage_start;
   return result;

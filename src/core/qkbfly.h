@@ -148,6 +148,8 @@ class QkbflyEngine {
   obs::Histogram* graph_build_seconds_;
   obs::Histogram* densify_seconds_;
   obs::Histogram* canonicalize_seconds_;
+  obs::Counter* densify_contributions_total_;
+  obs::Counter* densify_edges_removed_total_;
 };
 
 }  // namespace qkbfly

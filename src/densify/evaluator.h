@@ -54,6 +54,10 @@ struct DensifyResult {
 
   double objective = 0.0;  ///< W(S*) of the final subgraph.
   int edges_removed = 0;
+  /// Contributions the greedy loop evaluated: one per initially removable
+  /// edge plus one per re-evaluation after a removal. Zero for the
+  /// pipeline and ILP variants.
+  int contributions_evaluated = 0;
 
   /// Edge ids in the order the greedy loop deactivated them. Deterministic:
   /// ties on contribution break toward the smaller EdgeId, so the sequence
@@ -77,6 +81,7 @@ struct DensifyResult {
     removal_order.clear();
     objective = 0.0;
     edges_removed = 0;
+    contributions_evaluated = 0;
   }
 };
 
@@ -160,7 +165,8 @@ class DensifyEvaluator {
   /// O(1) membership test against the same rule, for one edge that was in
   /// an earlier RemovableEdges() snapshot. Active degrees only ever shrink
   /// during the greedy loop, so once this turns false for an edge it stays
-  /// false (the basis for the heap path's lazy deletion).
+  /// false: the heap loop skips re-keying such an edge and drops its entry
+  /// when it surfaces.
   bool IsRemovable(EdgeId e) const;
 
   /// Records which means edges are active right now; call before Preprocess.

@@ -1,6 +1,7 @@
 #include "densify/greedy_densifier.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "graph/graph_invariants.h"
 #include "util/invariants.h"
@@ -19,15 +20,94 @@ NodeId MentionOfEdge(const SemanticGraph& graph, EdgeId e) {
   return graph.node(edge.a).kind == NodeKind::kPronoun ? edge.a : edge.b;
 }
 
-// Min-heap on contribution, then on EdgeId — ties between distinct edges
-// break toward the smaller id; ties between versions of the same edge are
-// resolved by the stale-version check on pop.
-struct HeapOrder {
-  bool operator()(const DensifyWorkspace::HeapEntry& a,
-                  const DensifyWorkspace::HeapEntry& b) const {
-    if (a.c != b.c) return a.c > b.c;
-    return a.e > b.e;
+// Indexed binary min-heap over the loop workspace: entries are EdgeIds
+// ordered by (key[e], e), so ties on contribution break toward the smaller
+// id, and heap_pos lets a changed key sift in place.
+class EdgeHeap {
+ public:
+  explicit EdgeHeap(DensifyWorkspace* ws) : ws_(*ws) {}
+
+  /// Fills the heap with `edges` under keys already stored in ws.key.
+  void Build(const std::vector<EdgeId>& edges, size_t edge_count) {
+    ws_.heap.assign(edges.begin(), edges.end());
+    ws_.heap_pos.assign(edge_count, DensifyWorkspace::kNotInHeap);
+    for (uint32_t i = 0; i < ws_.heap.size(); ++i) {
+      ws_.heap_pos[static_cast<size_t>(ws_.heap[i])] = i;
+    }
+    for (size_t i = ws_.heap.size() / 2; i-- > 0;) {
+      SiftDown(static_cast<uint32_t>(i));
+    }
   }
+
+  bool empty() const { return ws_.heap.empty(); }
+
+  EdgeId PopMin() {
+    const EdgeId top = ws_.heap.front();
+    ws_.heap_pos[static_cast<size_t>(top)] = DensifyWorkspace::kNotInHeap;
+    const EdgeId last = ws_.heap.back();
+    ws_.heap.pop_back();
+    if (!ws_.heap.empty()) {
+      Place(0, last);
+      SiftDown(0);
+    }
+    return top;
+  }
+
+  /// Re-keys an edge that is still in the heap; an equal key is a no-op.
+  void Update(EdgeId e, double c) {
+    double& key = ws_.key[static_cast<size_t>(e)];
+    if (c == key) return;
+    const bool up = c < key;
+    key = c;
+    const uint32_t i = ws_.heap_pos[static_cast<size_t>(e)];
+    if (up) {
+      SiftUp(i);
+    } else {
+      SiftDown(i);
+    }
+  }
+
+ private:
+  bool Before(EdgeId a, EdgeId b) const {
+    const double ka = ws_.key[static_cast<size_t>(a)];
+    const double kb = ws_.key[static_cast<size_t>(b)];
+    if (ka != kb) return ka < kb;
+    return a < b;
+  }
+
+  void Place(uint32_t i, EdgeId e) {
+    ws_.heap[i] = e;
+    ws_.heap_pos[static_cast<size_t>(e)] = i;
+  }
+
+  void SiftUp(uint32_t i) {
+    const EdgeId e = ws_.heap[i];
+    while (i > 0) {
+      const uint32_t parent = (i - 1) / 2;
+      if (!Before(e, ws_.heap[parent])) break;
+      Place(i, ws_.heap[parent]);
+      i = parent;
+    }
+    Place(i, e);
+  }
+
+  void SiftDown(uint32_t i) {
+    const EdgeId e = ws_.heap[i];
+    const uint32_t n = static_cast<uint32_t>(ws_.heap.size());
+    while (true) {
+      uint32_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && Before(ws_.heap[child + 1], ws_.heap[child])) {
+        ++child;
+      }
+      if (!Before(ws_.heap[child], e)) break;
+      Place(i, ws_.heap[child]);
+      i = child;
+    }
+    Place(i, e);
+  }
+
+  DensifyWorkspace& ws_;
 };
 
 }  // namespace
@@ -77,32 +157,38 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
 //  1. Monotone removability: active degrees only shrink inside the loop, so
 //     the initial RemovableEdges() snapshot is a superset of every later
 //     removable set, and an edge that fails IsRemovable() can be dropped
-//     from the heap permanently.
-//  2. Exact invalidation: a removal changes the active candidate set of the
-//     mentions C it names (ChangedMentionsInto). A relation lane reads the
-//     candidate sets of its two endpoints, so the lanes whose weight changed
-//     are those incident to C; their readers are C plus its relation
-//     neighbours. An edge's contribution sums the lanes of its sources (its
-//     mention, plus for a means edge the pronouns sameAs-linked to its noun
-//     phrase), so the dirty mentions are the readers plus the noun phrases
-//     active-sameAs-linked to a pronoun reader. A removed sameAs edge also
-//     drops its pronoun from the sources of its noun phrase's means edges,
-//     so that noun phrase is dirty too. Dirty mentions' edges are
-//     recomputed eagerly (bumping the edge's version so stale heap entries
-//     are discarded on pop); every other contribution is bit-for-bit what a
-//     fresh evaluation would return.
+//     from the heap permanently when it surfaces.
+//  2. Exact reader sets: a removal changes the active candidate set of the
+//     mentions C it names (ChangedMentionsInto). An edge's contribution
+//     sums, over the relation lanes of its sources (its mention, plus for a
+//     means edge of noun phrase n the pronouns active-sameAs-linked to n),
+//     the entries of the rows and columns the edge drops, so it reads the
+//     lists of its sources and their relation neighbours. Its dirty
+//     mentions are therefore: the changed pronouns (a pronoun's dropped
+//     rows depend on its own list and support pairs), the relation
+//     neighbours of C, and the noun phrases active-sameAs-linked to a
+//     pronoun among those. A changed noun phrase is not dirty by itself: a
+//     removable means edge e of n drops only its own row, so its
+//     contribution mw[e] + W({e}, B) reads the other endpoints' lists, not
+//     n's. It reads n's list only through a lane whose other end is also a
+//     source: a self-loop lane, which makes n its own relation neighbour,
+//     or a lane to a pronoun active-sameAs-linked to n, which is in C and
+//     adds n through the pronoun route. A removed sameAs edge also drops
+//     its pronoun from the sources of its noun phrase's means edges, so
+//     that noun phrase is dirty too. Dirty mentions' removable edges are
+//     recomputed eagerly and re-keyed in place; every other contribution is
+//     bit-for-bit what a fresh evaluation would return.
 //
-// Ties on contribution break toward the smaller EdgeId via the heap order,
-// so the result equals a naive loop that removes the (c, EdgeId) minimum
-// over all removable edges each round. All loop state (heap vector, version
-// array, edges-of-mention buckets, epoch-marked dirty set) lives in the
-// retained workspace: zero heap traffic once warm.
+// The heap orders (c, EdgeId), so the result equals a naive loop that
+// removes the (c, EdgeId) minimum over all removable edges each round. All
+// loop state (heap, positions, keys, edges-of-mention buckets,
+// epoch-marked dirty set) lives in the retained workspace: zero heap
+// traffic once warm.
 void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
                                   DensifyResult* result) const {
   DensifyWorkspace& ws = eval->workspace();
   const size_t n = graph->node_count();
 
-  ws.version.assign(graph->edge_count(), 0);
   ws.dirty_mark.assign(n, 0);
   ws.dirty_epoch = 0;
 
@@ -121,12 +207,13 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     ws.eom_data[ws.cursor[static_cast<size_t>(MentionOfEdge(*graph, e))]++] = e;
   }
 
-  const HeapOrder order;
-  ws.heap.clear();
+  ws.key.resize(graph->edge_count());
   for (EdgeId e : ws.removable) {
-    ws.heap.push_back({eval->Contribution(e), e, 0});
-    std::push_heap(ws.heap.begin(), ws.heap.end(), order);
+    ws.key[static_cast<size_t>(e)] = eval->Contribution(e);
   }
+  result->contributions_evaluated += static_cast<int>(ws.removable.size());
+  EdgeHeap heap(&ws);
+  heap.Build(ws.removable, graph->edge_count());
 
   auto add_dirty = [&ws](NodeId d) {
     uint32_t& mark = ws.dirty_mark[static_cast<size_t>(d)];
@@ -136,28 +223,24 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     }
   };
 
-  while (!ws.heap.empty()) {
-    const DensifyWorkspace::HeapEntry top = ws.heap.front();
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), order);
-    ws.heap.pop_back();
-    if (ws.version[static_cast<size_t>(top.e)] != top.version) continue;  // stale
-    if (!eval->IsRemovable(top.e)) continue;  // permanently out (invariant 1)
+  while (!heap.empty()) {
+    const EdgeId top = heap.PopMin();
+    if (!eval->IsRemovable(top)) continue;  // permanently out (invariant 1)
 
-    eval->ChangedMentionsInto(top.e, &ws.changed);
-    eval->Deactivate(top.e);
+    eval->ChangedMentionsInto(top, &ws.changed);
+    eval->Deactivate(top);
     ++result->edges_removed;
-    result->removal_order.push_back(top.e);
-    ++ws.version[static_cast<size_t>(top.e)];  // no heap entry survives removal
+    result->removal_order.push_back(top);
 
     ++ws.dirty_epoch;
     ws.dirty.clear();
-    const GraphEdge& removed = graph->edge(top.e);
+    const GraphEdge& removed = graph->edge(top);
     if (removed.kind == EdgeKind::kSameAs) {
       add_dirty(removed.a == ws.changed.front() ? removed.b : removed.a);
     }
-    // Readers: the changed mentions and their relation neighbours.
+    // Readers: the changed pronouns and the relation neighbours of C.
     for (NodeId c : ws.changed) {
-      add_dirty(c);
+      if (graph->node(c).kind == NodeKind::kPronoun) add_dirty(c);
       for (EdgeId r : graph->IncidentEdges(c)) {
         const GraphEdge& re = graph->edge(r);
         if (!re.active || re.kind != EdgeKind::kRelation) continue;
@@ -180,11 +263,10 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
       const size_t id = static_cast<size_t>(d);
       for (uint32_t k = ws.eom_off[id]; k < ws.eom_off[id + 1]; ++k) {
         const EdgeId de = ws.eom_data[k];
-        if (!eval->IsRemovable(de)) continue;  // never coming back; skip
-        ++ws.version[static_cast<size_t>(de)];
-        ws.heap.push_back({eval->Contribution(de), de,
-                           ws.version[static_cast<size_t>(de)]});
-        std::push_heap(ws.heap.begin(), ws.heap.end(), order);
+        // Never coming back; its entry is dropped when it surfaces.
+        if (!eval->IsRemovable(de)) continue;
+        heap.Update(de, eval->Contribution(de));
+        ++result->contributions_evaluated;
       }
     }
   }

@@ -218,16 +218,16 @@ struct DensifyWorkspace {
   std::vector<uint8_t> orig_active;  ///< Means-edge snapshot before Preprocess.
 
   // --- greedy-loop storage -------------------------------------------------
-  struct HeapEntry {
-    double c = 0.0;
-    EdgeId e = -1;
-    uint32_t version = 0;
-  };
+  // Indexed binary min-heap on (key[e], e): one entry per edge still in
+  // play, heap_pos[e] its slot (kNotInHeap once popped), so a changed key
+  // sifts in place.
+  static constexpr uint32_t kNotInHeap = ~0u;
   std::vector<EdgeId> removable;
   std::vector<uint32_t> eom_off;  ///< Edges-of-mention CSR (node_count + 1).
   std::vector<EdgeId> eom_data;
-  std::vector<uint32_t> version;
-  std::vector<HeapEntry> heap;
+  std::vector<EdgeId> heap;
+  std::vector<uint32_t> heap_pos;  ///< Indexed by EdgeId.
+  std::vector<double> key;         ///< Indexed by EdgeId.
   std::vector<uint32_t> dirty_mark;
   uint32_t dirty_epoch = 0;
   std::vector<NodeId> dirty;

@@ -415,20 +415,29 @@ void ExpectHeapMatchesNaive(const SynthDataset& ds, const Prepared& prepared,
 TEST(DensifyDeterminismTest, HeapLoopMatchesNaiveReference) {
   const auto& ds = Dataset();
   ASSERT_EQ(ds.wiki_eval.size(), 12u);
-  for (const GoldDocument& gd : ds.wiki_eval) {
-    ExpectHeapMatchesNaive(ds, Prepare(ds, gd.doc), gd.doc.id);
+  ASSERT_EQ(ds.news.size(), 20u);
+  ASSERT_EQ(ds.wikia.size(), 10u);
+  for (const auto* corpus : {&ds.wiki_eval, &ds.news, &ds.wikia}) {
+    for (const GoldDocument& gd : *corpus) {
+      ExpectHeapMatchesNaive(ds, Prepare(ds, gd.doc), gd.doc.id);
+    }
   }
+}
+
+// The graph's first relation edge, or nullptr.
+const GraphEdge* FirstRelationEdge(const SemanticGraph& graph) {
+  for (size_t e = 0; e < graph.edge_count(); ++e) {
+    const GraphEdge& edge = graph.edge(static_cast<EdgeId>(e));
+    if (edge.kind == EdgeKind::kRelation) return &edge;
+  }
+  return nullptr;
 }
 
 // Links consecutive pronoun nodes (ascending NodeId) with relation edges
 // labelled like the document's first relation edge. Returns false when the
 // graph has no relation edge or fewer than two pronouns.
 bool AddPronounChain(SemanticGraph* graph) {
-  const GraphEdge* first = nullptr;
-  for (size_t e = 0; e < graph->edge_count() && first == nullptr; ++e) {
-    const GraphEdge& edge = graph->edge(static_cast<EdgeId>(e));
-    if (edge.kind == EdgeKind::kRelation) first = &edge;
-  }
+  const GraphEdge* first = FirstRelationEdge(*graph);
   const auto pronouns = graph->NodesOfKind(NodeKind::kPronoun);
   if (first == nullptr || pronouns.size() < 2) return false;
   const std::string label = first->label;
@@ -443,6 +452,42 @@ bool AddPronounChain(SemanticGraph* graph) {
   }
   graph->Finalize();
   return true;
+}
+
+// Adds a relation edge n -> n, labelled like the document's first relation
+// edge, on every noun phrase with at least 3 active means edges. Returns
+// the number of loops added (0 when the graph has no relation edge).
+int AddSelfLoops(SemanticGraph* graph) {
+  const GraphEdge* first = FirstRelationEdge(*graph);
+  if (first == nullptr) return 0;
+  const std::string label = first->label;
+  int added = 0;
+  for (NodeId n : graph->NodesOfKind(NodeKind::kNounPhrase)) {
+    if (graph->ActiveMeansCount(n) < 3) continue;
+    GraphEdge edge;
+    edge.kind = EdgeKind::kRelation;
+    edge.a = n;
+    edge.b = n;
+    edge.label = label;
+    graph->AddEdge(edge);
+    ++added;
+  }
+  graph->Finalize();
+  return added;
+}
+
+TEST(DensifyDeterminismTest, SelfLoopRelationReadsOwnNounPhrase) {
+  // A self-loop lane is the one route by which a means edge's contribution
+  // reads its own noun phrase's list without a pronoun in between: the
+  // removal of a sibling must re-evaluate it.
+  const auto& ds = Dataset();
+  int loops = 0;
+  for (const GoldDocument& gd : ds.wiki_eval) {
+    Prepared p = Prepare(ds, gd.doc);
+    loops += AddSelfLoops(&p.graph);
+    ExpectHeapMatchesNaive(ds, p, gd.doc.id);
+  }
+  EXPECT_GT(loops, 0);
 }
 
 TEST(DensifyDeterminismTest, PronounPronounRelationReachesThirdHop) {

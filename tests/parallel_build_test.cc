@@ -109,6 +109,37 @@ TEST_F(ParallelBuildTest, DocumentResultsKeepInputOrderAndTimings) {
   }
 }
 
+TEST_F(ParallelBuildTest, DensifyCountersSumDocumentResults) {
+  // Each counter grows by the sum of its DocumentResult field, and the sums
+  // do not depend on the thread count.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* contributions =
+      registry.GetCounter("densify_contributions_total");
+  obs::Counter* removed = registry.GetCounter("densify_edges_removed_total");
+  std::vector<uint64_t> contribution_deltas;
+  std::vector<uint64_t> removed_deltas;
+  for (int threads : {1, 4}) {
+    const uint64_t contributions_before = contributions->Value();
+    const uint64_t removed_before = removed->Value();
+    std::vector<DocumentResult> results;
+    (void)Build(threads, &results);
+    uint64_t contribution_sum = 0;
+    uint64_t removed_sum = 0;
+    for (const DocumentResult& r : results) {
+      contribution_sum +=
+          static_cast<uint64_t>(r.densified.contributions_evaluated);
+      removed_sum += static_cast<uint64_t>(r.densified.edges_removed);
+    }
+    contribution_deltas.push_back(contributions->Value() - contributions_before);
+    removed_deltas.push_back(removed->Value() - removed_before);
+    EXPECT_EQ(contribution_deltas.back(), contribution_sum) << threads;
+    EXPECT_EQ(removed_deltas.back(), removed_sum) << threads;
+  }
+  EXPECT_GT(contribution_deltas.front(), removed_deltas.front());
+  EXPECT_EQ(contribution_deltas.front(), contribution_deltas.back());
+  EXPECT_EQ(removed_deltas.front(), removed_deltas.back());
+}
+
 TEST_F(ParallelBuildTest, LooseCandidateCacheCountsHits) {
   CacheStats before = dataset_->repository->loose_cache_stats();
   (void)Build(4);
