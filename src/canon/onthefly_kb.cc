@@ -407,6 +407,53 @@ Status OnTheFlyKb::Deserialize(std::string_view data) {
   return Status::OK();
 }
 
+void OnTheFlyKb::ShrinkToFit() {
+  facts_.shrink_to_fit();
+  emerging_.shrink_to_fit();
+  new_relation_names_.shrink_to_fit();
+}
+
+namespace {
+
+/// Heap bytes a string holds beyond its inline (small-string) buffer.
+size_t HeapBytes(const std::string& s) {
+  static const size_t kInline = std::string().capacity();
+  return s.capacity() > kInline ? s.capacity() + 1 : 0;
+}
+
+size_t HeapBytes(const FactArg& arg) {
+  return HeapBytes(arg.surface) + HeapBytes(arg.normalized);
+}
+
+}  // namespace
+
+size_t OnTheFlyKb::ApproxBytes() const {
+  // Every record's fixed-size part (a Fact is ~200 bytes, a FactArg ~90)
+  // outweighs its serialized framing, which is what keeps this estimate at
+  // or above Serialize().size() for text without escape characters.
+  size_t bytes = sizeof(*this) + facts_.capacity() * sizeof(Fact) +
+                 emerging_.capacity() * sizeof(EmergingEntity) +
+                 new_relation_names_.capacity() * sizeof(std::string) +
+                 new_relations_.bucket_count() * sizeof(void*);
+  for (const Fact& f : facts_) {
+    bytes += HeapBytes(f.relation_pattern) + HeapBytes(f.doc_id) +
+             HeapBytes(f.subject) + f.args.capacity() * sizeof(FactArg);
+    for (const FactArg& arg : f.args) bytes += HeapBytes(arg);
+  }
+  for (const EmergingEntity& e : emerging_) {
+    bytes += HeapBytes(e.representative) +
+             e.mentions.capacity() * sizeof(std::string);
+    for (const std::string& m : e.mentions) bytes += HeapBytes(m);
+  }
+  for (const auto& [name, id] : new_relations_) {
+    // One hash node: next pointer, key, value and cached hash code.
+    bytes += sizeof(void*) + sizeof(name) + sizeof(id) + sizeof(size_t) +
+             HeapBytes(name);
+  }
+  for (const std::string& name : new_relation_names_) bytes += HeapBytes(name);
+  return bytes;
+}
+
 std::vector<const Fact*> OnTheFlyKb::Search(std::string_view subject_filter,
                                             std::string_view predicate_filter,
                                             std::string_view object_filter) const {

@@ -95,6 +95,16 @@ class OnTheFlyKb {
   /// input aliases another id. On failure the KB is left empty.
   Status Deserialize(std::string_view data);
 
+  /// Releases the spare capacity of the fact, emerging-entity and relation
+  /// vectors. Called once on a finished KB before it is shared read-only.
+  void ShrinkToFit();
+
+  /// Estimated resident heap size of this KB: the object, its vectors'
+  /// capacity and every string that outgrew the small-string buffer. For
+  /// text without escape characters it is at least Serialize().size(), so
+  /// byte budgets that charge it do not undercount the serialized form.
+  size_t ApproxBytes() const;
+
  private:
   bool ArgMatches(const FactArg& arg, std::string_view filter) const;
   bool TypeMatches(const FactArg& arg, std::string_view type_name) const;

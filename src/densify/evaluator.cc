@@ -571,7 +571,10 @@ void DensifyEvaluator::SetActive(EdgeId e, bool active) {
   ws_->active_mutations = graph_->mutation_count();
 }
 
-void DensifyEvaluator::Deactivate(EdgeId e) { SetActive(e, false); }
+const std::vector<NodeId>& DensifyEvaluator::Deactivate(EdgeId e) {
+  SetActive(e, false);
+  return ws_->sources;  // SetActive's ChangedMentionsInto(e)
+}
 
 namespace {
 

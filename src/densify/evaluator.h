@@ -141,8 +141,10 @@ class DensifyEvaluator {
 
   /// Removes `e` from the subgraph and refreshes the committed lists of the
   /// mentions it changes. Toggling edges through the graph directly stays
-  /// correct but rebuilds every list on the next evaluation.
-  void Deactivate(EdgeId e);
+  /// correct but rebuilds every list on the next evaluation. Returns those
+  /// mentions (ChangedMentionsInto of `e` before the removal), valid until
+  /// the next evaluator call.
+  const std::vector<NodeId>& Deactivate(EdgeId e);
 
   /// Mentions whose active candidate set changes when the active edge `e`
   /// is removed: a means edge's noun phrase plus the pronouns linked to it

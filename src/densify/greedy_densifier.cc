@@ -227,8 +227,9 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     const EdgeId top = heap.PopMin();
     if (!eval->IsRemovable(top)) continue;  // permanently out (invariant 1)
 
-    eval->ChangedMentionsInto(top, &ws.changed);
-    eval->Deactivate(top);
+    // C, the mentions the removal changed; read before any Contribution
+    // call reuses the buffer.
+    const std::vector<NodeId>& changed = eval->Deactivate(top);
     ++result->edges_removed;
     result->removal_order.push_back(top);
 
@@ -236,10 +237,10 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     ws.dirty.clear();
     const GraphEdge& removed = graph->edge(top);
     if (removed.kind == EdgeKind::kSameAs) {
-      add_dirty(removed.a == ws.changed.front() ? removed.b : removed.a);
+      add_dirty(removed.a == changed.front() ? removed.b : removed.a);
     }
     // Readers: the changed pronouns and the relation neighbours of C.
-    for (NodeId c : ws.changed) {
+    for (NodeId c : changed) {
       if (graph->node(c).kind == NodeKind::kPronoun) add_dirty(c);
       for (EdgeId r : graph->IncidentEdges(c)) {
         const GraphEdge& re = graph->edge(r);

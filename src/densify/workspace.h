@@ -231,7 +231,6 @@ struct DensifyWorkspace {
   std::vector<uint32_t> dirty_mark;
   uint32_t dirty_epoch = 0;
   std::vector<NodeId> dirty;
-  std::vector<NodeId> changed;  ///< ChangedMentionsInto of the last removal.
 };
 
 }  // namespace qkbfly

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "store/qa_pair_index.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -144,8 +143,10 @@ OnTheFlyKb KbService::BuildKb(const std::vector<const Document*>& docs,
   return kb;
 }
 
-void KbService::AnswerCold(const std::string& query, QueryResult* out,
-                           obs::TraceContext trace) {
+void KbService::AnswerCold(const std::string& query,
+                           std::shared_ptr<const OnTheFlyKb>* kb,
+                           std::vector<std::string>* answers,
+                           ServiceStats* stats, obs::TraceContext trace) {
   WallTimer stage;
   std::vector<const Document*> docs;
   {
@@ -160,25 +161,26 @@ void KbService::AnswerCold(const std::string& query, QueryResult* out,
     }
     span.AddAttribute("documents", static_cast<int64_t>(docs.size()));
   }
-  out->stats.retrieve_s = stage.ElapsedSeconds();
-  retrieve_seconds_->Observe(out->stats.retrieve_s);
+  stats->retrieve_s = stage.ElapsedSeconds();
+  retrieve_seconds_->Observe(stats->retrieve_s);
 
-  out->kb = BuildKb(docs, &out->stats, trace);
+  // Built once, then shared read-only by the query tier and the QA pair.
+  auto built = std::make_shared<OnTheFlyKb>(BuildKb(docs, stats, trace));
+  built->ShrinkToFit();
+  *kb = built;
 
   // Rank facts by confidence (stable, so ties keep canonicalization order)
   // and render the top ones as the human-readable answer.
   obs::ScopedSpan span(trace, "render");
   std::vector<const Fact*> ranked;
-  ranked.reserve(out->kb.facts().size());
-  for (const Fact& f : out->kb.facts()) ranked.push_back(&f);
+  ranked.reserve(built->facts().size());
+  for (const Fact& f : built->facts()) ranked.push_back(&f);
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const Fact* a, const Fact* b) {
                      return a->confidence > b->confidence;
                    });
   if (ranked.size() > options_.max_answers) ranked.resize(options_.max_answers);
-  for (const Fact* f : ranked) {
-    out->answers.push_back(out->kb.FactToString(*f));
-  }
+  for (const Fact* f : ranked) answers->push_back(built->FactToString(*f));
 }
 
 CorpusEpoch KbService::CurrentEpoch() const {
@@ -198,7 +200,7 @@ void KbService::SyncEpoch(CorpusEpoch epoch) {
 
 KbService::QueryResult KbService::Answer(const std::string& query) {
   WallTimer total;
-  QueryResult out{engine_->MakeKb(), {}, {}};
+  ServiceStats stats;
 
   // Span capture is per-query opt-in: without a sink no Trace is allocated
   // and the pipeline's instrumentation points reduce to null checks.
@@ -214,12 +216,10 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
   SyncEpoch(epoch);
   std::string normalized = QaPairIndex::NormalizeQuestion(query);
 
-  // `built` flags that out.kb already holds this answer's KB: *this thread*
-  // ran the cold pipeline (the byte-identity anchor) or deserialized a
-  // stored QA pair. Waiters and hits rebuild from the cached bytes instead;
-  // the Serialize/Deserialize round-trip contract makes the paths
-  // byte-identical. Only bytes that deserialized here enter the query tier.
-  bool built = false;
+  // The compute function runs on a miss only; hits and waiters share the
+  // entry it publishes, KB included. Only a KB that exists in full — built
+  // here, shared from an in-process QA pair, or deserialized from a loaded
+  // one — enters the query tier.
   bool was_hit = false;
   auto cached = query_cache_.FetchOrCompute(
       QueryKey(normalized, epoch, fingerprint_),
@@ -230,28 +230,27 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
               normalized, epoch, fingerprint_, options_.match_paraphrases,
               query_trace);
           if (pair != nullptr) {
-            obs::ScopedSpan span(query_trace, "deserialize");
-            if (out.kb.Deserialize(pair->kb_bytes).ok()) {
-              built = true;
-              answer.kb_bytes = pair->kb_bytes;
+            answer.kb = pair->kb;
+            if (answer.kb == nullptr) {
+              obs::ScopedSpan span(query_trace, "deserialize");
+              auto loaded = std::make_shared<OnTheFlyKb>(engine_->MakeKb());
+              if (loaded->Deserialize(pair->kb_bytes).ok()) {
+                loaded->ShrinkToFit();
+                answer.kb = std::move(loaded);
+              }
+            }
+            if (answer.kb != nullptr) {
               answer.answers = pair->answers;
               answer.documents = pair->documents;
               answer.from_store = true;
               return answer;
             }
-            // A failed Deserialize leaves out.kb empty for the cold build.
             store_qa_rejected_total_->Increment();
           }
         }
-        AnswerCold(query, &out, query_trace);
-        built = true;
-        {
-          obs::ScopedSpan span(query_trace, "serialize");
-          answer.kb_bytes = out.kb.Serialize();
-        }
-        answer.answers = out.answers;
-        answer.documents = out.stats.documents;
-        store_->IngestKb(out.kb, query, epoch, query_trace);
+        AnswerCold(query, &answer.kb, &answer.answers, &stats, query_trace);
+        answer.documents = stats.documents;
+        store_->IngestKb(*answer.kb, query, epoch, query_trace);
         obs::ScopedSpan span(query_trace, "qa_record");
         QaPair pair;
         pair.question = normalized;
@@ -259,25 +258,20 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
         pair.epoch = epoch;
         pair.documents = answer.documents;
         pair.answers = answer.answers;
-        pair.kb_bytes = answer.kb_bytes;
+        pair.kb = answer.kb;
         store_->qa_pairs().Record(std::move(pair));
         return answer;
       },
       &was_hit);
-  out.stats.query_cache_hit = was_hit;
-  out.stats.served_from_store = cached->from_store;
+  stats.query_cache_hit = was_hit;
+  stats.served_from_store = cached->from_store;
   if (was_hit) {
-    out.stats.query_cache.hits = 1;
+    stats.query_cache.hits = 1;
   } else {
-    out.stats.query_cache.misses = 1;
+    stats.query_cache.misses = 1;
   }
-  out.answers = cached->answers;
-  out.stats.documents = cached->documents;
-  if (!built) {
-    obs::ScopedSpan span(query_trace, "deserialize");
-    Status status = out.kb.Deserialize(cached->kb_bytes);
-    QKB_CHECK(status.ok());
-  }
+  stats.documents = cached->documents;
+  QueryResult out{cached->kb, *cached->kb, cached->answers, stats};
 
   out.stats.total_s = total.ElapsedSeconds();
   queries_total_->Increment();

@@ -142,8 +142,12 @@ class KbService {
   KbService(const KbService&) = delete;
   KbService& operator=(const KbService&) = delete;
 
+  /// One answered query. `kb` is bound to the immutable KB `shared_kb`
+  /// owns, which the query tier and the store's QA pair share: every answer
+  /// to the same cached query refers to the same object.
   struct QueryResult {
-    OnTheFlyKb kb;
+    std::shared_ptr<const OnTheFlyKb> shared_kb;
+    const OnTheFlyKb& kb;
     std::vector<std::string> answers;  ///< Top facts, rendered, by confidence.
     ServiceStats stats;
   };
@@ -152,11 +156,14 @@ class KbService {
   /// question + epoch + fingerprint; single-flight on miss), then — with
   /// serve_from_store — the fact store's QA pairs, then the cold pipeline
   /// (retrieve, build the KB through the doc tier, rank facts into
-  /// `answers`, ingest the facts into the store). Warm answers deserialize
-  /// the cached KB bytes, so result.kb is byte-identical to the cold build.
-  /// A stored QA pair whose KB bytes do not deserialize (a corrupt snapshot)
-  /// is skipped: the answer is built cold and `store_qa_rejected_total`
-  /// counts the rejection.
+  /// `answers`, ingest the facts into the store, record the QA pair). The
+  /// cold build is published once as an immutable shared KB; a query-tier
+  /// hit returns that object without copying or parsing it, so result.kb is
+  /// the cold build itself. A store probe shares an in-process pair's KB;
+  /// a pair read from a snapshot is deserialized once, on its first hit,
+  /// and the result enters the query tier. A stored pair whose KB bytes do
+  /// not deserialize (a corrupt snapshot) is skipped: the answer is built
+  /// cold and `store_qa_rejected_total` counts the rejection.
   QueryResult Answer(const std::string& query);
 
   /// Document-level entry point (QaSystem routes here with its own
@@ -193,9 +200,12 @@ class KbService {
                                                       CacheStats* tally,
                                                       obs::TraceContext trace);
 
-  /// The cold pipeline: retrieval + BuildKb + fact ranking. Fills
-  /// out->kb, out->answers, and the retrieval/process/canonicalize stats.
-  void AnswerCold(const std::string& query, QueryResult* out,
+  /// The cold pipeline: retrieval + BuildKb + fact ranking. Fills `kb`
+  /// (shrunk, ready to share), `answers`, and the retrieval/process/
+  /// canonicalize fields of `stats`.
+  void AnswerCold(const std::string& query,
+                  std::shared_ptr<const OnTheFlyKb>* kb,
+                  std::vector<std::string>* answers, ServiceStats* stats,
                   obs::TraceContext trace);
 
   /// The corpus epoch to serve at: the live SearchEngine::epoch() when a

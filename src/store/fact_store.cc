@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "util/json.h"
@@ -210,9 +209,14 @@ std::vector<FactRecord> FactStore::Snapshot() const {
 }
 
 void FactStore::SetEpoch(CorpusEpoch epoch) {
+  // A CAS loop, not load-then-store: two racing calls for k and k+1 that
+  // both read k-1 must leave k+1, never k.
   CorpusEpoch seen = epoch_.load(std::memory_order_acquire);
-  if (seen >= epoch) return;
-  epoch_.store(epoch, std::memory_order_release);
+  do {
+    if (seen >= epoch) return;
+  } while (!epoch_.compare_exchange_weak(seen, epoch,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire));
   // Stale facts are dropped lazily per shard; the QA index is small enough
   // to sweep eagerly so restarts never resurrect stale answers.
   qa_pairs_.DropStale(epoch);
@@ -267,10 +271,23 @@ std::shared_ptr<const QaPair> FactStore::FindQaPair(
 }
 
 Status FactStore::Save(const std::string& path) const {
+  // Write-to-temp + rename so readers never observe a torn snapshot. Each
+  // record is rendered into one reused line buffer and streamed to the file,
+  // so the snapshot never exists whole in memory.
+  const std::string tmp = path + ".tmp";
+  std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+  if (!file) return Status::Internal("cannot open " + tmp + " for writing");
   std::string out;
+  auto write_out = [&] {
+    file.write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
+  };
+
+  const CorpusEpoch current = epoch();
   out.append("{\"qkbfly_fact_store\":1,\"epoch\":");
-  AppendEpoch(epoch(), &out);
+  AppendEpoch(current, &out);
   out.append("}\n");
+  write_out();
 
   char buf[48];
   for (const FactRecord& record : Snapshot()) {
@@ -290,10 +307,11 @@ Status FactStore::Save(const std::string& path) const {
     out.append(",\"queries\":");
     AppendJsonStringArray(record.queries, &out);
     out.append("}\n");
+    write_out();
   }
 
   for (const auto& pair : qa_pairs_.All()) {
-    if (pair->epoch < epoch()) continue;
+    if (pair->epoch < current) continue;
     out.append("{\"kind\":\"qa\",\"question\":");
     json::AppendJsonString(pair->question, &out);
     out.append(",\"fingerprint\":");
@@ -306,17 +324,19 @@ Status FactStore::Save(const std::string& path) const {
     out.append(",\"answers\":");
     AppendJsonStringArray(pair->answers, &out);
     out.append(",\"kb\":");
-    json::AppendJsonString(pair->kb_bytes, &out);
+    if (pair->kb != nullptr) {
+      json::AppendJsonString(pair->kb->Serialize(), &out);
+    } else {
+      json::AppendJsonString(pair->kb_bytes, &out);
+    }
     out.append("}\n");
+    write_out();
   }
 
-  // Write-to-temp + rename so readers never observe a torn snapshot.
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return Status::Internal("cannot open " + tmp + " for writing");
-    file << out;
-    if (!file.good()) return Status::Internal("short write to " + tmp);
+  file.close();
+  if (file.fail()) {
+    std::remove(tmp.c_str());
+    return Status::Internal("short write to " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -328,13 +348,9 @@ Status FactStore::Save(const std::string& path) const {
 Status FactStore::Load(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::NotFound("cannot open " + path);
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  std::string data = contents.str();
 
   Clear();
   size_t line_no = 0;
-  size_t pos = 0;
   auto fail = [&](const std::string& what) {
     Clear();
     return Status::InvalidArgument(path + " line " + std::to_string(line_no) +
@@ -344,11 +360,10 @@ Status FactStore::Load(const std::string& path) {
   json::Document doc;
   std::string error;
   bool saw_header = false;
-  while (pos < data.size()) {
-    size_t eol = data.find('\n', pos);
-    if (eol == std::string::npos) return fail("missing trailing newline");
-    std::string_view line(data.data() + pos, eol - pos);
-    pos = eol + 1;
+  // Line by line, like Save writes it: the snapshot is never held whole.
+  std::string line;
+  while (std::getline(file, line)) {
+    if (file.eof()) return fail("missing trailing newline");
     ++line_no;
     if (line.empty()) continue;
 
@@ -412,6 +427,7 @@ Status FactStore::Load(const std::string& path) {
       return fail("unknown record kind '" + std::string(kind.text()) + "'");
     }
   }
+  if (file.bad()) return fail("read error");
   if (!saw_header) return fail("empty snapshot");
   return Status::OK();
 }

@@ -96,6 +96,8 @@ class FactStore {
   /// Advances the store's corpus epoch. Facts (and QA pairs) recorded under
   /// an older epoch become stale: they stop being returned immediately and
   /// are physically dropped lazily, the next time their shard is written.
+  /// The epoch never moves backwards: an epoch at or below the current one
+  /// is a no-op, also when calls race.
   void SetEpoch(CorpusEpoch epoch);
   CorpusEpoch epoch() const { return epoch_.load(std::memory_order_acquire); }
 
@@ -108,11 +110,13 @@ class FactStore {
   void Clear();
 
   /// Writes the JSONL snapshot: header line, facts sorted by key, QA pairs
-  /// sorted by (question, fingerprint). Atomic via write-to-temp + rename.
+  /// sorted by (question, fingerprint), a pair's KB serialized from its
+  /// shared object when it has one. Streams record by record to a temp file
+  /// and renames it over `path`, so the write is atomic.
   Status Save(const std::string& path) const;
 
-  /// Replaces the store's contents from a snapshot. Every line is parsed
-  /// by util/json and schema-validated (exact key set, value types, epochs
+  /// Replaces the store's contents from a snapshot, read line by line.
+  /// Every line is parsed by util/json and schema-validated (exact key set, value types, epochs
   /// and document counts as exact uint64_t integers, finite confidences);
   /// the first violation fails the load with a line-numbered
   /// InvalidArgument and leaves the store empty.

@@ -13,7 +13,7 @@ constexpr char kSep = '\x1f';
 
 size_t QaPair::ApproxBytes() const {
   size_t bytes = sizeof(*this) + question.size() + fingerprint.size() +
-                 kb_bytes.size();
+                 kb_bytes.size() + (kb != nullptr ? kb->ApproxBytes() : 0);
   for (const std::string& a : answers) bytes += sizeof(a) + a.size();
   return bytes;
 }
@@ -86,6 +86,10 @@ std::shared_ptr<const QaPair> QaPairIndex::FindParaphrase(
 }
 
 void QaPairIndex::DropStale(CorpusEpoch epoch) {
+  // Declared before the guard, so the stale pairs are released after the
+  // unlock: dropping the last reference to a pair's KB frees hundreds of
+  // allocations, which must not stall Record and Find.
+  std::vector<std::shared_ptr<const QaPair>> stale;
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = by_key_.begin(); it != by_key_.end();) {
     if (it->second->epoch < epoch) {
@@ -96,6 +100,7 @@ void QaPairIndex::DropStale(CorpusEpoch epoch) {
       if (bag_it != by_bag_.end() && bag_it->second == it->first) {
         by_bag_.erase(bag_it);
       }
+      stale.push_back(std::move(it->second));
       it = by_key_.erase(it);
     } else {
       ++it;

@@ -1,9 +1,11 @@
 // The question->answer-pair index ("QA Is the New KR"): materializes every
 // answered question as a first-class queryable artifact alongside the triple
-// store. A QaPair carries the rendered answers plus the serialized KB the
-// answer was derived from, so a repeated (or token-bag paraphrased) question
-// can be served straight from accumulated knowledge — the KB rebuilt from
-// the stored bytes is byte-identical to the cold build.
+// store. A QaPair carries the rendered answers plus the KB the answer was
+// derived from, so a repeated (or token-bag paraphrased) question can be
+// served straight from accumulated knowledge. A pair answered in this
+// process shares the immutable KB object with the query tier; a pair read
+// from a snapshot holds its serialized bytes until its first hit
+// deserializes them — byte-identical to the cold build either way.
 #ifndef QKBFLY_STORE_QA_PAIR_INDEX_H_
 #define QKBFLY_STORE_QA_PAIR_INDEX_H_
 
@@ -15,21 +17,24 @@
 #include <unordered_map>
 #include <vector>
 
+#include "canon/onthefly_kb.h"
 #include "corpus/document.h"
 
 namespace qkbfly {
 
 /// One answered question. `question` is the normalized form (see
-/// QaPairIndex::NormalizeQuestion); `kb_bytes` is OnTheFlyKb::Serialize()
-/// output; `fingerprint` is the producing engine's config fingerprint, so
-/// pairs from differently-configured engines never serve each other.
+/// QaPairIndex::NormalizeQuestion); `fingerprint` is the producing engine's
+/// config fingerprint, so pairs from differently-configured engines never
+/// serve each other. A pair recorded in this process sets `kb`; a pair read
+/// by FactStore::Load sets `kb_bytes` instead.
 struct QaPair {
   std::string question;
   std::string fingerprint;
   CorpusEpoch epoch = 0;
   size_t documents = 0;              ///< Documents retrieved for the answer.
   std::vector<std::string> answers;  ///< Rendered top facts, ranked.
-  std::string kb_bytes;              ///< Serialized query KB.
+  std::shared_ptr<const OnTheFlyKb> kb;  ///< Shared with the query tier.
+  std::string kb_bytes;  ///< OnTheFlyKb::Serialize output of a loaded pair.
 
   size_t ApproxBytes() const;
 };

@@ -5,7 +5,7 @@
 namespace qkbfly {
 
 size_t CachedAnswer::ApproxBytes() const {
-  size_t bytes = sizeof(*this) + kb_bytes.size();
+  size_t bytes = sizeof(*this) + (kb != nullptr ? kb->ApproxBytes() : 0);
   for (const std::string& a : answers) bytes += sizeof(a) + a.size();
   return bytes;
 }

@@ -1,10 +1,10 @@
 // The query-level cache tier: whole answered queries, keyed by (normalized
 // question, corpus epoch, engine-config fingerprint). Sits above the
 // per-document doc tier — a hit here skips retrieval, per-document
-// extraction AND canonicalization. The cached value stores the serialized KB
-// (OnTheFlyKb::Serialize bytes), so warm answers deserialize to a KB that is
-// byte-identical to the cold build (the Serialize/Deserialize round-trip
-// contract carries the identity guarantee).
+// extraction AND canonicalization. The cached value shares the immutable KB
+// the answer was built as (or, for a stored QA pair, deserialized into
+// once), so a hit hands out that very object: no copy, no parse, and the
+// same bytes as the cold build by construction.
 //
 // The tier is a memo::ShardedLru<CachedAnswer> (memo/sharded_lru.h) that
 // reports through `query_cache_{hits,misses,evictions}_total` and the
@@ -12,10 +12,12 @@
 #ifndef QKBFLY_STORE_QUERY_CACHE_H_
 #define QKBFLY_STORE_QUERY_CACHE_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "canon/onthefly_kb.h"
 #include "corpus/document.h"
 #include "memo/sharded_lru.h"
 
@@ -23,11 +25,12 @@ namespace qkbfly {
 
 /// One cached answered query.
 struct CachedAnswer {
-  std::string kb_bytes;              ///< OnTheFlyKb::Serialize output.
-  std::vector<std::string> answers;  ///< Rendered top facts, ranked.
-  size_t documents = 0;              ///< Documents retrieved for the answer.
-  bool from_store = false;           ///< Served from persisted QA pairs.
+  std::shared_ptr<const OnTheFlyKb> kb;  ///< The answer's KB, never null.
+  std::vector<std::string> answers;      ///< Rendered top facts, ranked.
+  size_t documents = 0;                  ///< Documents retrieved for the answer.
+  bool from_store = false;               ///< Served from persisted QA pairs.
 
+  /// Charges the shared KB's resident size (OnTheFlyKb::ApproxBytes).
   size_t ApproxBytes() const;
 };
 

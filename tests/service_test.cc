@@ -1,6 +1,7 @@
 // Serving-layer tests: warm/cold KB identity, single-flight deduplication,
-// byte-budget eviction, and a concurrent-query stress run (labeled tsan and
-// asan; run the sanitizer trees via ctest -L tsan / -L asan).
+// byte-budget eviction, and a concurrent-query stress run whose hits all
+// read one shared KB per query (labeled tsan and asan; run the sanitizer
+// trees via ctest -L tsan / -L asan).
 #include "service/kb_service.h"
 
 #include <gtest/gtest.h>
@@ -218,27 +219,34 @@ TEST_F(ServiceTest, ConcurrentQueriesAreSafeAndDeterministic) {
   KbService service(engine_, search_);
   auto queries = SomeQueries(4);
 
-  // Expected KBs from a serial pass.
+  // Expected KBs from a serial pass, and the objects the query tier shares.
   std::vector<std::string> expected;
+  std::vector<std::shared_ptr<const OnTheFlyKb>> shared;
   for (const std::string& q : queries) {
-    expected.push_back(Serialize(service.Answer(q).kb));
+    KbService::QueryResult r = service.Answer(q);
+    expected.push_back(Serialize(r.kb));
+    shared.push_back(r.shared_kb);
   }
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
   std::vector<std::thread> workers;
   std::atomic<int> mismatches{0};
+  std::atomic<int> copies{0};
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         size_t qi = static_cast<size_t>(t + round) % queries.size();
         KbService::QueryResult r = service.Answer(queries[qi]);
         if (Serialize(r.kb) != expected[qi]) ++mismatches;
+        if (&r.kb != shared[qi].get()) ++copies;
       }
     });
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
+  // Every concurrent hit read the one shared KB of its query.
+  EXPECT_EQ(copies.load(), 0);
   EXPECT_EQ(served->Value() - served_before,
             queries.size() + kThreads * kRounds);
 }

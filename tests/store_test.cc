@@ -3,9 +3,11 @@
 // FactStore (merge semantics, epoch staleness, JSONL snapshot
 // save/load), the QaPairIndex, the query-level cache tier in KbService
 // (cold / doc-warm / query-warm byte-identity, also under 4-thread
-// concurrency — labeled tsan), epoch-bump invalidation of both tiers,
-// answer reproduction across a simulated process restart, and a cold
-// fallback when a restored QA pair's KB bytes are corrupt.
+// concurrency — labeled tsan), the one immutable KB that query-tier hits,
+// QA pairs and store probes share, racing epoch bumps, epoch-bump
+// invalidation of both tiers, answer reproduction across a simulated
+// process restart, and a cold fallback when a restored QA pair's KB bytes
+// are corrupt.
 #include "store/fact_store.h"
 
 #include <gtest/gtest.h>
@@ -299,6 +301,36 @@ TEST(FactStoreTest, EpochBumpStalesRecords) {
   EXPECT_EQ(store.fact_count(), 1u);
 }
 
+// Threads set shuffled epochs at once; whatever the interleaving, the epoch
+// only moves forward, so it ends at the largest one set.
+TEST(FactStoreTest, ConcurrentSetEpochEndsAtTheMaximum) {
+  constexpr int kThreads = 4;
+  constexpr CorpusEpoch kPerThread = 64;
+  constexpr CorpusEpoch kMax = 1 + kThreads * kPerThread;
+  Rng rng(7);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<CorpusEpoch> epochs;
+    for (CorpusEpoch e = 2; e <= kMax; ++e) epochs.push_back(e);
+    rng.Shuffle(&epochs);
+    FactStore store;
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (size_t i = static_cast<size_t>(t); i < epochs.size();
+             i += kThreads) {
+          store.SetEpoch(epochs[i]);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& w : workers) w.join();
+    EXPECT_EQ(store.epoch(), kMax) << "round " << round;
+  }
+}
+
 TEST(FactStoreTest, SaveLoadRoundTripsSnapshotBytes) {
   std::string path = ::testing::TempDir() + "qkbfly_store_roundtrip.jsonl";
   FactStore store;
@@ -457,7 +489,9 @@ TEST(FactStoreTest, LoadRejectsSchemaViolations) {
 
 CachedAnswer FakeAnswer(const std::string& tag) {
   CachedAnswer a;
-  a.kb_bytes = "qkbfly-kb\t1\n";
+  // An empty KB: the cache mechanics never read it, so it binds no
+  // repositories.
+  a.kb = std::make_shared<const OnTheFlyKb>(nullptr, nullptr);
   a.answers = {"answer for " + tag};
   a.documents = 1;
   return a;
@@ -545,6 +579,118 @@ TEST_F(StoreTest, ColdDocWarmAndQueryWarmAnswersAreByteIdentical) {
 
   // The store accumulated the query's facts alongside.
   EXPECT_GT(service.fact_store()->fact_count(), 0u);
+}
+
+TEST_F(StoreTest, QueryTierHitsShareTheColdKb) {
+  std::string query = dataset_->wiki_eval.front().doc.title;
+  // The cold bytes come from a separate service with its own tiers.
+  std::string cold_bytes;
+  {
+    auto search = MakeSearch();
+    KbService reference(engine_, search.get());
+    cold_bytes = reference.Answer(query).kb.Serialize();
+  }
+
+  auto search = MakeSearch();
+  KbService service(engine_, search.get());
+  KbService::QueryResult cold = service.Answer(query);
+  KbService::QueryResult a = service.Answer(query);
+  KbService::QueryResult b = service.Answer(query);
+  ASSERT_TRUE(a.stats.query_cache_hit);
+  ASSERT_TRUE(b.stats.query_cache_hit);
+  EXPECT_EQ(&a.kb, &b.kb);
+  EXPECT_EQ(&a.kb, &cold.kb);
+  EXPECT_EQ(&a.kb, a.shared_kb.get());
+  EXPECT_EQ(a.kb.Serialize(), cold_bytes);
+
+  // The recorded QA pair shares the same object.
+  std::shared_ptr<const QaPair> pair = service.fact_store()->qa_pairs().Find(
+      QaPairIndex::NormalizeQuestion(query), search->epoch(),
+      engine_->config().Fingerprint());
+  ASSERT_NE(pair, nullptr);
+  EXPECT_EQ(pair->kb.get(), &a.kb);
+  EXPECT_TRUE(pair->kb_bytes.empty());
+}
+
+TEST_F(StoreTest, StoreProbeSharesAnInProcessPairsKb) {
+  auto search = MakeSearch();
+  KbServiceOptions options;
+  options.serve_from_store = true;
+  KbService service(engine_, search.get(), options);
+  std::string query = dataset_->wiki_eval.front().doc.title;
+  KbService::QueryResult cold = service.Answer(query);
+  ASSERT_FALSE(cold.stats.served_from_store);
+
+  // With the query tier gone the store probe answers, handing out the very
+  // object the cold answer built: nothing was deserialized.
+  service.ClearQueryTier();
+  KbService::QueryResult probed = service.Answer(query);
+  EXPECT_FALSE(probed.stats.query_cache_hit);
+  EXPECT_TRUE(probed.stats.served_from_store);
+  EXPECT_EQ(&probed.kb, &cold.kb);
+  EXPECT_EQ(probed.answers, cold.answers);
+}
+
+TEST_F(StoreTest, LoadedPairIsDeserializedOnceThenHitsTheQueryTier) {
+  std::string path = TempPath("deserialize_once.jsonl");
+  std::string query = dataset_->wiki_eval.front().doc.title;
+  std::string cold_bytes;
+  {
+    auto search = MakeSearch();
+    KbService service(engine_, search.get());
+    cold_bytes = service.Answer(query).kb.Serialize();
+    ASSERT_TRUE(service.fact_store()->Save(path).ok());
+  }
+  FactStore loaded;
+  ASSERT_TRUE(loaded.Load(path).ok());
+  auto search = MakeSearch();
+  KbServiceOptions options;
+  options.fact_store = &loaded;
+  options.serve_from_store = true;
+  options.keep_slowest_traces = 3;
+  KbService service(engine_, search.get(), options);
+
+  KbService::QueryResult first = service.Answer(query);
+  EXPECT_TRUE(first.stats.served_from_store);
+  EXPECT_FALSE(first.stats.query_cache_hit);
+  EXPECT_EQ(first.kb.Serialize(), cold_bytes);
+  KbService::QueryResult second = service.Answer(query);
+  KbService::QueryResult third = service.Answer(query);
+  EXPECT_TRUE(second.stats.query_cache_hit);
+  EXPECT_TRUE(third.stats.query_cache_hit);
+  EXPECT_EQ(&second.kb, &first.kb);
+  EXPECT_EQ(&third.kb, &first.kb);
+
+  int deserializations = 0;
+  for (const auto& trace : service.traces().Slowest()) {
+    for (const obs::Span& s : trace->Snapshot()) {
+      if (s.name == "deserialize") ++deserializations;
+    }
+  }
+  EXPECT_EQ(service.traces().Slowest().size(), 3u);
+  EXPECT_EQ(deserializations, 1);
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreTest, KbApproxBytesCoversItsBytesAndGrowsWithFacts) {
+  auto search = MakeSearch();
+  KbService service(engine_, search.get());
+  KbService::QueryResult answer =
+      service.Answer(dataset_->wiki_eval.front().doc.title);
+  ASSERT_GT(answer.kb.size(), 1u);
+  EXPECT_GE(answer.kb.ApproxBytes(), answer.kb.Serialize().size());
+
+  OnTheFlyKb grown = engine_->MakeKb();
+  size_t previous = grown.ApproxBytes();
+  for (const Fact& f : answer.kb.facts()) {
+    grown.AddFact(f);
+    const size_t bytes = grown.ApproxBytes();
+    EXPECT_GT(bytes, previous);
+    EXPECT_GE(bytes, grown.Serialize().size());
+    previous = bytes;
+  }
+  grown.ShrinkToFit();
+  EXPECT_GE(grown.ApproxBytes(), grown.Serialize().size());
 }
 
 TEST_F(StoreTest, ConcurrentAnswersThroughQueryTierAreByteIdentical) {
