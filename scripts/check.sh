@@ -2,9 +2,9 @@
 # Full local gate, mirroring .github/workflows/ci.yml:
 #   1. configure + build the default tree, and compile the benchmark driver
 #      (perfbench/, its own CMake project against ../src)
-#   2. run the whole test suite (includes the `lint` and `lint_wholeprogram`
-#      ctest targets), then the whole-program lint with its <5s latency budget
-#      and SARIF export
+#   2. run the whole test suite (includes the `lint_wholeprogram` ctest:
+#      both lint phases, the <5s latency budget, and the build/lint.sarif
+#      export CI uploads)
 #   3. bench smoke run (label bench-smoke)
 #   4. one sanitizer tree (default: undefined; override with SANITIZER=)
 #   5. format check of changed files, when clang-format is installed
@@ -35,21 +35,6 @@ cmake --build build-perfbench -j"$JOBS" --target qkbfly_perfbench
 
 echo "==> ctest (full suite, includes lint)"
 (cd build && ctest --output-on-failure -j"$JOBS")
-
-echo "==> whole-program lint (L1/C3/A1 + SARIF + latency budget)"
-# The lint_wholeprogram ctest above already gates findings and stale
-# baseline entries (report-only on its own latency); this explicit run
-# additionally enforces the <5s self-latency budget and refreshes the
-# build/lint.sarif artifact CI uploads.
-./build/tools/qkbfly_lint \
-    --root "$PWD" \
-    --wholeprogram \
-    --layers tools/lint_layers.txt \
-    --baseline tools/lint_baseline.txt \
-    --ci \
-    --sarif build/lint.sarif \
-    --max-seconds 5 \
-    src tools bench examples
 
 echo "==> bench smoke"
 # bench_smoke_hotpath also diffs the densify p50 against the committed

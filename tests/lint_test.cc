@@ -264,7 +264,7 @@ TEST(RuleC1Test, SuppressedByAllowMarker) {
 }
 
 // ---------------------------------------------------------------------------
-// C2: thread hygiene and lock order
+// C2: thread hygiene
 // ---------------------------------------------------------------------------
 
 TEST(RuleC2Test, FlagsDetachAndRawNewThread) {
@@ -273,88 +273,6 @@ TEST(RuleC2Test, FlagsDetachAndRawNewThread) {
   EXPECT_TRUE(Has(
       LintSource("src/a.cc", "auto* t = new std::thread([] {});\n"),
       Rule::kC2));
-}
-
-TEST(RuleC2Test, FlagsLockOrderInversion) {
-  // metrics (rank 5) held while acquiring a doc-tier shard mutex (rank 3).
-  constexpr char kSrc[] = R"cc(
-    void Report() {
-      std::lock_guard<std::mutex> m(metrics_mutex_);
-      std::lock_guard<std::mutex> s(shard.mutex);
-    }
-  )cc";
-  auto diags = LintSource("src/service/a.cc", kSrc);
-  ASSERT_TRUE(Has(diags, Rule::kC2));
-  EXPECT_NE(diags[0].message.find("lock order"), std::string::npos);
-}
-
-TEST(RuleC2Test, DocumentedOrderIsClean) {
-  // The full documented chain, outer to inner: query tier (2) -> doc tier
-  // (3) -> store shard (4) -> metrics (5).
-  constexpr char kSrc[] = R"cc(
-    void Report() {
-      std::lock_guard<std::mutex> q(qshard.mutex);
-      std::lock_guard<std::mutex> s(shard.mutex);
-      std::lock_guard<std::mutex> f(store_shard.mutex);
-      std::lock_guard<std::mutex> m(metrics_mutex_);
-    }
-  )cc";
-  EXPECT_FALSE(Has(LintSource("src/service/a.cc", kSrc), Rule::kC2));
-}
-
-TEST(RuleC2Test, FlagsQueryTierAcquiredUnderDocTier) {
-  // doc-tier shard (rank 3) held while acquiring a query-tier shard (rank
-  // 2): the tiers nest the wrong way around.
-  constexpr char kSrc[] = R"cc(
-    void Serve() {
-      std::lock_guard<std::mutex> s(shard.mutex);
-      std::lock_guard<std::mutex> q(qshard.mutex);
-    }
-  )cc";
-  EXPECT_TRUE(Has(LintSource("src/store/a.cc", kSrc), Rule::kC2));
-}
-
-TEST(RuleC2Test, FlagsDocTierAcquiredUnderStoreShard) {
-  // FactStore shard (rank 4) held while acquiring a doc-tier shard (rank 3).
-  constexpr char kSrc[] = R"cc(
-    void Ingest() {
-      std::lock_guard<std::mutex> f(store_shard.mutex);
-      std::lock_guard<std::mutex> s(shard.mutex);
-    }
-  )cc";
-  EXPECT_TRUE(Has(LintSource("src/store/a.cc", kSrc), Rule::kC2));
-}
-
-TEST(RuleC2Test, FlagsInversionInClassTemplateMember) {
-  // The memo shard locks live only in a class template's in-class members
-  // (memo::ShardedLru); the pass must still see them.
-  constexpr char kSrc[] = R"cc(
-    template <typename Value>
-    class Memo {
-     public:
-      template <typename Compute>
-      std::shared_ptr<const Value> Fetch(const Compute& compute) {
-        std::lock_guard<std::mutex> f(store_shard.mutex);
-        std::lock_guard<std::mutex> s(shard.mutex);
-        return nullptr;
-      }
-    };
-  )cc";
-  EXPECT_TRUE(Has(LintSource("src/memo/a.h", kSrc), Rule::kC2));
-}
-
-TEST(RuleC2Test, ScopeExitReleasesHeldLocks) {
-  // The shard lock dies with its block, so the later metrics->shard sequence
-  // in a sibling block is NOT an inversion.
-  constexpr char kSrc[] = R"cc(
-    void Report() {
-      {
-        std::lock_guard<std::mutex> m(metrics_mutex_);
-      }
-      std::lock_guard<std::mutex> s(shard.mutex);
-    }
-  )cc";
-  EXPECT_FALSE(Has(LintSource("src/service/a.cc", kSrc), Rule::kC2));
 }
 
 TEST(RuleC2Test, SuppressedByAllowMarker) {
@@ -474,34 +392,6 @@ TEST(RuleO1Test, SuppressedByAllowMarker) {
   EXPECT_FALSE(Has(LintSource("src/a.cc", kSrc), Rule::kO1));
 }
 
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-TEST(BaselineTest, RoundTripAndPartition) {
-  auto diags = LintSource("src/foo/bar.cc", kD1Positive);
-  ASSERT_TRUE(Has(diags, Rule::kD1));
-  std::string entry = FormatBaselineEntry(diags[0]);
-  EXPECT_EQ(entry, "D1|src/foo/bar.cc|counts");
-
-  std::string file = "# comment line\n\n" + entry + "\nC2|gone.cc|detach\n";
-  std::vector<BaselineEntry> baseline = ParseBaseline(file);
-  ASSERT_EQ(baseline.size(), 2u);
-
-  BaselineResult result = ApplyBaseline(diags, baseline);
-  EXPECT_TRUE(result.fresh.empty());
-  EXPECT_EQ(result.suppressed.size(), diags.size());
-  ASSERT_EQ(result.unused.size(), 1u);  // the stale gone.cc entry
-  EXPECT_EQ(result.unused[0].file, "gone.cc");
-}
-
-TEST(BaselineTest, UnmatchedDiagnosticStaysFresh) {
-  auto diags = LintSource("src/foo/bar.cc", kD1Positive);
-  BaselineResult result = ApplyBaseline(diags, {});
-  EXPECT_EQ(result.fresh.size(), diags.size());
-  EXPECT_TRUE(result.suppressed.empty());
-}
-
 TEST(RenderTest, FormatsFileLineRule) {
   Diagnostic d;
   d.rule = Rule::kD2;
@@ -567,6 +457,49 @@ TEST(ProjectIndexTest, SequentialGuardsProduceOrderEdge) {
   ASSERT_EQ(fn.lock_edges.size(), 1u);
   EXPECT_EQ(fn.lock_edges[0].outer, "x::mu_a");
   EXPECT_EQ(fn.lock_edges[0].inner, "x::mu_b");
+}
+
+TEST(ProjectIndexTest, ArrowAndDotSpellingsFoldToOneNode) {
+  // Two methods of one class reach the same per-shard mutex through a
+  // reference and a pointer; a differently named chain stays its own node.
+  ProjectIndex index = BuildIndex({{"src/memo/sharded_lru.h", R"cc(
+    class ShardedLru {
+     public:
+      void Fetch() { std::lock_guard<std::mutex> lock(shard.mutex); }
+      void Clear() { std::lock_guard<std::mutex> lock(shard->mutex); }
+      void Save() { std::lock_guard<std::mutex> lock(store_shard.mutex); }
+    };
+  )cc"}});
+  ASSERT_EQ(index.functions.size(), 3u);
+  ASSERT_EQ(index.functions[0].locks.size(), 1u);
+  ASSERT_EQ(index.functions[1].locks.size(), 1u);
+  ASSERT_EQ(index.functions[2].locks.size(), 1u);
+  EXPECT_EQ(index.functions[0].locks[0].node, "ShardedLru::shard.mutex");
+  EXPECT_EQ(index.functions[1].locks[0].node, "ShardedLru::shard.mutex");
+  EXPECT_EQ(index.functions[2].locks[0].node,
+            "ShardedLru::store_shard.mutex");
+}
+
+TEST(ProjectIndexTest, NamesDestructorsAfterTilde) {
+  ProjectIndex index = BuildIndex({{"src/util/thread_pool.cc", R"cc(
+    ThreadPool::ThreadPool(int n) { Start(n); }
+    ThreadPool::~ThreadPool() {
+      std::lock_guard<std::mutex> lock(mutex_);
+    }
+    class Arena {
+     public:
+      ~Arena() { Release(); }
+    };
+  )cc"}});
+  ASSERT_EQ(index.functions.size(), 3u);
+  EXPECT_EQ(index.functions[1].name, "~ThreadPool");
+  EXPECT_EQ(index.functions[1].qualified, "ThreadPool::~ThreadPool");
+  ASSERT_EQ(index.functions[1].locks.size(), 1u);
+  EXPECT_EQ(index.functions[1].locks[0].node, "ThreadPool::mutex_");
+  EXPECT_EQ(index.functions[2].name, "~Arena");
+  EXPECT_EQ(index.functions[2].qualified, "Arena::~Arena");
+  // A bare `ThreadPool(` call resolves to the constructor alone.
+  EXPECT_EQ(index.functions_by_name.at("ThreadPool").size(), 1u);
 }
 
 TEST(ProjectIndexTest, ResolvesIncludesBySuffixAndAssignsModules) {
@@ -694,17 +627,101 @@ constexpr char kInversionTwo[] = R"cc(
   }
 )cc";
 
-TEST(RuleC3Test, FlagsCrossFunctionInversionInvisibleToC2) {
-  // Neither file names a rank-classified mutex, so the per-file C2 pass sees
-  // nothing in either one...
-  EXPECT_FALSE(Has(LintSource("src/x/one.cc", kInversionOne), Rule::kC2));
-  EXPECT_FALSE(Has(LintSource("src/x/two.cc", kInversionTwo), Rule::kC2));
-  // ...but the whole-program graph has mu_a -> mu_b (via AThenB -> LockB)
-  // and mu_b -> mu_a (via BThenA -> LockA): a deadlock-shaped cycle.
+TEST(RuleC3Test, FlagsCrossFunctionInversion) {
+  // Neither file names a rank-classified mutex and neither function nests
+  // two locks, but the whole-program graph has mu_a -> mu_b (via AThenB ->
+  // LockB) and mu_b -> mu_a (via BThenA -> LockA): a deadlock-shaped cycle.
   ProjectIndex index = BuildIndex(
       {{"src/x/one.cc", kInversionOne}, {"src/x/two.cc", kInversionTwo}});
   auto diags = CheckLockOrder(index);
   ASSERT_TRUE(HasKey(diags, Rule::kC3, "x::mu_a -> x::mu_b -> x::mu_a"));
+}
+
+TEST(RuleC3Test, FlagsLockOrderInversion) {
+  // metrics (rank 5) held while acquiring a doc-tier shard mutex (rank 3).
+  constexpr char kSrc[] = R"cc(
+    void Report() {
+      std::lock_guard<std::mutex> m(metrics_mutex_);
+      std::lock_guard<std::mutex> s(shard.mutex);
+    }
+  )cc";
+  auto diags = CheckLockOrder(BuildIndex({{"src/service/a.cc", kSrc}}));
+  ASSERT_TRUE(Has(diags, Rule::kC3));
+  EXPECT_NE(diags[0].message.find("lock order"), std::string::npos);
+}
+
+TEST(RuleC3Test, DocumentedOrderIsClean) {
+  // The full documented chain, outer to inner: query tier (2) -> doc tier
+  // (3) -> store shard (4) -> metrics (5).
+  constexpr char kSrc[] = R"cc(
+    void Report() {
+      std::lock_guard<std::mutex> q(qshard.mutex);
+      std::lock_guard<std::mutex> s(shard.mutex);
+      std::lock_guard<std::mutex> f(store_shard.mutex);
+      std::lock_guard<std::mutex> m(metrics_mutex_);
+    }
+  )cc";
+  EXPECT_FALSE(
+      Has(CheckLockOrder(BuildIndex({{"src/service/a.cc", kSrc}})), Rule::kC3));
+}
+
+TEST(RuleC3Test, FlagsQueryTierAcquiredUnderDocTier) {
+  // doc-tier shard (rank 3) held while acquiring a query-tier shard (rank
+  // 2): the tiers nest the wrong way around.
+  constexpr char kSrc[] = R"cc(
+    void Serve() {
+      std::lock_guard<std::mutex> s(shard.mutex);
+      std::lock_guard<std::mutex> q(qshard.mutex);
+    }
+  )cc";
+  EXPECT_TRUE(
+      Has(CheckLockOrder(BuildIndex({{"src/store/a.cc", kSrc}})), Rule::kC3));
+}
+
+TEST(RuleC3Test, FlagsDocTierAcquiredUnderStoreShard) {
+  // FactStore shard (rank 4) held while acquiring a doc-tier shard (rank 3).
+  constexpr char kSrc[] = R"cc(
+    void Ingest() {
+      std::lock_guard<std::mutex> f(store_shard.mutex);
+      std::lock_guard<std::mutex> s(shard.mutex);
+    }
+  )cc";
+  EXPECT_TRUE(
+      Has(CheckLockOrder(BuildIndex({{"src/store/a.cc", kSrc}})), Rule::kC3));
+}
+
+TEST(RuleC3Test, FlagsInversionInClassTemplateMember) {
+  // The memo shard locks live only in a class template's in-class members
+  // (memo::ShardedLru); the pass must still see them.
+  constexpr char kSrc[] = R"cc(
+    template <typename Value>
+    class Memo {
+     public:
+      template <typename Compute>
+      std::shared_ptr<const Value> Fetch(const Compute& compute) {
+        std::lock_guard<std::mutex> f(store_shard.mutex);
+        std::lock_guard<std::mutex> s(shard.mutex);
+        return nullptr;
+      }
+    };
+  )cc";
+  EXPECT_TRUE(
+      Has(CheckLockOrder(BuildIndex({{"src/memo/a.h", kSrc}})), Rule::kC3));
+}
+
+TEST(RuleC3Test, ScopeExitReleasesHeldLocks) {
+  // The shard lock dies with its block, so the later metrics->shard sequence
+  // in a sibling block is NOT an inversion.
+  constexpr char kSrc[] = R"cc(
+    void Report() {
+      {
+        std::lock_guard<std::mutex> m(metrics_mutex_);
+      }
+      std::lock_guard<std::mutex> s(shard.mutex);
+    }
+  )cc";
+  EXPECT_FALSE(
+      Has(CheckLockOrder(BuildIndex({{"src/service/a.cc", kSrc}})), Rule::kC3));
 }
 
 TEST(RuleC3Test, FlagsRankContradiction) {
@@ -719,6 +736,32 @@ TEST(RuleC3Test, FlagsRankContradiction) {
   auto diags = CheckLockOrder(index);
   ASSERT_TRUE(HasKey(diags, Rule::kC3,
                      "FactStore::store_mu_->FactStore::query_mu_"));
+}
+
+TEST(RuleC3Test, FlagsCrossFunctionRankContradiction) {
+  // FactStore::Ingest holds its store shard (rank 4) and calls a memo
+  // method that takes a memo shard lock (rank 3): the inversion spans two
+  // functions in two files.
+  ProjectIndex index = BuildIndex({
+      {"src/memo/sharded_lru.h", R"cc(
+        template <typename Value>
+        class ShardedLru {
+         public:
+          void Touch(const std::string& key) {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+          }
+        };
+      )cc"},
+      {"src/store/fact_store.cc", R"cc(
+        void FactStore::Ingest(const std::string& key) {
+          std::lock_guard<std::mutex> lock(store_shard.mutex);
+          memo_.Touch(key);
+        }
+      )cc"},
+  });
+  auto diags = CheckLockOrder(index);
+  ASSERT_TRUE(HasKey(diags, Rule::kC3,
+                     "FactStore::store_shard.mutex->ShardedLru::shard.mutex"));
 }
 
 TEST(RuleC3Test, DocumentedOrderAndScopedLockGroupsAreClean) {
@@ -850,29 +893,6 @@ TEST(SarifTest, RejectsCorruptJsonAndContractViolations) {
       "{\"uri\": \"f\"}, \"region\": {\"startLine\": 1}}}]}]}]}",
       &error));
   EXPECT_NE(error.find("Z9"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Baseline file formatting
-// ---------------------------------------------------------------------------
-
-TEST(BaselineTest, FormatBaselineFileSortsAndDedupes) {
-  Diagnostic d1, d2, d3;
-  d1.rule = Rule::kL1;
-  d1.file = "src/b.h";
-  d1.key = "k";
-  d2.rule = Rule::kA1;
-  d2.file = "src/a.cc";
-  d2.key = "f/new";
-  d3 = d1;  // duplicate collapses
-  std::string text = FormatBaselineFile({d1, d2, d3});
-  size_t a1 = text.find("A1|src/a.cc|f/new");
-  size_t l1 = text.find("L1|src/b.h|k");
-  ASSERT_NE(a1, std::string::npos);
-  ASSERT_NE(l1, std::string::npos);
-  EXPECT_LT(a1, l1);  // rule-major field order
-  EXPECT_EQ(text.find("L1|src/b.h|k", l1 + 1), std::string::npos);
-  EXPECT_EQ(text.front(), '#');  // policy header survives
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Filesystem driver and baseline handling for qkbfly-lint.
+// Filesystem side of qkbfly-lint: file enumeration, reads, rendering.
 #include <algorithm>
-#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -67,116 +66,6 @@ std::vector<SourceFile> ListSourceFiles(const std::vector<std::string>& roots,
     files.push_back(SourceFile{p.generic_string(), DisplayPath(p, root_prefix)});
   }
   return files;
-}
-
-std::vector<Diagnostic> LintTree(const std::vector<std::string>& roots,
-                                 const std::string& root_prefix) {
-  std::vector<Diagnostic> out;
-  for (const SourceFile& file : ListSourceFiles(roots, root_prefix)) {
-    std::string source = ReadFileToString(file.path);
-    // A .cc sees the unordered declarations of its same-directory header so
-    // D1 catches loops over members declared in the class.
-    std::vector<std::string> extra;
-    fs::path fp(file.path);
-    std::string ext = fp.extension().string();
-    if (ext == ".cc" || ext == ".cpp") {
-      fs::path header = fp;
-      header.replace_extension(".h");
-      std::error_code ec;
-      if (fs::is_regular_file(header, ec)) {
-        LexedFile lexed = Lex(ReadFileToString(header.generic_string()));
-        extra = UnorderedDeclNames(lexed);
-      }
-    }
-    std::vector<Diagnostic> diags = LintSource(file.display, source, extra);
-    out.insert(out.end(), std::make_move_iterator(diags.begin()),
-               std::make_move_iterator(diags.end()));
-  }
-  return out;
-}
-
-std::vector<BaselineEntry> ParseBaseline(std::string_view text) {
-  std::vector<BaselineEntry> entries;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.remove_suffix(1);
-    }
-    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-    if (line.empty() || line.front() == '#') continue;
-    size_t p1 = line.find('|');
-    size_t p2 = p1 == std::string_view::npos ? std::string_view::npos
-                                             : line.find('|', p1 + 1);
-    if (p2 == std::string_view::npos) continue;
-    std::optional<Rule> rule = ParseRuleName(line.substr(0, p1));
-    if (!rule.has_value()) continue;
-    BaselineEntry e;
-    e.rule = *rule;
-    e.file = std::string(line.substr(p1 + 1, p2 - p1 - 1));
-    e.key = std::string(line.substr(p2 + 1));
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
-std::string FormatBaselineEntry(const Diagnostic& diag) {
-  return std::string(RuleName(diag.rule)) + "|" + diag.file + "|" + diag.key;
-}
-
-std::string FormatBaselineFile(const std::vector<Diagnostic>& diags) {
-  // Field-wise (rule, file, key) sort so the file diffs stably even when a
-  // key happens to contain '|'-adjacent characters.
-  std::vector<std::array<std::string, 3>> rows;
-  rows.reserve(diags.size());
-  for (const Diagnostic& d : diags) {
-    rows.push_back({std::string(RuleName(d.rule)), d.file, d.key});
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  std::string out =
-      "# qkbfly-lint baseline: grandfathered findings, one rule|file|key per "
-      "line.\n"
-      "# Policy: this file only shrinks. Fix the site or add a justified\n"
-      "# `// qkbfly-lint: allow(<rule>)` comment instead of adding entries.\n";
-  for (const auto& row : rows) {
-    out += row[0];
-    out += '|';
-    out += row[1];
-    out += '|';
-    out += row[2];
-    out += '\n';
-  }
-  return out;
-}
-
-BaselineResult ApplyBaseline(std::vector<Diagnostic> diags,
-                             const std::vector<BaselineEntry>& baseline) {
-  BaselineResult result;
-  std::vector<bool> used(baseline.size(), false);
-  for (Diagnostic& d : diags) {
-    bool matched = false;
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      const BaselineEntry& e = baseline[i];
-      if (e.rule == d.rule && e.file == d.file && e.key == d.key) {
-        used[i] = true;
-        matched = true;
-        break;
-      }
-    }
-    if (matched) {
-      result.suppressed.push_back(std::move(d));
-    } else {
-      result.fresh.push_back(std::move(d));
-    }
-  }
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    if (!used[i]) result.unused.push_back(baseline[i]);
-  }
-  return result;
 }
 
 std::string Render(const Diagnostic& diag) {

@@ -1,16 +1,12 @@
 #include "lint/index.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "lint/structure.h"
 
 namespace qkbfly::lint {
 
 namespace {
-
-bool Is(const Token& t, std::string_view text) { return t.text == text; }
-bool IsIdent(const Token& t) { return t.kind == Token::Kind::kIdent; }
 
 bool IsGuardType(const Token& t) {
   return Is(t, "lock_guard") || Is(t, "unique_lock") || Is(t, "scoped_lock") ||
@@ -47,72 +43,28 @@ struct FnScanner {
   const Token& Tok(size_t f) const { return toks[s.idx[f]]; }
   size_t Count() const { return s.idx.size(); }
 
-  size_t SkipAngles(size_t f) const {
-    int depth = 0;
-    size_t n = Count();
-    for (size_t i = f; i < n; ++i) {
-      if (Is(Tok(i), "<")) ++depth;
-      if (Is(Tok(i), ">") && --depth == 0) return i + 1;
-      if (Is(Tok(i), ";")) return i;
-    }
-    return n;
-  }
-
-  size_t MatchParen(size_t open) const {
-    int depth = 0;
-    for (size_t i = open; i < Count(); ++i) {
-      if (Is(Tok(i), "(")) ++depth;
-      if (Is(Tok(i), ")") && --depth == 0) return i;
-    }
-    return Count();
-  }
-
-  /// Receiver chain before position `f` (exclusive), innermost first when
-  /// read forward: for `a->b.c` before `push_back`, returns "a->b.c" and
-  /// sets `first` to "a", `last` to "c".
-  std::string ChainBefore(size_t f, std::string* first,
-                          std::string* last) const {
-    std::vector<std::string> parts;
+  /// Receiver chain ending just before position `f`: the run of
+  /// identifiers and `.`/`->`/`::` tokens, in source order.
+  std::vector<const Token*> ChainBefore(size_t f) const {
     size_t j = f;
-    while (j > 0) {
-      const Token& p = Tok(j - 1);
-      if (IsIdent(p) || Is(p, ".") || Is(p, "->") || Is(p, "::")) {
-        parts.push_back(p.text);
-        --j;
-      } else {
-        break;
-      }
+    while (j > 0 && (IsIdent(Tok(j - 1)) || Is(Tok(j - 1), ".") ||
+                     Is(Tok(j - 1), "->") || Is(Tok(j - 1), "::"))) {
+      --j;
     }
-    std::string chain;
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) chain += *it;
-    if (first != nullptr) {
-      first->clear();
-      for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-        if (!it->empty() && (std::isalpha(static_cast<unsigned char>((*it)[0])) ||
-                             (*it)[0] == '_')) {
-          *first = *it;
-          break;
-        }
-      }
-    }
-    if (last != nullptr) {
-      last->clear();
-      for (const std::string& p : parts) {
-        if (!p.empty() && (std::isalpha(static_cast<unsigned char>(p[0])) ||
-                           p[0] == '_')) {
-          *last = p;
-          break;
-        }
-      }
-    }
+    std::vector<const Token*> chain;
+    for (size_t k = j; k < f; ++k) chain.push_back(&Tok(k));
     return chain;
   }
 };
 
-/// Last `.`/`->`-separated component of a lock receiver expression, used to
-/// fold per-instance spellings ("shard.mutex", "s->mutex") into one member.
-std::string LastComponent(const std::vector<std::string>& idents) {
-  return idents.empty() ? std::string("lock") : idents.back();
+/// Member part of a lock node: the identifiers of the mutex expression's
+/// receiver chain joined with '.', so "shard.mutex" and "shard->mutex" fold
+/// to one member while "store_shard.mutex" stays another.
+std::string MemberChain(const std::vector<std::string>& idents) {
+  if (idents.empty()) return "lock";
+  std::string chain = idents.front();
+  for (size_t k = 1; k < idents.size(); ++k) chain += "." + idents[k];
+  return chain;
 }
 
 }  // namespace
@@ -248,13 +200,15 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
         std::vector<std::string> exprs;
         if (is_guard) {
           size_t i = f + 1;
-          if (i < n && Is(scan.Tok(i), "<")) i = scan.SkipAngles(i);
+          if (i < n && Is(scan.Tok(i), "<")) {
+            i = SkipAngles(lexed.tokens, structure, i);
+          }
           if (i < n && IsIdent(scan.Tok(i))) {
             guard_var_toks.insert(i);
             ++i;  // guard variable name
           }
           if (i >= n || !Is(scan.Tok(i), "(")) continue;
-          size_t close = scan.MatchParen(i);
+          size_t close = MatchParen(lexed.tokens, structure, i);
           std::vector<std::string> idents;
           std::string expr;
           int pdepth = 0;
@@ -276,31 +230,19 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
               expr.clear();
               continue;
             }
-            if (IsIdent(a) && !Is(a, "std")) idents.push_back(a.text);
+            // Subscripts and call arguments are not part of the chain.
+            if (IsIdent(a) && !Is(a, "std") && pdepth == 0) {
+              idents.push_back(a.text);
+            }
             expr += a.text;
           }
         } else {
-          // `X.lock()` / `X->lock()`: collect the receiver chain backwards.
-          size_t j = f - 1;  // the '.'/'->'
-          std::vector<std::string> parts;
-          while (j > region.open) {
-            const Token& p = scan.Tok(j - 1);
-            if (IsIdent(p) || Is(p, ".") || Is(p, "->") || Is(p, "::")) {
-              parts.push_back(p.text);
-              --j;
-            } else {
-              break;
-            }
-          }
+          // `X.lock()` / `X->lock()`: the receiver chain before the '.'.
           std::vector<std::string> idents;
           std::string expr;
-          for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-            expr += *it;
-            if (!it->empty() &&
-                (std::isalpha(static_cast<unsigned char>((*it)[0])) ||
-                 (*it)[0] == '_')) {
-              idents.push_back(*it);
-            }
+          for (const Token* p : scan.ChainBefore(f - 1)) {
+            expr += p->text;
+            if (IsIdent(*p)) idents.push_back(p->text);
           }
           if (expr.empty()) continue;
           member_chains.push_back(idents);
@@ -310,7 +252,7 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
         int group = exprs.size() > 1 ? next_group++ : -1;
         std::vector<std::string> new_nodes;
         for (size_t k = 0; k < exprs.size(); ++k) {
-          new_nodes.push_back(owner + "::" + LastComponent(member_chains[k]));
+          new_nodes.push_back(owner + "::" + MemberChain(member_chains[k]));
         }
         // Order edges from every held lock to every newly acquired one; no
         // edges among members of one scoped_lock group.
@@ -356,12 +298,14 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
       if (IsGrowthCall(t) && f > region.open && f + 1 < n &&
           Is(scan.Tok(f + 1), "(") &&
           (Is(scan.Tok(f - 1), ".") || Is(scan.Tok(f - 1), "->"))) {
-        std::string first, last_unused;
-        // Collects the receiver plus its trailing '.'/'->'.
-        std::string chain = scan.ChainBefore(f, &first, &last_unused);
+        // The receiver plus its trailing '.'/'->'.
+        std::string first;
         AllocSite site;
+        for (const Token* p : scan.ChainBefore(f)) {
+          site.receiver += p->text;
+          if (first.empty() && IsIdent(*p)) first = p->text;
+        }
         site.what = t.text;
-        site.receiver = chain;
         site.line = t.line;
         site.exempt =
             IsExemptRoot(first) || exempt_aliases.count(first) > 0;

@@ -44,7 +44,7 @@ struct AllocSite {
 /// acquired atomically (deadlock-free by construction), so C3 draws no
 /// order edges between them.
 struct LockAcquisition {
-  std::string node;  ///< "Owner::expr" — see ProjectIndexBuilder docs.
+  std::string node;  ///< "Owner::chain" — see ProjectIndexBuilder docs.
   std::string expr;  ///< Raw receiver expression at the site.
   int line = 0;
   int group = -1;
@@ -107,11 +107,13 @@ std::string ModuleOf(std::string_view path);
 
 /// Builds a ProjectIndex incrementally so tests can index in-memory
 /// fixtures. AddFile lexes immediately; Build() resolves include edges and
-/// the name maps. Lock nodes are named "Owner::member" where Owner is the
+/// the name maps. Lock nodes are named "Owner::chain" where Owner is the
 /// class of the enclosing method (or the file's module for free functions)
-/// and member is the last component of the receiver expression, so
-/// "shard.mutex" inside ShardedLru::FetchOrCompute and "shard->mutex"
-/// inside ShardedLru::Clear fold to the same node.
+/// and chain is the receiver expression's identifiers joined with '.'
+/// (subscripts and call arguments dropped). So "shard.mutex" inside
+/// ShardedLru::FetchOrCompute and "shard->mutex" inside ShardedLru::Clear
+/// fold to one node "ShardedLru::shard.mutex", while "store_shard.mutex"
+/// and "shard.mutex" in one function stay two nodes with an edge between.
 class ProjectIndexBuilder {
  public:
   void AddFile(std::string path, std::string_view source);

@@ -321,17 +321,4 @@ const char* RuleName(Rule rule) {
   return "?";
 }
 
-std::optional<Rule> ParseRuleName(std::string_view name) {
-  if (name == "D1") return Rule::kD1;
-  if (name == "D2") return Rule::kD2;
-  if (name == "C1") return Rule::kC1;
-  if (name == "C2") return Rule::kC2;
-  if (name == "H1") return Rule::kH1;
-  if (name == "O1") return Rule::kO1;
-  if (name == "L1") return Rule::kL1;
-  if (name == "C3") return Rule::kC3;
-  if (name == "A1") return Rule::kA1;
-  return std::nullopt;
-}
-
 }  // namespace qkbfly::lint

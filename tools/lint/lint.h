@@ -3,20 +3,19 @@
 // cold, serial and N-thread builds must produce byte-identical KBs).
 //
 // No libclang: a small lexer strips comments/strings/raw strings, tracks
-// identifiers and brace/paren nesting, and five rule passes run over the
-// token stream. Imprecision is by design — findings are silenced either at
-// the site with a justified `// qkbfly-lint: allow(<rule>)` comment or, for
-// grandfathered code, through a committed baseline file.
+// identifiers and brace/paren nesting, and six per-file rule passes run over
+// the token stream. Imprecision is by design — a finding is silenced only at
+// the site, with a justified `// qkbfly-lint: allow(<rule>)` comment; any
+// other finding fails the run.
 //
-// Rules:
+// Per-file rules (phase 1):
 //   D1  unordered_{map,set} iteration feeding output order (KB facts, bench
 //       rows, returned result vectors) without a downstream sort.
 //   D2  nondeterminism sources on deterministic paths (src/ minus bench):
 //       rand/random_device, wall-clock now, address-as-hash.
 //   C1  mutable namespace-scope or static-local state without a mutex,
 //       atomic, or the leaky-singleton interner shape.
-//   C2  thread::detach, raw `new std::thread`, and acquisitions inverting
-//       the documented ThreadPool -> cache-shard -> metrics lock order.
+//   C2  thread::detach and raw `new std::thread`.
 //   H1  headers without include guards / #pragma once; debt comments
 //       (TODO(tag)/FIXME(tag) style) missing their issue tag.
 //   O1  metric/span registration (GetCounter/GetGauge/GetHistogram,
@@ -28,16 +27,15 @@
 // lint/wholeprogram.h):
 //   L1  include-graph layering: module back-edges against the DAG declared
 //       in tools/lint_layers.txt, and include cycles.
-//   C3  inferred lock order: the acquired-while-held graph built from actual
-//       lock sites must be acyclic and consistent with the documented C2
-//       ranks.
+//   C3  lock order: the acquired-while-held graph built from actual lock
+//       sites must be acyclic and consistent with the documented ThreadPool
+//       -> query-level -> memo shard -> store shard -> metrics ranks.
 //   A1  hot-path allocation: functions reachable from the densify hot path
 //       must not allocate or grow non-workspace containers.
 #ifndef QKBFLY_TOOLS_LINT_LINT_H_
 #define QKBFLY_TOOLS_LINT_LINT_H_
 
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -48,10 +46,10 @@ namespace qkbfly::lint {
 enum class Rule { kD1, kD2, kC1, kC2, kH1, kO1, kL1, kC3, kA1 };
 
 const char* RuleName(Rule rule);
-std::optional<Rule> ParseRuleName(std::string_view name);
 
-/// One finding. `key` is a line-number-free fingerprint (rule-specific, e.g.
-/// the iterated container name) so baseline entries survive unrelated edits.
+/// One finding. `key` is a line-number-free, rule-specific fingerprint (the
+/// iterated container name, the cycle, the lock edge) that tests match on
+/// and that orders findings sharing a line.
 struct Diagnostic {
   Rule rule = Rule::kD1;
   std::string file;
@@ -121,31 +119,6 @@ std::vector<Diagnostic> LintSource(
     const std::vector<std::string>& extra_unordered = {});
 
 // ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-/// Baseline file: one `rule|file|key` entry per line; '#' comments and blank
-/// lines ignored. An entry suppresses every diagnostic matching the triple.
-struct BaselineEntry {
-  Rule rule = Rule::kD1;
-  std::string file;
-  std::string key;
-};
-
-std::vector<BaselineEntry> ParseBaseline(std::string_view text);
-std::string FormatBaselineEntry(const Diagnostic& diag);
-
-/// Partitions diagnostics into (new, baselined); `unused` receives baseline
-/// entries that matched nothing (stale — the site was fixed or removed).
-struct BaselineResult {
-  std::vector<Diagnostic> fresh;
-  std::vector<Diagnostic> suppressed;
-  std::vector<BaselineEntry> unused;
-};
-BaselineResult ApplyBaseline(std::vector<Diagnostic> diags,
-                             const std::vector<BaselineEntry>& baseline);
-
-// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -165,19 +138,8 @@ std::vector<SourceFile> ListSourceFiles(const std::vector<std::string>& roots,
 /// file as having nothing to lint).
 std::string ReadFileToString(const std::string& path);
 
-/// Recursively lints every *.h/*.cc/*.cpp under `roots` (paths reported
-/// relative to `root_prefix` when they live beneath it). For a .cc/.cpp the
-/// paired .h in the same directory contributes its unordered declarations.
-std::vector<Diagnostic> LintTree(const std::vector<std::string>& roots,
-                                 const std::string& root_prefix);
-
 /// Renders "file:line: rule: message" for terminals and CI logs.
 std::string Render(const Diagnostic& diag);
-
-/// Full baseline file text for --write-baseline: header comment plus one
-/// entry per diagnostic, de-duplicated and sorted field-wise by
-/// (rule, file, key) so regeneration is byte-stable.
-std::string FormatBaselineFile(const std::vector<Diagnostic>& diags);
 
 }  // namespace qkbfly::lint
 

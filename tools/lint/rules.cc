@@ -1,9 +1,9 @@
 // Rule passes of qkbfly-lint. Everything here is a token-level heuristic:
 // scope structure comes from brace classification, types from declaration
 // shapes, data flow from "mutated in the loop, returned from the function".
-// False positives are expected and handled by allow() markers or the
-// baseline; the rules err toward catching the determinism hazards that the
-// byte-identical-KB tests can only detect after the fact.
+// False positives are expected and handled by allow() markers; the rules err
+// toward catching the determinism hazards that the byte-identical-KB tests
+// can only detect after the fact.
 #include <algorithm>
 #include <cstddef>
 
@@ -14,14 +14,11 @@ namespace qkbfly::lint {
 
 namespace {
 
-bool Is(const Token& t, std::string_view text) { return t.text == text; }
-bool IsIdent(const Token& t) { return t.kind == Token::Kind::kIdent; }
-
 constexpr size_t kNone = static_cast<size_t>(-1);
 
 // ---------------------------------------------------------------------------
-// Shared helpers (scope structure itself lives in lint/structure.h, shared
-// with the whole-program indexer)
+// Shared helpers (scope structure and the token helpers live in
+// lint/structure.h, shared with the whole-program indexer)
 // ---------------------------------------------------------------------------
 
 struct Context {
@@ -55,29 +52,6 @@ void Report(const Context& ctx, Rule rule, int line, std::string key,
   d.key = std::move(key);
   d.message = std::move(message);
   ctx.out->push_back(std::move(d));
-}
-
-/// Skips a balanced `<...>` starting at `f` (which must be '<'); returns the
-/// position just past the matching '>'. Treats unbalanced input leniently.
-size_t SkipAngles(const Context& ctx, size_t f) {
-  int depth = 0;
-  size_t n = Count(ctx);
-  for (size_t i = f; i < n; ++i) {
-    if (Is(Tok(ctx, i), "<")) ++depth;
-    if (Is(Tok(ctx, i), ">") && --depth == 0) return i + 1;
-    // A ';' inside template args means we mis-detected a comparison.
-    if (Is(Tok(ctx, i), ";")) return i;
-  }
-  return n;
-}
-
-size_t MatchParen(const Context& ctx, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < Count(ctx); ++i) {
-    if (Is(Tok(ctx, i), "(")) ++depth;
-    if (Is(Tok(ctx, i), ")") && --depth == 0) return i;
-  }
-  return Count(ctx);
 }
 
 size_t MatchBrace(const Context& ctx, size_t open) {
@@ -137,7 +111,7 @@ std::vector<std::string> CollectUnorderedNames(const Context& ctx) {
       }
       continue;
     }
-    size_t after = SkipAngles(ctx, f + 1);
+    size_t after = SkipAngles(*ctx.toks, *ctx.structure, f + 1);
     while (after < n && (Is(Tok(ctx, after), "&") || Is(Tok(ctx, after), "*") ||
                          Is(Tok(ctx, after), "&&") ||
                          Is(Tok(ctx, after), "const"))) {
@@ -185,7 +159,7 @@ void CheckD1(const Context& ctx, const std::vector<std::string>& extra) {
           !Is(Tok(ctx, f + 1), "(")) {
         continue;
       }
-      size_t close = MatchParen(ctx, f + 1);
+      size_t close = MatchParen(*ctx.toks, *ctx.structure, f + 1);
       // Top-level ':' separates declaration from range expression.
       size_t colon = kNone;
       int pdepth = 0;
@@ -269,7 +243,7 @@ void CheckD1(const Context& ctx, const std::vector<std::string>& extra) {
         for (size_t f = fn.open; f < fn.close && !mitigated; ++f) {
           if ((Is(Tok(ctx, f), "sort") || Is(Tok(ctx, f), "stable_sort")) &&
               f + 1 < Count(ctx) && Is(Tok(ctx, f + 1), "(")) {
-            size_t close = MatchParen(ctx, f + 1);
+            size_t close = MatchParen(*ctx.toks, *ctx.structure, f + 1);
             for (size_t i = f + 2; i < close; ++i) {
               if (Is(Tok(ctx, i), hot)) mitigated = true;
             }
@@ -342,7 +316,7 @@ void CheckD2(const Context& ctx) {
       continue;
     }
     if (s == "hash" && f + 1 < n && Is(Tok(ctx, f + 1), "<")) {
-      size_t end = SkipAngles(ctx, f + 1);
+      size_t end = SkipAngles(*ctx.toks, *ctx.structure, f + 1);
       for (size_t i = f + 2; i + 1 < end; ++i) {
         if (Is(Tok(ctx, i), "*")) {
           report(f, "hash<T*>");
@@ -485,37 +459,8 @@ void CheckC1(const Context& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// C2 — thread hygiene and lock ordering
+// C2 — thread hygiene
 // ---------------------------------------------------------------------------
-
-/// Documented lock order (outer acquired before inner):
-///   rank 1  ThreadPool queue mutex        (name contains "pool" or lives in
-///                                          util/thread_pool)
-///   rank 2  query-level lock              (name contains "qshard" or "query";
-///                                          none since the query tier became
-///                                          a memo::ShardedLru)
-///   rank 3  memo::ShardedLru shard        (name contains "shard": the doc
-///                                          tier, the query tier and the
-///                                          LooseCandidates memo)
-///   rank 4  FactStore shard               (name contains "store")
-///   rank 5  service metrics               (name contains "metrics")
-/// Acquiring a lower rank while holding a higher one inverts the order.
-/// Substring checks are ordered most-specific first: "qshard" and "store"
-/// would both also match the bare doc-tier "shard" pattern.
-int LockRank(const Context& ctx, const std::string& expr) {
-  auto contains = [&](const char* needle) {
-    return expr.find(needle) != std::string::npos;
-  };
-  if (contains("qshard") || contains("query")) return 2;
-  if (contains("store")) return 4;
-  if (contains("shard")) return 3;
-  if (contains("metrics")) return 5;
-  if (contains("pool") ||
-      ctx.path.find("thread_pool") != std::string::npos) {
-    return 1;
-  }
-  return 0;
-}
 
 void CheckC2(const Context& ctx) {
   size_t n = Count(ctx);
@@ -535,72 +480,6 @@ void CheckC2(const Context& ctx) {
              "raw `new std::thread` escapes RAII ownership; fix-it: use "
              "util/thread_pool (futures, drain-on-destroy) or a joined "
              "std::jthread-style wrapper");
-    }
-  }
-
-  // Lock-order tracking per function.
-  struct Held {
-    int rank = 0;
-    int depth = 0;
-    std::string expr;
-  };
-  for (const FunctionRegion& fn : ctx.structure->functions) {
-    std::vector<Held> held;
-    int depth = 0;
-    for (size_t f = fn.open; f < fn.close; ++f) {
-      const Token& t = Tok(ctx, f);
-      if (Is(t, "{")) ++depth;
-      if (Is(t, "}")) {
-        --depth;
-        while (!held.empty() && held.back().depth > depth) held.pop_back();
-      }
-      bool guard_type = Is(t, "lock_guard") || Is(t, "unique_lock") ||
-                        Is(t, "scoped_lock") || Is(t, "shared_lock");
-      bool lock_call = Is(t, "lock") && f > fn.open &&
-                       (Is(Tok(ctx, f - 1), ".") || Is(Tok(ctx, f - 1), "->")) &&
-                       f + 1 < n && Is(Tok(ctx, f + 1), "(");
-      std::string expr;
-      int line = t.line;
-      if (guard_type) {
-        size_t i = f + 1;
-        if (i < n && Is(Tok(ctx, i), "<")) i = SkipAngles(ctx, i);
-        if (i < n && IsIdent(Tok(ctx, i))) ++i;  // guard variable name
-        if (i >= n || !Is(Tok(ctx, i), "(")) continue;
-        size_t close = MatchParen(ctx, i);
-        for (size_t j = i + 1; j < close; ++j) expr += Tok(ctx, j).text;
-      } else if (lock_call) {
-        // Collect the receiver chain backwards: idents, '.', '->', '::'.
-        size_t j = f - 1;
-        std::vector<std::string> parts;
-        while (j > fn.open) {
-          const Token& p = Tok(ctx, j);
-          if (IsIdent(p) || Is(p, ".") || Is(p, "->") || Is(p, "::")) {
-            parts.push_back(p.text);
-            --j;
-          } else {
-            break;
-          }
-        }
-        for (auto it = parts.rbegin(); it != parts.rend(); ++it) expr += *it;
-      } else {
-        continue;
-      }
-      int rank = LockRank(ctx, expr);
-      if (rank == 0) continue;
-      for (const Held& h : held) {
-        if (h.rank > rank) {
-          Report(ctx, Rule::kC2, line, expr,
-                 "acquiring rank-" + std::to_string(rank) + " mutex '" + expr +
-                     "' while holding rank-" + std::to_string(h.rank) +
-                     " mutex '" + h.expr + "' inverts the documented "
-                     "ThreadPool -> query-tier -> doc-tier -> store-shard "
-                     "-> metrics lock order; "
-                     "fix-it: release the inner lock first or restructure so "
-                     "outer locks are taken first");
-          break;
-        }
-      }
-      held.push_back({rank, depth, expr});
     }
   }
 }
@@ -708,7 +587,7 @@ void CheckO1(const Context& ctx) {
     } else {
       continue;
     }
-    size_t close = MatchParen(ctx, paren);
+    size_t close = MatchParen(*ctx.toks, *ctx.structure, paren);
     if (close >= n) continue;
     // Skip the functions' own declarations/definitions: their parameter
     // lists spell a type (`const char* name`, `string_view`).
@@ -746,7 +625,7 @@ void CheckO1(const Context& ctx) {
               IsSnakeCaseLiteral(Tok(ctx, name_begin));
     if (ok) continue;
     // Key on the callee plus the first identifying token of the bad
-    // argument, so the baseline entry survives line shifts.
+    // argument.
     std::string detail = "expr";
     bool has_literal = false;
     for (size_t i = name_begin; i < name_end; ++i) {

@@ -4,9 +4,6 @@ namespace qkbfly::lint {
 
 namespace {
 
-bool Is(const Token& t, std::string_view text) { return t.text == text; }
-bool IsIdent(const Token& t) { return t.kind == Token::Kind::kIdent; }
-
 bool IsQualifierToken(const Token& t) {
   return Is(t, "const") || Is(t, "noexcept") || Is(t, "override") ||
          Is(t, "final") || Is(t, "mutable") || Is(t, "&") || Is(t, "&&") ||
@@ -16,7 +13,8 @@ bool IsQualifierToken(const Token& t) {
 
 /// Classifies the '{' at filtered position `at` by looking backwards. For a
 /// function body, `name` receives the possibly-qualified head name
-/// ("Class::Method" for out-of-line definitions, "Method" otherwise).
+/// ("Class::Method" or "Class::~Class" for out-of-line definitions,
+/// "Method" otherwise).
 ScopeKind ClassifyBrace(const std::vector<Token>& toks,
                         const std::vector<size_t>& idx, size_t at,
                         bool inside_function, std::string* name) {
@@ -53,6 +51,10 @@ ScopeKind ClassifyBrace(const std::vector<Token>& toks,
           std::vector<std::string> parts;
           size_t k = j - 1;
           parts.push_back(toks[idx[k]].text);
+          if (k >= 1 && Is(toks[idx[k - 1]], "~")) {
+            parts.back() = "~" + parts.back();  // destructor
+            --k;
+          }
           while (k >= 2 && Is(toks[idx[k - 1]], "::") &&
                  IsIdent(toks[idx[k - 2]])) {
             parts.push_back(toks[idx[k - 2]].text);
@@ -173,6 +175,29 @@ bool AtClassScope(const Structure& s, size_t f) {
     }
   }
   return innermost != nullptr && innermost->kind == ScopeKind::kClass;
+}
+
+size_t SkipAngles(const std::vector<Token>& toks, const Structure& s,
+                  size_t f) {
+  int depth = 0;
+  for (size_t i = f; i < s.idx.size(); ++i) {
+    const Token& t = toks[s.idx[i]];
+    if (Is(t, "<")) ++depth;
+    if (Is(t, ">") && --depth == 0) return i + 1;
+    if (Is(t, ";")) return i;
+  }
+  return s.idx.size();
+}
+
+size_t MatchParen(const std::vector<Token>& toks, const Structure& s,
+                  size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < s.idx.size(); ++i) {
+    const Token& t = toks[s.idx[i]];
+    if (Is(t, "(")) ++depth;
+    if (Is(t, ")") && --depth == 0) return i;
+  }
+  return s.idx.size();
 }
 
 }  // namespace qkbfly::lint

@@ -1,5 +1,6 @@
-// Brace/scope structure of a lexed translation unit, shared by the per-file
-// rule passes (lint/rules.cc) and the whole-program indexer (lint/index.cc).
+// Brace/scope structure of a lexed translation unit and the token helpers
+// over it, shared by the per-file rule passes (lint/rules.cc) and the
+// whole-program indexer (lint/index.cc).
 // Scope classification is a token-level heuristic: a '{' is a function body
 // when the preceding head ends in ')' (plus trailing qualifiers), a class or
 // namespace when the head names one, and a plain block otherwise.
@@ -7,6 +8,7 @@
 #define QKBFLY_TOOLS_LINT_STRUCTURE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/lint.h"
@@ -23,7 +25,7 @@ struct Scope {
 };
 
 struct FunctionRegion {
-  std::string name;       ///< Unqualified name ("Densify").
+  std::string name;       ///< Unqualified name ("Densify", "~Arena").
   std::string qualified;  ///< "Class::Name" when the class is detectable —
                           ///< from an out-of-line `Class::Name(...)` head or
                           ///< the enclosing class scope — else == name.
@@ -44,6 +46,9 @@ struct Structure {
 
 inline constexpr size_t kNoFunction = static_cast<size_t>(-1);
 
+inline bool Is(const Token& t, std::string_view text) { return t.text == text; }
+inline bool IsIdent(const Token& t) { return t.kind == Token::Kind::kIdent; }
+
 Structure BuildStructure(const std::vector<Token>& toks);
 
 /// True when every scope enclosing filtered position `f` is a namespace.
@@ -51,6 +56,17 @@ bool AtNamespaceScope(const Structure& s, size_t f);
 
 /// True when the innermost non-namespace scope enclosing `f` is a class.
 bool AtClassScope(const Structure& s, size_t f);
+
+/// Skips a balanced `<...>` starting at filtered position `f` (which must be
+/// '<'); returns the position just past the matching '>'. A ';' inside means
+/// a comparison was mistaken for template arguments: returns its position.
+size_t SkipAngles(const std::vector<Token>& toks, const Structure& s,
+                  size_t f);
+
+/// Filtered position of the ')' matching the '(' at `open`, or the token
+/// count when it is unbalanced.
+size_t MatchParen(const std::vector<Token>& toks, const Structure& s,
+                  size_t open);
 
 }  // namespace qkbfly::lint
 

@@ -27,24 +27,38 @@ void Report(const ProjectIndex& index, Rule rule, const std::string& file,
   out->push_back(std::move(d));
 }
 
-/// Mirrors the documented C2 ranks (see lint/rules.cc LockRank), applied to
-/// "node@expr@file" lowercased so class names and paths participate:
-///   1 ThreadPool  2 query-level  3 memo shards  4 store shards
-///   5 metrics/observability.
-int DocumentedRank(const std::string& node, const std::string& expr,
-                   const std::string& file) {
-  std::string hay = node + "@" + expr + "@" + file;
-  std::transform(hay.begin(), hay.end(), hay.begin(), [](unsigned char c) {
+/// Documented rank of one name (lowercased substring match):
+///   1 ThreadPool ("pool")   2 query-level ("qshard", "query")
+///   3 memo shards ("shard")  4 store shards ("store")
+///   5 metrics/observability ("metrics").
+/// Rank 2 has no holder since the query tier became a memo::ShardedLru; it
+/// keeps an outer query-level lock ordered. Checks run most-specific first:
+/// "qshard" and "store_shard" would also match the bare memo "shard".
+int RankOfName(std::string name) {
+  std::transform(name.begin(), name.end(), name.begin(), [](unsigned char c) {
     return static_cast<char>(std::tolower(c));
   });
   auto contains = [&](const char* needle) {
-    return hay.find(needle) != std::string::npos;
+    return name.find(needle) != std::string::npos;
   };
   if (contains("qshard") || contains("query")) return 2;
   if (contains("store")) return 4;
   if (contains("shard")) return 3;
   if (contains("metrics")) return 5;
   if (contains("pool")) return 1;
+  return 0;
+}
+
+/// Documented rank of a lock node ("Owner::member"), 0 when unranked. The
+/// mutex expression is classified first, then the owning class or module,
+/// then the file path; the first non-zero rank wins, so a memo shard lock
+/// taken inside src/store/ still ranks as a memo shard.
+int DocumentedRank(const std::string& node, const std::string& expr,
+                   const std::string& file) {
+  for (const std::string& name :
+       {expr, node.substr(0, node.rfind("::")), file}) {
+    if (int rank = RankOfName(name); rank != 0) return rank;
+  }
   return 0;
 }
 
@@ -352,8 +366,8 @@ std::vector<Diagnostic> CheckLockOrder(const ProjectIndex& index) {
                "inferred lock order acquires '" + inner + "' (documented "
                "rank " + std::to_string(ri->second) + ") while holding '" +
                outer + "' (rank " + std::to_string(ro->second) + "), "
-               "contradicting the documented ThreadPool -> query-tier -> "
-               "doc-tier -> store-shard -> metrics order; fix-it: release "
+               "contradicting the documented ThreadPool -> query-level -> "
+               "memo shard -> store shard -> metrics order; fix-it: release "
                "the outer lock first, restructure the call, or fix the "
                "documented ranks if the design changed",
                &out);

@@ -6,11 +6,13 @@
 //       and may include each other); a src/ module may only include same-
 //       or-lower-rank src/ modules. Back-edges, unknown modules, and
 //       file-level include cycles are findings.
-//   C3  inferred lock order. The acquired-while-held graph is built from
-//       actual lock sites — intra-function scope tracking plus cross-
-//       function propagation through unambiguously resolved calls — and
-//       must be acyclic; edges between rank-classified nodes must agree
-//       with the documented C2 ranks (outer rank < inner rank).
+//   C3  lock order, the project's one lock-order analysis. The acquired-
+//       while-held graph is built from actual lock sites — intra-function
+//       scope tracking plus cross-function propagation through
+//       unambiguously resolved calls — and must be acyclic; edges between
+//       rank-classified nodes must follow the documented ThreadPool ->
+//       query-level -> memo shard -> store shard -> metrics ranks (outer
+//       rank < inner rank).
 //   A1  hot-path allocation. Functions reachable from the densify roots
 //       must not contain operator new, make_unique/make_shared, or growth
 //       calls on non-workspace receivers. An `allow(A1)` marker on a call

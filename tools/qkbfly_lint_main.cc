@@ -1,32 +1,30 @@
 // CLI for qkbfly-lint.
 //
-//   qkbfly_lint [--root DIR] [--baseline FILE] [--write-baseline FILE]
-//               [--wholeprogram] [--layers FILE] [--sarif FILE] [--ci]
+//   qkbfly_lint [--root DIR] [--layers FILE] [--sarif FILE]
 //               [--max-seconds N] PATH...
 //
-// Lints every *.h/*.cc/*.cpp under the given paths (directories recurse).
-// With --baseline, findings matching a committed `rule|file|key` entry are
-// suppressed; stale entries are reported as warnings (errors under --ci) so
-// the baseline only ever shrinks.
+// Reads every *.h/*.cc/*.cpp under the given paths (directories recurse)
+// once, runs the per-file rules (D1/D2/C1/C2/H1/O1) on each file, builds the
+// ProjectIndex from the same sources and runs the whole-program rules
+// (L1/C3/A1: include layering, lock order, hot-path allocation). A finding
+// is silenced only by a `// qkbfly-lint: allow(<rule>)` marker at its site.
 //
-//   --wholeprogram   also build the ProjectIndex and run the cross-file
-//                    L1/C3/A1 rules (include layering, inferred lock order,
-//                    hot-path allocation).
+//   --root DIR       strip DIR/ from reported paths (repo-relative output).
 //   --layers FILE    module layer DAG for L1 (default: <root>/tools/
-//                    lint_layers.txt when --wholeprogram is set).
-//   --sarif FILE     write all post-suppression findings as SARIF 2.1.0;
-//                    the document is self-validated before writing.
-//   --ci             stale baseline entries fail the run instead of warning.
+//                    lint_layers.txt).
+//   --sarif FILE     write all findings as SARIF 2.1.0; the document is
+//                    self-validated before writing.
 //   --max-seconds N  fail if the full analysis exceeds N seconds (lint
 //                    self-latency guard for CI).
 //
-// Exit status: 0 clean, 1 findings (or stale entries under --ci, or budget
-// exceeded), 2 on usage/internal errors.
+// Exit status: 0 clean, 1 findings (or budget exceeded), 2 on usage/internal
+// errors.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -39,10 +37,8 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: qkbfly_lint [--root DIR] [--baseline FILE] "
-               "[--write-baseline FILE]\n"
-               "                   [--wholeprogram] [--layers FILE] "
-               "[--sarif FILE] [--ci]\n"
+               "usage: qkbfly_lint [--root DIR] [--layers FILE] "
+               "[--sarif FILE]\n"
                "                   [--max-seconds N] PATH...\n");
   return 2;
 }
@@ -52,12 +48,8 @@ int Usage() {
 int main(int argc, char** argv) {
   using namespace qkbfly::lint;
   std::string root_prefix;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string layers_path;
   std::string sarif_path;
-  bool wholeprogram = false;
-  bool ci = false;
   long max_seconds = 0;
   std::vector<std::string> roots;
   for (int i = 1; i < argc; ++i) {
@@ -69,18 +61,10 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       if (!value(&root_prefix)) return Usage();
-    } else if (arg == "--baseline") {
-      if (!value(&baseline_path)) return Usage();
-    } else if (arg == "--write-baseline") {
-      if (!value(&write_baseline_path)) return Usage();
     } else if (arg == "--layers") {
       if (!value(&layers_path)) return Usage();
     } else if (arg == "--sarif") {
       if (!value(&sarif_path)) return Usage();
-    } else if (arg == "--wholeprogram") {
-      wholeprogram = true;
-    } else if (arg == "--ci") {
-      ci = true;
     } else if (arg == "--max-seconds") {
       std::string v;
       if (!value(&v)) return Usage();
@@ -100,76 +84,67 @@ int main(int argc, char** argv) {
 
   const auto started = std::chrono::steady_clock::now();
 
-  // Phase 1: per-file rules.
-  std::vector<Diagnostic> diags = LintTree(roots, root_prefix);
+  if (layers_path.empty()) {
+    layers_path = root_prefix.empty() ? "tools/lint_layers.txt"
+                                      : root_prefix + "/tools/lint_layers.txt";
+  }
+  std::string layers_text = ReadFileToString(layers_path);
+  if (layers_text.empty()) {
+    std::fprintf(stderr, "qkbfly_lint: cannot read layer config '%s'\n",
+                 layers_path.c_str());
+    return 2;
+  }
+  LayerConfig layers;
+  std::string layer_error;
+  if (!ParseLayerConfig(layers_text, &layers, &layer_error)) {
+    std::fprintf(stderr, "qkbfly_lint: bad layer config '%s': %s\n",
+                 layers_path.c_str(), layer_error.c_str());
+    return 2;
+  }
+
+  const std::vector<SourceFile> files = ListSourceFiles(roots, root_prefix);
+  std::map<std::string, std::string> sources;  // disk path -> contents
+  for (const SourceFile& file : files) {
+    sources[file.path] = ReadFileToString(file.path);
+  }
+
+  // Phase 1 per file; the same sources feed the phase-2 index.
+  std::vector<Diagnostic> diags;
+  ProjectIndexBuilder builder;
+  for (const SourceFile& file : files) {
+    const std::string& source = sources[file.path];
+    // A .cc sees the unordered declarations of its same-directory header so
+    // D1 catches loops over members declared in the class.
+    std::vector<std::string> extra;
+    size_t dot = file.path.rfind('.');
+    std::string ext = file.path.substr(dot);
+    if (ext == ".cc" || ext == ".cpp") {
+      auto header = sources.find(file.path.substr(0, dot) + ".h");
+      if (header != sources.end()) {
+        extra = UnorderedDeclNames(Lex(header->second));
+      }
+    }
+    std::vector<Diagnostic> found = LintSource(file.display, source, extra);
+    diags.insert(diags.end(), std::make_move_iterator(found.begin()),
+                 std::make_move_iterator(found.end()));
+    builder.AddFile(file.display, source);
+  }
 
   // Phase 2: whole-program rules over the project index.
-  if (wholeprogram) {
-    if (layers_path.empty()) {
-      layers_path = root_prefix.empty() ? "tools/lint_layers.txt"
-                                        : root_prefix + "/tools/lint_layers.txt";
-    }
-    std::string layers_text = ReadFileToString(layers_path);
-    if (layers_text.empty()) {
-      std::fprintf(stderr, "qkbfly_lint: cannot read layer config '%s'\n",
-                   layers_path.c_str());
-      return 2;
-    }
-    LayerConfig layers;
-    std::string layer_error;
-    if (!ParseLayerConfig(layers_text, &layers, &layer_error)) {
-      std::fprintf(stderr, "qkbfly_lint: bad layer config '%s': %s\n",
-                   layers_path.c_str(), layer_error.c_str());
-      return 2;
-    }
-    ProjectIndexBuilder builder;
-    for (const SourceFile& file : ListSourceFiles(roots, root_prefix)) {
-      builder.AddFile(file.display, ReadFileToString(file.path));
-    }
-    ProjectIndex index = builder.Build();
-    std::vector<Diagnostic> wp = RunWholeProgram(index, layers);
-    diags.insert(diags.end(), std::make_move_iterator(wp.begin()),
-                 std::make_move_iterator(wp.end()));
-  }
+  std::vector<Diagnostic> wp = RunWholeProgram(builder.Build(), layers);
+  diags.insert(diags.end(), std::make_move_iterator(wp.begin()),
+               std::make_move_iterator(wp.end()));
   std::stable_sort(diags.begin(), diags.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      if (a.file != b.file) return a.file < b.file;
                      return a.line < b.line;
                    });
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path);
-    out << FormatBaselineFile(diags);
-    std::fprintf(stderr, "qkbfly_lint: wrote %zu finding(s) to baseline %s\n",
-                 diags.size(), write_baseline_path.c_str());
-    return 0;
-  }
-
-  std::vector<BaselineEntry> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "qkbfly_lint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    baseline = ParseBaseline(ReadFileToString(baseline_path));
-  }
-
-  BaselineResult result = ApplyBaseline(std::move(diags), baseline);
-  for (const Diagnostic& d : result.fresh) {
+  for (const Diagnostic& d : diags) {
     std::fprintf(stderr, "%s\n", Render(d).c_str());
-  }
-  for (const BaselineEntry& e : result.unused) {
-    std::fprintf(stderr,
-                 "qkbfly_lint: stale baseline entry '%s|%s|%s' — the finding "
-                 "is gone; delete the line%s\n",
-                 RuleName(e.rule), e.file.c_str(), e.key.c_str(),
-                 ci ? " (error under --ci)" : "");
   }
 
   if (!sarif_path.empty()) {
-    std::string sarif = SarifReport(result.fresh);
+    std::string sarif = SarifReport(diags);
     std::string sarif_error;
     if (!ValidateSarif(sarif, &sarif_error)) {
       std::fprintf(stderr,
@@ -186,19 +161,14 @@ int main(int argc, char** argv) {
     }
     out << sarif;
     std::fprintf(stderr, "qkbfly_lint: wrote SARIF (%zu result(s)) to %s\n",
-                 result.fresh.size(), sarif_path.c_str());
+                 diags.size(), sarif_path.c_str());
   }
 
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
-  std::fprintf(stderr,
-               "qkbfly_lint: %zu fresh finding(s), %zu baselined, %zu stale "
-               "baseline entr%s [%s, %.2fs]\n",
-               result.fresh.size(), result.suppressed.size(),
-               result.unused.size(), result.unused.size() == 1 ? "y" : "ies",
-               wholeprogram ? "per-file + whole-program" : "per-file",
-               elapsed);
+  std::fprintf(stderr, "qkbfly_lint: %zu finding(s) in %zu file(s) [%.2fs]\n",
+               diags.size(), files.size(), elapsed);
   if (max_seconds > 0 && elapsed > static_cast<double>(max_seconds)) {
     std::fprintf(stderr,
                  "qkbfly_lint: analysis took %.2fs, over the --max-seconds %ld "
@@ -206,7 +176,5 @@ int main(int argc, char** argv) {
                  elapsed, max_seconds);
     return 1;
   }
-  if (!result.fresh.empty()) return 1;
-  if (ci && !result.unused.empty()) return 1;
-  return 0;
+  return diags.empty() ? 0 : 1;
 }
