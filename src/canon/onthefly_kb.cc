@@ -1,10 +1,8 @@
 #include "canon/onthefly_kb.h"
 
 #include <algorithm>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "util/logging.h"
@@ -17,17 +15,24 @@ namespace {
 // Serialization escaping: fields are tab-separated and records are
 // newline-separated, so those two characters (plus backslash and CR) are the
 // only ones that need escaping. Everything else passes through byte-for-byte,
-// which keeps the format deterministic and diffable.
+// which keeps the format deterministic and diffable. Unescaped runs are
+// appended whole.
 void AppendEscaped(std::string_view field, std::string* out) {
-  for (char c : field) {
-    switch (c) {
-      case '\\': out->append("\\\\"); break;
-      case '\t': out->append("\\t"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      default: out->push_back(c);
+  size_t run = 0;
+  for (size_t i = 0; i < field.size(); ++i) {
+    const char* escape;
+    switch (field[i]) {
+      case '\\': escape = "\\\\"; break;
+      case '\t': escape = "\\t"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      default: continue;
     }
+    out->append(field.data() + run, i - run);
+    out->append(escape, 2);
+    run = i + 1;
   }
+  out->append(field.data() + run, field.size() - run);
 }
 
 /// Inverse of AppendEscaped; rejects what it never emits (a raw CR, a
@@ -53,17 +58,17 @@ bool Unescape(std::string_view field, std::string* out) {
   return true;
 }
 
-/// Splits one record on raw tabs (escaped tabs are the two-byte "\t").
-std::vector<std::string_view> SplitFields(std::string_view line) {
-  std::vector<std::string_view> fields;
+/// Splits one record on raw tabs (escaped tabs are the two-byte "\t") into
+/// `fields`, which is reused from record to record.
+void SplitFields(std::string_view line, std::vector<std::string_view>* fields) {
+  fields->clear();
   size_t start = 0;
   for (size_t i = 0; i <= line.size(); ++i) {
     if (i == line.size() || line[i] == '\t') {
-      fields.push_back(line.substr(start, i - start));
+      fields->push_back(line.substr(start, i - start));
       start = i + 1;
     }
   }
-  return fields;
 }
 
 /// Parses a non-negative integer exactly as Serialize prints one: decimal
@@ -101,34 +106,46 @@ bool ParseInt(std::string_view s, int* out) {
   return true;
 }
 
-/// %.17g prints enough digits that strtod recovers the exact double, so
-/// confidence survives serialize -> deserialize -> serialize byte-stably.
-void AppendDouble(double value, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf);
+/// Reads a confidence as a finite decimal double that std::from_chars
+/// consumes in full: Serialize's spelling, never a leading '+', whitespace
+/// or a hex float.
+bool ParseDouble(std::string_view s, double* out) {
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && end == s.data() + s.size() && std::isfinite(*out);
 }
 
-/// Any finite spelling strtod reads: confidence round-trips by value, not
-/// by bytes (Serialize re-prints it with %.17g).
-bool ParseDouble(std::string_view s, double* out) {
-  std::string buf(s);
-  char* end = nullptr;
-  *out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && !buf.empty() &&
-         std::isfinite(*out);
+/// Bytes AppendUint prints for `v`.
+size_t UintSize(uint64_t v) {
+  size_t digits = 1;
+  for (; v >= 10; v /= 10) ++digits;
+  return digits;
+}
+
+/// Bytes AppendInt prints for `v`.
+size_t IntSize(int64_t v) {
+  return v < 0 ? 1 + UintSize(0 - static_cast<uint64_t>(v)) : UintSize(v);
+}
+
+/// Bytes AppendArg writes for `arg`, escapes not counted: the kind and NER
+/// type are one digit each.
+size_t ArgSizeAtLeast(const FactArg& arg) {
+  return 8 + UintSize(arg.entity) + UintSize(arg.emerging) +
+         arg.surface.size() + arg.normalized.size();
 }
 
 void AppendArg(const FactArg& arg, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "\t%d\t%" PRIu32 "\t%" PRIu32 "\t",
-                static_cast<int>(arg.kind), arg.entity, arg.emerging);
-  out->append(buf);
+  out->push_back('\t');
+  AppendInt(static_cast<int>(arg.kind), out);
+  out->push_back('\t');
+  AppendUint(arg.entity, out);
+  out->push_back('\t');
+  AppendUint(arg.emerging, out);
+  out->push_back('\t');
   AppendEscaped(arg.surface, out);
   out->push_back('\t');
   AppendEscaped(arg.normalized, out);
-  std::snprintf(buf, sizeof(buf), "\t%d", static_cast<int>(arg.ner));
-  out->append(buf);
+  out->push_back('\t');
+  AppendInt(static_cast<int>(arg.ner), out);
 }
 
 constexpr size_t kArgFields = 6;
@@ -268,16 +285,34 @@ bool OnTheFlyKb::ArgMatches(const FactArg& arg, std::string_view filter) const {
 }
 
 std::string OnTheFlyKb::Serialize() const {
-  std::string out(kHeader);
+  // One reserve from a lower bound on the output: every field's bytes but
+  // the escapes, and each confidence at its exact length. Escapes are rare,
+  // so the string is almost always built without a reallocation and ends
+  // with no spare capacity.
+  size_t size = sizeof(kHeader);
+  for (const EmergingEntity& e : emerging_) {
+    size += 5 + e.representative.size();
+    for (const std::string& m : e.mentions) size += 1 + m.size();
+  }
+  for (const std::string& name : new_relation_names_) size += 3 + name.size();
+  for (const Fact& f : facts_) {
+    size += 9 + UintSize(f.relation) + f.relation_pattern.size() +
+            ExactDoubleSize(f.confidence) + f.doc_id.size() +
+            IntSize(f.sentence) + ArgSizeAtLeast(f.subject);
+    for (const FactArg& arg : f.args) size += ArgSizeAtLeast(arg);
+  }
+  std::string out;
+  out.reserve(size);
+  out.append(kHeader);
   out.push_back('\n');
-  char buf[32];
   // Emerging entities and KB-local relations are emitted in id order (their
   // storage order), facts in first-occurrence input order — every sequence
   // below is already deterministic, so no sorting is needed here and the
   // bytes are stable across serial/parallel/warm/cold builds.
   for (const EmergingEntity& e : emerging_) {
-    std::snprintf(buf, sizeof(buf), "E\t%d\t", static_cast<int>(e.ner));
-    out.append(buf);
+    out.append("E\t");
+    AppendInt(static_cast<int>(e.ner), &out);
+    out.push_back('\t');
     AppendEscaped(e.representative, &out);
     for (const std::string& m : e.mentions) {
       out.push_back('\t');
@@ -291,15 +326,16 @@ std::string OnTheFlyKb::Serialize() const {
     out.push_back('\n');
   }
   for (const Fact& f : facts_) {
-    std::snprintf(buf, sizeof(buf), "F\t%" PRIu32 "\t", f.relation);
-    out.append(buf);
+    out.append("F\t");
+    AppendUint(f.relation, &out);
+    out.push_back('\t');
     AppendEscaped(f.relation_pattern, &out);
     out.append(f.negated ? "\t1\t" : "\t0\t");
-    AppendDouble(f.confidence, &out);
+    AppendExactDouble(f.confidence, &out);
     out.push_back('\t');
     AppendEscaped(f.doc_id, &out);
-    std::snprintf(buf, sizeof(buf), "\t%d", f.sentence);
-    out.append(buf);
+    out.push_back('\t');
+    AppendInt(f.sentence, &out);
     AppendArg(f.subject, &out);
     for (const FactArg& arg : f.args) AppendArg(arg, &out);
     out.push_back('\n');
@@ -322,6 +358,7 @@ Status OnTheFlyKb::Deserialize(std::string_view data) {
                                    what);
   };
   bool saw_header = false;
+  std::vector<std::string_view> fields;
   while (pos < data.size()) {
     size_t eol = data.find('\n', pos);
     if (eol == std::string_view::npos) return fail("missing trailing newline");
@@ -333,7 +370,7 @@ Status OnTheFlyKb::Deserialize(std::string_view data) {
       saw_header = true;
       continue;
     }
-    auto fields = SplitFields(line);
+    SplitFields(line, &fields);
     if (fields[0] == "E") {
       if (fields.size() < 3) return fail("short emerging-entity record");
       uint64_t ner = 0;

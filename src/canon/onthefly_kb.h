@@ -90,9 +90,11 @@ class OnTheFlyKb {
   /// (entity and relation ids are repository-relative). Round-trip contract:
   /// when Deserialize(s) succeeds, Serialize() reproduces s field for field:
   /// every field byte for byte except a fact's confidence, which round-trips
-  /// by value (any finite strtod spelling; re-printed with %.17g). Integers
-  /// must be spelled as Serialize prints them and fit their field, so no
-  /// input aliases another id. On failure the KB is left empty.
+  /// by value (any finite decimal spelling std::from_chars reads in full, so
+  /// no leading '+', whitespace or hex float; re-printed with 17 significant
+  /// digits, as %.17g prints). Integers must be spelled as Serialize prints
+  /// them and fit their field, so no input aliases another id. On failure
+  /// the KB is left empty.
   Status Deserialize(std::string_view data);
 
   /// Releases the spare capacity of the fact, emerging-entity and relation

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace qkbfly {
 
@@ -46,13 +47,6 @@ void MergeInto(std::vector<std::string>* into,
                const std::vector<std::string>& from) {
   for (const std::string& s : from) into->push_back(s);
   SortUnique(into);
-}
-
-void AppendEpoch(CorpusEpoch epoch, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(epoch));
-  out->append(buf);
 }
 
 }  // namespace
@@ -285,11 +279,10 @@ Status FactStore::Save(const std::string& path) const {
 
   const CorpusEpoch current = epoch();
   out.append("{\"qkbfly_fact_store\":1,\"epoch\":");
-  AppendEpoch(current, &out);
+  AppendUint(current, &out);
   out.append("}\n");
   write_out();
 
-  char buf[48];
   for (const FactRecord& record : Snapshot()) {
     out.append("{\"kind\":\"fact\",\"subject\":");
     json::AppendJsonString(record.subject, &out);
@@ -298,10 +291,10 @@ Status FactStore::Save(const std::string& path) const {
     out.append(",\"args\":");
     AppendJsonStringArray(record.args, &out);
     out.append(record.negated ? ",\"negated\":true" : ",\"negated\":false");
-    std::snprintf(buf, sizeof(buf), ",\"confidence\":%.17g", record.confidence);
-    out.append(buf);
+    out.append(",\"confidence\":");
+    AppendExactDouble(record.confidence, &out);
     out.append(",\"epoch\":");
-    AppendEpoch(record.epoch, &out);
+    AppendUint(record.epoch, &out);
     out.append(",\"docs\":");
     AppendJsonStringArray(record.doc_ids, &out);
     out.append(",\"queries\":");
@@ -317,10 +310,9 @@ Status FactStore::Save(const std::string& path) const {
     out.append(",\"fingerprint\":");
     json::AppendJsonString(pair->fingerprint, &out);
     out.append(",\"epoch\":");
-    AppendEpoch(pair->epoch, &out);
-    std::snprintf(buf, sizeof(buf), ",\"documents\":%llu",
-                  static_cast<unsigned long long>(pair->documents));
-    out.append(buf);
+    AppendUint(pair->epoch, &out);
+    out.append(",\"documents\":");
+    AppendUint(pair->documents, &out);
     out.append(",\"answers\":");
     AppendJsonStringArray(pair->answers, &out);
     out.append(",\"kb\":");

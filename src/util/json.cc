@@ -18,19 +18,24 @@ constexpr std::string_view kEscapeBytes = "\"\\/\b\f\n\r\t";
 void AppendJsonString(std::string_view s, std::string* out) {
   static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
-  for (char c : s) {
+  // Bytes that need no escape are appended a run at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    char c = s[i];
     unsigned char u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     if (c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t') {
       out->push_back('\\');
       out->push_back(kEscapeLetters[kEscapeBytes.find(c)]);
-    } else if (u < 0x20) {
+    } else {
       out->append("\\u00");
       out->push_back(kHex[u >> 4]);
       out->push_back(kHex[u & 0xF]);
-    } else {
-      out->push_back(c);
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 

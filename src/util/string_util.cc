@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 namespace qkbfly {
 
@@ -150,6 +151,39 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
+}
+
+void AppendUint(uint64_t v, std::string* out) {
+  char buf[20];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendInt(int64_t v, std::string* out) {
+  char buf[20];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+namespace {
+
+// The longest "%.17g" spelling is "-1.7976931348623157e+308" (24 bytes).
+constexpr size_t kExactDoubleBytes = 24;
+
+char* FormatExactDouble(double v, char* buf) {
+  return std::to_chars(buf, buf + kExactDoubleBytes, v,
+                       std::chars_format::general, 17)
+      .ptr;
+}
+
+}  // namespace
+
+void AppendExactDouble(double v, std::string* out) {
+  char buf[kExactDoubleBytes];
+  out->append(buf, FormatExactDouble(v, buf));
+}
+
+size_t ExactDoubleSize(double v) {
+  char buf[kExactDoubleBytes];
+  return static_cast<size_t>(FormatExactDouble(v, buf) - buf);
 }
 
 }  // namespace qkbfly

@@ -4,6 +4,7 @@
 #ifndef QKBFLY_UTIL_STRING_UTIL_H_
 #define QKBFLY_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -70,6 +71,24 @@ int EditDistance(std::string_view a, std::string_view b);
 
 /// True if `a` and `b` are equal after ASCII case folding.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+// Number appenders for the KB text and fact-store writers. They format with
+// std::to_chars, so the bytes are printf's ("%u" / "%llu", "%d" / "%lld",
+// "%.17g") without its per-call parsing and independent of the C library's
+// LC_NUMERIC locale.
+
+/// Appends `v` in decimal.
+void AppendUint(uint64_t v, std::string* out);
+
+/// Appends `v` in decimal, with a '-' when negative.
+void AppendInt(int64_t v, std::string* out);
+
+/// Appends `v` with 17 significant digits, spelled exactly as "%.17g" does:
+/// enough digits that parsing the text recovers the same double.
+void AppendExactDouble(double v, std::string* out);
+
+/// Bytes AppendExactDouble appends for `v`.
+size_t ExactDoubleSize(double v);
 
 }  // namespace qkbfly
 

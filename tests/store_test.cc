@@ -1,7 +1,8 @@
 // Fact-store & query-tier tests: OnTheFlyKb serialization round-trip (plus
 // a seeded mutation test of Deserialize — labeled asan), the sharded
 // FactStore (merge semantics, epoch staleness, JSONL snapshot
-// save/load), the QaPairIndex, the query-level cache tier in KbService
+// save/load and a pinned snapshot digest), number spelling in both writers
+// against printf, the QaPairIndex, the query-level cache tier in KbService
 // (cold / doc-warm / query-warm byte-identity, also under 4-thread
 // concurrency — labeled tsan), the one immutable KB that query-tier hits,
 // QA pairs and store probes share, racing epoch bumps, epoch-bump
@@ -13,10 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -31,6 +35,7 @@
 #include "store/query_cache.h"
 #include "synth/dataset.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace qkbfly {
 namespace {
@@ -86,6 +91,10 @@ TEST_F(StoreTest, KbSerializeRoundTripsByteForByte) {
   ASSERT_GT(kb.size(), 0u);
 
   std::string bytes = kb.Serialize();
+  // Serialize reserves its exact size for text without escapes, so the
+  // string it returns holds no spare capacity.
+  ASSERT_EQ(bytes.find('\\'), std::string::npos);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
   OnTheFlyKb rebuilt = engine_->MakeKb();
   Status status = rebuilt.Deserialize(bytes);
   ASSERT_TRUE(status.ok()) << status;
@@ -418,6 +427,46 @@ TEST(FactStoreTest, SaveEscapesEveryByte) {
   std::remove(path.c_str());
 }
 
+// Pins FactStore::Save's bytes: a store holding the facts of the 12-article
+// dataset plus one recorded QA pair (whose KB Save serializes) hashes to a
+// fixed 64-bit FNV-1a digest. SaveLoadRoundTripsSnapshotBytes only checks
+// that Save agrees with itself; this holds every field's spelling, the
+// confidences' 17 digits included, to the reference bytes. Moving the digest
+// is a deliberate act and must be noted in CHANGES.md.
+TEST_F(StoreTest, SaveSnapshotDigestIsPinned) {
+  std::vector<const Document*> docs;
+  for (const GoldDocument& gd : dataset_->wiki_eval) docs.push_back(&gd.doc);
+  auto kb = std::make_shared<const OnTheFlyKb>(engine_->BuildKb(docs));
+  ASSERT_GT(kb->size(), 0u);
+  FactStore store;
+  ASSERT_GT(store.IngestKb(*kb, "wiki eval", 1), 0u);
+  QaPair pair;
+  pair.question = "wiki eval";
+  pair.fingerprint = "fp";
+  pair.epoch = 1;
+  pair.documents = docs.size();
+  for (size_t i = 0; i < 3 && i < kb->size(); ++i) {
+    pair.answers.push_back(kb->FactToString(kb->facts()[i]));
+  }
+  pair.kb = kb;
+  store.qa_pairs().Record(pair);
+
+  std::string path = TempPath("digest.jsonl");
+  ASSERT_TRUE(store.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    digest ^= c;
+    digest *= 0x100000001b3ull;
+  }
+  std::printf("store snapshot bytes=%zu digest=0x%016llx\n", bytes.size(),
+              static_cast<unsigned long long>(digest));
+  EXPECT_EQ(digest, 0x7be277106800e6c8ull);
+}
+
 TEST(FactStoreTest, LoadRejectsSchemaViolations) {
   std::string path = ::testing::TempDir() + "qkbfly_store_bad.jsonl";
   auto write = [&](const std::string& contents) {
@@ -481,6 +530,155 @@ TEST(FactStoreTest, LoadRejectsSchemaViolations) {
 
   EXPECT_EQ(store.Load(path + ".does-not-exist").code(), StatusCode::kNotFound);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Number spelling: Serialize and Save format numbers with std::to_chars and
+// must spell every one exactly as printf does ("%.17g", "%d", "%u", "%llu").
+// ---------------------------------------------------------------------------
+
+template <typename... Args>
+std::string Printf(const char* format, Args... args) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, args...);
+  return buf;
+}
+
+const double kEdgeConfidences[] = {0.0, 1.0, 0.1, 1.0 / 3, 5e-324, DBL_MAX};
+
+TEST_F(StoreTest, KbWriterSpellsNumbersAsPrintfDoes) {
+  const uint32_t kIds[] = {0, UINT32_MAX};
+  const int kSentences[] = {-1, INT_MIN, INT_MAX};
+  constexpr int kNerTypes = static_cast<int>(NerType::kNumber) + 1;
+  OnTheFlyKb kb = engine_->MakeKb();
+  for (int ner = 0; ner < kNerTypes; ++ner) {
+    (void)kb.AddEmergingEntity("e", {"m"}, static_cast<NerType>(ner));
+  }
+  int n = 0;
+  for (double confidence : kEdgeConfidences) {
+    for (uint32_t id : kIds) {
+      for (int sentence : kSentences) {
+        Fact f;
+        f.relation = id;
+        f.confidence = confidence;
+        f.sentence = sentence;
+        // A distinct literal subject keeps AddFact from merging facts.
+        f.subject.surface = std::to_string(n);
+        f.subject.entity = id;
+        f.subject.emerging = UINT32_MAX - id;
+        f.subject.ner = static_cast<NerType>(n % kNerTypes);
+        FactArg arg;
+        arg.kind = static_cast<FactArg::Kind>(n % 3);
+        arg.entity = UINT32_MAX - id;
+        arg.emerging = id;
+        arg.surface = "a";
+        arg.ner = static_cast<NerType>((n + 1) % kNerTypes);
+        f.args.push_back(arg);
+        kb.AddFact(std::move(f));
+        ++n;
+      }
+    }
+  }
+  ASSERT_EQ(kb.size(), static_cast<size_t>(n));
+
+  std::vector<std::vector<std::string>> records = Records(kb.Serialize());
+  ASSERT_EQ(records.size(), 1 + kNerTypes + kb.size());
+  for (int ner = 0; ner < kNerTypes; ++ner) {
+    EXPECT_EQ(records[1 + ner][1], Printf("%d", ner));
+  }
+  for (size_t i = 0; i < kb.size(); ++i) {
+    const Fact& f = kb.facts()[i];
+    const std::vector<std::string>& fields = records[1 + kNerTypes + i];
+    ASSERT_EQ(fields.size(), 7 + 2 * 6u);
+    EXPECT_EQ(fields[1], Printf("%u", f.relation));
+    EXPECT_EQ(fields[4], Printf("%.17g", f.confidence));
+    EXPECT_EQ(fields[6], Printf("%d", f.sentence));
+    const FactArg* args[] = {&f.subject, &f.args[0]};
+    for (size_t a = 0; a < 2; ++a) {
+      size_t at = 7 + 6 * a;
+      EXPECT_EQ(fields[at], Printf("%d", static_cast<int>(args[a]->kind)));
+      EXPECT_EQ(fields[at + 1], Printf("%u", args[a]->entity));
+      EXPECT_EQ(fields[at + 2], Printf("%u", args[a]->emerging));
+      EXPECT_EQ(fields[at + 5], Printf("%d", static_cast<int>(args[a]->ner)));
+    }
+  }
+
+  // The reader takes every edge confidence back bit for bit.
+  OnTheFlyKb valid = engine_->MakeKb();
+  for (double confidence : kEdgeConfidences) {
+    Fact f;
+    f.relation = 0;
+    f.confidence = confidence;
+    f.subject.surface = Printf("%.17g", confidence);
+    f.args.push_back(f.subject);
+    valid.AddFact(std::move(f));
+  }
+  std::string bytes = valid.Serialize();
+  OnTheFlyKb rebuilt = engine_->MakeKb();
+  Status status = rebuilt.Deserialize(bytes);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(rebuilt.Serialize(), bytes);
+  ASSERT_EQ(rebuilt.size(), valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&rebuilt.facts()[i].confidence,
+                          &valid.facts()[i].confidence, sizeof(double)),
+              0);
+  }
+}
+
+TEST(FactStoreTest, SaveSpellsNumbersAsPrintfDoes) {
+  const CorpusEpoch kEpochs[] = {1, uint64_t{UINT32_MAX} + 1, UINT64_MAX};
+  const size_t kDocuments[] = {0, 1, SIZE_MAX};
+  FactStore store;
+  int n = 0;
+  for (double confidence : kEdgeConfidences) {
+    for (CorpusEpoch epoch : kEpochs) {
+      (void)store.Ingest(
+          MakeRecord(std::to_string(n++), "r", "o", epoch, confidence));
+    }
+  }
+  for (size_t i = 0; i < std::size(kDocuments); ++i) {
+    QaPair pair;
+    pair.question = "q" + std::to_string(i);
+    pair.epoch = kEpochs[i];
+    pair.documents = kDocuments[i];
+    store.qa_pairs().Record(pair);
+  }
+  std::string path = ::testing::TempDir() + "qkbfly_store_numbers.jsonl";
+  ASSERT_TRUE(store.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+
+  EXPECT_EQ(bytes.find("{\"qkbfly_fact_store\":1,\"epoch\":1}\n"), 0u);
+  for (double confidence : kEdgeConfidences) {
+    for (CorpusEpoch epoch : kEpochs) {
+      std::string fields = ",\"confidence\":" + Printf("%.17g", confidence) +
+                           ",\"epoch\":" + Printf("%llu", epoch) + ",\"docs\"";
+      EXPECT_NE(bytes.find(fields), std::string::npos) << fields;
+    }
+  }
+  for (size_t i = 0; i < std::size(kDocuments); ++i) {
+    std::string fields = ",\"epoch\":" + Printf("%llu", kEpochs[i]) +
+                         ",\"documents\":" + Printf("%llu", kDocuments[i]) +
+                         ",\"answers\"";
+    EXPECT_NE(bytes.find(fields), std::string::npos) << fields;
+  }
+}
+
+// Every double, NaN and infinity included, against "%.17g": 10^5 seeded
+// random bit patterns.
+TEST(FactStoreTest, ExactDoubleMatchesPrintfOnRandomBits) {
+  Rng rng(20261019);
+  for (int i = 0; i < 100000; ++i) {
+    uint64_t bits = rng.Next();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    std::string got;
+    AppendExactDouble(value, &got);
+    ASSERT_EQ(got, Printf("%.17g", value)) << "bits 0x" << std::hex << bits;
+  }
 }
 
 // ---------------------------------------------------------------------------
