@@ -236,10 +236,14 @@ std::string OnTheFlyKb::ArgName(const FactArg& arg) const {
 }
 
 std::string OnTheFlyKb::FactToString(const Fact& fact) const {
-  std::string out = "<" + ArgName(fact.subject) + ", ";
-  if (fact.negated) out += "not ";
+  std::string out = "<";
+  out += ArgName(fact.subject);
+  out += fact.negated ? ", not " : ", ";
   out += RelationName(fact.relation);
-  for (const FactArg& arg : fact.args) out += ", " + ArgName(arg);
+  for (const FactArg& arg : fact.args) {
+    out += ", ";
+    out += ArgName(arg);
+  }
   out += ">";
   return out;
 }

@@ -47,12 +47,6 @@ class OnTheFlyKb {
   /// Display name of a relation id (canonical synset name or new pattern).
   const std::string& RelationName(RelationId id) const;
 
-  /// True if the relation id was minted by this KB for a pattern the
-  /// pattern repository does not know (a "new relation" in paper terms).
-  bool IsNewRelation(RelationId id) const {
-    return id != kInvalidRelation && id >= patterns_->size();
-  }
-
   /// Display name of an argument.
   std::string ArgName(const FactArg& arg) const;
 

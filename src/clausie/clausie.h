@@ -41,12 +41,6 @@ class ClausIe {
     return generator_.Generate(tokens, DetectClauses(tokens), options_);
   }
 
-  /// Extraction from pre-detected clauses (lets callers keep the clauses).
-  std::vector<Proposition> FromClauses(const std::vector<Token>& tokens,
-                                       const std::vector<Clause>& clauses) const {
-    return generator_.Generate(tokens, clauses, options_);
-  }
-
   const DependencyParser& parser() const { return *parser_; }
 
  private:

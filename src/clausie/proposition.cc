@@ -57,7 +57,8 @@ std::vector<Proposition> PropositionGenerator::Generate(
     if (!clause.has_subject) continue;
     const size_t num_adv = clause.adverbials.size();
     const bool has_core_arg = !clause.objects.empty() || clause.complement.has_value();
-    if (options.skip_argless && !has_core_arg && num_adv == 0) continue;
+    // An SV clause with no arguments at all has nothing to relate.
+    if (!has_core_arg && num_adv == 0) continue;
 
     if (options.all_adverbial_subsets) {
       // One proposition per adverbial prefix. Without core arguments the

@@ -43,9 +43,6 @@ class PropositionGenerator {
     /// multiplies the extraction count — the reason ClausIE reports more
     /// extractions than QKBfly in the paper's Table 5.
     bool all_adverbial_subsets = false;
-
-    /// Drop SV clauses with no arguments at all (nothing to relate).
-    bool skip_argless = true;
   };
 
   std::vector<Proposition> Generate(const std::vector<Token>& tokens,

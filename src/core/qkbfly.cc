@@ -20,13 +20,12 @@ std::string EngineConfig::Fingerprint() const {
       buf, sizeof(buf),
       "mode=%d;a1=%.17g;a2=%.17g;a3=%.17g;a4=%.17g;"
       "conf=%.17g;emerge=%.17g;triples=%d;"
-      "pwin=%d;poss=%d;coref=%d;loose=%d;maxcand=%d;"
+      "pwin=%d;coref=%d;maxcand=%d;"
       "pmode=%d;pthresh=%.17g",
       static_cast<int>(mode), params.alpha1, params.alpha2, params.alpha3,
       params.alpha4, canon.confidence_threshold, canon.emerging_threshold,
       canon.triples_only ? 1 : 0, graph.pronoun_window,
-      graph.possessive_relations ? 1 : 0, graph.pronoun_coreference ? 1 : 0,
-      graph.loose_candidates ? 1 : 0, graph.max_candidates,
+      graph.pronoun_coreference ? 1 : 0, graph.max_candidates,
       static_cast<int>(parser_mode), parser_complexity_threshold);
   return buf;
 }

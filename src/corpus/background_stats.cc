@@ -141,17 +141,10 @@ double BackgroundStats::TypeSignatureSum(
                           Span<TypeId>(object_types.data(), object_types.size()));
 }
 
-double BackgroundStats::Idf(std::string_view term) const {
-  auto id = terms_.Lookup(Lowercase(term));
-  if (!id) return default_idf_;
-  return std::log((1.0 + document_count_) / (1.0 + doc_freq_[*id]));
-}
-
 BackgroundStats StatisticsBuilder::Build(const DocumentStore& corpus,
                                          const NlpPipeline& pipeline) const {
   BackgroundStats stats;
   stats.document_count_ = corpus.size();
-  stats.default_idf_ = std::log(1.0 + corpus.size());
 
   ClausIe clausie = ClausIe::Fast();
 

@@ -78,9 +78,6 @@ class BackgroundStats {
                           Span<TypeId> subject_types,
                           Span<TypeId> object_types) const;
 
-  /// IDF of a term (default IDF for unseen terms).
-  double Idf(std::string_view term) const;
-
   size_t document_count() const { return document_count_; }
   size_t pattern_count() const { return type_sig_totals_.size(); }
 
@@ -108,7 +105,6 @@ class BackgroundStats {
   StringInterner terms_;
   std::vector<uint32_t> doc_freq_;  // indexed by term id
   size_t document_count_ = 0;
-  double default_idf_ = 0.0;
 
   // pattern -> (type pair -> count), plus per-pattern totals.
   StringMap<std::unordered_map<uint64_t, uint32_t>> type_sig_counts_;

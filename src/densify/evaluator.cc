@@ -502,13 +502,6 @@ std::vector<EntityId> DensifyEvaluator::EntOfPronoun(NodeId p) const {
   return out;
 }
 
-std::vector<EntityId> DensifyEvaluator::EntOf(NodeId node) const {
-  const GraphNode& n = graph_->node(node);
-  if (n.kind == NodeKind::kPronoun) return EntOfPronoun(node);
-  if (n.kind == NodeKind::kNounPhrase && !n.is_literal) return EntOfNp(node);
-  return {};
-}
-
 bool DensifyEvaluator::GenderConflict(const GraphNode& pronoun, EntityId e) const {
   if (pronoun.gender == Gender::kUnknown) return false;
   Gender g = repository_->Get(e).gender;

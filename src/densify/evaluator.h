@@ -120,9 +120,6 @@ class DensifyEvaluator {
   /// ent(p_i, S): gender-filtered union over the pronoun's sameAs links.
   std::vector<EntityId> EntOfPronoun(NodeId p) const;
 
-  /// Dispatches on node kind; literals return an empty set.
-  std::vector<EntityId> EntOf(NodeId node) const;
-
   /// Constraint (4): entity gender known and conflicting with the pronoun.
   bool GenderConflict(const GraphNode& pronoun, EntityId e) const;
 

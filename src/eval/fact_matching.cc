@@ -70,29 +70,6 @@ bool FactJudge::SurfaceDenotesEntity(const std::string& surface,
   return false;
 }
 
-int FactJudge::WorldIdOfArg(const FactArg& arg) const {
-  switch (arg.kind) {
-    case FactArg::Kind::kEntity:
-      if (arg.entity < dataset_->repo_to_world.size()) {
-        return dataset_->repo_to_world[arg.entity];
-      }
-      return -1;
-    case FactArg::Kind::kEmerging:
-    case FactArg::Kind::kLiteral: {
-      // Resolve by surface against world aliases (unique match only).
-      int found = -1;
-      for (const WorldEntity& e : dataset_->world->entities()) {
-        if (SurfaceDenotesEntity(arg.surface, e.id)) {
-          if (found >= 0) return found;  // ambiguous: keep first
-          found = e.id;
-        }
-      }
-      return found;
-    }
-  }
-  return -1;
-}
-
 bool FactJudge::SurfaceMatchesGoldArg(const std::string& surface,
                                       const GoldArgMatch& gold) const {
   if (gold.is_entity) {

@@ -31,9 +31,6 @@ class FactJudge {
   bool IsCorrectLink(int sentence, const std::string& surface,
                      EntityId repo_entity, const GoldDocument& gold) const;
 
-  /// World id denoted by an extracted argument, or -1.
-  int WorldIdOfArg(const FactArg& arg) const;
-
  private:
   bool ArgMatches(const FactArg& arg, const GoldArgMatch& gold,
                   const OnTheFlyKb& kb) const;

@@ -129,30 +129,28 @@ struct GraphBuilder::BuildState {
     int head = c.head;
     if (head < 0) return kNoNode;
 
-    if (builder->options_.possessive_relations) {
-      auto apposed = parse.DependentsWithLabel(head, DepLabel::kAppos);
-      if (!apposed.empty()) {
-        int appos_head = apposed[0];
-        // Span of the apposed name: the name run around appos_head.
-        TokenSpan name_span = NameSpanAround(sentence, appos_head);
-        NodeId name_node = GetTextNode(s, name_span, appos_head);
-        // Possessive relation: "[Pitt] 's [ex-wife] [Angelina Jolie]".
-        auto possessors = parse.DependentsWithLabel(head, DepLabel::kPoss);
-        if (!possessors.empty() &&
-            sentence.tokens[static_cast<size_t>(possessors[0])].pos !=
-                PosTag::kPRPS) {
-          int poss = possessors[0];
-          TokenSpan poss_span = NameSpanAround(sentence, poss);
-          NodeId poss_node = GetTextNode(s, poss_span, poss);
-          GraphEdge rel;
-          rel.kind = EdgeKind::kRelation;
-          rel.a = poss_node;
-          rel.b = name_node;
-          rel.label = sentence.tokens[static_cast<size_t>(head)].lemma;
-          graph.AddEdge(std::move(rel));
-        }
-        return name_node;
+    auto apposed = parse.DependentsWithLabel(head, DepLabel::kAppos);
+    if (!apposed.empty()) {
+      int appos_head = apposed[0];
+      // Span of the apposed name: the name run around appos_head.
+      TokenSpan name_span = NameSpanAround(sentence, appos_head);
+      NodeId name_node = GetTextNode(s, name_span, appos_head);
+      // Possessive relation: "[Pitt] 's [ex-wife] [Angelina Jolie]".
+      auto possessors = parse.DependentsWithLabel(head, DepLabel::kPoss);
+      if (!possessors.empty() &&
+          sentence.tokens[static_cast<size_t>(possessors[0])].pos !=
+              PosTag::kPRPS) {
+        int poss = possessors[0];
+        TokenSpan poss_span = NameSpanAround(sentence, poss);
+        NodeId poss_node = GetTextNode(s, poss_span, poss);
+        GraphEdge rel;
+        rel.kind = EdgeKind::kRelation;
+        rel.a = poss_node;
+        rel.b = name_node;
+        rel.label = sentence.tokens[static_cast<size_t>(head)].lemma;
+        graph.AddEdge(std::move(rel));
       }
+      return name_node;
     }
     return GetTextNode(s, c.span, head);
   }
@@ -249,11 +247,8 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
     // Exact alias matches plus loose partial-name candidates (Babelfy's
     // "loose identification of candidate meanings"). The weight model
     // discounts the loose ones; they mostly enlarge the inference problem.
-    std::vector<EntityId> candidates =
-        options_.loose_candidates
-            ? repository_->LooseCandidates(
-                  node.text, static_cast<size_t>(options_.max_candidates))
-            : repository_->CandidatesForAlias(node.text);
+    std::vector<EntityId> candidates = repository_->LooseCandidates(
+        node.text, static_cast<size_t>(options_.max_candidates));
     for (EntityId e : candidates) {
       GraphNode entity_node;
       entity_node.kind = NodeKind::kEntity;

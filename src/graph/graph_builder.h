@@ -24,19 +24,14 @@ class GraphBuilder {
     /// (the paper uses five).
     int pronoun_window = 5;
 
-    /// Enables the "'s <noun>" possessive relation heuristic
-    /// ("Pitt's ex-wife Angelina Jolie" -> <Pitt, ex-wife, Angelina Jolie>).
-    bool possessive_relations = true;
-
     /// When false (the QKBfly-noun variant of Table 3), no pronoun sameAs
     /// edges are created, so co-reference resolution is skipped entirely.
     bool pronoun_coreference = true;
 
-    /// Loose candidate generation: besides exact alias matches, propose
-    /// entities sharing a name token with the mention (Babelfy-style). The
-    /// densifier prunes them; they mostly grow the search space — which is
-    /// what makes the ILP translation expensive.
-    bool loose_candidates = true;
+    /// Cap on the loose candidates proposed per noun phrase: besides exact
+    /// alias matches, entities sharing a name token with the mention
+    /// (Babelfy-style). The densifier prunes them; they mostly grow the
+    /// search space — which is what makes the ILP translation expensive.
     int max_candidates = 12;
   };
 

@@ -147,15 +147,6 @@ void SemanticGraph::EnsureFinalized() const {
   finalized_ = true;
 }
 
-std::vector<EdgeId> SemanticGraph::ActiveEdges(NodeId node, EdgeKind kind) const {
-  std::vector<EdgeId> out;
-  for (EdgeId e : IncidentEdges(node)) {
-    const GraphEdge& edge = edges_[static_cast<size_t>(e)];
-    if (edge.active && edge.kind == kind) out.push_back(e);
-  }
-  return out;
-}
-
 std::vector<std::pair<EdgeId, NodeId>> SemanticGraph::ActiveMeans(NodeId np) const {
   std::vector<std::pair<EdgeId, NodeId>> out;
   for (EdgeId e : IncidentEdges(np)) {

@@ -144,9 +144,6 @@ class SemanticGraph {
     return active_sameas_np_count_.at(static_cast<size_t>(n));
   }
 
-  /// Ids of active edges of `kind` incident to `node` (either endpoint).
-  std::vector<EdgeId> ActiveEdges(NodeId node, EdgeKind kind) const;
-
   /// All edge ids incident to `node` regardless of active flag, ascending
   /// (self-loops appear twice). The span points into the CSR arena and stays
   /// valid until the next AddNode/AddEdge.

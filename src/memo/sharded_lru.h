@@ -4,7 +4,7 @@
 // value type; what differs between them is the key, the value and the
 // registry names, never the machinery.
 //
-// Lock order (qkbfly-lint C2): every instance's shard mutex is the same
+// Lock order (qkbfly-lint C3): every instance's shard mutex is the same
 // lock class (rank 3, "shard"). No shard mutex is held while `compute`
 // runs, so a compute function may call FetchOrCompute on this or any other
 // memo — which is how the query tier's compute reaches the doc tier — and

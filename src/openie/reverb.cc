@@ -119,7 +119,8 @@ std::vector<Proposition> ReverbExtractor::Extract(
       std::string relation = tokens[static_cast<size_t>(verb_start)].lemma;
       for (int t = verb_start + 1; t < relation_end; ++t) {
         if (tokens[static_cast<size_t>(t)].pos == PosTag::kRB) continue;
-        relation += " " + Lowercase(tokens[static_cast<size_t>(t)].text);
+        relation += ' ';
+        relation += Lowercase(tokens[static_cast<size_t>(t)].text);
       }
       p.relation = relation;
       p.subject.span = arg1;

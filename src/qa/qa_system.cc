@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -42,8 +43,7 @@ const char* QaModeName(QaMode mode) {
 QaSystem::QaSystem(const SynthDataset* dataset, const DocumentStore* wiki,
                    const DocumentStore* news,
                    std::vector<StaticFact> snapshot_facts, QaMode mode,
-                   int num_threads, ParserMode parser_mode,
-                   double parser_complexity_threshold)
+                   int num_threads)
     : dataset_(dataset), wiki_(wiki), news_(news),
       snapshot_facts_(std::move(snapshot_facts)), mode_(mode),
       search_(wiki, news) {
@@ -51,17 +51,9 @@ QaSystem::QaSystem(const SynthDataset* dataset, const DocumentStore* wiki,
   config.canon.triples_only = mode == QaMode::kTriples;
   config.canon.confidence_threshold = 0.3;  // recall-oriented (Appendix B)
   config.num_threads = num_threads;
-  config.parser_mode = parser_mode;
-  config.parser_complexity_threshold = parser_complexity_threshold;
   engine_ = std::make_unique<QkbflyEngine>(dataset->repository.get(),
                                            &dataset->patterns, &dataset->stats,
                                            config);
-}
-
-void QaSystem::EnableServiceCache(KbServiceOptions options) {
-  // Question-time fan-out mirrors the engine's configured thread count.
-  options.num_threads = engine_->config().num_threads;
-  service_ = std::make_unique<KbService>(engine_.get(), &search_, options);
 }
 
 int QaSystem::FeatureId(const std::string& name, bool training) const {
@@ -307,12 +299,8 @@ std::vector<QaSystem::Candidate> QaSystem::Candidates(const QaQuestion& question
     case QaMode::kTriples:
       break;
   }
-  // Steps 1-2: retrieve and build the question-specific KB. With a service
-  // cache enabled, per-document results are reused across questions; either
-  // path produces a byte-identical KB (input-order canonicalization).
-  std::vector<const Document*> docs = Retrieve(question);
-  OnTheFlyKb kb =
-      service_ != nullptr ? service_->BuildKb(docs) : engine_->BuildKb(docs);
+  // Steps 1-2: retrieve and build the question-specific KB.
+  OnTheFlyKb kb = engine_->BuildKb(Retrieve(question));
   return KbCandidates(question, kb, training);
 }
 

@@ -14,7 +14,6 @@
 #include "ml/linear_svm.h"
 #include "qa/question.h"
 #include "retrieval/search_engine.h"
-#include "service/kb_service.h"
 #include "util/interner.h"
 
 namespace qkbfly {
@@ -44,15 +43,9 @@ class QaSystem {
 
   /// `num_threads` is forwarded to the extraction engine: documents retrieved
   /// for a question are processed in parallel (the answers are unchanged).
-  /// `parser_mode` + `parser_complexity_threshold` select the engine's
-  /// dependency-parser backend (the serving layer's quality/latency dial;
-  /// see src/parser/router.h).
   QaSystem(const SynthDataset* dataset, const DocumentStore* wiki,
            const DocumentStore* news, std::vector<StaticFact> snapshot_facts,
-           QaMode mode, int num_threads = 1,
-           ParserMode parser_mode = ParserMode::kLinear,
-           double parser_complexity_threshold =
-               kDefaultParserComplexityThreshold);
+           QaMode mode, int num_threads = 1);
 
   /// Trains the answer classifier on WebQuestions-style training questions
   /// (Appendix B: candidates containing correct answers are positives).
@@ -60,16 +53,6 @@ class QaSystem {
 
   /// Answers one question.
   std::vector<std::string> Answer(const QaQuestion& question) const;
-
-  /// Routes question-specific KB construction through a cache-backed
-  /// KbService, so repeated (or overlapping) questions about the same entity
-  /// reuse per-document extraction results. Without this call every question
-  /// recomputes from scratch — the original, cache-free construction path.
-  /// Answers are identical either way (the service build is byte-identical).
-  void EnableServiceCache(KbServiceOptions options = {});
-
-  /// The serving layer when EnableServiceCache was called, else nullptr.
-  const KbService* service() const { return service_.get(); }
 
   QaMode mode() const { return mode_; }
 
@@ -102,7 +85,6 @@ class QaSystem {
   QaMode mode_;
   SearchEngine search_;
   std::unique_ptr<QkbflyEngine> engine_;
-  std::unique_ptr<KbService> service_;  ///< Optional cache-backed build path.
   mutable StringInterner features_;
   LinearSvm classifier_;
 };

@@ -179,7 +179,7 @@ void KbService::AnswerCold(const std::string& query,
                    [](const Fact* a, const Fact* b) {
                      return a->confidence > b->confidence;
                    });
-  if (ranked.size() > options_.max_answers) ranked.resize(options_.max_answers);
+  if (ranked.size() > kMaxAnswers) ranked.resize(kMaxAnswers);
   for (const Fact* f : ranked) answers->push_back(built->FactToString(*f));
 }
 
@@ -227,8 +227,7 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
         CachedAnswer answer;
         if (options_.serve_from_store) {
           std::shared_ptr<const QaPair> pair = store_->FindQaPair(
-              normalized, epoch, fingerprint_, options_.match_paraphrases,
-              query_trace);
+              normalized, epoch, fingerprint_, query_trace);
           if (pair != nullptr) {
             answer.kb = pair->kb;
             if (answer.kb == nullptr) {

@@ -36,7 +36,7 @@
 // Thread-safety contract: all public methods may be called concurrently from
 // any thread once the service is constructed; the engine and search index
 // are shared read-only, the caches, store and metrics are internally
-// synchronized. Lock order (qkbfly-lint C2): memo shard -> store shard ->
+// synchronized. Lock order (qkbfly-lint C3): memo shard -> store shard ->
 // metrics. Both tiers share the memo shard lock, which is never held while
 // a compute function runs, so the tiers never nest.
 #ifndef QKBFLY_SERVICE_KB_SERVICE_H_
@@ -87,9 +87,6 @@ struct KbServiceOptions {
   size_t wiki_k = 2;
   size_t news_k = 10;
 
-  /// Facts rendered into QueryResult::answers.
-  size_t max_answers = 5;
-
   /// When > 0, every Answer() call captures a structured span trace and the
   /// slowest N are retained (see traces()). 0 — the default — disables span
   /// capture entirely: no Trace is allocated and every instrumentation
@@ -104,10 +101,6 @@ struct KbServiceOptions {
   /// running the full pipeline — this is what serves repeated questions
   /// across process restarts after FactStore::Load.
   bool serve_from_store = false;
-
-  /// With serve_from_store, also accept token-bag paraphrase matches
-  /// ("who married ann" serves "ann married who").
-  bool match_paraphrases = false;
 
   /// Optional externally-owned fact store (shared across services, or
   /// preloaded from a snapshot). Must outlive the service. When null the
@@ -142,6 +135,9 @@ class KbService {
   KbService(const KbService&) = delete;
   KbService& operator=(const KbService&) = delete;
 
+  /// Facts rendered into QueryResult::answers.
+  static constexpr size_t kMaxAnswers = 5;
+
   /// One answered query. `kb` is bound to the immutable KB `shared_kb`
   /// owns, which the query tier and the store's QA pair share: every answer
   /// to the same cached query refers to the same object.
@@ -166,8 +162,8 @@ class KbService {
   /// cold and `store_qa_rejected_total` counts the rejection.
   QueryResult Answer(const std::string& query);
 
-  /// Document-level entry point (QaSystem routes here with its own
-  /// retrieval): cache-backed equivalent of QkbflyEngine::BuildKb. The KB is
+  /// Document-level entry point, also used by Answer on a cold query:
+  /// cache-backed equivalent of QkbflyEngine::BuildKb. The KB is
   /// byte-identical to the uncached build for every document order —
   /// cached facts carry document-local emerging ids and Merge runs in input
   /// order either way. An enabled `trace` gets per-document
@@ -192,7 +188,7 @@ class KbService {
   const FactStore* fact_store() const { return store_; }
 
   /// Drops the query tier's entries (the doc tier and store are untouched).
-  /// Benches use this to measure the doc-warm path in isolation.
+  /// Tests use this to reach the doc-warm path in isolation.
   void ClearQueryTier() { query_cache_.Clear(); }
 
  private:

@@ -74,11 +74,7 @@ size_t FactRecord::ApproxBytes() const {
   return bytes;
 }
 
-FactStore::FactStore(Options options) : options_(options) {
-  int shards = std::max(1, options_.num_shards);
-  options_.num_shards = shards;
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
+FactStore::FactStore() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   facts_total_ = registry.GetCounter(
       "store_facts_total",
@@ -90,12 +86,12 @@ FactStore::FactStore(Options options) : options_(options) {
 
 FactStore::Shard& FactStore::ShardFor(std::string_view key) {
   size_t h = std::hash<std::string_view>{}(key);
-  return *shards_[h % shards_.size()];
+  return shards_[h % kNumShards];
 }
 
 const FactStore::Shard& FactStore::ShardFor(std::string_view key) const {
   size_t h = std::hash<std::string_view>{}(key);
-  return *shards_[h % shards_.size()];
+  return shards_[h % kNumShards];
 }
 
 void FactStore::DropStaleLocked(Shard& store_shard, CorpusEpoch epoch) {
@@ -164,34 +160,12 @@ size_t FactStore::IngestKb(const OnTheFlyKb& kb, std::string_view query,
   return fresh;
 }
 
-std::vector<FactRecord> FactStore::LookupSubject(std::string_view subject,
-                                                 obs::TraceContext trace) const {
-  obs::ScopedSpan span(trace, "store_lookup");
-  span.AddAttribute("subject", subject);
-  CorpusEpoch current = epoch();
-  std::vector<FactRecord> out;
-  for (const auto& store_shard : shards_) {
-    std::lock_guard<std::mutex> lock(store_shard->mutex);
-    for (const auto& [key, record] : store_shard->map) {
-      if (record.epoch >= current && record.subject == subject) {
-        out.push_back(record);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FactRecord& a, const FactRecord& b) {
-              return a.Key() < b.Key();
-            });
-  span.AddAttribute("facts", static_cast<int64_t>(out.size()));
-  return out;
-}
-
 std::vector<FactRecord> FactStore::Snapshot() const {
   CorpusEpoch current = epoch();
   std::vector<FactRecord> out;
-  for (const auto& store_shard : shards_) {
-    std::lock_guard<std::mutex> lock(store_shard->mutex);
-    for (const auto& [key, record] : store_shard->map) {
+  for (const Shard& store_shard : shards_) {
+    std::lock_guard<std::mutex> lock(store_shard.mutex);
+    for (const auto& [key, record] : store_shard.map) {
       if (record.epoch >= current) out.push_back(record);
     }
   }
@@ -219,9 +193,9 @@ void FactStore::SetEpoch(CorpusEpoch epoch) {
 size_t FactStore::fact_count() const {
   CorpusEpoch current = epoch();
   size_t count = 0;
-  for (const auto& store_shard : shards_) {
-    std::lock_guard<std::mutex> lock(store_shard->mutex);
-    for (const auto& [key, record] : store_shard->map) {
+  for (const Shard& store_shard : shards_) {
+    std::lock_guard<std::mutex> lock(store_shard.mutex);
+    for (const auto& [key, record] : store_shard.map) {
       if (record.epoch >= current) ++count;
     }
   }
@@ -230,37 +204,31 @@ size_t FactStore::fact_count() const {
 
 size_t FactStore::ApproxBytesUsed() const {
   size_t bytes = 0;
-  for (const auto& store_shard : shards_) {
-    std::lock_guard<std::mutex> lock(store_shard->mutex);
-    bytes += store_shard->bytes;
+  for (const Shard& store_shard : shards_) {
+    std::lock_guard<std::mutex> lock(store_shard.mutex);
+    bytes += store_shard.bytes;
   }
   return bytes + qa_pairs_.ApproxBytesUsed();
 }
 
 void FactStore::Clear() {
-  for (const auto& store_shard : shards_) {
-    std::lock_guard<std::mutex> lock(store_shard->mutex);
-    resident_bytes_->Add(-static_cast<int64_t>(store_shard->bytes));
-    store_shard->map.clear();
-    store_shard->bytes = 0;
+  for (Shard& store_shard : shards_) {
+    std::lock_guard<std::mutex> lock(store_shard.mutex);
+    resident_bytes_->Add(-static_cast<int64_t>(store_shard.bytes));
+    store_shard.map.clear();
+    store_shard.bytes = 0;
   }
   qa_pairs_.Clear();
 }
 
 std::shared_ptr<const QaPair> FactStore::FindQaPair(
     std::string_view question, CorpusEpoch epoch, std::string_view fingerprint,
-    bool match_paraphrases, obs::TraceContext trace) const {
+    obs::TraceContext trace) const {
   obs::ScopedSpan span(trace, "store_lookup");
   span.AddAttribute("question", question);
   std::shared_ptr<const QaPair> pair =
       qa_pairs_.Find(question, epoch, fingerprint);
-  bool paraphrase = false;
-  if (pair == nullptr && match_paraphrases) {
-    pair = qa_pairs_.FindParaphrase(question, epoch, fingerprint);
-    paraphrase = pair != nullptr;
-  }
   span.AddAttribute("found", pair != nullptr);
-  span.AddAttribute("paraphrase", paraphrase);
   return pair;
 }
 

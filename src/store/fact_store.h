@@ -8,7 +8,7 @@
 // Concurrency mirrors memo::ShardedLru (memo/sharded_lru.h): mutex-per-shard,
 // keys hashed to shards, counters/gauges in the process-wide metrics
 // registry (`store_facts_total`, `store_resident_bytes`). Lock order
-// (documented in DESIGN.md, enforced by qkbfly-lint C2): store shard mutexes
+// (documented in DESIGN.md, enforced by qkbfly-lint C3): store shard mutexes
 // rank below the memo shard mutex of the serving layer's cache tiers and
 // above metrics.
 //
@@ -18,6 +18,7 @@
 #ifndef QKBFLY_STORE_FACT_STORE_H_
 #define QKBFLY_STORE_FACT_STORE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -58,12 +59,7 @@ struct FactRecord {
 /// Sharded, versioned, thread-safe accumulator of canonicalized facts.
 class FactStore {
  public:
-  struct Options {
-    int num_shards = 8;
-  };
-
-  explicit FactStore(Options options);
-  FactStore() : FactStore(Options()) {}
+  FactStore();
 
   /// Clears on destruction so the resident-bytes gauge drops this instance's
   /// contribution.
@@ -82,12 +78,6 @@ class FactStore {
   /// Inserts or merges one record (the Load path and tests). Returns true
   /// if the key was new.
   bool Ingest(FactRecord record);
-
-  /// All fresh (current-epoch) facts about `subject`, sorted by Key() —
-  /// the cheap pre-filter over accumulated facts ("Beyond NED") that runs
-  /// before any full construction. Emits a `store_lookup` span.
-  std::vector<FactRecord> LookupSubject(std::string_view subject,
-                                        obs::TraceContext trace = {}) const;
 
   /// Every fresh fact, sorted by Key(). Deterministic; used by Save and the
   /// benches.
@@ -126,15 +116,15 @@ class FactStore {
   QaPairIndex& qa_pairs() { return qa_pairs_; }
   const QaPairIndex& qa_pairs() const { return qa_pairs_; }
 
-  /// QaPairIndex lookups wrapped in a `store_lookup` span. The paraphrase
-  /// variant falls back to a token-bag match when the exact question misses.
+  /// QaPairIndex::Find wrapped in a `store_lookup` span.
   std::shared_ptr<const QaPair> FindQaPair(std::string_view question,
                                            CorpusEpoch epoch,
                                            std::string_view fingerprint,
-                                           bool match_paraphrases,
                                            obs::TraceContext trace = {}) const;
 
  private:
+  static constexpr size_t kNumShards = 8;
+
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<std::string, FactRecord, TransparentStringHash,
@@ -150,8 +140,7 @@ class FactStore {
   /// mutex held; called from write paths so invalidation stays lazy.
   void DropStaleLocked(Shard& store_shard, CorpusEpoch epoch);
 
-  Options options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kNumShards> shards_;
   std::atomic<CorpusEpoch> epoch_{1};
   QaPairIndex qa_pairs_;
 

@@ -1,9 +1,6 @@
 #include "store/qa_pair_index.h"
 
-#include <algorithm>
 #include <cctype>
-
-#include "util/string_util.h"
 
 namespace qkbfly {
 
@@ -35,13 +32,6 @@ std::string QaPairIndex::NormalizeQuestion(std::string_view question) {
   return out;
 }
 
-std::string QaPairIndex::ParaphraseKey(std::string_view normalized) {
-  std::vector<std::string> tokens = SplitWhitespace(normalized);
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  return Join(tokens, " ");
-}
-
 std::string QaPairIndex::MapKey(std::string_view question,
                                 std::string_view fingerprint) {
   std::string key;
@@ -54,13 +44,11 @@ std::string QaPairIndex::MapKey(std::string_view question,
 
 void QaPairIndex::Record(QaPair pair) {
   std::string key = MapKey(pair.question, pair.fingerprint);
-  std::string bag = MapKey(ParaphraseKey(pair.question), pair.fingerprint);
   auto value = std::make_shared<const QaPair>(std::move(pair));
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = by_key_.find(key);
   if (it != by_key_.end() && it->second->epoch > value->epoch) return;
   by_key_[std::move(key)] = value;
-  by_bag_[std::move(bag)] = MapKey(value->question, value->fingerprint);
 }
 
 std::shared_ptr<const QaPair> QaPairIndex::Find(
@@ -73,18 +61,6 @@ std::shared_ptr<const QaPair> QaPairIndex::Find(
   return it->second;
 }
 
-std::shared_ptr<const QaPair> QaPairIndex::FindParaphrase(
-    std::string_view question, CorpusEpoch epoch,
-    std::string_view fingerprint) const {
-  std::string bag = MapKey(ParaphraseKey(question), fingerprint);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto bag_it = by_bag_.find(bag);
-  if (bag_it == by_bag_.end()) return nullptr;
-  auto it = by_key_.find(bag_it->second);
-  if (it == by_key_.end() || it->second->epoch != epoch) return nullptr;
-  return it->second;
-}
-
 void QaPairIndex::DropStale(CorpusEpoch epoch) {
   // Declared before the guard, so the stale pairs are released after the
   // unlock: dropping the last reference to a pair's KB frees hundreds of
@@ -93,13 +69,6 @@ void QaPairIndex::DropStale(CorpusEpoch epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = by_key_.begin(); it != by_key_.end();) {
     if (it->second->epoch < epoch) {
-      // Only drop the bag mapping if this pair still owns it — another
-      // (fresher) question with the same token bag may have taken it over.
-      auto bag_it = by_bag_.find(MapKey(ParaphraseKey(it->second->question),
-                                        it->second->fingerprint));
-      if (bag_it != by_bag_.end() && bag_it->second == it->first) {
-        by_bag_.erase(bag_it);
-      }
       stale.push_back(std::move(it->second));
       it = by_key_.erase(it);
     } else {
@@ -133,7 +102,6 @@ size_t QaPairIndex::ApproxBytesUsed() const {
 void QaPairIndex::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   by_key_.clear();
-  by_bag_.clear();
 }
 
 }  // namespace qkbfly

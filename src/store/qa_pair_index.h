@@ -1,8 +1,8 @@
 // The question->answer-pair index ("QA Is the New KR"): materializes every
 // answered question as a first-class queryable artifact alongside the triple
 // store. A QaPair carries the rendered answers plus the KB the answer was
-// derived from, so a repeated (or token-bag paraphrased) question can be
-// served straight from accumulated knowledge. A pair answered in this
+// derived from, so a repeated question (matched by its exact normalized
+// text) can be served straight from accumulated knowledge. A pair answered in this
 // process shares the immutable KB object with the query tier; a pair read
 // from a snapshot holds its serialized bytes until its first hit
 // deserializes them — byte-identical to the cold build either way.
@@ -14,7 +14,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "canon/onthefly_kb.h"
@@ -39,8 +38,7 @@ struct QaPair {
   size_t ApproxBytes() const;
 };
 
-/// Thread-safe map of normalized questions (and their sorted-token-bag
-/// paraphrase keys) to QaPairs. Lookups are epoch-exact: a pair recorded
+/// Thread-safe map of normalized questions to QaPairs. Lookups are epoch-exact: a pair recorded
 /// under an older corpus epoch is stale and never returned. The FactStore
 /// owns one and persists it in the same snapshot as the facts.
 class QaPairIndex {
@@ -48,10 +46,6 @@ class QaPairIndex {
   /// Lowercases, strips punctuation, and collapses whitespace — the exact
   /// key of the index and of the serving layer's query-level cache.
   static std::string NormalizeQuestion(std::string_view question);
-
-  /// Sorted unique tokens of a normalized question: "who married ann" and
-  /// "ann married who" share a key. Used for the paraphrase fallback only.
-  static std::string ParaphraseKey(std::string_view normalized);
 
   /// Inserts or replaces the pair for (question, fingerprint). A pair with
   /// an older epoch never replaces a fresher one.
@@ -62,12 +56,6 @@ class QaPairIndex {
   std::shared_ptr<const QaPair> Find(std::string_view question,
                                      CorpusEpoch epoch,
                                      std::string_view fingerprint) const;
-
-  /// Token-bag lookup: a pair whose normalized question has the same sorted
-  /// token set. Falls back to the last recorded owner of the bag.
-  std::shared_ptr<const QaPair> FindParaphrase(
-      std::string_view question, CorpusEpoch epoch,
-      std::string_view fingerprint) const;
 
   /// Drops pairs recorded under an epoch older than `epoch`.
   void DropStale(CorpusEpoch epoch);
@@ -86,8 +74,6 @@ class QaPairIndex {
 
   mutable std::mutex mutex_;  ///< Leaf lock: nothing is acquired under it.
   std::map<std::string, std::shared_ptr<const QaPair>, std::less<>> by_key_;
-  /// paraphrase-bag key -> primary key in by_key_.
-  std::unordered_map<std::string, std::string> by_bag_;
 };
 
 }  // namespace qkbfly

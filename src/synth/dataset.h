@@ -47,11 +47,6 @@ struct SynthDataset {
   std::vector<GoldDocument> news;
   std::vector<GoldDocument> wikia;
   std::vector<GoldDocument> reverb;
-
-  /// World id of a repository entity.
-  int WorldIdOf(EntityId repo_id) const {
-    return repo_to_world.at(repo_id);
-  }
 };
 
 /// Generates the dataset deterministically from the config seed.

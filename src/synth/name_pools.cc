@@ -64,14 +64,6 @@ const std::vector<std::string>& PlaceParts2() {
   return kParts;
 }
 
-const std::vector<std::string>& Countries() {
-  static const std::vector<std::string> kNames = {
-      "Valdoria", "Kestonia", "Montavia", "Serenia",  "Altheria", "Norland",
-      "Vesturia", "Caldora",  "Merenia",  "Tavaria",  "Ostrava",  "Zephyria",
-  };
-  return kNames;
-}
-
 const std::vector<std::string>& FancyWords() {
   static const std::vector<std::string> kWords = {
       "Crimson", "Silent",  "Golden", "Velvet",  "Electric", "Midnight",
@@ -147,17 +139,11 @@ std::string NamePools::CityName() {
   return Unique(rng_.Choose(PlaceParts1()) + rng_.Choose(PlaceParts2()));
 }
 
-std::string NamePools::CountryName() { return Unique(rng_.Choose(Countries())); }
-
 std::string NamePools::ClubName(const std::string& city, std::string* short_alias) {
   static const std::vector<std::string> kSuffixes = {"United", "City", "Rovers",
                                                      "Athletic", "Wanderers"};
   *short_alias = city;
   return Unique(city + " " + rng_.Choose(kSuffixes));
-}
-
-std::string NamePools::BandName() {
-  return Unique("The " + rng_.Choose(FancyWords()) + " " + rng_.Choose(FancyNouns()));
 }
 
 std::string NamePools::FilmTitle() {

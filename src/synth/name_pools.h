@@ -25,15 +25,9 @@ class NamePools {
   /// A single-token city name ("Northgate").
   std::string CityName();
 
-  /// A country name.
-  std::string CountryName();
-
   /// A football club name derived from a city ("Northgate United"); the
   /// bare city token doubles as an ambiguous alias.
   std::string ClubName(const std::string& city, std::string* short_alias);
-
-  /// A band name ("The Crimson Owls").
-  std::string BandName();
 
   /// A film title ("The Silent Harbor").
   std::string FilmTitle();

@@ -258,19 +258,6 @@ const std::vector<int>& World::FactsOfSubject(int entity) const {
   return it == facts_by_subject_.end() ? kEmpty : it->second;
 }
 
-std::vector<int> World::EntitiesOfType(TypeId type) const {
-  std::vector<int> out;
-  for (const WorldEntity& e : entities_) {
-    for (TypeId t : e.types) {
-      if (types_->IsA(t, type)) {
-        out.push_back(e.id);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 EntityRepository World::BuildSnapshotRepository(
     std::vector<int>* repo_to_world,
     std::unordered_map<int, EntityId>* world_to_repo) const {

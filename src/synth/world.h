@@ -88,9 +88,6 @@ class World {
   /// Indices of facts whose subject is `entity`.
   const std::vector<int>& FactsOfSubject(int entity) const;
 
-  /// Entities carrying the given type (transitively).
-  std::vector<int> EntitiesOfType(TypeId type) const;
-
   /// Builds the snapshot entity repository (non-emerging entities only).
   /// Fills world<->repository id maps.
   EntityRepository BuildSnapshotRepository(

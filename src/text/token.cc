@@ -14,39 +14,6 @@ void EnsureSymbols(std::vector<Token>* tokens) {
   }
 }
 
-const char* PosTagName(PosTag tag) {
-  switch (tag) {
-    case PosTag::kNN: return "NN";
-    case PosTag::kNNS: return "NNS";
-    case PosTag::kNNP: return "NNP";
-    case PosTag::kVB: return "VB";
-    case PosTag::kVBD: return "VBD";
-    case PosTag::kVBZ: return "VBZ";
-    case PosTag::kVBP: return "VBP";
-    case PosTag::kVBG: return "VBG";
-    case PosTag::kVBN: return "VBN";
-    case PosTag::kMD: return "MD";
-    case PosTag::kDT: return "DT";
-    case PosTag::kIN: return "IN";
-    case PosTag::kTO: return "TO";
-    case PosTag::kPRP: return "PRP";
-    case PosTag::kPRPS: return "PRP$";
-    case PosTag::kJJ: return "JJ";
-    case PosTag::kRB: return "RB";
-    case PosTag::kCC: return "CC";
-    case PosTag::kCD: return "CD";
-    case PosTag::kPOS: return "POS";
-    case PosTag::kWP: return "WP";
-    case PosTag::kWDT: return "WDT";
-    case PosTag::kWRB: return "WRB";
-    case PosTag::kEX: return "EX";
-    case PosTag::kPUNCT: return "PUNCT";
-    case PosTag::kSYM: return "SYM";
-    case PosTag::kUNK: return "UNK";
-  }
-  return "?";
-}
-
 bool IsVerbTag(PosTag tag) {
   switch (tag) {
     case PosTag::kVB:

@@ -42,9 +42,6 @@ enum class PosTag : uint8_t {
   kUNK,   // untagged
 };
 
-/// Returns the conventional Penn tag string ("NN", "PRP$", ...).
-const char* PosTagName(PosTag tag);
-
 /// True for any of the verb tags (VB, VBD, VBZ, VBP, VBG, VBN).
 bool IsVerbTag(PosTag tag);
 

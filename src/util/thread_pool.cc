@@ -42,9 +42,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-int ThreadPool::DefaultThreadCount() {
-  unsigned int n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-}
-
 }  // namespace qkbfly

@@ -53,9 +53,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Hardware concurrency with a floor of one.
-  static int DefaultThreadCount();
-
  private:
   void Enqueue(std::function<void()> task);
   void WorkerLoop();

@@ -428,12 +428,8 @@ TEST_F(ServiceTest, FingerprintSeparatesResultChangingConfigs) {
       [](EngineConfig* c) { c->canon.emerging_threshold += 0.01; });
   add("triples_only", [](EngineConfig* c) { c->canon.triples_only = true; });
   add("pronoun_window", [](EngineConfig* c) { ++c->graph.pronoun_window; });
-  add("possessive_relations",
-      [](EngineConfig* c) { c->graph.possessive_relations = false; });
   add("pronoun_coreference",
       [](EngineConfig* c) { c->graph.pronoun_coreference = false; });
-  add("loose_candidates",
-      [](EngineConfig* c) { c->graph.loose_candidates = false; });
   add("max_candidates", [](EngineConfig* c) { ++c->graph.max_candidates; });
   add("parser_mode",
       [](EngineConfig* c) { c->parser_mode = ParserMode::kAdaptive; });

@@ -225,17 +225,14 @@ TEST_F(StoreTest, KbDeserializeMutantsFailCleanlyOrRoundTrip) {
 // QaPairIndex.
 // ---------------------------------------------------------------------------
 
-TEST(QaPairIndexTest, NormalizeAndParaphraseKeys) {
+TEST(QaPairIndexTest, NormalizeQuestion) {
   EXPECT_EQ(QaPairIndex::NormalizeQuestion("  Who married ANN?! "),
             "who married ann");
   EXPECT_EQ(QaPairIndex::NormalizeQuestion("who-married_ann"),
             "who married ann");
-  EXPECT_EQ(QaPairIndex::ParaphraseKey("who married ann"), "ann married who");
-  EXPECT_EQ(QaPairIndex::ParaphraseKey("ann married who who"),
-            "ann married who");
 }
 
-TEST(QaPairIndexTest, EpochExactLookupAndParaphraseFallback) {
+TEST(QaPairIndexTest, EpochExactLookup) {
   QaPairIndex index;
   QaPair pair;
   pair.question = "who married ann";
@@ -247,12 +244,11 @@ TEST(QaPairIndexTest, EpochExactLookupAndParaphraseFallback) {
   EXPECT_NE(index.Find("who married ann", 1, "fp"), nullptr);
   EXPECT_EQ(index.Find("who married ann", 2, "fp"), nullptr);  // stale
   EXPECT_EQ(index.Find("who married ann", 1, "other"), nullptr);
-  EXPECT_EQ(index.Find("ann married who", 1, "fp"), nullptr);
-  EXPECT_NE(index.FindParaphrase("ann married who", 1, "fp"), nullptr);
+  EXPECT_EQ(index.Find("ann married who", 1, "fp"), nullptr);  // exact only
 
   index.DropStale(2);
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.FindParaphrase("ann married who", 1, "fp"), nullptr);
+  EXPECT_EQ(index.Find("who married ann", 1, "fp"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +278,7 @@ TEST(FactStoreTest, IngestMergesProvenanceAndConfidence) {
   EXPECT_FALSE(store.Ingest(again));  // merge, not a new key
   EXPECT_EQ(store.fact_count(), 1u);
 
-  std::vector<FactRecord> facts = store.LookupSubject("ann");
+  std::vector<FactRecord> facts = store.Snapshot();
   ASSERT_EQ(facts.size(), 1u);
   EXPECT_DOUBLE_EQ(facts[0].confidence, 0.9);
   EXPECT_EQ(facts[0].doc_ids, (std::vector<std::string>{"doc-ann", "doc-x"}));
@@ -301,7 +297,6 @@ TEST(FactStoreTest, EpochBumpStalesRecords) {
   ASSERT_EQ(store.fact_count(), 1u);
   store.SetEpoch(2);
   EXPECT_EQ(store.fact_count(), 0u);
-  EXPECT_TRUE(store.LookupSubject("ann").empty());
   EXPECT_TRUE(store.Snapshot().empty());
 
   // A stale-on-arrival record is refused; a fresh one lands.
@@ -361,7 +356,7 @@ TEST(FactStoreTest, SaveLoadRoundTripsSnapshotBytes) {
   EXPECT_EQ(loaded.fact_count(), store.fact_count());
   EXPECT_EQ(loaded.epoch(), store.epoch());
   ASSERT_EQ(loaded.qa_pairs().size(), 1u);
-  auto found = loaded.FindQaPair("who married ann", 1, "fp", false);
+  auto found = loaded.FindQaPair("who married ann", 1, "fp");
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->answers, pair.answers);
   EXPECT_EQ(found->kb_bytes, pair.kb_bytes);
@@ -423,7 +418,9 @@ TEST(FactStoreTest, SaveEscapesEveryByte) {
   FactStore loaded;
   Status status = loaded.Load(path);
   ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(loaded.LookupSubject(all_bytes).size(), 1u);
+  std::vector<FactRecord> facts = loaded.Snapshot();
+  ASSERT_EQ(facts.size(), 1u);
+  EXPECT_EQ(facts[0].subject, all_bytes);
   std::remove(path.c_str());
 }
 
