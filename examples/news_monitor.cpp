@@ -41,11 +41,7 @@ int main() {
     std::printf("%zu - %s\n", i + 1, docs[i]->id.c_str());
   }
 
-  OnTheFlyKb kb = engine.MakeKb();
-  for (const Document* doc : docs) {
-    auto result = engine.ProcessDocument(*doc);
-    engine.PopulateKb(&kb, result);
-  }
+  OnTheFlyKb kb = engine.BuildKb(docs);
 
   std::printf("\nOn-the-fly KB: %zu facts, %zu emerging entities\n\n", kb.size(),
               kb.emerging_entities().size());

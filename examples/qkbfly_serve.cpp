@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     options.fact_store = &store;
-    options.serve_from_store = true;
   }
   KbService service(&engine, &search, options);
 

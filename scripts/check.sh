@@ -6,7 +6,8 @@
 #      both lint phases, the <5s latency budget, and the build/lint.sarif
 #      export CI uploads)
 #   3. bench smoke run (label bench-smoke)
-#   4. one sanitizer tree (default: undefined; override with SANITIZER=)
+#   4. one sanitizer tree (default: undefined; override with SANITIZER=),
+#      built with the runtime invariant checks (QKBFLY_CHECK_INVARIANTS)
 #   5. format check of changed files, when clang-format is installed
 #
 # Usage: scripts/check.sh [--skip-sanitizer]
@@ -65,8 +66,9 @@ echo "==> fact store snapshot round-trip"
         --store-path examples/check_store.jsonl >/dev/null)
 
 if [[ "$SKIP_SANITIZER" -eq 0 ]]; then
-  echo "==> sanitizer tree (QKBFLY_SANITIZE=$SANITIZER)"
-  cmake -B "build-$SANITIZER" -S . -DQKBFLY_SANITIZE="$SANITIZER" >/dev/null
+  echo "==> sanitizer tree (QKBFLY_SANITIZE=$SANITIZER, invariant checks on)"
+  cmake -B "build-$SANITIZER" -S . -DQKBFLY_SANITIZE="$SANITIZER" \
+    -DQKBFLY_CHECK_INVARIANTS=ON >/dev/null
   cmake --build "build-$SANITIZER" -j"$JOBS"
   case "$SANITIZER" in
     thread)  (cd "build-$SANITIZER" && ctest --output-on-failure -L tsan) ;;

@@ -37,24 +37,28 @@ void AppendEscaped(std::string_view field, std::string* out) {
 
 /// Inverse of AppendEscaped; rejects what it never emits (a raw CR, a
 /// dangling or unknown escape), so an accepted field re-escapes to itself.
+/// Like AppendEscaped, runs without an escape are appended whole.
 bool Unescape(std::string_view field, std::string* out) {
   out->clear();
+  size_t run = 0;
   for (size_t i = 0; i < field.size(); ++i) {
     char c = field[i];
     if (c == '\r') return false;
-    if (c != '\\') {
-      out->push_back(c);
-      continue;
-    }
-    if (++i >= field.size()) return false;
-    switch (field[i]) {
-      case '\\': out->push_back('\\'); break;
-      case 't': out->push_back('\t'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
+    if (c != '\\') continue;
+    if (i + 1 >= field.size()) return false;
+    switch (field[i + 1]) {
+      case '\\': c = '\\'; break;
+      case 't': c = '\t'; break;
+      case 'n': c = '\n'; break;
+      case 'r': c = '\r'; break;
       default: return false;
     }
+    out->append(field.data() + run, i - run);
+    out->push_back(c);
+    ++i;  // the escape's second byte
+    run = i + 1;
   }
+  out->append(field.data() + run, field.size() - run);
   return true;
 }
 

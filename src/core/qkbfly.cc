@@ -1,7 +1,6 @@
 #include "core/qkbfly.h"
 
 #include <cstdio>
-#include <future>
 #include <utility>
 
 #include "canon/kb_invariants.h"
@@ -9,7 +8,6 @@
 #include "densify/pipeline_densifier.h"
 #include "parser/router.h"
 #include "util/invariants.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace qkbfly {
@@ -59,6 +57,9 @@ QkbflyEngine::QkbflyEngine(const EntityRepository* repository,
       repository,
       MakeParser(config_.parser_mode, config_.parser_complexity_threshold),
       graph_options);
+  if (config_.num_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
+  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   documents_total_ = registry.GetCounter(
@@ -73,7 +74,7 @@ QkbflyEngine::QkbflyEngine(const EntityRepository* repository,
       "Per-document joint disambiguation (densify) time");
   canonicalize_seconds_ = registry.GetHistogram(
       "pipeline_canonicalize_seconds",
-      "Per-document canonicalization (KB merge) time");
+      "Per-document canonical fact extraction (Canonicalizer::Extract) time");
   densify_contributions_total_ = registry.GetCounter(
       "densify_contributions_total",
       "Edge contributions evaluated by the greedy densify loop");
@@ -147,6 +148,25 @@ DocumentResult QkbflyEngine::ProcessDocument(const Document& doc,
   return result;
 }
 
+DocumentFacts QkbflyEngine::ExtractDocument(const Document& doc,
+                                            obs::TraceContext trace,
+                                            DocumentResult* result) const {
+  DocumentResult processed = ProcessDocument(doc, trace);
+  obs::ScopedSpan span(trace, "extract");
+  WallTimer timer;
+  DocumentFacts facts = canonicalizer_.Extract(
+      processed.graph, processed.densified, processed.annotated);
+  const double seconds = timer.ElapsedSeconds();
+  canonicalize_seconds_->Observe(seconds);
+  span.AddAttribute("facts", static_cast<int64_t>(facts.facts.size()));
+  span.AddAttribute("clusters", static_cast<int64_t>(facts.clusters.size()));
+  if (result != nullptr) {
+    processed.seconds += seconds;
+    *result = std::move(processed);
+  }
+  return facts;
+}
+
 void QkbflyEngine::PopulateKb(OnTheFlyKb* kb, const DocumentResult& result) const {
   Canonicalizer::Merge(kb, canonicalizer_.Extract(result.graph,
                                                   result.densified,
@@ -169,54 +189,35 @@ OnTheFlyKb QkbflyEngine::BuildKb(const std::vector<const Document*>& docs,
   build_span.AddAttribute("documents", static_cast<int64_t>(docs.size()));
   OnTheFlyKb kb(repository_, patterns_);
   if (doc_results != nullptr) doc_results->reserve(docs.size());
+
+  // Only Merge, which appends to the shared KB, runs on this thread, in
+  // input order, so every thread count builds the same KB. The trace context
+  // rides into every task by value, never thread-local.
+  const obs::TraceContext doc_trace = build_span.context();
+  ForEachOrdered(
+      pool_.get(), docs.size(),
+      [&](size_t i) {
+        std::pair<DocumentFacts, DocumentResult> out;
+        DocumentResult* result = doc_results != nullptr ? &out.second : nullptr;
+        out.first = ExtractDocument(*docs[i], doc_trace, result);
+        return out;
+      },
+      [&](size_t i, std::pair<DocumentFacts, DocumentResult> out) {
+        obs::ScopedSpan span(doc_trace, "merge");
+        span.AddAttribute("doc_id", std::string_view(docs[i]->id));
+        WallTimer timer;
+        Canonicalizer::Merge(&kb, std::move(out.first));
+        if (doc_results != nullptr) {
+          out.second.seconds += timer.ElapsedSeconds();
+          doc_results->push_back(std::move(out.second));
+        }
+      });
 #if defined(QKBFLY_CHECK_INVARIANTS)
+  // AddFact merges duplicates in place: facts keep first-occurrence order.
   std::vector<std::string> doc_order;
-  doc_order.reserve(docs.size());
   for (const Document* doc : docs) doc_order.push_back(doc->id);
+  QKBFLY_INVARIANT(CheckKbMergeOrder(kb, doc_order), "BuildKb");
 #endif
-
-  // Canonicalization appends to the shared KB, so it always runs on this
-  // thread, one document at a time, in input order — the parallel path is
-  // therefore bit-identical to the serial one.
-  auto merge = [&](DocumentResult result) {
-    obs::ScopedSpan span(build_span.context(), "canonicalize");
-    span.AddAttribute("doc_id", std::string_view(result.annotated.id));
-    WallTimer timer;
-    PopulateKb(&kb, result);
-    double seconds = timer.ElapsedSeconds();
-    canonicalize_seconds_->Observe(seconds);
-    result.seconds += seconds;
-    if (doc_results != nullptr) doc_results->push_back(std::move(result));
-  };
-
-  int threads = config_.num_threads;
-  if (threads > static_cast<int>(docs.size())) {
-    threads = static_cast<int>(docs.size());
-  }
-  if (threads <= 1) {
-    for (const Document* doc : docs) {
-      merge(ProcessDocument(*doc, build_span.context()));
-    }
-    // AddFact merges duplicates in place, so the serial and parallel paths
-    // both leave facts in first-occurrence input order.
-    QKBFLY_INVARIANT(CheckKbMergeOrder(kb, doc_order), "BuildKb (serial)");
-    return kb;
-  }
-
-  ThreadPool pool(threads);
-  std::vector<std::future<DocumentResult>> futures;
-  futures.reserve(docs.size());
-  // The trace context is captured by value (never thread-local), so every
-  // worker's process_document span parents to this call's build_kb span.
-  obs::TraceContext doc_trace = build_span.context();
-  for (const Document* doc : docs) {
-    futures.push_back(pool.Submit(
-        [this, doc, doc_trace] { return ProcessDocument(*doc, doc_trace); }));
-  }
-  // get() in submission order; a task exception rethrows here, exactly as it
-  // would have surfaced from the serial loop.
-  for (std::future<DocumentResult>& future : futures) merge(future.get());
-  QKBFLY_INVARIANT(CheckKbMergeOrder(kb, doc_order), "BuildKb (parallel)");
   return kb;
 }
 

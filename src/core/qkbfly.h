@@ -21,6 +21,7 @@
 #include "parser/router.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace qkbfly {
 
@@ -51,8 +52,8 @@ struct EngineConfig {
   /// one. 0 reproduces pure MST byte-for-byte, +inf pure linear.
   double parser_complexity_threshold = kDefaultParserComplexityThreshold;
 
-  /// Worker threads used by BuildKb to fan ProcessDocument across documents.
-  /// Values <= 1 run the serial path. Results are merged in input order, so
+  /// Worker threads of the engine's pool, which BuildKb fans documents
+  /// across; <= 1 builds no pool. Results are merged in input order, so
   /// the KB is identical for every thread count.
   int num_threads = 1;
 
@@ -83,9 +84,9 @@ struct DocumentResult {
   AnnotatedDocument annotated;
   SemanticGraph graph;
   DensifyResult densified;
-  /// Wall time for this document: annotate + graph build + densify, plus
-  /// canonicalize once BuildKb has merged it. Each stage's own time goes to
-  /// its `pipeline_*_seconds` registry histogram.
+  /// Wall time for this document: annotate through Extract, plus Merge once
+  /// BuildKb has merged it. Each stage's own time up to Extract goes to its
+  /// `pipeline_*_seconds` registry histogram.
   double seconds = 0.0;
 };
 
@@ -104,18 +105,26 @@ class QkbflyEngine {
   DocumentResult ProcessDocument(const Document& doc,
                                  obs::TraceContext trace = {}) const;
 
-  /// Runs stage 3, adding the document's facts to `kb`:
+  /// The per-document unit BuildKb and the serving layer's doc tier share:
+  /// ProcessDocument, then Canonicalizer::Extract (timed into
+  /// `pipeline_canonicalize_seconds`) under an `extract` span beside
+  /// `process_document`. When `result` is non-null it receives the
+  /// DocumentResult. Touches no KB, so safe to call concurrently.
+  DocumentFacts ExtractDocument(const Document& doc,
+                                obs::TraceContext trace = {},
+                                DocumentResult* result = nullptr) const;
+
+  /// Runs stage 3 untimed, adding the document's facts to `kb`:
   /// Canonicalizer::Merge(kb, Extract(result)).
   void PopulateKb(OnTheFlyKb* kb, const DocumentResult& result) const;
 
-  /// Full run over a set of documents. With config().num_threads > 1 the
-  /// per-document stages run on a thread pool; canonicalization merges the
-  /// results in input order, so the KB matches the serial run exactly. When
-  /// `doc_results` is non-null it receives one DocumentResult per input
-  /// document (in input order).
-  /// The trace context is propagated by value into every pooled task, so the
-  /// parallel path yields the same span tree as the serial one (per-document
-  /// spans all parent to this call's `build_kb` span).
+  /// Full run over a set of documents: ExtractDocument per document, on the
+  /// engine's pool when config().num_threads > 1, then Canonicalizer::Merge
+  /// on the calling thread in input order, so the KB matches the serial run
+  /// exactly. When `doc_results` is non-null it receives one DocumentResult
+  /// per input document (in input order). The trace context is propagated by
+  /// value into every pooled task, so each document's `process_document`,
+  /// `extract` and `merge` spans parent to this call's `build_kb` span.
   OnTheFlyKb BuildKb(const std::vector<Document>& docs,
                      std::vector<DocumentResult>* doc_results = nullptr,
                      obs::TraceContext trace = {}) const;
@@ -141,6 +150,7 @@ class QkbflyEngine {
   NlpPipeline nlp_;
   std::unique_ptr<GraphBuilder> builder_;
   Canonicalizer canonicalizer_;
+  std::unique_ptr<ThreadPool> pool_;  ///< Present when num_threads > 1.
 
   // Registry instruments, fetched once at construction (stable pointers).
   obs::Counter* documents_total_;

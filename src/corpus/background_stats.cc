@@ -115,9 +115,9 @@ BackgroundStats::TypeSignatureTable BackgroundStats::FindTypeSignatureTable(
   return table;
 }
 
-double BackgroundStats::TypeSignatureSum(const TypeSignatureTable& table,
-                                         Span<TypeId> subject_types,
-                                         Span<TypeId> object_types) const {
+double BackgroundStats::TypeSignatureSum(
+    const TypeSignatureTable& table, std::span<const TypeId> subject_types,
+    std::span<const TypeId> object_types) const {
   if (subject_types.empty() || object_types.empty()) return 0.0;
   if (table.counts == nullptr) return 0.0;
   // Each term is count/total summed in the same nested-loop order as the
@@ -136,9 +136,8 @@ double BackgroundStats::TypeSignatureSum(const TypeSignatureTable& table,
 double BackgroundStats::TypeSignatureSum(
     const std::vector<TypeId>& subject_types, std::string_view pattern,
     const std::vector<TypeId>& object_types) const {
-  return TypeSignatureSum(FindTypeSignatureTable(pattern),
-                          Span<TypeId>(subject_types.data(), subject_types.size()),
-                          Span<TypeId>(object_types.data(), object_types.size()));
+  return TypeSignatureSum(FindTypeSignatureTable(pattern), subject_types,
+                          object_types);
 }
 
 BackgroundStats StatisticsBuilder::Build(const DocumentStore& corpus,

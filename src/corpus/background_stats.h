@@ -5,6 +5,7 @@
 #ifndef QKBFLY_CORPUS_BACKGROUND_STATS_H_
 #define QKBFLY_CORPUS_BACKGROUND_STATS_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,7 +17,6 @@
 #include "kb/type_system.h"
 #include "nlp/pipeline.h"
 #include "util/interner.h"
-#include "util/span.h"
 #include "util/sparse_vector.h"
 #include "util/string_util.h"
 
@@ -75,8 +75,8 @@ class BackgroundStats {
   /// Identical nested-loop order (and therefore bit-identical sums) as the
   /// vector overload.
   double TypeSignatureSum(const TypeSignatureTable& table,
-                          Span<TypeId> subject_types,
-                          Span<TypeId> object_types) const;
+                          std::span<const TypeId> subject_types,
+                          std::span<const TypeId> object_types) const;
 
   size_t document_count() const { return document_count_; }
   size_t pattern_count() const { return type_sig_totals_.size(); }

@@ -297,7 +297,7 @@ double DensifyEvaluator::TsPairValue(
   // The type list a side key stands for: the one literal type, or a type
   // set's closure.
   TypeId literal[2];
-  auto types_of = [&](uint64_t key, TypeId* slot) -> Span<TypeId> {
+  auto types_of = [&](uint64_t key, TypeId* slot) -> std::span<const TypeId> {
     if (key & kLiteralBit) {
       *slot = static_cast<TypeId>(key & ~kLiteralBit);
       return {slot, 1};
@@ -572,8 +572,9 @@ const std::vector<NodeId>& DensifyEvaluator::Deactivate(EdgeId e) {
 namespace {
 
 // Sum of m[i * stride + j] over i in rows, j in cols.
-int64_t BlockSum(const int64_t* m, size_t stride, Span<uint32_t> rows,
-                 Span<uint32_t> cols) {
+int64_t BlockSum(const int64_t* m, size_t stride,
+                 std::span<const uint32_t> rows,
+                 std::span<const uint32_t> cols) {
   int64_t sum = 0;
   if (cols.empty()) return sum;
   for (uint32_t i : rows) {
@@ -586,8 +587,8 @@ int64_t BlockSum(const int64_t* m, size_t stride, Span<uint32_t> rows,
 // Rows (columns) a type-signature gather reads for one side: its active
 // list, or the literal slot when the list is empty and the side has a
 // literal type.
-Span<uint32_t> TsSide(Span<uint32_t> list, bool literal,
-                      const uint32_t* literal_slot) {
+std::span<const uint32_t> TsSide(std::span<const uint32_t> list,
+                                 bool literal, const uint32_t* literal_slot) {
   if (list.empty() && literal) return {literal_slot, 1};
   return list;
 }
@@ -595,7 +596,8 @@ Span<uint32_t> TsSide(Span<uint32_t> list, bool literal,
 }  // namespace
 
 void DensifyEvaluator::LaneSums(const DensifyWorkspace::RelationLane& lane,
-                                Span<uint32_t> rows, Span<uint32_t> cols,
+                                std::span<const uint32_t> rows,
+                                std::span<const uint32_t> cols,
                                 int64_t* coh, int64_t* ts) const {
   *coh = BlockSum(ws_->coh_pool.data() + lane.coh_off, lane.ub_len, rows, cols);
   // Empty active sides fall back to the literal row/column; an empty side
@@ -695,7 +697,7 @@ double DensifyEvaluator::Contribution(EdgeId e) const {
   ws.deltas.clear();
   ws.delta_pool.clear();
   for (NodeId s : ws.sources) {
-    const Span<uint32_t> list = ActiveList(ActiveOffset(s), s);
+    const std::span<const uint32_t> list = ActiveList(ActiveOffset(s), s);
     const size_t id = static_cast<size_t>(s);
     const bool own_np = edge.kind == EdgeKind::kMeans && s == edge.a;
     auto stays = [&](uint32_t i) {
@@ -725,10 +727,10 @@ double DensifyEvaluator::Contribution(EdgeId e) const {
 
   // One side of a lane: committed list A, kept A' and removed A \ A'.
   struct Side {
-    Span<uint32_t> all, kept, removed;
+    std::span<const uint32_t> all, kept, removed;
   };
   auto side_of = [&](NodeId n, uint32_t offset) {
-    const Span<uint32_t> all = ActiveList(offset, n);
+    const std::span<const uint32_t> all = ActiveList(offset, n);
     for (size_t k = 0; k < ws.sources.size(); ++k) {
       if (ws.sources[k] != n) continue;
       const DensifyWorkspace::SourceDelta& d = ws.deltas[k];

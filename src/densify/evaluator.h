@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "densify/workspace.h"
 #include "graph/semantic_graph.h"
 #include "kb/entity_repository.h"
-#include "util/span.h"
 
 namespace qkbfly {
 
@@ -212,11 +212,12 @@ class DensifyEvaluator {
   /// Integer coherence and type-signature sums of one lane over the given
   /// side lists (an empty side with a literal type reads its literal slot).
   void LaneSums(const DensifyWorkspace::RelationLane& lane,
-                Span<uint32_t> rows, Span<uint32_t> cols, int64_t* coh,
+                std::span<const uint32_t> rows,
+                std::span<const uint32_t> cols, int64_t* coh,
                 int64_t* ts) const;
 
   /// Committed list of a lane endpoint.
-  Span<uint32_t> ActiveList(uint32_t offset, NodeId n) const {
+  std::span<const uint32_t> ActiveList(uint32_t offset, NodeId n) const {
     return {ws_->active.data() + offset,
             ws_->active_len[static_cast<size_t>(n)]};
   }

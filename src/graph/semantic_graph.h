@@ -14,6 +14,7 @@
 #define QKBFLY_GRAPH_SEMANTIC_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "nlp/lexicon.h"
 #include "text/token.h"
 #include "util/arena.h"
-#include "util/span.h"
 
 namespace qkbfly {
 
@@ -86,8 +86,8 @@ struct GraphEdge {
 /// active flags maintained by the densification algorithm.
 class SemanticGraph {
  public:
-  using EdgeSpan = Span<EdgeId>;
-  using NodeSpan = Span<NodeId>;
+  using EdgeSpan = std::span<const EdgeId>;
+  using NodeSpan = std::span<const NodeId>;
 
   SemanticGraph() = default;
   // Copies duplicate the logical graph (nodes, edges, active flags); the CSR

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -17,7 +18,6 @@
 #include "nlp/lexicon.h"
 #include "nlp/ner.h"
 #include "util/cache_stats.h"
-#include "util/span.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/symbol_table.h"
@@ -123,7 +123,7 @@ class EntityRepository : public Gazetteer {
   /// TypeSystem::AncestorsInto of the entity's types, in repository order
   /// and without dedup (the type lists the Section 4 type signature sums
   /// over). Interned once per distinct closure at AddEntity.
-  Span<TypeId> TypeClosure(uint32_t type_set) const {
+  std::span<const TypeId> TypeClosure(uint32_t type_set) const {
     const std::vector<TypeId>& c = type_closures_[type_set];
     return {c.data(), c.size()};
   }

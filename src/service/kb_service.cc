@@ -1,11 +1,9 @@
 #include "service/kb_service.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "store/qa_pair_index.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace qkbfly {
@@ -58,34 +56,20 @@ KbService::KbService(const QkbflyEngine* engine, const SearchEngine* search,
 
 KbService::~KbService() = default;
 
-std::shared_ptr<const DocumentFacts> KbService::FetchOrCompute(
-    const Document& doc, CacheStats* tally, obs::TraceContext trace) {
+KbService::Fetched KbService::FetchOrCompute(const Document& doc,
+                                             obs::TraceContext trace) {
   obs::ScopedSpan span(trace, "fetch_or_compute");
   span.AddAttribute("doc_id", std::string_view(doc.id));
-  bool was_hit = false;
-  obs::TraceContext compute_trace = span.context();
-  auto result = cache_.FetchOrCompute(
+  Fetched out;
+  const obs::TraceContext compute_trace = span.context();
+  out.facts = cache_.FetchOrCompute(
       memo::JoinKey({doc.id, fingerprint_}),
       [this, &doc, compute_trace] {
-        // Stages 1-2, then the query-independent half of stage 3; the
-        // DocumentResult is dropped here, only its facts are cached.
-        DocumentResult processed = engine_->ProcessDocument(doc, compute_trace);
-        obs::ScopedSpan extract(compute_trace, "extract");
-        DocumentFacts facts = engine_->canonicalizer().Extract(
-            processed.graph, processed.densified, processed.annotated);
-        extract.AddAttribute("facts", static_cast<int64_t>(facts.facts.size()));
-        extract.AddAttribute("clusters",
-                             static_cast<int64_t>(facts.clusters.size()));
-        return facts;
+        return engine_->ExtractDocument(doc, compute_trace);
       },
-      &was_hit);
-  span.AddAttribute("cache_hit", was_hit);
-  if (was_hit) {
-    ++tally->hits;
-  } else {
-    ++tally->misses;
-  }
-  return result;
+      &out.hit);
+  span.AddAttribute("cache_hit", out.hit);
+  return out;
 }
 
 OnTheFlyKb KbService::BuildKb(const std::vector<const Document*>& docs,
@@ -94,30 +78,19 @@ OnTheFlyKb KbService::BuildKb(const std::vector<const Document*>& docs,
   ServiceStats local;
   local.documents = docs.size();
 
+  // Fetch every document first (on the pool when there is one), tallying
+  // hits on this thread. The trace context rides into each task by value,
+  // so every fetch_or_compute span parents to the query span regardless of
+  // which worker runs it.
   WallTimer stage;
   std::vector<std::shared_ptr<const DocumentFacts>> results(docs.size());
-  if (pool_ != nullptr && docs.size() > 1) {
-    // The per-document tallies are written by pool workers; give each task
-    // its own counter and merge after the barrier. The trace context rides
-    // into each task by value, so every fetch_or_compute span parents to the
-    // query span regardless of which worker runs it.
-    std::vector<CacheStats> tallies(docs.size());
-    std::vector<std::future<std::shared_ptr<const DocumentFacts>>> futures;
-    futures.reserve(docs.size());
-    for (size_t i = 0; i < docs.size(); ++i) {
-      const Document* doc = docs[i];
-      CacheStats* tally = &tallies[i];
-      futures.push_back(pool_->Submit([this, doc, tally, trace] {
-        return FetchOrCompute(*doc, tally, trace);
-      }));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) results[i] = futures[i].get();
-    for (const CacheStats& t : tallies) local.cache += t;
-  } else {
-    for (size_t i = 0; i < docs.size(); ++i) {
-      results[i] = FetchOrCompute(*docs[i], &local.cache, trace);
-    }
-  }
+  ForEachOrdered(
+      pool_.get(), docs.size(),
+      [&](size_t i) { return FetchOrCompute(*docs[i], trace); },
+      [&](size_t i, Fetched fetched) {
+        ++(fetched.hit ? local.cache.hits : local.cache.misses);
+        results[i] = std::move(fetched.facts);
+      });
   local.process_s = stage.ElapsedSeconds();
 
   // Merge into the fresh per-query KB in input order — the same merge order
@@ -225,7 +198,7 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
       QueryKey(normalized, epoch, fingerprint_),
       [&]() -> CachedAnswer {
         CachedAnswer answer;
-        if (options_.serve_from_store) {
+        if (options_.fact_store != nullptr) {
           std::shared_ptr<const QaPair> pair = store_->FindQaPair(
               normalized, epoch, fingerprint_, query_trace);
           if (pair != nullptr) {

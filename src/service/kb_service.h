@@ -8,9 +8,9 @@
 //     (DocumentFacts, from Canonicalizer::Extract, ~2 KB each) keyed by
 //     (document id, config fingerprint) and shared across queries; on a
 //     query-tier miss only retrieval and Canonicalizer::Merge run per
-//     request for documents already extracted. A miss runs ProcessDocument
-//     then Extract and drops the DocumentResult (~91 KB), so the tier's
-//     byte budget holds ~45x more documents than it would whole results.
+//     request for documents already extracted. A miss runs
+//     QkbflyEngine::ExtractDocument and drops its DocumentResult (~91 KB),
+//     so the tier's byte budget holds ~45x more documents than whole results.
 //   fact store (FactStore)     — canonicalized facts + QA pairs accumulated
 //     across queries, optionally persisted (Save/Load) and optionally
 //     serving repeated questions across process restarts.
@@ -56,10 +56,9 @@
 #include "store/fact_store.h"
 #include "store/query_cache.h"
 #include "util/cache_stats.h"
+#include "util/thread_pool.h"
 
 namespace qkbfly {
-
-class ThreadPool;
 
 namespace memo {
 template <>
@@ -96,15 +95,12 @@ struct KbServiceOptions {
   /// Byte budget and sharding of the query-level cache tier.
   QueryKbCache::Options query_cache;
 
-  /// When true, a query-tier miss first probes the fact store's QA-pair
-  /// index (exact normalized question, same epoch + fingerprint) before
-  /// running the full pipeline — this is what serves repeated questions
-  /// across process restarts after FactStore::Load.
-  bool serve_from_store = false;
-
   /// Optional externally-owned fact store (shared across services, or
-  /// preloaded from a snapshot). Must outlive the service. When null the
-  /// service owns a private store.
+  /// preloaded from a snapshot). Must outlive the service. When set, a
+  /// query-tier miss first probes its QA pairs (same normalized question,
+  /// epoch and fingerprint): repeated questions are served across process
+  /// restarts after FactStore::Load. When null the service owns a private
+  /// store.
   FactStore* fact_store = nullptr;
 };
 
@@ -149,8 +145,8 @@ class KbService {
   };
 
   /// Full query path. Checked in order: the query-level cache (normalized
-  /// question + epoch + fingerprint; single-flight on miss), then — with
-  /// serve_from_store — the fact store's QA pairs, then the cold pipeline
+  /// question + epoch + fingerprint; single-flight on miss), then — with an
+  /// external options.fact_store — its QA pairs, then the cold pipeline
   /// (retrieve, build the KB through the doc tier, rank facts into
   /// `answers`, ingest the facts into the store, record the QA pair). The
   /// cold build is published once as an immutable shared KB; a query-tier
@@ -192,9 +188,12 @@ class KbService {
   void ClearQueryTier() { query_cache_.Clear(); }
 
  private:
-  std::shared_ptr<const DocumentFacts> FetchOrCompute(const Document& doc,
-                                                      CacheStats* tally,
-                                                      obs::TraceContext trace);
+  struct Fetched {  ///< One doc-tier lookup: the facts, and if it hit.
+    std::shared_ptr<const DocumentFacts> facts;
+    bool hit = false;
+  };
+  /// A doc-tier miss runs QkbflyEngine::ExtractDocument.
+  Fetched FetchOrCompute(const Document& doc, obs::TraceContext trace);
 
   /// The cold pipeline: retrieval + BuildKb + fact ranking. Fills `kb`
   /// (shrunk, ready to share), `answers`, and the retrieval/process/

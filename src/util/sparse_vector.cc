@@ -85,7 +85,7 @@ double WeightedOverlap(const SparseVector& a, const SparseVector& b) {
 }
 
 void WeightedOverlapRow(const SparseVector& row,
-                        Span<const SparseVector*> cols,
+                        std::span<const SparseVector* const> cols,
                         std::vector<double>* dense, double* out) {
   if (cols.empty()) return;
   if (row.empty()) {

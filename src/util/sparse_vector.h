@@ -5,9 +5,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
-
-#include "util/span.h"
 
 namespace qkbfly {
 
@@ -74,7 +73,7 @@ double WeightedOverlap(const SparseVector& a, const SparseVector& b);
 /// denominator. The presence test `dense[id] != 0` relies on finalized
 /// vectors holding no zero value. All inputs must be finalized or empty.
 void WeightedOverlapRow(const SparseVector& row,
-                        Span<const SparseVector*> cols,
+                        std::span<const SparseVector* const> cols,
                         std::vector<double>* dense, double* out);
 
 }  // namespace qkbfly

@@ -64,6 +64,34 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Runs produce(i) for every i in [0, n) on `pool` (inline when it is null)
+/// and consume(i, result) on the calling thread in index order, each as soon
+/// as result i is ready. An exception from either rethrows from the call
+/// once every submitted task has finished, so none outlives its captures.
+/// Never call it from a task of `pool`: a full pool would wait on itself.
+template <typename Produce, typename Consume>
+void ForEachOrdered(ThreadPool* pool, size_t n, Produce&& produce,
+                    Consume&& consume) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) consume(i, produce(i));
+    return;
+  }
+  using R = std::invoke_result_t<Produce&, size_t>;
+  std::vector<std::future<R>> futures;
+  futures.reserve(n);
+  try {
+    for (size_t i = 0; i < n; ++i) {
+      futures.push_back(pool->Submit([&produce, i] { return produce(i); }));
+    }
+    for (size_t i = 0; i < n; ++i) consume(i, futures[i].get());
+  } catch (...) {
+    for (std::future<R>& future : futures) {
+      if (future.valid()) future.wait();
+    }
+    throw;
+  }
+}
+
 }  // namespace qkbfly
 
 #endif  // QKBFLY_UTIL_THREAD_POOL_H_

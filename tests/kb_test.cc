@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "kb/entity_repository.h"
@@ -148,7 +149,8 @@ TEST_F(EntityRepositoryTest, TypeClosureIsConcatenatedAncestors) {
   for (EntityId e : all) {
     std::vector<TypeId> want;
     for (TypeId t : repo_.Get(e).types) types_.AncestorsInto(t, &want);
-    const Span<TypeId> got = repo_.TypeClosure(repo_.Get(e).type_set);
+    const std::span<const TypeId> got =
+        repo_.TypeClosure(repo_.Get(e).type_set);
     EXPECT_EQ(std::vector<TypeId>(got.begin(), got.end()), want)
         << repo_.Get(e).canonical_name;
     closures.push_back(want);

@@ -119,5 +119,32 @@ TEST_F(OnTheFlyKbTest, NegatedFactRendering) {
   EXPECT_EQ(kb.FactToString(kb.facts()[0]), "<Brad Pitt, not play in, Troy>");
 }
 
+// Escapes at the edges of a field, back to back, and filling a whole field
+// survive Serialize -> Deserialize; every malformed escape is rejected.
+TEST_F(OnTheFlyKbTest, EscapedFieldsRoundTrip) {
+  const std::vector<std::string> mentions = {
+      "\tlead", "trail\n", "a\\\tb", "\\\t\n\r", "\r\rplain\\\\"};
+  OnTheFlyKb kb(&repo_, &patterns_);
+  kb.AddEmergingEntity("\\rep\t", mentions, NerType::kPerson);
+  const std::string bytes = kb.Serialize();
+
+  OnTheFlyKb rebuilt(&repo_, &patterns_);
+  Status status = rebuilt.Deserialize(bytes);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(rebuilt.Serialize(), bytes);
+  ASSERT_EQ(rebuilt.emerging_entities().size(), 1u);
+  EXPECT_EQ(rebuilt.emerging_entities()[0].representative, "\\rep\t");
+  EXPECT_EQ(rebuilt.emerging_entities()[0].mentions, mentions);
+
+  auto parses = [&](const std::string& field) {
+    OnTheFlyKb one(&repo_, &patterns_);
+    return one.Deserialize("qkbfly-kb\t1\nE\t1\t" + field + "\n").ok();
+  };
+  EXPECT_TRUE(parses("ok\\t\\\\"));
+  for (const char* field : {"a\rb", "dangling\\", "\\x", "\\", "ok\\q"}) {
+    EXPECT_FALSE(parses(field)) << field;
+  }
+}
+
 }  // namespace
 }  // namespace qkbfly

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "synth/dataset.h"
 
 namespace qkbfly {
@@ -186,6 +187,50 @@ TEST_F(ServiceTest, ServiceBuildMatchesUncachedEngineBuild) {
     EXPECT_GT(emerging_args, 0u);
   }
   EXPECT_GT(clusters_without_facts, 0u);
+}
+
+// Both BuildKbs run one per-document unit, QkbflyEngine::ExtractDocument:
+// a cold service build and the engine's own build at 1 and 4 threads give
+// the same bytes, and the doc tier extracts each document exactly once,
+// timed by the same histogram as the engine's build.
+TEST_F(ServiceTest, ServiceAndEngineBuildsShareOneExtractPerDocument) {
+  std::vector<const Document*> docs;
+  for (const GoldDocument& gd : dataset_->wiki_eval) docs.push_back(&gd.doc);
+  for (const GoldDocument& gd : dataset_->news) docs.push_back(&gd.doc);
+  auto engine_bytes = [&](int threads) {
+    EngineConfig config;
+    config.num_threads = threads;
+    QkbflyEngine engine(dataset_->repository.get(), &dataset_->patterns,
+                        &dataset_->stats, config);
+    return engine.BuildKb(docs).Serialize();
+  };
+  const std::string serial = engine_bytes(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(engine_bytes(4), serial);
+
+  obs::Histogram* extract_seconds =
+      obs::MetricsRegistry::Default().GetHistogram(
+          "pipeline_canonicalize_seconds");
+  const uint64_t extracts_before = extract_seconds->Snapshot().count();
+  KbServiceOptions options;
+  options.num_threads = 4;
+  KbService service(engine_, nullptr, options);
+  obs::Trace trace("build");
+  ServiceStats stats;
+  EXPECT_EQ(service.BuildKb(docs, &stats, {&trace, trace.root()}).Serialize(),
+            serial);
+  trace.Finish();
+  EXPECT_EQ(stats.cache.misses, docs.size());
+  EXPECT_EQ(extract_seconds->Snapshot().count() - extracts_before,
+            docs.size());
+  std::vector<obs::Span> spans = trace.Snapshot();
+  size_t extracts = 0;
+  for (const obs::Span& s : spans) {
+    if (s.name != "extract") continue;
+    ++extracts;
+    EXPECT_EQ(spans[s.parent].name, "fetch_or_compute");
+  }
+  EXPECT_EQ(extracts, docs.size());
 }
 
 TEST_F(ServiceTest, MetricsAccumulateAcrossQueries) {

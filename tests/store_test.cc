@@ -809,8 +809,9 @@ TEST_F(StoreTest, QueryTierHitsShareTheColdKb) {
 
 TEST_F(StoreTest, StoreProbeSharesAnInProcessPairsKb) {
   auto search = MakeSearch();
+  FactStore store;
   KbServiceOptions options;
-  options.serve_from_store = true;
+  options.fact_store = &store;
   KbService service(engine_, search.get(), options);
   std::string query = dataset_->wiki_eval.front().doc.title;
   KbService::QueryResult cold = service.Answer(query);
@@ -841,7 +842,6 @@ TEST_F(StoreTest, LoadedPairIsDeserializedOnceThenHitsTheQueryTier) {
   auto search = MakeSearch();
   KbServiceOptions options;
   options.fact_store = &loaded;
-  options.serve_from_store = true;
   options.keep_slowest_traces = 3;
   KbService service(engine_, search.get(), options);
 
@@ -963,17 +963,15 @@ TEST_F(StoreTest, StoreSnapshotReproducesAnswersAcrossRestart) {
     ASSERT_TRUE(service.fact_store()->Save(path).ok());
   }
 
-  // "Restart": a fresh service over a store loaded from the snapshot, with
-  // serve_from_store on — the answer must come from the persisted QA pair
-  // without touching retrieval or the doc tier, byte-identical to the
-  // original cold build.
+  // "Restart": a fresh service over a store loaded from the snapshot — the
+  // answer must come from the persisted QA pair without touching retrieval
+  // or the doc tier, byte-identical to the original cold build.
   {
     FactStore loaded;
     ASSERT_TRUE(loaded.Load(path).ok());
     auto search = MakeSearch();
     KbServiceOptions options;
     options.fact_store = &loaded;
-    options.serve_from_store = true;
     KbService service(engine_, search.get(), options);
     KbService::QueryResult replayed = service.Answer(query);
     EXPECT_TRUE(replayed.stats.served_from_store);
@@ -1019,7 +1017,6 @@ TEST_F(StoreTest, CorruptStoredKbIsAnsweredCold) {
   auto search = MakeSearch();
   KbServiceOptions options;
   options.fact_store = &loaded;
-  options.serve_from_store = true;
   KbService service(engine_, search.get(), options);
   KbService::QueryResult answer = service.Answer(query);
   EXPECT_FALSE(answer.stats.served_from_store);

@@ -90,5 +90,39 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   for (auto& f : futures) f.get();  // all futures fulfilled, none broken
 }
 
+TEST(ForEachOrderedTest, ConsumesInIndexOrderWithAndWithoutAPool) {
+  ThreadPool pool(4);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::vector<size_t> order;
+    ForEachOrdered(
+        p, 50, [](size_t i) { return i * i; },
+        [&](size_t i, size_t square) {
+          EXPECT_EQ(square, i * i);
+          order.push_back(i);
+        });
+    ASSERT_EQ(order.size(), 50u);
+    for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  }
+}
+
+TEST(ForEachOrderedTest, TaskExceptionRethrowsAfterEveryTaskFinished) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  size_t consumed = 0;
+  EXPECT_THROW(ForEachOrdered(
+                   &pool, 32,
+                   [&](size_t i) {
+                     ++finished;
+                     if (i == 3) throw std::runtime_error("task failed");
+                     return i;
+                   },
+                   [&](size_t, size_t) { ++consumed; }),
+               std::runtime_error);
+  // Results before the failing index were consumed; every task ran to the
+  // end before the call returned, so none outlives `finished`.
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(finished.load(), 32);
+}
+
 }  // namespace
 }  // namespace qkbfly

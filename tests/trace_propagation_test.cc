@@ -1,9 +1,10 @@
 // Trace propagation across the thread-pool fan-out: a multi-threaded
 // BuildKb with one Trace attached must yield a single consistent span tree —
-// every document's process_document span parented under the build_kb span,
-// every stage span under its document span, the densify span's three
-// children (lanes, loop, confidences) under it — because the TraceContext is
-// captured by value into each pool task, never via thread-local state.
+// every document's process_document, extract and merge spans parented under
+// the build_kb span, every stage span under its document span, the densify
+// span's three children (lanes, loop, confidences) under it — because the
+// TraceContext is captured by value into each pool task, never via
+// thread-local state.
 // Labeled `tsan` so `ctest -L tsan` runs the concurrent appends under the
 // race detector. Also asserts the determinism contract: the KB bytes are
 // identical with and without a live trace, and the serving layer's miss
@@ -91,8 +92,9 @@ TEST_F(TracePropagationTest, ParallelBuildYieldsOneConsistentSpanTree) {
   }
   ASSERT_NE(build_kb, obs::kNoSpan);
 
-  // Every document's process_document span hangs off build_kb — pool workers
-  // must not misparent them — and every stage span off its document span.
+  // Every document's process_document and extract spans hang off build_kb —
+  // pool workers must not misparent them — as does its merge span on the
+  // calling thread, and every stage span off its document span.
   std::map<std::string, int> stage_counts;
   int documents = 0;
   for (const obs::Span& s : spans) {
@@ -107,7 +109,7 @@ TEST_F(TracePropagationTest, ParallelBuildYieldsOneConsistentSpanTree) {
       EXPECT_EQ(spans[s.parent].name, "process_document");
       ++stage_counts[s.name];
     }
-    if (s.name == "canonicalize") {
+    if (s.name == "extract" || s.name == "merge") {
       EXPECT_EQ(s.parent, build_kb);
       ++stage_counts[s.name];
     }
@@ -130,7 +132,8 @@ TEST_F(TracePropagationTest, ParallelBuildYieldsOneConsistentSpanTree) {
   EXPECT_EQ(stage_counts["densify_lanes"], expected);
   EXPECT_EQ(stage_counts["densify_loop"], expected);
   EXPECT_EQ(stage_counts["densify_confidences"], expected);
-  EXPECT_EQ(stage_counts["canonicalize"], expected);
+  EXPECT_EQ(stage_counts["extract"], expected);
+  EXPECT_EQ(stage_counts["merge"], expected);
 }
 
 TEST_F(TracePropagationTest, KbBytesIdenticalWithAndWithoutTracing) {
