@@ -3,6 +3,7 @@
 // fact precision on the wiki corpus (extends the paper's own joint-vs-
 // pipeline-vs-noun ablation of Table 3).
 #include <cstdio>
+#include <utility>
 
 #include "core/qkbfly.h"
 #include "eval/fact_matching.h"
@@ -59,14 +60,15 @@ void Run() {
     PrecisionStats links;
     PrecisionStats facts;
     for (const GoldDocument& gd : ds->wiki_eval) {
-      auto result = engine.ProcessDocument(gd.doc);
+      DocumentResult result;
+      DocumentFacts extracted = engine.ExtractDocument(gd.doc, {}, &result);
       for (const auto& a : result.densified.assignments) {
         if (!IsConfidentLink(a)) continue;
         const GraphNode& node = result.graph.node(a.mention);
         links.Add(judge.IsCorrectLink(node.sentence, node.text, a.entity, gd));
       }
       auto kb = engine.MakeKb();
-      engine.PopulateKb(&kb, result);
+      Canonicalizer::Merge(&kb, std::move(extracted));
       for (const Fact& f : kb.facts()) {
         facts.Add(judge.IsCorrectFact(f, gd, kb));
       }

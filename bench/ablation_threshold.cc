@@ -29,9 +29,8 @@ void Run() {
   };
   std::vector<Judged> facts;
   for (const GoldDocument& gd : ds->wiki_eval) {
-    auto result = engine.ProcessDocument(gd.doc);
     auto kb = engine.MakeKb();
-    engine.PopulateKb(&kb, result);
+    Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc));
     for (const Fact& f : kb.facts()) {
       facts.push_back({f.confidence, judge.IsCorrectFact(f, gd, kb)});
     }

@@ -115,7 +115,9 @@ void BM_Canonicalize(benchmark::State& state) {
   auto result = engine.ProcessDocument(ds.wiki_eval.front().doc);
   for (auto _ : state) {
     auto kb = engine.MakeKb();
-    engine.PopulateKb(&kb, result);
+    Canonicalizer::Merge(&kb, engine.canonicalizer().Extract(
+                                  result.graph, result.densified,
+                                  result.annotated));
     benchmark::DoNotOptimize(kb.size());
   }
 }

@@ -77,9 +77,9 @@ void Run() {
     QkbflyEngine engine(ds->repository.get(), &ds->patterns, &ds->stats,
                         engine_config);
     for (const GoldDocument& gd : ds->wiki_eval) {
-      auto result = engine.ProcessDocument(gd.doc);
+      DocumentResult result;
       auto kb = engine.MakeKb();
-      engine.PopulateKb(&kb, result);
+      Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc, {}, &result));
       row.timing.Add(result.seconds);
       for (const Fact& f : kb.facts()) {
         bool ok = judge.IsCorrectFact(f, gd, kb);
@@ -99,9 +99,8 @@ void Run() {
     std::vector<std::pair<bool, bool>> judgements;
     for (const GoldDocument& gd : ds->wiki_eval) {
       if (judgements.size() >= 200) break;
-      auto result = engine.ProcessDocument(gd.doc);
       auto kb = engine.MakeKb();
-      engine.PopulateKb(&kb, result);
+      Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc));
       for (const Fact& f : kb.facts()) {
         bool truth = judge.IsCorrectFact(f, gd, kb);
         // Each assessor flips the true judgement with 5% probability.

@@ -38,9 +38,9 @@ void RunCorpus(const SynthDataset& ds, const char* corpus_name,
     PrecisionStats facts;
     TimingStats timing;
     for (const GoldDocument& gd : docs) {
-      auto result = engine.ProcessDocument(gd.doc);
+      DocumentResult result;
       auto kb = engine.MakeKb();
-      engine.PopulateKb(&kb, result);
+      Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc, {}, &result));
       timing.Add(result.seconds);
       for (const Fact& f : kb.facts()) {
         facts.Add(judge.IsCorrectFact(f, gd, kb));

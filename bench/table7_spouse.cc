@@ -98,9 +98,8 @@ void Run() {
     std::vector<Scored> scored;
     WallTimer timer;
     for (const GoldDocument& gd : ds->wiki_eval) {
-      auto result = engine.ProcessDocument(gd.doc);
       auto kb = engine.MakeKb();
-      engine.PopulateKb(&kb, result);
+      Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc));
       for (const Fact& f : kb.facts()) {
         if (f.relation != marry && f.relation != marry_in) continue;
         if (f.confidence < 0.9) continue;  // the paper's high-precision tau

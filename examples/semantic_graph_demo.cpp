@@ -2,6 +2,7 @@
 // clause, noun-phrase, pronoun and entity nodes with depends / relation /
 // sameAs / means edges, before and after densification.
 #include <cstdio>
+#include <utility>
 
 #include "core/qkbfly.h"
 #include "synth/dataset.h"
@@ -41,13 +42,14 @@ int main() {
 
   EngineConfig config;
   QkbflyEngine engine(&repo, &patterns, &stats, config);
-  DocumentResult result = engine.ProcessDocument(doc);
+  DocumentResult result;
+  DocumentFacts extracted = engine.ExtractDocument(doc, {}, &result);
 
   std::printf("=== semantic graph (after densification; pruned edges marked) "
               "===\n%s\n", result.graph.ToString().c_str());
 
   OnTheFlyKb kb = engine.MakeKb();
-  engine.PopulateKb(&kb, result);
+  Canonicalizer::Merge(&kb, std::move(extracted));
   std::printf("=== canonicalized facts ===\n");
   for (const Fact& fact : kb.facts()) {
     std::printf("%s\n", kb.FactToString(fact).c_str());

@@ -293,10 +293,16 @@ bool OnTheFlyKb::ArgMatches(const FactArg& arg, std::string_view filter) const {
 }
 
 std::string OnTheFlyKb::Serialize() const {
+  std::string out;
+  SerializeInto(&out);
+  return out;
+}
+
+void OnTheFlyKb::SerializeInto(std::string* buffer) const {
   // One reserve from a lower bound on the output: every field's bytes but
   // the escapes, and each confidence at its exact length. Escapes are rare,
-  // so the string is almost always built without a reallocation and ends
-  // with no spare capacity.
+  // so a fresh string is almost always built without a reallocation and
+  // ends with no spare capacity.
   size_t size = sizeof(kHeader);
   for (const EmergingEntity& e : emerging_) {
     size += 5 + e.representative.size();
@@ -309,7 +315,8 @@ std::string OnTheFlyKb::Serialize() const {
             IntSize(f.sentence) + ArgSizeAtLeast(f.subject);
     for (const FactArg& arg : f.args) size += ArgSizeAtLeast(arg);
   }
-  std::string out;
+  std::string& out = *buffer;
+  out.clear();
   out.reserve(size);
   out.append(kHeader);
   out.push_back('\n');
@@ -348,7 +355,6 @@ std::string OnTheFlyKb::Serialize() const {
     for (const FactArg& arg : f.args) AppendArg(arg, &out);
     out.push_back('\n');
   }
-  return out;
 }
 
 Status OnTheFlyKb::Deserialize(std::string_view data) {

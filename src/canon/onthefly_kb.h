@@ -79,6 +79,10 @@ class OnTheFlyKb {
   /// and as the value format of the query-level cache and fact store.
   std::string Serialize() const;
 
+  /// Serialize() into `buffer`, replacing its contents; a buffer reused
+  /// across KBs keeps its capacity.
+  void SerializeInto(std::string* buffer) const;
+
   /// Rebuilds this KB from Serialize() output. The KB must be empty and
   /// bound to the same repositories the serialized KB was built against
   /// (entity and relation ids are repository-relative). Round-trip contract:

@@ -194,10 +194,12 @@ void DensifyEvaluator::BuildUniverses() {
   for (size_t i = 0; i < n; ++i) ws.np_univ_off[i + 1] += ws.np_univ_off[i];
   ws.cursor.assign(ws.np_univ_off.begin(), ws.np_univ_off.end() - 1);
   ws.np_univ.resize(ws.means_edges.size());
+  ws.means_slot.assign(graph_->edge_count(), 0);
   for (EdgeId m : ws.means_edges) {
     const GraphEdge& e = graph_->edge(m);
-    ws.np_univ[ws.cursor[static_cast<size_t>(e.a)]++] = {
-        m, e.b, graph_->node(e.b).entity};
+    const size_t np = static_cast<size_t>(e.a);
+    ws.means_slot[static_cast<size_t>(m)] = ws.cursor[np] - ws.np_univ_off[np];
+    ws.np_univ[ws.cursor[np]++] = {m, e.b, graph_->node(e.b).entity};
   }
 
   // Pronoun universes: distinct gender-compatible entities over all
@@ -252,6 +254,38 @@ void DensifyEvaluator::BuildUniverses() {
       ws.pro_univ_off[i] = ws.pro_univ_off[i - 1];
     }
   }
+
+  // Reverse support index: a counting sort of every support pair under both
+  // of its edges. Candidates are visited in pro_univ order, so each edge's
+  // entries come out ascending by candidate.
+  const size_t edges = graph_->edge_count();
+  auto for_each_pair = [&](auto&& f) {
+    for (NodeId p : graph_->NodesOfKind(NodeKind::kPronoun)) {
+      const size_t id = static_cast<size_t>(p);
+      for (uint32_t c = ws.pro_univ_off[id]; c < ws.pro_univ_off[id + 1]; ++c) {
+        for (uint32_t k = ws.pro_univ[c].pair_begin; k < ws.pro_univ[c].pair_end;
+             ++k) {
+          f(p, c, ws.pro_pairs[k]);
+        }
+      }
+    }
+  };
+  ws.support_off.assign(edges + 1, 0);
+  for_each_pair([&ws](NodeId, uint32_t,
+                      const DensifyWorkspace::SupportPair& pair) {
+    ++ws.support_off[static_cast<size_t>(pair.same_as) + 1];
+    ++ws.support_off[static_cast<size_t>(pair.means) + 1];
+  });
+  for (size_t e = 0; e < edges; ++e) ws.support_off[e + 1] += ws.support_off[e];
+  ws.cursor.assign(ws.support_off.begin(), ws.support_off.end() - 1);
+  ws.support.resize(ws.support_off[edges]);
+  for_each_pair([&ws](NodeId p, uint32_t c,
+                      const DensifyWorkspace::SupportPair& pair) {
+    ws.support[ws.cursor[static_cast<size_t>(pair.same_as)]++] = {p, c,
+                                                                 pair.means};
+    ws.support[ws.cursor[static_cast<size_t>(pair.means)]++] = {p, c,
+                                                               pair.same_as};
+  });
 
   // Pronoun links per noun phrase: a counting sort of the pronoun-NP sameAs
   // edges by their noun phrase.
@@ -467,10 +501,8 @@ void DensifyEvaluator::BuildRelationLanes() {
 
   ws.active.resize(ws.np_univ.size() + ws.pro_univ.size());
   ws.active_len.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    RefreshActiveList(static_cast<NodeId>(i));
-  }
-  ws.active_mutations = graph_->mutation_count();
+  ws.pro_live.resize(ws.pro_univ.size());
+  RebuildActiveLists();
 }
 
 std::vector<EntityId> DensifyEvaluator::EntOfNp(NodeId np) const {
@@ -527,15 +559,7 @@ void DensifyEvaluator::RefreshActiveList(NodeId n) const {
     const uint32_t begin = ws.pro_univ_off[id];
     const uint32_t end = ws.pro_univ_off[id + 1];
     for (uint32_t i = begin; i < end; ++i) {
-      const DensifyWorkspace::PronounCandidate& c = ws.pro_univ[i];
-      for (uint32_t k = c.pair_begin; k < c.pair_end; ++k) {
-        const DensifyWorkspace::SupportPair& pair = ws.pro_pairs[k];
-        if (graph_->edge(pair.same_as).active &&
-            graph_->edge(pair.means).active) {
-          out[len++] = i - begin;
-          break;
-        }
-      }
+      if (ws.pro_live[i] != 0) out[len++] = i - begin;
     }
   } else if (node.kind == NodeKind::kNounPhrase && !node.is_literal) {
     const uint32_t begin = ws.np_univ_off[id];
@@ -547,21 +571,54 @@ void DensifyEvaluator::RefreshActiveList(NodeId n) const {
   ws.active_len[id] = len;
 }
 
-void DensifyEvaluator::SyncActiveLists() const {
-  if (ws_->active_mutations == graph_->mutation_count()) return;
-  for (size_t i = 0; i < graph_->node_count(); ++i) {
-    RefreshActiveList(static_cast<NodeId>(i));
+uint32_t DensifyEvaluator::CountLiveSupport(uint32_t cand) const {
+  const DensifyWorkspace::PronounCandidate& c = ws_->pro_univ[cand];
+  uint32_t live = 0;
+  for (uint32_t k = c.pair_begin; k < c.pair_end; ++k) {
+    const DensifyWorkspace::SupportPair& pair = ws_->pro_pairs[k];
+    if (graph_->edge(pair.same_as).active && graph_->edge(pair.means).active) {
+      ++live;
+    }
+  }
+  return live;
+}
+
+void DensifyEvaluator::RebuildActiveLists() const {
+  for (uint32_t c = 0; c < ws_->pro_univ.size(); ++c) {
+    ws_->pro_live[c] = CountLiveSupport(c);
+  }
+  // Only mentions have lists; every other node's length stays 0.
+  for (NodeKind kind : {NodeKind::kNounPhrase, NodeKind::kPronoun}) {
+    for (NodeId n : graph_->NodesOfKind(kind)) RefreshActiveList(n);
   }
   ws_->active_mutations = graph_->mutation_count();
 }
 
+void DensifyEvaluator::SyncActiveLists() const {
+  if (ws_->active_mutations != graph_->mutation_count()) RebuildActiveLists();
+}
+
 void DensifyEvaluator::SetActive(EdgeId e, bool active) {
+  DensifyWorkspace& ws = *ws_;
   SyncActiveLists();
   // A means edge changes the same mentions whether it goes off or on.
-  ChangedMentionsInto(e, &ws_->sources);
-  graph_->SetEdgeActive(e, active);
-  for (NodeId s : ws_->sources) RefreshActiveList(s);
-  ws_->active_mutations = graph_->mutation_count();
+  ChangedMentionsInto(e, &ws.sources);
+  if (graph_->edge(e).active != active) {
+    // A support pair of `e` turns with it iff its partner edge is active.
+    for (uint32_t k = ws.support_off[static_cast<size_t>(e)];
+         k < ws.support_off[static_cast<size_t>(e) + 1]; ++k) {
+      const DensifyWorkspace::SupportRef& ref = ws.support[k];
+      if (!graph_->edge(ref.partner).active) continue;
+      if (active) {
+        ++ws.pro_live[ref.cand];
+      } else {
+        --ws.pro_live[ref.cand];
+      }
+    }
+    graph_->SetEdgeActive(e, active);
+  }
+  for (NodeId s : ws.sources) RefreshActiveList(s);
+  ws.active_mutations = graph_->mutation_count();
 }
 
 const std::vector<NodeId>& DensifyEvaluator::Deactivate(EdgeId e) {
@@ -582,6 +639,19 @@ int64_t BlockSum(const int64_t* m, size_t stride,
     for (uint32_t j : cols) sum += row[j];
   }
   return sum;
+}
+
+// W(P_a, P_b) - W(P_a \ M_a, P_b \ M_b) for removed sets M_a within P_a
+// and M_b within P_b: W(M_a, P_b) + W(P_a, M_b) - W(M_a, M_b), three block
+// sums over removed rows and columns only.
+int64_t BlockDelta(const int64_t* m, size_t stride,
+                   std::span<const uint32_t> rows,
+                   std::span<const uint32_t> removed_rows,
+                   std::span<const uint32_t> cols,
+                   std::span<const uint32_t> removed_cols) {
+  return BlockSum(m, stride, removed_rows, cols) +
+         BlockSum(m, stride, rows, removed_cols) -
+         BlockSum(m, stride, removed_rows, removed_cols);
 }
 
 // Rows (columns) a type-signature gather reads for one side: its active
@@ -689,57 +759,43 @@ double DensifyEvaluator::Contribution(EdgeId e) const {
   QKB_CHECK(edge.active);
   SyncActiveLists();
 
-  // Each changed mention's list with `e` off, split into the indices that
-  // stay (A') and those that drop out (A \ A'); A' is a subset of A. The
-  // noun phrase of a means edge loses exactly the slot of `e`; a pronoun
-  // keeps an entity iff a support pair avoiding `e` is active.
+  // The slots each changed mention loses with `e` off (A \ A'). The noun
+  // phrase of a means edge loses exactly the slot of `e` (a literal one has
+  // no list to lose it from); a pronoun loses a candidate iff every one of
+  // its live support pairs contains `e`, i.e. iff the pairs of `e` with an
+  // active partner number its live count.
   ChangedMentionsInto(e, &ws.sources);
-  ws.deltas.clear();
-  ws.delta_pool.clear();
-  for (NodeId s : ws.sources) {
-    const std::span<const uint32_t> list = ActiveList(ActiveOffset(s), s);
-    const size_t id = static_cast<size_t>(s);
-    const bool own_np = edge.kind == EdgeKind::kMeans && s == edge.a;
-    auto stays = [&](uint32_t i) {
-      if (own_np) return ws.np_univ[ws.np_univ_off[id] + i].edge != e;
-      const DensifyWorkspace::PronounCandidate& c =
-          ws.pro_univ[ws.pro_univ_off[id] + i];
-      for (uint32_t k = c.pair_begin; k < c.pair_end; ++k) {
-        const DensifyWorkspace::SupportPair& pair = ws.pro_pairs[k];
-        if (pair.same_as != e && pair.means != e &&
-            graph_->edge(pair.same_as).active &&
-            graph_->edge(pair.means).active) {
-          return true;
-        }
-      }
-      return false;
-    };
-    // Kept fills the slice from the front, removed from the back (in
-    // reverse; integer sums do not care).
-    const uint32_t begin = static_cast<uint32_t>(ws.delta_pool.size());
-    const uint32_t end = begin + static_cast<uint32_t>(list.size());
-    ws.delta_pool.resize(end);
-    uint32_t front = begin;
-    uint32_t back = end;
-    for (uint32_t i : list) ws.delta_pool[stays(i) ? front++ : --back] = i;
-    ws.deltas.push_back({begin, front - begin, front, end - front});
+  ws.removed.clear();
+  ws.removed_pool.clear();
+  if (edge.kind == EdgeKind::kMeans && !graph_->node(edge.a).is_literal) {
+    ws.removed.push_back({edge.a, 0, 1});
+    ws.removed_pool.push_back(ws.means_slot[static_cast<size_t>(e)]);
   }
-
-  // One side of a lane: committed list A, kept A' and removed A \ A'.
-  struct Side {
-    std::span<const uint32_t> all, kept, removed;
-  };
-  auto side_of = [&](NodeId n, uint32_t offset) {
-    const std::span<const uint32_t> all = ActiveList(offset, n);
-    for (size_t k = 0; k < ws.sources.size(); ++k) {
-      if (ws.sources[k] != n) continue;
-      const DensifyWorkspace::SourceDelta& d = ws.deltas[k];
-      return Side{all, {ws.delta_pool.data() + d.kept_off, d.kept_len},
-                  {ws.delta_pool.data() + d.removed_off, d.removed_len}};
+  const uint32_t end = ws.support_off[static_cast<size_t>(e) + 1];
+  for (uint32_t k = ws.support_off[static_cast<size_t>(e)]; k < end;) {
+    const DensifyWorkspace::SupportRef& ref = ws.support[k];
+    uint32_t live_with_e = 0;
+    for (; k < end && ws.support[k].cand == ref.cand; ++k) {
+      if (graph_->edge(ws.support[k].partner).active) ++live_with_e;
     }
-    return Side{all, all, {}};
+    if (live_with_e == 0 || live_with_e != ws.pro_live[ref.cand]) continue;
+    if (ws.removed.empty() || ws.removed.back().node != ref.pronoun) {
+      ws.removed.push_back(
+          {ref.pronoun, static_cast<uint32_t>(ws.removed_pool.size()), 0});
+    }
+    ws.removed_pool.push_back(
+        ref.cand - ws.pro_univ_off[static_cast<size_t>(ref.pronoun)]);
+    ++ws.removed.back().len;
+  }
+  auto removed_of = [&ws](NodeId n) -> std::span<const uint32_t> {
+    for (const DensifyWorkspace::RemovedSlots& r : ws.removed) {
+      if (r.node == n) return {ws.removed_pool.data() + r.off, r.len};
+    }
+    return {};
   };
 
+  // Every active lane at a changed mention (a lane at two of them counts
+  // twice) moves by W(A, B) - W(A', B'), summed over its removed slots.
   int64_t dcoh = 0;
   int64_t dts = 0;
   for (NodeId s : ws.sources) {
@@ -748,32 +804,38 @@ double DensifyEvaluator::Contribution(EdgeId e) const {
          ++k) {
       const DensifyWorkspace::RelationLane& lane = ws.rel_lanes[ws.node_lanes[k]];
       if (!graph_->edge(lane.edge).active) continue;
-      const Side a = side_of(lane.a, lane.act_a);
-      const Side b = side_of(lane.b, lane.act_b);
-      if (a.removed.empty() && b.removed.empty()) continue;
-      // W(A, B) - W(A', B') = W(A \ A', B) + W(A', B \ B').
-      const int64_t* coh = ws.coh_pool.data() + lane.coh_off;
-      dcoh += BlockSum(coh, lane.ub_len, a.removed, b.all) +
-              BlockSum(coh, lane.ub_len, a.kept, b.removed);
-      const bool a_to_literal = lane.lit_a && a.kept.empty() && !a.all.empty();
-      const bool b_to_literal = lane.lit_b && b.kept.empty() && !b.all.empty();
+      const std::span<const uint32_t> ra = removed_of(lane.a);
+      const std::span<const uint32_t> rb = removed_of(lane.b);
+      if (ra.empty() && rb.empty()) continue;
+      const std::span<const uint32_t> a = ActiveList(lane.act_a, lane.a);
+      const std::span<const uint32_t> b = ActiveList(lane.act_b, lane.b);
+      dcoh += BlockDelta(ws.coh_pool.data() + lane.coh_off, lane.ub_len, a, ra,
+                         b, rb);
+
+      const int64_t* ts = ws.ts_pool.data() + lane.ts_off;
+      const size_t stride = static_cast<size_t>(lane.ub_len) + 1;
+      std::span<const uint32_t> pa = TsSide(a, lane.lit_a, &lane.ua_len);
+      std::span<const uint32_t> pb = TsSide(b, lane.lit_b, &lane.ub_len);
+      std::span<const uint32_t> ma = ra;
+      std::span<const uint32_t> mb = rb;
+      // A side that loses every slot falls back to its literal slot, which
+      // is not among the rows it had: difference the full blocks up to that
+      // switch, then remove the other side's slots from the literal block.
+      const bool a_to_literal = lane.lit_a && !a.empty() && ra.size() == a.size();
+      const bool b_to_literal = lane.lit_b && !b.empty() && rb.size() == b.size();
       if (a_to_literal || b_to_literal) {
-        // A side empties into its literal slot, which is not a subset of
-        // the rows it had: difference the two full type-signature blocks.
-        int64_t unused = 0;
-        int64_t before = 0;
-        int64_t after = 0;
-        LaneSums(lane, a.all, b.all, &unused, &before);
-        LaneSums(lane, a.kept, b.kept, &unused, &after);
-        dts += before - after;
-      } else {
-        const int64_t* ts = ws.ts_pool.data() + lane.ts_off;
-        const size_t stride = static_cast<size_t>(lane.ub_len) + 1;
-        dts += BlockSum(ts, stride, a.removed,
-                        TsSide(b.all, lane.lit_b, &lane.ub_len)) +
-               BlockSum(ts, stride, TsSide(a.kept, lane.lit_a, &lane.ua_len),
-                        b.removed);
+        const int64_t before = BlockSum(ts, stride, pa, pb);
+        if (a_to_literal) {
+          pa = {&lane.ua_len, 1};
+          ma = {};
+        }
+        if (b_to_literal) {
+          pb = {&lane.ub_len, 1};
+          mb = {};
+        }
+        dts += before - BlockSum(ts, stride, pa, pb);
       }
+      dts += BlockDelta(ts, stride, pa, ma, pb, mb);
     }
   }
   return ws.mw_lane[static_cast<size_t>(e)] + LaneWeightOf(dcoh, dts);
@@ -1016,6 +1078,42 @@ void DensifyEvaluator::ComputeConfidencesInto(
     }
     out->push_back(a);
   }
+}
+
+std::string DensifyEvaluator::CheckWorkspaceInvariants() const {
+  const DensifyWorkspace& ws = *ws_;
+  if (ws.active_mutations != graph_->mutation_count()) return "";
+  for (uint32_t c = 0; c < ws.pro_univ.size(); ++c) {
+    const uint32_t live = CountLiveSupport(c);
+    if (ws.pro_live[c] != live) {
+      return "pronoun candidate " + std::to_string(c) + " has live count " +
+             std::to_string(ws.pro_live[c]) + ", the flags " +
+             std::to_string(live);
+    }
+  }
+  std::vector<uint32_t> expected;
+  for (size_t i = 0; i < graph_->node_count(); ++i) {
+    const NodeId n = static_cast<NodeId>(i);
+    const GraphNode& node = graph_->node(n);
+    expected.clear();
+    if (node.kind == NodeKind::kPronoun) {
+      for (uint32_t c = ws.pro_univ_off[i]; c < ws.pro_univ_off[i + 1]; ++c) {
+        if (CountLiveSupport(c) != 0) expected.push_back(c - ws.pro_univ_off[i]);
+      }
+    } else if (node.kind == NodeKind::kNounPhrase && !node.is_literal) {
+      for (uint32_t k = ws.np_univ_off[i]; k < ws.np_univ_off[i + 1]; ++k) {
+        if (graph_->edge(ws.np_univ[k].edge).active) {
+          expected.push_back(k - ws.np_univ_off[i]);
+        }
+      }
+    }
+    const std::span<const uint32_t> got = ActiveList(ActiveOffset(n), n);
+    if (!std::equal(got.begin(), got.end(), expected.begin(), expected.end())) {
+      return "committed active list of node " + std::to_string(i) +
+             " differs from the flags";
+    }
+  }
+  return "";
 }
 
 std::vector<std::pair<NodeId, NodeId>> ExtractPronounAntecedents(

@@ -6,17 +6,19 @@
 // The evaluator runs off flat per-edge weight lanes in a DensifyWorkspace:
 // construction builds candidate universes and dense fixed-point
 // coherence/type-signature matrices once, and keeps every mention's active
-// candidate list committed. A Contribution call sums integer lane entries
-// over the rows and columns a removal drops, with no hashing and no
-// re-collection of unchanged sides. The lanes are the only implementation
-// of the Section 4 weights: the greedy loop, the ILP translation and the
-// pipeline baseline all read them.
+// candidate list committed, with a live support count per pronoun
+// candidate. A Contribution call sums integer lane entries over the rows and
+// columns a removal drops, with no hashing and no re-collection of
+// unchanged sides. The lanes are the only implementation of the Section 4
+// weights: the greedy loop, the ILP translation and the pipeline baseline
+// all read them.
 #ifndef QKBFLY_DENSIFY_EVALUATOR_H_
 #define QKBFLY_DENSIFY_EVALUATOR_H_
 
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -132,8 +134,11 @@ class DensifyEvaluator {
   /// c(x, y, S) = mw[e] + (a3 * dcoh + a4 * dts) / 2^32, where the integer
   /// deltas sum, over the relation lanes incident to each mention the
   /// removal changes (a lane incident to two such mentions counts twice),
-  /// the entries in the dropped rows and columns: W(A \ A', B) +
-  /// W(A', B \ B'). Exact, so independent of summation order.
+  /// the entries in the dropped rows and columns. With R_a = A \ A' and
+  /// R_b = B \ B' the removed slots, a lane moves by W(R_a, B) +
+  /// W(A, R_b) - W(R_a, R_b): the removed sets come from the edge's slot and
+  /// the reverse support index against the live counts, so no kept list is
+  /// built. Exact, so independent of summation order.
   double Contribution(EdgeId e) const;
 
   /// Removes `e` from the subgraph and refreshes the committed lists of the
@@ -179,6 +184,11 @@ class DensifyEvaluator {
   /// ascending mention order. Requires a prior SnapshotOriginalMeans().
   void ComputeConfidencesInto(std::vector<DensifyResult::Assignment>* out);
 
+  /// Debug cross-check: every live support count and committed list equals
+  /// a recount from the edge flags. Empty when they agree (or are stale:
+  /// the next evaluation rebuilds them), else a description.
+  std::string CheckWorkspaceInvariants() const;
+
   const std::vector<EdgeId>& means_edges() const { return ws_->means_edges; }
   const std::vector<EdgeId>& relation_edges() const {
     return ws_->relation_edges;
@@ -197,16 +207,24 @@ class DensifyEvaluator {
   /// Offset of a mention's committed list in ws_->active.
   uint32_t ActiveOffset(NodeId n) const;
 
-  /// Recollects the committed active list of one mention from the flags:
-  /// universe indices in universe order (== ascending entity order for
-  /// pronouns, means-edge order for NPs). Empty for non-mentions.
+  /// Recollects the committed active list of one mention: universe indices
+  /// in universe order (== ascending entity order for pronouns, means-edge
+  /// order for NPs). NPs read the means flags, pronouns their candidates'
+  /// live support counts. Empty for non-mentions.
   void RefreshActiveList(NodeId n) const;
 
-  /// Rebuilds every list if the graph was toggled behind the evaluator's
-  /// back since the lists were last brought up to date.
+  /// Active support pairs of one pronoun candidate, counted off the flags.
+  uint32_t CountLiveSupport(uint32_t cand) const;
+
+  /// Recounts every live support count and rebuilds every list.
+  void RebuildActiveLists() const;
+
+  /// Rebuilds every count and list if the graph was toggled behind the
+  /// evaluator's back since they were last brought up to date.
   void SyncActiveLists() const;
 
-  /// Toggles `e` and refreshes the lists of the mentions it changes.
+  /// Toggles `e`, moves the live counts of the candidates it supports and
+  /// refreshes the lists of the mentions it changes.
   void SetActive(EdgeId e, bool active);
 
   /// Integer coherence and type-signature sums of one lane over the given

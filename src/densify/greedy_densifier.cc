@@ -141,14 +141,21 @@ void GreedyDensifier::Densify(SemanticGraph* graph, const AnnotatedDocument& doc
   loop.End();
 
   // After the removal loop the O(1) degree counters must agree with a full
-  // recount, or removability decisions (and thus the KB) were wrong. The
-  // invariant walk is debug-only cross-checking, off the measured hot path.
+  // recount, or removability decisions (and thus the KB) were wrong; so must
+  // the evaluator's live support counts and committed lists, which every
+  // contribution reads. The invariant walks are debug-only cross-checking,
+  // off the measured hot path.
   // qkbfly-lint: allow(A1)
   QKBFLY_INVARIANT(CheckGraphInvariants(*graph), "GreedyDensifier::Densify");
+  // qkbfly-lint: allow(A1)
+  QKBFLY_INVARIANT(eval.CheckWorkspaceInvariants(), "GreedyDensifier::Densify");
 
   obs::ScopedSpan confidences(trace, "densify_confidences");
   result->objective = eval.Objective();
   eval.ComputeConfidencesInto(&result->assignments);
+  // The confidence swaps toggle through the evaluator too.
+  // qkbfly-lint: allow(A1)
+  QKBFLY_INVARIANT(eval.CheckWorkspaceInvariants(), "GreedyDensifier::Densify");
   ExtractPronounAntecedentsInto(*graph, &result->pronoun_antecedents);
 }
 
@@ -239,13 +246,17 @@ void GreedyDensifier::RunHeapLoop(DensifyEvaluator* eval, SemanticGraph* graph,
     if (removed.kind == EdgeKind::kSameAs) {
       add_dirty(removed.a == changed.front() ? removed.b : removed.a);
     }
-    // Readers: the changed pronouns and the relation neighbours of C.
+    // Readers: the changed pronouns and the relation neighbours of C, read
+    // off the relation lanes at each mention.
     for (NodeId c : changed) {
       if (graph->node(c).kind == NodeKind::kPronoun) add_dirty(c);
-      for (EdgeId r : graph->IncidentEdges(c)) {
-        const GraphEdge& re = graph->edge(r);
-        if (!re.active || re.kind != EdgeKind::kRelation) continue;
-        add_dirty(re.a == c ? re.b : re.a);
+      const size_t id = static_cast<size_t>(c);
+      for (uint32_t k = ws.node_lanes_off[id]; k < ws.node_lanes_off[id + 1];
+           ++k) {
+        const DensifyWorkspace::RelationLane& lane =
+            ws.rel_lanes[ws.node_lanes[k]];
+        if (!graph->edge(lane.edge).active) continue;
+        add_dirty(lane.a == c ? lane.b : lane.a);
       }
     }
     // Noun phrases whose means edges count a pronoun reader as a source.

@@ -102,7 +102,8 @@ struct DensifyWorkspace {
   // NP universe: the node's means edges ascending (ent(n) in edge order,
   // duplicates preserved). Pronoun universe: distinct gender-compatible
   // entities ascending, each with its (sameAs, means) support pairs; an
-  // entity is active iff some pair has both edges active.
+  // entity is active iff some pair has both edges active, i.e. iff its live
+  // support count is nonzero.
   struct MeansCandidate {
     EdgeId edge;
     NodeId entity_node;
@@ -120,9 +121,21 @@ struct DensifyWorkspace {
   };
   std::vector<uint32_t> np_univ_off;  ///< node_count + 1
   std::vector<MeansCandidate> np_univ;
+  std::vector<uint32_t> means_slot;  ///< EdgeId -> slot in its NP universe.
   std::vector<uint32_t> pro_univ_off;  ///< node_count + 1
   std::vector<PronounCandidate> pro_univ;
   std::vector<SupportPair> pro_pairs;
+  // Reverse support index: per edge (means or pronoun-NP sameAs), the
+  // pronoun candidates it supports, one entry per support pair it is in,
+  // ascending by candidate. `partner` is the pair's other edge, so the pair
+  // is active iff the edge and its partner both are.
+  struct SupportRef {
+    NodeId pronoun;
+    uint32_t cand;  ///< Index into pro_univ.
+    EdgeId partner;
+  };
+  std::vector<uint32_t> support_off;  ///< edge_count + 1
+  std::vector<SupportRef> support;
   // Per noun phrase, its sameAs links to pronouns (the pronouns a means
   // edge of the noun phrase can change).
   struct PronounLink {
@@ -167,11 +180,15 @@ struct DensifyWorkspace {
   // Each mention's active universe indices under the committed flags, in
   // universe order: a CSR over the universes, where noun phrase n's list
   // starts at np_univ_off[n] and pronoun p's at np_univ.size() +
-  // pro_univ_off[p]. active_mutations is the graph's mutation_count() the
-  // lists match; a toggle the evaluator did not make shows up as a mismatch
-  // and rebuilds every list.
+  // pro_univ_off[p]. pro_live holds each pronoun candidate's live support
+  // count, the number of its support pairs with both edges active; the
+  // evaluator's own toggles keep it current through the reverse support
+  // index. active_mutations is the graph's mutation_count() the lists and
+  // counts match; a toggle the evaluator did not make shows up as a
+  // mismatch and recounts every count and rebuilds every list.
   std::vector<uint32_t> active;
   std::vector<uint32_t> active_len;  ///< Indexed by NodeId.
+  std::vector<uint32_t> pro_live;    ///< Indexed like pro_univ.
   uint64_t active_mutations = 0;
 
   // --- lane-build memos & scratch ------------------------------------------
@@ -200,17 +217,16 @@ struct DensifyWorkspace {
   // --- evaluator runtime scratch -------------------------------------------
   std::vector<uint32_t> cursor;          ///< Counting-sort cursor scratch.
   std::vector<NodeId> sources;           ///< ChangedMentionsInto buffer.
-  // Per changed mention of one Contribution call: its list with the edge
-  // removed (kept, in universe order) and the indices that drop out
-  // (removed, in any order), as slices of delta_pool.
-  struct SourceDelta {
-    uint32_t kept_off = 0;
-    uint32_t kept_len = 0;
-    uint32_t removed_off = 0;
-    uint32_t removed_len = 0;
+  // Per changed mention of one Contribution call that loses slots: the
+  // universe indices that drop out of its list, ascending, as a slice of
+  // removed_pool. Changed mentions that lose nothing have no entry.
+  struct RemovedSlots {
+    NodeId node = kNoNode;
+    uint32_t off = 0;
+    uint32_t len = 0;
   };
-  std::vector<SourceDelta> deltas;
-  std::vector<uint32_t> delta_pool;
+  std::vector<RemovedSlots> removed;
+  std::vector<uint32_t> removed_pool;
   std::vector<EntityId> ents, intersection, inter_tmp;
   std::vector<NodeId> component, dfs_stack;
   std::vector<uint32_t> visit_mark;

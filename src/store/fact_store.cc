@@ -271,6 +271,8 @@ Status FactStore::Save(const std::string& path) const {
     write_out();
   }
 
+  // One serialization buffer for every in-process pair's KB.
+  std::string kb_bytes;
   for (const auto& pair : qa_pairs_.All()) {
     if (pair->epoch < current) continue;
     out.append("{\"kind\":\"qa\",\"question\":");
@@ -285,7 +287,8 @@ Status FactStore::Save(const std::string& path) const {
     AppendJsonStringArray(pair->answers, &out);
     out.append(",\"kb\":");
     if (pair->kb != nullptr) {
-      json::AppendJsonString(pair->kb->Serialize(), &out);
+      pair->kb->SerializeInto(&kb_bytes);
+      json::AppendJsonString(kb_bytes, &out);
     } else {
       json::AppendJsonString(pair->kb_bytes, &out);
     }

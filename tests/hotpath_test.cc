@@ -476,6 +476,57 @@ int AddSelfLoops(SemanticGraph* graph) {
   return added;
 }
 
+// Gives every noun phrase with at least 2 active means edges a second means
+// edge to the entity of its first, so its universe holds that entity twice.
+// Returns the number of edges added.
+int AddDuplicateMeans(SemanticGraph* graph) {
+  int added = 0;
+  for (NodeId n : graph->NodesOfKind(NodeKind::kNounPhrase)) {
+    if (graph->ActiveMeansCount(n) < 2) continue;
+    for (EdgeId m : graph->IncidentEdges(n)) {
+      const GraphEdge& edge = graph->edge(m);
+      if (edge.kind != EdgeKind::kMeans || !edge.active || edge.a != n) continue;
+      GraphEdge copy = edge;
+      graph->AddEdge(copy);
+      ++added;
+      break;
+    }
+  }
+  graph->Finalize();
+  return added;
+}
+
+// Links every pronoun to its first sameAs-linked noun phrase with a relation
+// edge labelled like the document's first relation edge: a lane whose two
+// endpoints both change when a means edge of that noun phrase goes. Returns
+// the number of edges added.
+int AddAntecedentRelations(SemanticGraph* graph) {
+  const GraphEdge* first = FirstRelationEdge(*graph);
+  if (first == nullptr) return 0;
+  const std::string label = first->label;
+  int added = 0;
+  for (NodeId p : graph->NodesOfKind(NodeKind::kPronoun)) {
+    for (EdgeId se : graph->IncidentEdges(p)) {
+      const GraphEdge& s = graph->edge(se);
+      const NodeId np = s.a == p ? s.b : s.a;
+      if (s.kind != EdgeKind::kSameAs ||
+          graph->node(np).kind != NodeKind::kNounPhrase) {
+        continue;
+      }
+      GraphEdge edge;
+      edge.kind = EdgeKind::kRelation;
+      edge.a = np;
+      edge.b = p;
+      edge.label = label;
+      graph->AddEdge(edge);
+      ++added;
+      break;
+    }
+  }
+  graph->Finalize();
+  return added;
+}
+
 TEST(DensifyDeterminismTest, SelfLoopRelationReadsOwnNounPhrase) {
   // A self-loop lane is the one route by which a means edge's contribution
   // reads its own noun phrase's list without a pronoun in between: the
@@ -611,6 +662,39 @@ TEST(DensifyEvaluatorCacheTest, MatchesFreshEvaluatorUnderToggles) {
   // Both toggle paths were exercised.
   EXPECT_GT(deactivated, 0);
   EXPECT_GT(behind_back, 0);
+}
+
+// CheckWorkspaceInvariants recounts the live support counts and committed
+// lists from the flags: silent on an evaluator kept current by its own
+// toggles, loud on a corrupted count or list.
+TEST(DensifyEvaluatorCacheTest, WorkspaceInvariantCatchesCorruption) {
+  const auto& ds = Dataset();
+  int checked = 0;
+  for (const GoldDocument& gd : ds.wiki_eval) {
+    Prepared p = Prepare(ds, gd.doc);
+    DensifyEvaluator eval(&p.graph, p.doc, &ds.stats, ds.repository.get(),
+                          DensifyParams());
+    eval.Preprocess();
+    const std::vector<EdgeId> removable = eval.RemovableEdges();
+    DensifyWorkspace& ws = eval.workspace();
+    if (removable.empty() || ws.pro_univ.empty()) continue;
+    eval.Deactivate(removable.front());
+    ASSERT_EQ(eval.CheckWorkspaceInvariants(), "") << gd.doc.id;
+
+    ++ws.pro_live.front();
+    EXPECT_NE(eval.CheckWorkspaceInvariants(), "") << gd.doc.id;
+    --ws.pro_live.front();
+
+    const size_t mention =
+        static_cast<size_t>(p.graph.edge(removable.front()).a);
+    const uint32_t len = ws.active_len[mention];
+    ws.active_len[mention] = len == 0 ? 1 : len - 1;
+    EXPECT_NE(eval.CheckWorkspaceInvariants(), "") << gd.doc.id;
+    ws.active_len[mention] = len;
+    EXPECT_EQ(eval.CheckWorkspaceInvariants(), "") << gd.doc.id;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -776,15 +860,79 @@ std::vector<double> BruteConfidences(const DensifyEvaluator& eval,
   return out;
 }
 
+// Inputs the removed-slot derivation of Contribution handles specially,
+// counted off the flags before each checked contribution.
+struct SpecialCases {
+  int duplicate_entity = 0;    ///< Means edge whose entity has another slot.
+  int candidate_survives = 0;  ///< Pronoun candidate with >= 2 active pairs
+                               ///< that loses exactly one.
+  int same_as_drops_many = 0;  ///< sameAs removal dropping >= 2 candidates.
+  int both_ends_sources = 0;   ///< Active lane with both endpoints changed.
+};
+
+void CountSpecialCases(const DensifyEvaluator& eval, const DensifyWorkspace& ws,
+                       const SemanticGraph& graph, EdgeId e,
+                       SpecialCases* cases) {
+  const GraphEdge& edge = graph.edge(e);
+  if (edge.kind == EdgeKind::kMeans) {
+    const size_t np = static_cast<size_t>(edge.a);
+    const EntityId entity = graph.node(edge.b).entity;
+    int slots = 0;
+    for (uint32_t i = ws.np_univ_off[np]; i < ws.np_univ_off[np + 1]; ++i) {
+      if (ws.np_univ[i].entity == entity) ++slots;
+    }
+    if (slots >= 2) ++cases->duplicate_entity;
+  }
+  std::vector<NodeId> sources;
+  eval.ChangedMentionsInto(e, &sources);
+  auto is_source = [&sources](NodeId n) {
+    return std::find(sources.begin(), sources.end(), n) != sources.end();
+  };
+  for (NodeId p : sources) {
+    if (graph.node(p).kind != NodeKind::kPronoun) continue;
+    const size_t id = static_cast<size_t>(p);
+    int dropped = 0;
+    for (uint32_t c = ws.pro_univ_off[id]; c < ws.pro_univ_off[id + 1]; ++c) {
+      const DensifyWorkspace::PronounCandidate& cand = ws.pro_univ[c];
+      int active = 0;
+      int with_e = 0;
+      for (uint32_t k = cand.pair_begin; k < cand.pair_end; ++k) {
+        const DensifyWorkspace::SupportPair& pair = ws.pro_pairs[k];
+        if (!graph.edge(pair.same_as).active || !graph.edge(pair.means).active) {
+          continue;
+        }
+        ++active;
+        if (pair.same_as == e || pair.means == e) ++with_e;
+      }
+      if (active >= 2 && with_e == 1) ++cases->candidate_survives;
+      if (active > 0 && with_e == active) ++dropped;
+    }
+    if (edge.kind == EdgeKind::kSameAs && dropped >= 2) {
+      ++cases->same_as_drops_many;
+    }
+  }
+  for (const DensifyWorkspace::RelationLane& lane : ws.rel_lanes) {
+    if (graph.edge(lane.edge).active && is_source(lane.a) && is_source(lane.b)) {
+      ++cases->both_ends_sources;
+    }
+  }
+}
+
 TEST(DensifyExactnessTest, ContributionMatchesIntegerBruteForce) {
-  const auto& ds = Dataset();
   const DensifyParams params;
   Rng rng(29);
   BruteStats stats;
+  SpecialCases cases;
   int behind_back = 0;
   int swaps = 0;
-  for (const GoldDocument& gd : ds.wiki_eval) {
+  auto check_document = [&](const SynthDataset& ds, const GoldDocument& gd,
+                            bool perturb) {
     Prepared p = Prepare(ds, gd.doc);
+    if (perturb) {
+      AddDuplicateMeans(&p.graph);
+      AddAntecedentRelations(&p.graph);
+      AddSelfLoops(&p.graph);
+    }
     DensifyEvaluator eval(&p.graph, p.doc, &ds.stats, ds.repository.get(),
                           params);
     const DensifyWorkspace& ws = eval.workspace();
@@ -794,6 +942,7 @@ TEST(DensifyExactnessTest, ContributionMatchesIntegerBruteForce) {
       const std::vector<EdgeId> removable = eval.RemovableEdges();
       if (removable.empty()) break;
       for (EdgeId e : removable) {
+        CountSpecialCases(eval, ws, p.graph, e, &cases);
         EXPECT_EQ(eval.Contribution(e),
                   BruteContribution(eval, ws, p.graph, e, params, &stats))
             << gd.doc.id << " step " << step << " edge " << e;
@@ -818,15 +967,35 @@ TEST(DensifyExactnessTest, ContributionMatchesIntegerBruteForce) {
       if (expected[i] < 0.0) continue;  // no evidence: a fixed fallback
       EXPECT_EQ(got[i].confidence, expected[i]) << gd.doc.id << " " << i;
     }
+  };
+  for (const GoldDocument& gd : Dataset().wiki_eval) {
+    check_document(Dataset(), gd, false);
+  }
+  // The denser 6x world: its first few articles as built, then with
+  // duplicate means edges, pronoun-antecedent relations and self loops
+  // added, the inputs the documents themselves do not produce.
+  const SynthDataset& scaled = ScaledDataset();
+  for (size_t i = 0; i < 4 && i < scaled.wiki_eval.size(); ++i) {
+    check_document(scaled, scaled.wiki_eval[i], false);
+    check_document(scaled, scaled.wiki_eval[i], true);
   }
   std::printf("exactness: %d contributions, %d pronoun lanes, %d literal "
               "switches, %d swaps, %d behind-back toggles\n",
               stats.contributions, stats.pronoun_lanes,
               stats.literal_switches, swaps, behind_back);
+  std::printf("special cases: %d duplicate-entity slots, %d surviving "
+              "candidates, %d multi-drop sameAs removals, %d lanes with both "
+              "ends changed\n",
+              cases.duplicate_entity, cases.candidate_survives,
+              cases.same_as_drops_many, cases.both_ends_sources);
   EXPECT_GT(stats.pronoun_lanes, 0);
   EXPECT_GT(stats.literal_switches, 0);
   EXPECT_GT(swaps, 0);
   EXPECT_GT(behind_back, 0);
+  EXPECT_GT(cases.duplicate_entity, 0);
+  EXPECT_GT(cases.candidate_survives, 0);
+  EXPECT_GT(cases.same_as_drops_many, 0);
+  EXPECT_GT(cases.both_ends_sources, 0);
 }
 
 TEST(DensifyDeterminismTest, RemovalOrderStableAcrossRuns) {

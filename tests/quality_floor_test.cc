@@ -44,9 +44,8 @@ PrecisionStats TriplePrecision(InferenceMode mode) {
   QkbflyEngine engine(ds.repository.get(), &ds.patterns, &ds.stats, config);
   PrecisionStats triples;
   for (const GoldDocument& gd : ds.wiki_eval) {
-    const DocumentResult result = engine.ProcessDocument(gd.doc);
     OnTheFlyKb kb = engine.MakeKb();
-    engine.PopulateKb(&kb, result);
+    Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc));
     for (const Fact& f : kb.facts()) {
       if (f.Arity() == 2) triples.Add(judge.IsCorrectFact(f, gd, kb));
     }
@@ -67,9 +66,8 @@ PrecisionStats FactPrecision(InferenceMode mode) {
   QkbflyEngine engine(ds.repository.get(), &ds.patterns, &ds.stats, config);
   PrecisionStats facts;
   for (const GoldDocument& gd : ds.wiki_eval) {
-    const DocumentResult result = engine.ProcessDocument(gd.doc);
     OnTheFlyKb kb = engine.MakeKb();
-    engine.PopulateKb(&kb, result);
+    Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc));
     for (const Fact& f : kb.facts()) {
       facts.Add(judge.IsCorrectFact(f, gd, kb));
     }

@@ -86,9 +86,8 @@ TEST_P(WorldSeedTest, ExtractionQualityFloor) {
   FactJudge judge(ds.get());
   PrecisionStats facts;
   for (const GoldDocument& gd : ds->wiki_eval) {
-    auto result = engine.ProcessDocument(gd.doc);
     auto kb = engine.MakeKb();
-    engine.PopulateKb(&kb, result);
+    Canonicalizer::Merge(&kb, engine.ExtractDocument(gd.doc));
     for (const Fact& f : kb.facts()) {
       facts.Add(judge.IsCorrectFact(f, gd, kb));
     }
