@@ -163,7 +163,8 @@ int main(int argc, char** argv) {
     Status loaded = store.Load(store_path);
     if (loaded.ok()) {
       std::printf("loaded fact store %s: %zu facts, %zu qa pairs\n",
-                  store_path, store.fact_count(), store.qa_pairs().size());
+                  store_path, store.fact_count(),
+                  store.answers().entry_count());
     } else if (loaded.code() != StatusCode::kNotFound) {
       std::fprintf(stderr, "cannot load fact store %s: %s\n", store_path,
                    loaded.ToString().c_str());
@@ -259,7 +260,7 @@ int main(int argc, char** argv) {
   print_cache("LooseCandidates memo", dataset->repository->loose_cache_stats());
   std::printf("%-22s %8zu facts, %zu qa pairs, %zu bytes\n", "FactStore",
               service.fact_store()->fact_count(),
-              service.fact_store()->qa_pairs().size(),
+              service.fact_store()->answers().entry_count(),
               service.fact_store()->ApproxBytesUsed());
 
   if (parser_mode == ParserMode::kAdaptive) {
@@ -320,7 +321,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nsaved fact store %s: %zu facts, %zu qa pairs\n", store_path,
-                store.fact_count(), store.qa_pairs().size());
+                store.fact_count(), store.answers().entry_count());
   }
   return 0;
 }

@@ -1,14 +1,16 @@
 // The one memo mechanism behind every cache in the system: the serving
-// layer's doc tier (DocumentFacts) and query tier (CachedAnswer), and the
-// EntityRepository::LooseCandidates memo. Each is a ShardedLru over its own
-// value type; what differs between them is the key, the value and the
-// registry names, never the machinery.
+// layer's doc tier (DocumentFacts), the query tier (QaPair, owned by the
+// FactStore, which also fills it from a snapshot through Insert and saves
+// its resident values), and the EntityRepository::LooseCandidates memo. Each
+// is a ShardedLru over its own value type; what differs between them is the
+// key, the value and the registry names, never the machinery.
 //
 // Lock order (qkbfly-lint C3): every instance's shard mutex is the same
 // lock class (rank 3, "shard"). No shard mutex is held while `compute`
 // runs, so a compute function may call FetchOrCompute on this or any other
 // memo — which is how the query tier's compute reaches the doc tier — and
-// the memos never nest.
+// the memos never nest. A FactStore method that touches its tier does so
+// outside its own (rank 4) store shard locks.
 #ifndef QKBFLY_MEMO_SHARDED_LRU_H_
 #define QKBFLY_MEMO_SHARDED_LRU_H_
 
@@ -168,15 +170,7 @@ class ShardedLru {
       // Only the computing thread transitions or erases an in-flight entry,
       // so it is still present and not yet ready.
       QKB_CHECK(it != shard.map.end() && !it->second.ready);
-      it->second.ready = true;
-      it->second.bytes =
-          it->first.size() + sizeof(Entry) + value->ApproxBytes();
-      shard.lru.push_front(it->first);
-      it->second.lru = shard.lru.begin();
-      shard.bytes += it->second.bytes;
-      instruments_.resident_bytes->Add(static_cast<int64_t>(it->second.bytes));
-      instruments_.resident_entries->Add(1);
-      EvictOverBudgetLocked(shard);
+      PublishLocked(shard, it, *value);
       QKBFLY_INVARIANT(CheckShardAccountingLocked(shard),
                        "memo::ShardedLru::FetchOrCompute");
       // Counters are lock-free atomics, so reading the registry totals
@@ -185,6 +179,54 @@ class ShardedLru {
                        "memo::ShardedLru::FetchOrCompute");
     }
     return value;
+  }
+
+  /// Makes `value` the ready value of `key` without counting a hit or a
+  /// miss: it replaces a ready entry or adds one, and is charged and evicted
+  /// like a computed value. A key whose computation is in flight is left to
+  /// it (that computation publishes its own value). Returns the value.
+  std::shared_ptr<const Value> Insert(const std::string& key, Value value) {
+    auto shared = std::make_shared<const Value>(std::move(value));
+    std::promise<std::shared_ptr<const Value>> promise;
+    promise.set_value(shared);
+    Shard& shard = ShardFor(key);
+    // Declared before the guard, so a replaced value (often the last
+    // reference to a KB) is released after the unlock.
+    std::shared_future<std::shared_ptr<const Value>> replaced;
+    std::lock_guard<std::mutex> lock(shard.mutex);
+#if defined(QKBFLY_CHECK_INVARIANTS)
+    const CacheStats stats_before = TotalsNow();
+#endif
+    auto [it, added] = shard.map.try_emplace(key);
+    if (!added) {
+      if (!it->second.ready) return shared;
+      replaced = std::move(it->second.future);
+      shard.lru.erase(it->second.lru);
+      shard.bytes -= it->second.bytes;
+      instruments_.resident_bytes->Add(
+          -static_cast<int64_t>(it->second.bytes));
+      instruments_.resident_entries->Add(-1);
+    }
+    it->second.future = promise.get_future().share();
+    PublishLocked(shard, it, *shared);
+    QKBFLY_INVARIANT(CheckShardAccountingLocked(shard),
+                     "memo::ShardedLru::Insert");
+    QKBFLY_INVARIANT(CheckCacheStatsMonotonic(stats_before, TotalsNow()),
+                     "memo::ShardedLru::Insert");
+    return shared;
+  }
+
+  /// The ready values, each shard's most recently used first. A snapshot:
+  /// later inserts and evictions do not change it.
+  std::vector<std::shared_ptr<const Value>> Values() const {
+    std::vector<std::shared_ptr<const Value>> values;
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      for (const std::string& key : shard->lru) {
+        values.push_back(shard->map.at(key).future.get());  // ready
+      }
+    }
+    return values;
   }
 
   /// Hit/miss/eviction counters of this instance since construction.
@@ -216,11 +258,20 @@ class ShardedLru {
   /// complete, fulfil their waiters and insert as usual.
   void Clear() {
     for (const auto& shard : shards_) {
+      // Declared before the guard, so the dropped values are released after
+      // the unlock: a value's last reference (a query-tier KB) frees
+      // hundreds of allocations, which must not stall the shard.
+      std::vector<std::shared_future<std::shared_ptr<const Value>>> dropped;
       std::lock_guard<std::mutex> lock(shard->mutex);
       instruments_.resident_bytes->Add(-static_cast<int64_t>(shard->bytes));
       instruments_.resident_entries->Add(
           -static_cast<int64_t>(shard->lru.size()));
-      for (const std::string& key : shard->lru) shard->map.erase(key);
+      dropped.reserve(shard->lru.size());
+      for (const std::string& key : shard->lru) {
+        auto it = shard->map.find(key);
+        dropped.push_back(std::move(it->second.future));
+        shard->map.erase(it);
+      }
       shard->lru.clear();
       shard->bytes = 0;
       QKBFLY_INVARIANT(CheckShardAccountingLocked(*shard),
@@ -256,6 +307,22 @@ class ShardedLru {
 
   Shard& ShardFor(const std::string& key) {
     return *shards_[std::hash<std::string>{}(key) % shards_.size()];
+  }
+
+  /// Marks the entry at `it` ready and charged for `value`, most recently
+  /// used, then evicts down to the shard's budget. Requires shard.mutex held
+  /// and the entry's future already holding `value`.
+  void PublishLocked(Shard& shard,
+                     typename std::unordered_map<std::string, Entry>::iterator it,
+                     const Value& value) {
+    it->second.ready = true;
+    it->second.bytes = it->first.size() + sizeof(Entry) + value.ApproxBytes();
+    shard.lru.push_front(it->first);
+    it->second.lru = shard.lru.begin();
+    shard.bytes += it->second.bytes;
+    instruments_.resident_bytes->Add(static_cast<int64_t>(it->second.bytes));
+    instruments_.resident_entries->Add(1);
+    EvictOverBudgetLocked(shard);
   }
 
   void EvictOverBudgetLocked(Shard& shard) {

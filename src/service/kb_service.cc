@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "store/qa_pair_index.h"
 #include "util/timer.h"
 
 namespace qkbfly {
@@ -31,7 +30,6 @@ KbService::KbService(const QkbflyEngine* engine, const SearchEngine* search,
                      KbServiceOptions options)
     : engine_(engine), search_(search), options_(options),
       fingerprint_(engine->config().Fingerprint()), cache_(options.cache),
-      query_cache_(options.query_cache),
       trace_sink_(options.keep_slowest_traces) {
   if (options_.fact_store != nullptr) {
     store_ = options_.fact_store;
@@ -47,7 +45,7 @@ KbService::KbService(const QkbflyEngine* engine, const SearchEngine* search,
                                        "Answer() calls served");
   store_qa_rejected_total_ = registry.GetCounter(
       "store_qa_rejected_total",
-      "Stored QA pairs whose KB bytes failed to deserialize (answered cold)");
+      "Loaded QA pairs whose KB bytes failed to deserialize (answered cold)");
   answer_seconds_ = registry.GetHistogram("service_answer_seconds",
                                           "End-to-end Answer() latency");
   retrieve_seconds_ = registry.GetHistogram(
@@ -116,10 +114,9 @@ OnTheFlyKb KbService::BuildKb(const std::vector<const Document*>& docs,
   return kb;
 }
 
-void KbService::AnswerCold(const std::string& query,
-                           std::shared_ptr<const OnTheFlyKb>* kb,
-                           std::vector<std::string>* answers,
-                           ServiceStats* stats, obs::TraceContext trace) {
+QaPair KbService::AnswerCold(const std::string& query, std::string normalized,
+                             CorpusEpoch epoch, ServiceStats* stats,
+                             obs::TraceContext trace) {
   WallTimer stage;
   std::vector<const Document*> docs;
   {
@@ -137,23 +134,34 @@ void KbService::AnswerCold(const std::string& query,
   stats->retrieve_s = stage.ElapsedSeconds();
   retrieve_seconds_->Observe(stats->retrieve_s);
 
-  // Built once, then shared read-only by the query tier and the QA pair.
+  // Built once, then shared read-only by every hit on the QA pair.
   auto built = std::make_shared<OnTheFlyKb>(BuildKb(docs, stats, trace));
   built->ShrinkToFit();
-  *kb = built;
 
-  // Rank facts by confidence (stable, so ties keep canonicalization order)
-  // and render the top ones as the human-readable answer.
-  obs::ScopedSpan span(trace, "render");
-  std::vector<const Fact*> ranked;
-  ranked.reserve(built->facts().size());
-  for (const Fact& f : built->facts()) ranked.push_back(&f);
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const Fact* a, const Fact* b) {
-                     return a->confidence > b->confidence;
-                   });
-  if (ranked.size() > kMaxAnswers) ranked.resize(kMaxAnswers);
-  for (const Fact* f : ranked) answers->push_back(built->FactToString(*f));
+  QaPair pair;
+  pair.question = std::move(normalized);
+  pair.fingerprint = fingerprint_;
+  pair.epoch = epoch;
+  pair.documents = stats->documents;
+  {
+    // Rank facts by confidence (stable, so ties keep canonicalization
+    // order) and render the top ones as the human-readable answer.
+    obs::ScopedSpan span(trace, "render");
+    std::vector<const Fact*> ranked;
+    ranked.reserve(built->facts().size());
+    for (const Fact& f : built->facts()) ranked.push_back(&f);
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const Fact* a, const Fact* b) {
+                       return a->confidence > b->confidence;
+                     });
+    if (ranked.size() > kMaxAnswers) ranked.resize(kMaxAnswers);
+    for (const Fact* f : ranked) {
+      pair.answers.push_back(built->FactToString(*f));
+    }
+  }
+  store_->IngestKb(*built, query, epoch, trace);
+  pair.kb = std::move(built);
+  return pair;
 }
 
 CorpusEpoch KbService::CurrentEpoch() const {
@@ -163,10 +171,9 @@ CorpusEpoch KbService::CurrentEpoch() const {
 
 void KbService::SyncEpoch(CorpusEpoch epoch) {
   // Tier by tier; each tier takes its shard locks one at a time and never
-  // nests them. The query tier's keys embed the epoch, so its EvictAll is
-  // memory reclamation; the doc tier's keys do not, so its EvictAll is the
-  // correctness-critical half of a corpus bump.
-  query_cache_.EvictAll(epoch);
+  // nests them. The doc tier's keys carry no epoch, so its EvictAll is the
+  // correctness-critical half of a corpus bump; the store's SetEpoch empties
+  // the query tier, whose keys embed the epoch, to reclaim memory.
   cache_.EvictAll(epoch);
   store_->SetEpoch(epoch);
 }
@@ -187,63 +194,56 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
 
   CorpusEpoch epoch = CurrentEpoch();
   SyncEpoch(epoch);
-  std::string normalized = QaPairIndex::NormalizeQuestion(query);
+  std::string normalized = NormalizeQuestion(query);
+  const std::string key = QueryKey(normalized, epoch, fingerprint_);
 
   // The compute function runs on a miss only; hits and waiters share the
-  // entry it publishes, KB included. Only a KB that exists in full — built
-  // here, shared from an in-process QA pair, or deserialized from a loaded
-  // one — enters the query tier.
+  // pair it publishes, KB included.
+  QueryKbCache& tier = store_->answers();
   bool was_hit = false;
-  auto cached = query_cache_.FetchOrCompute(
-      QueryKey(normalized, epoch, fingerprint_),
-      [&]() -> CachedAnswer {
-        CachedAnswer answer;
-        if (options_.fact_store != nullptr) {
-          std::shared_ptr<const QaPair> pair = store_->FindQaPair(
-              normalized, epoch, fingerprint_, query_trace);
-          if (pair != nullptr) {
-            answer.kb = pair->kb;
-            if (answer.kb == nullptr) {
-              obs::ScopedSpan span(query_trace, "deserialize");
-              auto loaded = std::make_shared<OnTheFlyKb>(engine_->MakeKb());
-              if (loaded->Deserialize(pair->kb_bytes).ok()) {
-                loaded->ShrinkToFit();
-                answer.kb = std::move(loaded);
-              }
-            }
-            if (answer.kb != nullptr) {
-              answer.answers = pair->answers;
-              answer.documents = pair->documents;
-              answer.from_store = true;
-              return answer;
-            }
-            store_qa_rejected_total_->Increment();
-          }
-        }
-        AnswerCold(query, &answer.kb, &answer.answers, &stats, query_trace);
-        answer.documents = stats.documents;
-        store_->IngestKb(*answer.kb, query, epoch, query_trace);
-        obs::ScopedSpan span(query_trace, "qa_record");
-        QaPair pair;
-        pair.question = normalized;
-        pair.fingerprint = fingerprint_;
-        pair.epoch = epoch;
-        pair.documents = answer.documents;
-        pair.answers = answer.answers;
-        pair.kb = answer.kb;
-        store_->qa_pairs().Record(std::move(pair));
-        return answer;
+  std::shared_ptr<const QaPair> pair = tier.FetchOrCompute(
+      key,
+      [&] {
+        return AnswerCold(query, std::move(normalized), epoch, &stats,
+                          query_trace);
       },
       &was_hit);
+  if (pair->kb == nullptr) {
+    // A pair FactStore::Load read holds its KB as bytes: this first hit
+    // deserializes them (or, if they are corrupt, answers cold) and the
+    // completed pair replaces it in the tier. Concurrent first hits each
+    // deserialize the same bytes; the last Insert stays.
+    QaPair completed;
+    {
+      obs::ScopedSpan span(query_trace, "deserialize");
+      auto loaded = std::make_shared<OnTheFlyKb>(engine_->MakeKb());
+      if (loaded->Deserialize(pair->kb_bytes).ok()) {
+        loaded->ShrinkToFit();
+        completed.kb = std::move(loaded);
+      }
+    }
+    if (completed.kb != nullptr) {
+      completed.question = pair->question;
+      completed.fingerprint = pair->fingerprint;
+      completed.epoch = pair->epoch;
+      completed.documents = pair->documents;
+      completed.answers = pair->answers;
+      stats.served_from_store = true;
+    } else {
+      store_qa_rejected_total_->Increment();
+      completed = AnswerCold(query, pair->question, epoch, &stats, query_trace);
+    }
+    pair = tier.Insert(key, std::move(completed));
+    was_hit = false;
+  }
   stats.query_cache_hit = was_hit;
-  stats.served_from_store = cached->from_store;
   if (was_hit) {
     stats.query_cache.hits = 1;
   } else {
     stats.query_cache.misses = 1;
   }
-  stats.documents = cached->documents;
-  QueryResult out{cached->kb, *cached->kb, cached->answers, stats};
+  stats.documents = pair->documents;
+  QueryResult out{pair->kb, *pair->kb, pair->answers, stats};
 
   out.stats.total_s = total.ElapsedSeconds();
   queries_total_->Increment();

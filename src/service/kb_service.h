@@ -1,9 +1,9 @@
 // The serving layer: fronts SearchEngine + QkbflyEngine for concurrent
 // query traffic through two cache tiers plus a persistent fact store:
 //
-//   query tier (QueryKbCache)  — whole answered queries, keyed by
-//     (normalized question, corpus epoch, config fingerprint); a hit skips
-//     everything, including retrieval.
+//   query tier (QueryKbCache)  — whole answered questions as QA pairs,
+//     keyed by (normalized question, corpus epoch, config fingerprint) and
+//     owned by the fact store; a hit skips everything, including retrieval.
 //   doc tier (DocumentResultCache) — each document's canonical facts
 //     (DocumentFacts, from Canonicalizer::Extract, ~2 KB each) keyed by
 //     (document id, config fingerprint) and shared across queries; on a
@@ -11,9 +11,9 @@
 //     request for documents already extracted. A miss runs
 //     QkbflyEngine::ExtractDocument and drops its DocumentResult (~91 KB),
 //     so the tier's byte budget holds ~45x more documents than whole results.
-//   fact store (FactStore)     — canonicalized facts + QA pairs accumulated
-//     across queries, optionally persisted (Save/Load) and optionally
-//     serving repeated questions across process restarts.
+//   fact store (FactStore)     — canonicalized facts accumulated across
+//     queries plus the query tier, optionally persisted (Save/Load): a
+//     loaded store serves the repeated questions of its snapshot.
 //
 // Both cache tiers are memo::ShardedLru instances (memo/sharded_lru.h): one
 // sharded, byte-budgeted, single-flight LRU over two value types.
@@ -22,8 +22,8 @@
 // epoch (SearchEngine::epoch(), else EngineConfig::corpus_epoch); a bump
 // lazily invalidates both tiers and stales the store's records. The doc
 // tier's keys carry no epoch, so its EvictAll is the correctness-critical
-// half of a bump; the query tier's keys do, so its EvictAll only reclaims
-// memory.
+// half of a bump; the query tier's keys do, so FactStore::SetEpoch emptying
+// it only reclaims memory.
 //
 // Config-fingerprint contract: both cache tiers key on
 // EngineConfig::Fingerprint(), which covers every result-changing engine
@@ -92,15 +92,11 @@ struct KbServiceOptions {
   /// point is a single null check.
   size_t keep_slowest_traces = 0;
 
-  /// Byte budget and sharding of the query-level cache tier.
-  QueryKbCache::Options query_cache;
-
   /// Optional externally-owned fact store (shared across services, or
-  /// preloaded from a snapshot). Must outlive the service. When set, a
-  /// query-tier miss first probes its QA pairs (same normalized question,
-  /// epoch and fingerprint): repeated questions are served across process
-  /// restarts after FactStore::Load. When null the service owns a private
-  /// store.
+  /// preloaded from a snapshot). Must outlive the service. Its query tier is
+  /// the service's, so after FactStore::Load the snapshot's questions are
+  /// served across process restarts. When null the service owns a private
+  /// store with the default query-tier budget.
   FactStore* fact_store = nullptr;
 };
 
@@ -110,7 +106,7 @@ struct ServiceStats {
   CacheStats cache;            ///< This query's doc-tier hits/misses.
   CacheStats query_cache;      ///< This query's query-tier hit/miss (0/1).
   bool query_cache_hit = false;    ///< Served from the query tier.
-  bool served_from_store = false;  ///< Served from persisted QA pairs.
+  bool served_from_store = false;  ///< Served from a loaded QA pair.
   double retrieve_s = 0.0;     ///< Search-engine time (0 on query-tier hit).
   double process_s = 0.0;      ///< Fetch-or-compute time (all documents),
                                ///< including Extract on misses.
@@ -135,8 +131,8 @@ class KbService {
   static constexpr size_t kMaxAnswers = 5;
 
   /// One answered query. `kb` is bound to the immutable KB `shared_kb`
-  /// owns, which the query tier and the store's QA pair share: every answer
-  /// to the same cached query refers to the same object.
+  /// owns, which the query tier's QA pair shares: every answer to the same
+  /// cached query refers to the same object.
   struct QueryResult {
     std::shared_ptr<const OnTheFlyKb> shared_kb;
     const OnTheFlyKb& kb;
@@ -144,18 +140,18 @@ class KbService {
     ServiceStats stats;
   };
 
-  /// Full query path. Checked in order: the query-level cache (normalized
-  /// question + epoch + fingerprint; single-flight on miss), then — with an
-  /// external options.fact_store — its QA pairs, then the cold pipeline
-  /// (retrieve, build the KB through the doc tier, rank facts into
-  /// `answers`, ingest the facts into the store, record the QA pair). The
-  /// cold build is published once as an immutable shared KB; a query-tier
-  /// hit returns that object without copying or parsing it, so result.kb is
-  /// the cold build itself. A store probe shares an in-process pair's KB;
-  /// a pair read from a snapshot is deserialized once, on its first hit,
-  /// and the result enters the query tier. A stored pair whose KB bytes do
-  /// not deserialize (a corrupt snapshot) is skipped: the answer is built
-  /// cold and `store_qa_rejected_total` counts the rejection.
+  /// Full query path: the query tier (normalized question + epoch +
+  /// fingerprint; single-flight on miss), else the cold pipeline (retrieve,
+  /// build the KB through the doc tier, rank facts into `answers`, ingest
+  /// the facts into the store), whose QA pair enters the tier. The cold
+  /// build is published once as an immutable shared KB; a query-tier hit
+  /// returns that object without copying or parsing it, so result.kb is the
+  /// cold build itself. A pair read from a snapshot is deserialized on its
+  /// first hit (`served_from_store`, not `query_cache_hit`) and the
+  /// completed pair replaces it in the tier. A loaded pair whose KB bytes do
+  /// not deserialize (a corrupt snapshot) is answered cold instead, its
+  /// cold pair replaces it, and `store_qa_rejected_total` counts the
+  /// rejection.
   QueryResult Answer(const std::string& query);
 
   /// Document-level entry point, also used by Answer on a cold query:
@@ -174,7 +170,7 @@ class KbService {
   const obs::TraceSink& traces() const { return trace_sink_; }
 
   const DocumentResultCache& cache() const { return cache_; }
-  const QueryKbCache& query_cache() const { return query_cache_; }
+  const QueryKbCache& query_cache() const { return store_->answers(); }
   const QkbflyEngine& engine() const { return *engine_; }
   const KbServiceOptions& options() const { return options_; }
 
@@ -183,9 +179,9 @@ class KbService {
   FactStore* fact_store() { return store_; }
   const FactStore* fact_store() const { return store_; }
 
-  /// Drops the query tier's entries (the doc tier and store are untouched).
-  /// Tests use this to reach the doc-warm path in isolation.
-  void ClearQueryTier() { query_cache_.Clear(); }
+  /// Drops the query tier's QA pairs (the doc tier and the store's facts
+  /// are untouched). Tests use this to reach the doc-warm path in isolation.
+  void ClearQueryTier() { store_->answers().Clear(); }
 
  private:
   struct Fetched {  ///< One doc-tier lookup: the facts, and if it hit.
@@ -195,20 +191,20 @@ class KbService {
   /// A doc-tier miss runs QkbflyEngine::ExtractDocument.
   Fetched FetchOrCompute(const Document& doc, obs::TraceContext trace);
 
-  /// The cold pipeline: retrieval + BuildKb + fact ranking. Fills `kb`
-  /// (shrunk, ready to share), `answers`, and the retrieval/process/
-  /// canonicalize fields of `stats`.
-  void AnswerCold(const std::string& query,
-                  std::shared_ptr<const OnTheFlyKb>* kb,
-                  std::vector<std::string>* answers, ServiceStats* stats,
-                  obs::TraceContext trace);
+  /// The cold pipeline: retrieval + BuildKb + fact ranking + store ingest.
+  /// Returns the QA pair for `normalized` at `epoch` (its KB shrunk, ready
+  /// to share) and fills the retrieval/process/canonicalize fields of
+  /// `stats`.
+  QaPair AnswerCold(const std::string& query, std::string normalized,
+                    CorpusEpoch epoch, ServiceStats* stats,
+                    obs::TraceContext trace);
 
   /// The corpus epoch to serve at: the live SearchEngine::epoch() when a
   /// search engine is attached, else the engine config's corpus_epoch.
   CorpusEpoch CurrentEpoch() const;
 
-  /// Propagates an epoch bump to every tier (query tier, doc tier, store),
-  /// in documented lock order. Idempotent per epoch.
+  /// Propagates an epoch bump to the doc tier and the store (which empties
+  /// its query tier). Idempotent per epoch.
   void SyncEpoch(CorpusEpoch epoch);
 
   const QkbflyEngine* engine_;
@@ -216,7 +212,6 @@ class KbService {
   KbServiceOptions options_;
   std::string fingerprint_;  ///< Engine-config fingerprint, part of cache keys.
   DocumentResultCache cache_;
-  QueryKbCache query_cache_;
   std::unique_ptr<FactStore> owned_store_;  ///< When options.fact_store null.
   FactStore* store_;
   std::unique_ptr<ThreadPool> pool_;  ///< Present when num_threads > 1.

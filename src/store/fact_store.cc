@@ -1,8 +1,11 @@
 #include "store/fact_store.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <thread>
+#include <tuple>
 #include <utility>
 
 #include "util/json.h"
@@ -74,7 +77,8 @@ size_t FactRecord::ApproxBytes() const {
   return bytes;
 }
 
-FactStore::FactStore() {
+FactStore::FactStore(size_t qa_byte_budget)
+    : answers_(QueryKbCache::Options{qa_byte_budget}) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   facts_total_ = registry.GetCounter(
       "store_facts_total",
@@ -182,12 +186,22 @@ void FactStore::SetEpoch(CorpusEpoch epoch) {
   CorpusEpoch seen = epoch_.load(std::memory_order_acquire);
   do {
     if (seen >= epoch) return;
+#if defined(QKBFLY_CHECK_INVARIANTS)
+    // Widens the window between the read and the CAS: about half of the
+    // epochs (picked by a hash of `epoch`) pause here, so the racing-bump
+    // test fails a load-then-store regression. A bare yield returns at once
+    // on idle cores and caught it in 3 runs of 10.
+    if ((epoch * 0x9e3779b97f4a7c15ull) >> 63) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+#endif
   } while (!epoch_.compare_exchange_weak(seen, epoch,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire));
-  // Stale facts are dropped lazily per shard; the QA index is small enough
-  // to sweep eagerly so restarts never resurrect stale answers.
-  qa_pairs_.DropStale(epoch);
+  // Stale facts are dropped lazily per shard. The query tier's keys carry
+  // the epoch, so its old pairs can never hit again: drop them at once. The
+  // CAS above runs this once per advance.
+  answers_.Clear();
 }
 
 size_t FactStore::fact_count() const {
@@ -208,7 +222,7 @@ size_t FactStore::ApproxBytesUsed() const {
     std::lock_guard<std::mutex> lock(store_shard.mutex);
     bytes += store_shard.bytes;
   }
-  return bytes + qa_pairs_.ApproxBytesUsed();
+  return bytes + answers_.ApproxBytesUsed();
 }
 
 void FactStore::Clear() {
@@ -218,18 +232,7 @@ void FactStore::Clear() {
     store_shard.map.clear();
     store_shard.bytes = 0;
   }
-  qa_pairs_.Clear();
-}
-
-std::shared_ptr<const QaPair> FactStore::FindQaPair(
-    std::string_view question, CorpusEpoch epoch, std::string_view fingerprint,
-    obs::TraceContext trace) const {
-  obs::ScopedSpan span(trace, "store_lookup");
-  span.AddAttribute("question", question);
-  std::shared_ptr<const QaPair> pair =
-      qa_pairs_.Find(question, epoch, fingerprint);
-  span.AddAttribute("found", pair != nullptr);
-  return pair;
+  answers_.Clear();
 }
 
 Status FactStore::Save(const std::string& path) const {
@@ -271,9 +274,16 @@ Status FactStore::Save(const std::string& path) const {
     write_out();
   }
 
+  std::vector<std::shared_ptr<const QaPair>> pairs = answers_.Values();
+  std::sort(pairs.begin(), pairs.end(),
+            [](const std::shared_ptr<const QaPair>& a,
+               const std::shared_ptr<const QaPair>& b) {
+              return std::tie(a->question, a->fingerprint, a->epoch) <
+                     std::tie(b->question, b->fingerprint, b->epoch);
+            });
   // One serialization buffer for every in-process pair's KB.
   std::string kb_bytes;
-  for (const auto& pair : qa_pairs_.All()) {
+  for (const auto& pair : pairs) {
     if (pair->epoch < current) continue;
     out.append("{\"kind\":\"qa\",\"question\":");
     json::AppendJsonString(pair->question, &out);
@@ -385,7 +395,8 @@ Status FactStore::Load(const std::string& path) {
       pair.fingerprint = fingerprint.text();
       pair.documents = documents;
       pair.kb_bytes = kb.text();
-      qa_pairs_.Record(std::move(pair));
+      std::string key = QueryKey(pair.question, pair.epoch, pair.fingerprint);
+      (void)answers_.Insert(key, std::move(pair));
     } else {
       return fail("unknown record kind '" + std::string(kind.text()) + "'");
     }

@@ -2,19 +2,24 @@
 // queries, with provenance (source documents, originating queries, corpus
 // epoch) and epoch-based lazy invalidation. This is the subsystem that turns
 // on-the-fly construction into a *growing* KB — repeated and overlapping
-// queries amortize instead of rebuilding from scratch — plus the QaPairIndex
-// materializing question->answer pairs alongside the triple store.
+// queries amortize instead of rebuilding from scratch — plus the serving
+// layer's query tier (store/query_cache.h): the question->answer pairs,
+// one memo::ShardedLru under one byte budget, persisted alongside the
+// triple store.
 //
 // Concurrency mirrors memo::ShardedLru (memo/sharded_lru.h): mutex-per-shard,
 // keys hashed to shards, counters/gauges in the process-wide metrics
 // registry (`store_facts_total`, `store_resident_bytes`). Lock order
 // (documented in DESIGN.md, enforced by qkbfly-lint C3): store shard mutexes
 // rank below the memo shard mutex of the serving layer's cache tiers and
-// above metrics.
+// above metrics, so no store method touches its query tier while it holds
+// a store shard mutex.
 //
 // Persistence is a JSONL snapshot (`Save`/`Load`): one schema-validated JSON
 // object per line — a header, then facts, then QA pairs, each section in
-// deterministic sorted order so identical stores serialize identically.
+// deterministic sorted order so identical stores serialize identically. A
+// snapshot holds the facts and the QA pairs resident in the query tier: a
+// pair the byte budget evicted before Save is not in it.
 #ifndef QKBFLY_STORE_FACT_STORE_H_
 #define QKBFLY_STORE_FACT_STORE_H_
 
@@ -31,7 +36,7 @@
 #include "corpus/document.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "store/qa_pair_index.h"
+#include "store/query_cache.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -59,7 +64,9 @@ struct FactRecord {
 /// Sharded, versioned, thread-safe accumulator of canonicalized facts.
 class FactStore {
  public:
-  FactStore();
+  /// `qa_byte_budget` bounds the query tier (the resident QA pairs).
+  explicit FactStore(
+      size_t qa_byte_budget = memo::Traits<QaPair>::kDefaultByteBudget);
 
   /// Clears on destruction so the resident-bytes gauge drops this instance's
   /// contribution.
@@ -83,44 +90,44 @@ class FactStore {
   /// benches.
   std::vector<FactRecord> Snapshot() const;
 
-  /// Advances the store's corpus epoch. Facts (and QA pairs) recorded under
-  /// an older epoch become stale: they stop being returned immediately and
-  /// are physically dropped lazily, the next time their shard is written.
-  /// The epoch never moves backwards: an epoch at or below the current one
-  /// is a no-op, also when calls race.
+  /// Advances the store's corpus epoch. Facts recorded under an older epoch
+  /// become stale: they stop being returned immediately and are physically
+  /// dropped lazily, the next time their shard is written. The query tier is
+  /// emptied at once (its keys carry the epoch, so this only reclaims
+  /// memory). The epoch never moves backwards: an epoch at or below the
+  /// current one is a no-op, also when calls race.
   void SetEpoch(CorpusEpoch epoch);
   CorpusEpoch epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Fresh facts currently resident (stale records are not counted).
   size_t fact_count() const;
 
-  /// Approximate bytes of resident facts plus QA pairs.
+  /// Approximate bytes of resident facts plus the query tier's charge.
   size_t ApproxBytesUsed() const;
 
   void Clear();
 
-  /// Writes the JSONL snapshot: header line, facts sorted by key, QA pairs
-  /// sorted by (question, fingerprint), a pair's KB serialized from its
-  /// shared object when it has one. Streams record by record to a temp file
-  /// and renames it over `path`, so the write is atomic.
+  /// Writes the JSONL snapshot: header line, facts sorted by key, then the
+  /// query tier's resident pairs of the current epoch or later sorted by
+  /// (question, fingerprint, epoch), a pair's KB serialized from its shared
+  /// object when it has one. Streams record by record to a temp file and
+  /// renames it over `path`, so the write is atomic.
   Status Save(const std::string& path) const;
 
   /// Replaces the store's contents from a snapshot, read line by line.
   /// Every line is parsed by util/json and schema-validated (exact key set, value types, epochs
   /// and document counts as exact uint64_t integers, finite confidences);
   /// the first violation fails the load with a line-numbered
-  /// InvalidArgument and leaves the store empty.
+  /// InvalidArgument and leaves the store empty. Each QA pair enters the
+  /// query tier through Insert holding its KB bytes (deserialized by the
+  /// serving layer on the pair's first hit); past the byte budget the most
+  /// recently read pairs stay.
   Status Load(const std::string& path);
 
-  /// The question->answer-pair index persisted alongside the facts.
-  QaPairIndex& qa_pairs() { return qa_pairs_; }
-  const QaPairIndex& qa_pairs() const { return qa_pairs_; }
-
-  /// QaPairIndex::Find wrapped in a `store_lookup` span.
-  std::shared_ptr<const QaPair> FindQaPair(std::string_view question,
-                                           CorpusEpoch epoch,
-                                           std::string_view fingerprint,
-                                           obs::TraceContext trace = {}) const;
+  /// The query tier: the QA pairs persisted alongside the facts, keyed by
+  /// QueryKey(question, epoch, fingerprint).
+  QueryKbCache& answers() { return answers_; }
+  const QueryKbCache& answers() const { return answers_; }
 
  private:
   static constexpr size_t kNumShards = 8;
@@ -142,7 +149,7 @@ class FactStore {
 
   std::array<Shard, kNumShards> shards_;
   std::atomic<CorpusEpoch> epoch_{1};
-  QaPairIndex qa_pairs_;
+  QueryKbCache answers_;
 
   // Registry instruments (process-wide, shared across instances).
   obs::Counter* facts_total_;

@@ -238,7 +238,8 @@ std::string SnapshotSeed(const std::string& path) {
   pair.documents = 2;
   pair.answers = {"Springfield"};
   pair.kb_bytes = std::string("qkbfly-kb\t1\n\x01\x7f\xff", 15);
-  store.qa_pairs().Record(pair);
+  (void)store.answers().Insert(
+      QueryKey(pair.question, pair.epoch, pair.fingerprint), pair);
   EXPECT_TRUE(store.Save(path).ok());
   return ReadFile(path);
 }

@@ -764,6 +764,79 @@ TEST(RuleC3Test, FlagsCrossFunctionRankContradiction) {
                      "FactStore::store_shard.mutex->ShardedLru::shard.mutex"));
 }
 
+// Clear() is a method of two classes, so the bare name alone cannot pick the
+// callee. The receiver's declared type (a member of an alias of the memo)
+// resolves `answers_.Clear()` under the store shard to the memo's Clear; a
+// receiver of the other class stays off the memo, and a receiver whose type
+// the index cannot know resolves to every Clear that takes a lock.
+constexpr char kSharedNameMemo[] = R"cc(
+  template <typename Value>
+  class ShardedLru {
+   public:
+    void Clear() { std::lock_guard<std::mutex> lock(shard.mutex); }
+  };
+  using QueryKbCache = memo::ShardedLru<QaPair>;
+)cc";
+
+constexpr char kSharedNameOther[] = R"cc(
+  class Gauge {
+   public:
+    void Clear() { std::lock_guard<std::mutex> lock(metrics_mu_); }
+  };
+)cc";
+
+TEST(RuleC3Test, FlagsInversionThroughSharedNameMethod) {
+  ProjectIndex index = BuildIndex({
+      {"src/memo/sharded_lru.h", kSharedNameMemo},
+      {"src/obs/gauge.h", kSharedNameOther},
+      {"src/store/fact_store.h", R"cc(
+        class FactStore {
+         private:
+          QueryKbCache answers_;
+          obs::Gauge* gauge_;
+        };
+      )cc"},
+      {"src/store/fact_store.cc", R"cc(
+        void FactStore::Ingest(const std::string& key) {
+          std::lock_guard<std::mutex> lock(store_shard.mutex);
+          gauge_->Clear();
+          answers_.Clear();
+        }
+      )cc"},
+  });
+  const std::string kInversion =
+      "FactStore::store_shard.mutex->ShardedLru::shard.mutex";
+  auto diags = CheckLockOrder(index);
+  ASSERT_TRUE(HasKey(diags, Rule::kC3, kInversion));
+  EXPECT_EQ(diags.size(), 1u);  // the Gauge call orders store -> metrics
+
+  // Typed to the other class only: no memo edge.
+  index = BuildIndex({
+      {"src/memo/sharded_lru.h", kSharedNameMemo},
+      {"src/obs/gauge.h", kSharedNameOther},
+      {"src/store/fact_store.cc", R"cc(
+        void FactStore::Ingest(obs::Gauge& gauge) {
+          std::lock_guard<std::mutex> lock(store_shard.mutex);
+          gauge.Clear();
+        }
+      )cc"},
+  });
+  EXPECT_FALSE(Has(CheckLockOrder(index), Rule::kC3));
+
+  // An untyped receiver (a call's result) may be either class.
+  index = BuildIndex({
+      {"src/memo/sharded_lru.h", kSharedNameMemo},
+      {"src/obs/gauge.h", kSharedNameOther},
+      {"src/store/fact_store.cc", R"cc(
+        void FactStore::Ingest() {
+          std::lock_guard<std::mutex> lock(store_shard.mutex);
+          tier().Clear();
+        }
+      )cc"},
+  });
+  EXPECT_TRUE(HasKey(CheckLockOrder(index), Rule::kC3, kInversion));
+}
+
 TEST(RuleC3Test, DocumentedOrderAndScopedLockGroupsAreClean) {
   ProjectIndex index = BuildIndex({{"src/core/pipeline.cc", R"cc(
     void Pipeline::Run() {

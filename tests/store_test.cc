@@ -2,13 +2,13 @@
 // a seeded mutation test of Deserialize — labeled asan), the sharded
 // FactStore (merge semantics, epoch staleness, JSONL snapshot
 // save/load and a pinned snapshot digest), number spelling in both writers
-// against printf, the QaPairIndex, the query-level cache tier in KbService
-// (cold / doc-warm / query-warm byte-identity, also under 4-thread
-// concurrency — labeled tsan), the one immutable KB that query-tier hits,
-// QA pairs and store probes share, racing epoch bumps, epoch-bump
-// invalidation of both tiers, answer reproduction across a simulated
-// process restart, and a cold fallback when a restored QA pair's KB bytes
-// are corrupt.
+// against printf, the query tier of QA pairs (epoch-exact lookup, its byte
+// bound under 10x its budget of distinct questions, and in KbService cold /
+// doc-warm / query-warm byte-identity, also under 4-thread concurrency —
+// labeled tsan), the one immutable KB that query-tier hits share, racing
+// epoch bumps, epoch-bump invalidation of both tiers, answer reproduction
+// across a simulated process restart, and a cold fallback when a restored
+// QA pair's KB bytes are corrupt.
 #include "store/fact_store.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@
 #include "mutate.h"
 #include "obs/metrics.h"
 #include "service/kb_service.h"
-#include "store/qa_pair_index.h"
 #include "store/query_cache.h"
 #include "synth/dataset.h"
 #include "util/rng.h"
@@ -222,36 +221,6 @@ TEST_F(StoreTest, KbDeserializeMutantsFailCleanlyOrRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// QaPairIndex.
-// ---------------------------------------------------------------------------
-
-TEST(QaPairIndexTest, NormalizeQuestion) {
-  EXPECT_EQ(QaPairIndex::NormalizeQuestion("  Who married ANN?! "),
-            "who married ann");
-  EXPECT_EQ(QaPairIndex::NormalizeQuestion("who-married_ann"),
-            "who married ann");
-}
-
-TEST(QaPairIndexTest, EpochExactLookup) {
-  QaPairIndex index;
-  QaPair pair;
-  pair.question = "who married ann";
-  pair.fingerprint = "fp";
-  pair.epoch = 1;
-  pair.answers = {"bob"};
-  index.Record(pair);
-
-  EXPECT_NE(index.Find("who married ann", 1, "fp"), nullptr);
-  EXPECT_EQ(index.Find("who married ann", 2, "fp"), nullptr);  // stale
-  EXPECT_EQ(index.Find("who married ann", 1, "other"), nullptr);
-  EXPECT_EQ(index.Find("ann married who", 1, "fp"), nullptr);  // exact only
-
-  index.DropStale(2);
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.Find("who married ann", 1, "fp"), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // FactStore: merge semantics, staleness, snapshot persistence.
 // ---------------------------------------------------------------------------
 
@@ -347,7 +316,7 @@ TEST(FactStoreTest, SaveLoadRoundTripsSnapshotBytes) {
   pair.documents = 3;
   pair.answers = {"<ann, married, bob>"};
   pair.kb_bytes = "qkbfly-kb\t1\n";
-  store.qa_pairs().Record(pair);
+  (void)store.answers().Insert(QueryKey(pair.question, pair.epoch, "fp"), pair);
   ASSERT_TRUE(store.Save(path).ok());
 
   FactStore loaded;
@@ -355,9 +324,12 @@ TEST(FactStoreTest, SaveLoadRoundTripsSnapshotBytes) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(loaded.fact_count(), store.fact_count());
   EXPECT_EQ(loaded.epoch(), store.epoch());
-  ASSERT_EQ(loaded.qa_pairs().size(), 1u);
-  auto found = loaded.FindQaPair("who married ann", 1, "fp");
-  ASSERT_NE(found, nullptr);
+  std::vector<std::shared_ptr<const QaPair>> pairs = loaded.answers().Values();
+  ASSERT_EQ(pairs.size(), 1u);
+  const QaPair* found = pairs[0].get();
+  EXPECT_EQ(found->question, pair.question);
+  EXPECT_EQ(found->epoch, 1u);
+  EXPECT_EQ(found->fingerprint, "fp");
   EXPECT_EQ(found->answers, pair.answers);
   EXPECT_EQ(found->kb_bytes, pair.kb_bytes);
 
@@ -446,7 +418,7 @@ TEST_F(StoreTest, SaveSnapshotDigestIsPinned) {
     pair.answers.push_back(kb->FactToString(kb->facts()[i]));
   }
   pair.kb = kb;
-  store.qa_pairs().Record(pair);
+  (void)store.answers().Insert(QueryKey(pair.question, pair.epoch, "fp"), pair);
 
   std::string path = TempPath("digest.jsonl");
   ASSERT_TRUE(store.Save(path).ok());
@@ -639,7 +611,7 @@ TEST(FactStoreTest, SaveSpellsNumbersAsPrintfDoes) {
     pair.question = "q" + std::to_string(i);
     pair.epoch = kEpochs[i];
     pair.documents = kDocuments[i];
-    store.qa_pairs().Record(pair);
+    (void)store.answers().Insert(QueryKey(pair.question, pair.epoch, ""), pair);
   }
   std::string path = ::testing::TempDir() + "qkbfly_store_numbers.jsonl";
   ASSERT_TRUE(store.Save(path).ok());
@@ -682,8 +654,13 @@ TEST(FactStoreTest, ExactDoubleMatchesPrintfOnRandomBits) {
 // QueryKbCache mechanics.
 // ---------------------------------------------------------------------------
 
-CachedAnswer FakeAnswer(const std::string& tag) {
-  CachedAnswer a;
+TEST(QueryKbCacheTest, NormalizeQuestion) {
+  EXPECT_EQ(NormalizeQuestion("  Who married ANN?! "), "who married ann");
+  EXPECT_EQ(NormalizeQuestion("who-married_ann"), "who married ann");
+}
+
+QaPair FakeAnswer(const std::string& tag) {
+  QaPair a;
   // An empty KB: the cache mechanics never read it, so it binds no
   // repositories.
   a.kb = std::make_shared<const OnTheFlyKb>(nullptr, nullptr);
@@ -727,6 +704,35 @@ TEST(QueryKbCacheTest, KeySeparatesEpochAndFingerprint) {
   (void)cache.FetchOrCompute(QueryKey("q", 1, "fp2"), compute);
   (void)cache.FetchOrCompute(QueryKey("q", 1, "fp"), compute);
   EXPECT_EQ(computations, 3);
+}
+
+// A stored pair serves exactly its (question, epoch, fingerprint), and an
+// epoch bump empties the tier.
+TEST(QueryKbCacheTest, EpochExactLookup) {
+  FactStore store;
+  QaPair pair = FakeAnswer("ann");
+  pair.question = "who married ann";
+  pair.fingerprint = "fp";
+  pair.epoch = 1;
+  (void)store.answers().Insert(QueryKey(pair.question, 1, "fp"), pair);
+  EXPECT_EQ(store.answers().stats().hits + store.answers().stats().misses, 0u);
+
+  auto hits = [&](std::string_view question, CorpusEpoch epoch,
+                  std::string_view fingerprint) {
+    bool hit = false;
+    (void)store.answers().FetchOrCompute(
+        QueryKey(question, epoch, fingerprint),
+        [] { return FakeAnswer("computed"); }, &hit);
+    return hit;
+  };
+  EXPECT_FALSE(hits("who married ann", 2, "fp"));  // stale
+  EXPECT_FALSE(hits("who married ann", 1, "other"));
+  EXPECT_FALSE(hits("ann married who", 1, "fp"));  // exact only
+  EXPECT_TRUE(hits("who married ann", 1, "fp"));
+
+  store.SetEpoch(2);
+  EXPECT_EQ(store.answers().entry_count(), 0u);
+  EXPECT_FALSE(hits("who married ann", 1, "fp"));
 }
 
 TEST(QueryKbCacheTest, EvictAllIsIdempotentPerEpoch) {
@@ -798,33 +804,15 @@ TEST_F(StoreTest, QueryTierHitsShareTheColdKb) {
   EXPECT_EQ(&a.kb, a.shared_kb.get());
   EXPECT_EQ(a.kb.Serialize(), cold_bytes);
 
-  // The recorded QA pair shares the same object.
-  std::shared_ptr<const QaPair> pair = service.fact_store()->qa_pairs().Find(
-      QaPairIndex::NormalizeQuestion(query), search->epoch(),
-      engine_->config().Fingerprint());
-  ASSERT_NE(pair, nullptr);
-  EXPECT_EQ(pair->kb.get(), &a.kb);
-  EXPECT_TRUE(pair->kb_bytes.empty());
-}
-
-TEST_F(StoreTest, StoreProbeSharesAnInProcessPairsKb) {
-  auto search = MakeSearch();
-  FactStore store;
-  KbServiceOptions options;
-  options.fact_store = &store;
-  KbService service(engine_, search.get(), options);
-  std::string query = dataset_->wiki_eval.front().doc.title;
-  KbService::QueryResult cold = service.Answer(query);
-  ASSERT_FALSE(cold.stats.served_from_store);
-
-  // With the query tier gone the store probe answers, handing out the very
-  // object the cold answer built: nothing was deserialized.
-  service.ClearQueryTier();
-  KbService::QueryResult probed = service.Answer(query);
-  EXPECT_FALSE(probed.stats.query_cache_hit);
-  EXPECT_TRUE(probed.stats.served_from_store);
-  EXPECT_EQ(&probed.kb, &cold.kb);
-  EXPECT_EQ(probed.answers, cold.answers);
+  // The tier's one QA pair is that very object.
+  std::vector<std::shared_ptr<const QaPair>> pairs =
+      service.query_cache().Values();
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0]->question, NormalizeQuestion(query));
+  EXPECT_EQ(pairs[0]->epoch, search->epoch());
+  EXPECT_EQ(pairs[0]->fingerprint, engine_->config().Fingerprint());
+  EXPECT_EQ(pairs[0]->kb.get(), &a.kb);
+  EXPECT_TRUE(pairs[0]->kb_bytes.empty());
 }
 
 TEST_F(StoreTest, LoadedPairIsDeserializedOnceThenHitsTheQueryTier) {
@@ -865,6 +853,39 @@ TEST_F(StoreTest, LoadedPairIsDeserializedOnceThenHitsTheQueryTier) {
   EXPECT_EQ(service.traces().Slowest().size(), 3u);
   EXPECT_EQ(deserializations, 1);
   std::remove(path.c_str());
+}
+
+// The query tier is the only holder of answered QA pairs, so its byte
+// budget bounds them: answering 10x the budget in distinct questions keeps
+// the resident pairs at or under it.
+TEST_F(StoreTest, QueryTierHoldsAnswersUnderItsByteBudget) {
+  // 8 shards of 48 KiB: each holds several of this dataset's ~6 KB answers.
+  constexpr size_t kBudget = size_t{8} * (48 << 10);
+  FactStore store(kBudget);
+  ASSERT_EQ(store.answers().byte_budget(), kBudget);
+  auto search = MakeSearch();
+  KbServiceOptions options;
+  options.fact_store = &store;
+  KbService service(engine_, search.get(), options);
+
+  size_t answered_bytes = 0;
+  size_t questions = 0;
+  while (answered_bytes < 10 * kBudget) {
+    const GoldDocument& gd =
+        dataset_->wiki_eval[questions % dataset_->wiki_eval.size()];
+    KbService::QueryResult r =
+        service.Answer(gd.doc.title + " " + std::to_string(questions));
+    ASSERT_FALSE(r.stats.query_cache_hit);
+    answered_bytes += r.kb.ApproxBytes();
+    ++questions;
+  }
+  EXPECT_LE(store.answers().ApproxBytesUsed(), kBudget);
+  EXPECT_GT(store.answers().entry_count(), 0u);
+  EXPECT_LT(store.answers().entry_count(), questions);
+  EXPECT_GT(store.answers().stats().evictions, 0u);
+  std::printf("%zu questions, %zu answered bytes, %zu resident in %zu pairs\n",
+              questions, answered_bytes, store.answers().ApproxBytesUsed(),
+              store.answers().entry_count());
 }
 
 TEST_F(StoreTest, KbApproxBytesCoversItsBytesAndGrowsWithFacts) {

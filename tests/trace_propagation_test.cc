@@ -10,8 +10,8 @@
 // identical with and without a live trace, and the serving layer's miss
 // path: canonical extraction gets its own `extract` span beside
 // `process_document`, apart from the per-query `merge`; and every step of
-// KbService::Answer has a span (render, serialize, qa_record on a cold
-// answer; deserialize on a query-tier hit).
+// a cold KbService::Answer has a span (retrieve, merge, render,
+// store_ingest), while a query-tier hit records none.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -240,7 +240,7 @@ TEST_F(TracePropagationTest, AnswerSpansCoverEveryStep) {
   const std::map<std::string, int>& cold = names[0];
   const std::map<std::string, int>& hit = names[1];
   for (const char* step :
-       {"retrieve", "merge", "render", "store_ingest", "qa_record"}) {
+       {"retrieve", "merge", "render", "store_ingest"}) {
     EXPECT_EQ(cold.count(step), 1u) << step;
   }
   // The cold KB is published as built and the hit shares it: neither

@@ -26,6 +26,24 @@ bool IsCallKeyword(const Token& t) {
          Is(t, "assert") || Is(t, "noexcept");
 }
 
+/// Identifiers that can stand right before a name without being its type.
+bool IsNonTypeWord(const Token& t) {
+  return IsCallKeyword(t) || Is(t, "else") || Is(t, "new") ||
+         Is(t, "delete") || Is(t, "throw") || Is(t, "case") || Is(t, "goto") ||
+         Is(t, "class") || Is(t, "struct") || Is(t, "union") ||
+         Is(t, "enum") || Is(t, "namespace") || Is(t, "public") ||
+         Is(t, "private") || Is(t, "protected") || Is(t, "using") ||
+         Is(t, "typedef") || Is(t, "operator") || Is(t, "template") ||
+         Is(t, "typename") || Is(t, "auto") || Is(t, "virtual");
+}
+
+/// Records `name: type`; a second, different type makes the name ambiguous.
+void RecordType(std::map<std::string, std::string>* types,
+                const std::string& name, const std::string& type) {
+  auto [it, added] = types->emplace(name, type);
+  if (!added && it->second != type) it->second.clear();
+}
+
 /// Receivers whose growth is exempt from A1: the thread_local densify
 /// workspace (retained capacity by design) and caller-owned out-parameters
 /// (capacity retained across reuse by the caller — the runtime twin,
@@ -54,6 +72,32 @@ struct FnScanner {
     std::vector<const Token*> chain;
     for (size_t k = j; k < f; ++k) chain.push_back(&Tok(k));
     return chain;
+  }
+
+  /// Declared type of the name at `f` when a type precedes it (`Type name`,
+  /// `ns::Type<Args>& name`, `Type const* name`): the type's last identifier
+  /// before its template arguments, or "" when no type precedes it. Looks
+  /// no further back than position `lo`.
+  std::string DeclaredType(size_t f, size_t lo) const {
+    size_t j = f;
+    while (j > lo && (Is(Tok(j - 1), "*") || Is(Tok(j - 1), "&") ||
+                      Is(Tok(j - 1), "&&") || Is(Tok(j - 1), "const"))) {
+      --j;
+    }
+    if (j > lo && Is(Tok(j - 1), ">")) {
+      int depth = 0;
+      do {
+        --j;
+        if (Is(Tok(j), ">")) ++depth;
+        if (Is(Tok(j), "<")) --depth;
+        if (Is(Tok(j), ";") || Is(Tok(j), "{") || Is(Tok(j), "}")) return "";
+      } while (depth > 0 && j > lo);
+      if (depth != 0) return "";
+    }
+    if (j <= lo || !IsIdent(Tok(j - 1)) || IsNonTypeWord(Tok(j - 1))) {
+      return "";
+    }
+    return Tok(j - 1).text;
   }
 };
 
@@ -130,9 +174,85 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
     file.includes.push_back(std::move(ref));
   }
 
+  FnScanner scan{lexed.tokens, structure};
+  const size_t n = scan.Count();
+
+  // Declared types. A function's parameters (its head's parentheses) and
+  // locals are its own; other declarations whose innermost scope is a class
+  // are that class's members.
+  std::vector<size_t> head_of(n, kNoFunction);
+  for (size_t r = 0; r < structure.functions.size(); ++r) {
+    size_t q = structure.functions[r].open;
+    while (q > 0 && (Is(scan.Tok(q - 1), "const") ||
+                     Is(scan.Tok(q - 1), "noexcept") ||
+                     Is(scan.Tok(q - 1), "override") ||
+                     Is(scan.Tok(q - 1), "final"))) {
+      --q;
+    }
+    if (q == 0 || !Is(scan.Tok(q - 1), ")")) continue;
+    int pdepth = 0;
+    for (size_t j = q - 1; j > 0; --j) {
+      if (Is(scan.Tok(j), ")")) ++pdepth;
+      if (Is(scan.Tok(j), "(") && --pdepth == 0) break;
+      head_of[j] = r;
+    }
+  }
+  std::vector<std::map<std::string, std::string>> locals(
+      structure.functions.size());
+  std::vector<size_t> open_scopes;  // indices into structure.scopes
+  size_t next_scope = 0;
+  for (size_t f = 0; f + 1 < n; ++f) {
+    while (!open_scopes.empty() &&
+           structure.scopes[open_scopes.back()].close != 0 &&
+           structure.scopes[open_scopes.back()].close < f) {
+      open_scopes.pop_back();
+    }
+    if (next_scope < structure.scopes.size() &&
+        structure.scopes[next_scope].open == f) {
+      open_scopes.push_back(next_scope++);
+    }
+    const Token& t = scan.Tok(f);
+    if (Is(t, "using") && f + 2 < n && IsIdent(scan.Tok(f + 1)) &&
+        Is(scan.Tok(f + 2), "=")) {
+      // `using Alias = ns::Target<Args>;` -> Target.
+      std::string target;
+      int depth = 0;
+      for (size_t j = f + 3; j < n && !Is(scan.Tok(j), ";"); ++j) {
+        if (Is(scan.Tok(j), "<")) ++depth;
+        if (Is(scan.Tok(j), ">")) --depth;
+        if (depth == 0 && IsIdent(scan.Tok(j))) target = scan.Tok(j).text;
+      }
+      RecordType(&index_.type_aliases, scan.Tok(f + 1).text, target);
+      continue;
+    }
+    if (!IsIdent(t)) continue;
+    const Token& next = scan.Tok(f + 1);
+    bool member_end = Is(next, ";") || Is(next, "=") || Is(next, "{") ||
+                      Is(next, "[");
+    bool local_end = member_end || Is(next, "(") || Is(next, ",") ||
+                     Is(next, ")") || Is(next, ":");
+    size_t fn_at = structure.enclosing_function[f];
+    if (fn_at == kNoFunction) fn_at = head_of[f];
+    if (fn_at != kNoFunction) {
+      if (!local_end) continue;
+      std::string type = scan.DeclaredType(f, 0);
+      if (!type.empty()) RecordType(&locals[fn_at], t.text, type);
+      continue;
+    }
+    if (!member_end || open_scopes.empty()) continue;
+    const Scope& scope = structure.scopes[open_scopes.back()];
+    if (scope.kind != ScopeKind::kClass) continue;
+    std::string type = scan.DeclaredType(f, scope.open + 1);
+    if (!type.empty()) {
+      RecordType(&index_.member_types[scope.name], t.text, type);
+    }
+  }
+
   // Per-function facts.
-  for (const FunctionRegion& region : structure.functions) {
+  for (size_t r = 0; r < structure.functions.size(); ++r) {
+    const FunctionRegion& region = structure.functions[r];
     IndexedFunction fn;
+    fn.local_types = std::move(locals[r]);
     fn.file = path;
     fn.name = region.name;
     fn.qualified = region.qualified;
@@ -143,9 +263,6 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
     size_t sep = region.qualified.rfind("::");
     owner = sep == std::string::npos ? file.module
                                      : region.qualified.substr(0, sep);
-
-    FnScanner scan{lexed.tokens, structure};
-    size_t n = scan.Count();
 
     // Alias pass: `auto& name = ws_->...;` makes `name` an exempt growth
     // receiver inside this function.
@@ -326,6 +443,16 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
         if (f >= region.open + 2 && Is(scan.Tok(f - 1), "::") &&
             IsIdent(scan.Tok(f - 2))) {
           call.qualifier = scan.Tok(f - 2).text;
+        }
+        // Receiver chain `a.b->name(`, read backwards from the call.
+        for (size_t j = f; j > region.open + 1 && (Is(scan.Tok(j - 1), ".") ||
+                                                   Is(scan.Tok(j - 1), "->"));
+             j -= 2) {
+          if (!IsIdent(scan.Tok(j - 2))) {
+            call.receiver_opaque = true;
+            break;
+          }
+          call.receiver.insert(call.receiver.begin(), scan.Tok(j - 2).text);
         }
         for (const HeldLock& h : held) call.held.push_back(h.node);
         fn.calls.push_back(std::move(call));

@@ -1,9 +1,10 @@
 // ProjectIndex: phase 1 of the whole-program analyzer. Each source file is
 // lexed once and reduced to cross-file facts — include edges, declared
 // functions/methods with brace-span ownership, lock-acquisition sites
-// resolved to named nodes, call edges by qualified-name token matching, and
-// allocation/growth sites with their receivers. Phase 2 (lint/wholeprogram.h)
-// runs the L1/C3/A1 rules over the finished index.
+// resolved to named nodes, call edges by qualified-name token matching (with
+// each call's receiver chain), the declared types of members, parameters and
+// locals, and allocation/growth sites with their receivers. Phase 2
+// (lint/wholeprogram.h) runs the L1/C3/A1 rules over the finished index.
 //
 // Everything is plain data in ordered containers: index construction and
 // every downstream rule are deterministic for a given file set.
@@ -24,6 +25,12 @@ namespace qkbfly::lint {
 struct CallSite {
   std::string name;       ///< Unqualified callee identifier.
   std::string qualifier;  ///< Innermost explicit `X::` qualifier, or "".
+  /// Identifiers of the `a.b->` chain the call is made on ({"a", "b"});
+  /// empty for a call without receiver.
+  std::vector<std::string> receiver;
+  /// The receiver ends in something other than an identifier (`f().g()`,
+  /// `v[i].g()`), so its type is unknown.
+  bool receiver_opaque = false;
   int line = 0;
   /// Lock nodes held at the call (for cross-function C3 edges).
   std::vector<std::string> held;
@@ -66,6 +73,11 @@ struct IndexedFunction {
   std::vector<AllocSite> allocs;
   std::vector<LockAcquisition> locks;
   std::vector<LockEdge> lock_edges;
+  /// Parameter and local name -> declared type name (the last identifier
+  /// before any template arguments: "ShardedLru" for
+  /// `memo::ShardedLru<X>&`); "" when the function declares it twice with
+  /// different types.
+  std::map<std::string, std::string> local_types;
 };
 
 /// An `#include "..."` directive; `resolved` is the indexed file it names
@@ -93,6 +105,11 @@ struct ProjectIndex {
   std::map<std::string, std::vector<size_t>> functions_by_name;
   /// Qualified name -> indices into `functions`.
   std::map<std::string, std::vector<size_t>> functions_by_qualified;
+  /// Class name -> data member name -> declared type name, as in
+  /// IndexedFunction::local_types ("" when declared with different types).
+  std::map<std::string, std::map<std::string, std::string>> member_types;
+  /// `using Alias = ns::Target<...>;` -> "Target" ("" when ambiguous).
+  std::map<std::string, std::string> type_aliases;
 
   const IndexedFile* FindFile(std::string_view path) const;
 

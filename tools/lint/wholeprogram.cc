@@ -62,14 +62,70 @@ int DocumentedRank(const std::string& node, const std::string& expr,
   return 0;
 }
 
-/// Resolves a call site to function indices. Deliberately strict: an
-/// explicit `Qualifier::name` matches that qualified name; a bare name
-/// matches only when every candidate shares one qualified name (overload
-/// set of a single function). Ambiguous names resolve to nothing — token
-/// matching cannot tell receivers apart, and a wrong match would fabricate
-/// cross-function lock/alloc facts.
+/// The class owning method `qualified`, "" for a free function.
+std::string OwnerOf(const std::string& qualified) {
+  size_t sep = qualified.rfind("::");
+  return sep == std::string::npos ? "" : qualified.substr(0, sep);
+}
+
+/// Follows `using` aliases to a class name ("" past an ambiguous alias).
+std::string Unalias(const ProjectIndex& index, std::string type) {
+  for (int hops = 0; hops < 8 && !type.empty(); ++hops) {
+    auto it = index.type_aliases.find(type);
+    if (it == index.type_aliases.end() || it->second == type) break;
+    type = it->second;
+  }
+  return type;
+}
+
+/// Declared type of a call's receiver, "" when the index does not know it.
+/// The chain's first identifier is looked up among the caller's parameters
+/// and locals, then its class's members; each later one among the previous
+/// type's members. A call without receiver is made on the caller's class.
+std::string ReceiverType(const ProjectIndex& index,
+                         const IndexedFunction& caller, const CallSite& call) {
+  const std::string owner = OwnerOf(caller.qualified);
+  if (call.receiver_opaque) return "";
+  if (call.receiver.empty()) return owner;
+  auto member = [&](const std::string& cls, const std::string& name) {
+    auto c = index.member_types.find(cls);
+    if (c == index.member_types.end()) return std::string();
+    auto m = c->second.find(name);
+    return m == c->second.end() ? std::string() : m->second;
+  };
+  std::string type;
+  for (size_t i = 0; i < call.receiver.size(); ++i) {
+    const std::string& name = call.receiver[i];
+    if (i > 0) {
+      type = member(type, name);
+    } else if (name == "this") {
+      type = owner;
+    } else {
+      auto local = caller.local_types.find(name);
+      type = local != caller.local_types.end() ? local->second
+                                               : member(owner, name);
+    }
+    type = Unalias(index, type);
+    if (type.empty()) return "";
+  }
+  return type;
+}
+
+/// Resolves a call site to function indices. An explicit `Qualifier::name`
+/// matches that qualified name; a bare name matches when every candidate
+/// shares one qualified name (overload set of a single function). A name
+/// several classes share resolves only for C3, which passes `trans` (each
+/// function's transitive lock set): to the candidates of the receiver's
+/// declared type where the index knows it (none when that type has no such
+/// method, e.g. a standard container), else to every candidate that
+/// transitively takes a lock. That over-approximates, so an inversion
+/// through a shared name is never missed; a wrong guess shows up as a
+/// finding to allow at the site, never as a missed edge. A1 passes no
+/// `trans`: its ambiguous names resolve to nothing.
 std::vector<size_t> ResolveCall(const ProjectIndex& index,
-                                const CallSite& call) {
+                                const IndexedFunction& caller,
+                                const CallSite& call,
+                                const std::vector<std::set<std::string>>* trans) {
   if (!call.qualifier.empty()) {
     auto it =
         index.functions_by_qualified.find(call.qualifier + "::" + call.name);
@@ -79,10 +135,26 @@ std::vector<size_t> ResolveCall(const ProjectIndex& index,
   auto it = index.functions_by_name.find(call.name);
   if (it == index.functions_by_name.end()) return {};
   const std::string& first = index.functions[it->second.front()].qualified;
+  bool shared = false;
   for (size_t idx : it->second) {
-    if (index.functions[idx].qualified != first) return {};
+    if (index.functions[idx].qualified != first) shared = true;
   }
-  return it->second;
+  if (!shared) return it->second;
+  if (trans == nullptr) return {};
+  std::vector<size_t> out;
+  const std::string type = ReceiverType(index, caller, call);
+  if (!type.empty()) {
+    for (size_t idx : it->second) {
+      if (OwnerOf(index.functions[idx].qualified) == type) out.push_back(idx);
+    }
+    // A bare call no method of the caller's class answers names a free
+    // function or an inherited method: fall through to the lock takers.
+    if (!out.empty() || !call.receiver.empty()) return out;
+  }
+  for (size_t idx : it->second) {
+    if (!(*trans)[idx].empty()) out.push_back(idx);
+  }
+  return out;
 }
 
 /// Canonical cycle key: rotated so the smallest node leads, joined with
@@ -305,9 +377,9 @@ std::vector<Diagnostic> CheckLockOrder(const ProjectIndex& index) {
     }
   }
 
-  // Transitive lock sets per function, propagated through unambiguous calls
-  // to a fixpoint (the call graph is shallow; this converges in a few
-  // rounds).
+  // Transitive lock sets per function, propagated through resolved calls to
+  // a fixpoint (the call graph is shallow; this converges in a few rounds).
+  // Sets only grow, so the lock-taker fallback of ResolveCall only widens.
   std::vector<std::set<std::string>> trans(index.functions.size());
   for (size_t i = 0; i < index.functions.size(); ++i) {
     for (const LockAcquisition& acq : index.functions[i].locks) {
@@ -319,7 +391,8 @@ std::vector<Diagnostic> CheckLockOrder(const ProjectIndex& index) {
     changed = false;
     for (size_t i = 0; i < index.functions.size(); ++i) {
       for (const CallSite& call : index.functions[i].calls) {
-        for (size_t callee : ResolveCall(index, call)) {
+        for (size_t callee : ResolveCall(index, index.functions[i], call,
+                                         &trans)) {
           if (callee == i) continue;
           for (const std::string& node : trans[callee]) {
             if (trans[i].insert(node).second) changed = true;
@@ -343,7 +416,7 @@ std::vector<Diagnostic> CheckLockOrder(const ProjectIndex& index) {
     }
     for (const CallSite& call : fn.calls) {
       if (call.held.empty()) continue;
-      for (size_t callee : ResolveCall(index, call)) {
+      for (size_t callee : ResolveCall(index, fn, call, &trans)) {
         for (const std::string& inner : trans[callee]) {
           for (const std::string& outer : call.held) {
             add_edge(outer, inner, fn.file, call.line);
@@ -430,7 +503,7 @@ std::vector<Diagnostic> CheckHotPathAlloc(
     const IndexedFunction& fn = index.functions[queue[at]];
     for (const CallSite& call : fn.calls) {
       if (index.IsAllowed(fn.file, call.line, "A1")) continue;
-      for (size_t callee : ResolveCall(index, call)) {
+      for (size_t callee : ResolveCall(index, fn, call, nullptr)) {
         if (reached[callee] == 0) {
           reached[callee] = 1;
           queue.push_back(callee);
