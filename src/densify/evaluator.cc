@@ -75,18 +75,15 @@ void BuildMentionData(const SemanticGraph& graph, const AnnotatedDocument& doc,
 
 }  // namespace
 
-void BuildMeansLane(SemanticGraph* graph, const AnnotatedDocument& doc,
+void BuildMeansLane(const SemanticGraph& graph, const AnnotatedDocument& doc,
                     const BackgroundStats& stats,
                     const EntityRepository& repository,
                     const DensifyParams& params, DensifyWorkspace* ws) {
-  // Hand-built test graphs arrive unfinalized; every adjacency query runs
-  // off the CSR index.
-  graph->Finalize();
   ws->means_edges.clear();
   ws->relation_edges.clear();
-  const size_t edges = graph->edge_count();
+  const size_t edges = graph.edge_count();
   for (size_t e = 0; e < edges; ++e) {
-    switch (graph->edge(static_cast<EdgeId>(e)).kind) {
+    switch (graph.edge(static_cast<EdgeId>(e)).kind) {
       case EdgeKind::kMeans:
         ws->means_edges.push_back(static_cast<EdgeId>(e));
         break;
@@ -97,7 +94,7 @@ void BuildMeansLane(SemanticGraph* graph, const AnnotatedDocument& doc,
         break;
     }
   }
-  BuildMentionData(*graph, doc, repository, ws);
+  BuildMentionData(graph, doc, repository, ws);
 
   // w(n_i, e_ij) = a1 * prior + a2 * sim, dampened 0.3x for loose
   // (partial-name) candidates — the exact MeansWeight formula, one value per
@@ -105,13 +102,13 @@ void BuildMeansLane(SemanticGraph* graph, const AnnotatedDocument& doc,
   // function of the sentence tokens).
   ws->mw_lane.assign(edges, 0.0);
   for (EdgeId m : ws->means_edges) {
-    const GraphEdge& edge = graph->edge(m);
+    const GraphEdge& edge = graph.edge(m);
     const size_t np = static_cast<size_t>(edge.a);
-    const EntityId entity = graph->node(edge.b).entity;
+    const EntityId entity = graph.node(edge.b).entity;
     double prior = stats.PriorLowered(ws->lowered[np], entity);
     double sim = 0.0;
     if (ws->has_context[np]) {
-      const size_t s = static_cast<size_t>(graph->node(edge.a).sentence);
+      const size_t s = static_cast<size_t>(graph.node(edge.a).sentence);
       if (!ws->sentence_built[s]) {
         stats.MentionContextInto(doc.sentences[s].tokens, &ws->scratch,
                                  &ws->sentence_contexts[s]);
@@ -141,7 +138,7 @@ DensifyEvaluator::DensifyEvaluator(SemanticGraph* graph,
     owned_ = std::make_unique<DensifyWorkspace>();
     ws_ = owned_.get();
   }
-  BuildMeansLane(graph_, doc, *stats_, *repository_, params_, ws_);
+  BuildMeansLane(*graph_, doc, *stats_, *repository_, params_, ws_);
   BuildTypes();
   BuildUniverses();
   BuildRelationLanes();

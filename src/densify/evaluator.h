@@ -267,8 +267,8 @@ class DensifyEvaluator {
 /// The means lane alone: collects the edge lists and mention data into `ws`
 /// and fills ws->mw_lane with w(n_i, e_ij) for every means edge. The
 /// evaluator builds it first; the pipeline baseline, which reads nothing
-/// else, builds only this.
-void BuildMeansLane(SemanticGraph* graph, const AnnotatedDocument& doc,
+/// else, builds only this. `graph` must be finalized.
+void BuildMeansLane(const SemanticGraph& graph, const AnnotatedDocument& doc,
                     const BackgroundStats& stats,
                     const EntityRepository& repository,
                     const DensifyParams& params, DensifyWorkspace* ws);

@@ -10,7 +10,7 @@ DensifyResult PipelineDensifier::Densify(SemanticGraph* graph,
                                          const AnnotatedDocument& doc) const {
   // Stage NED reads only the means lane; no relation lanes are built.
   DensifyWorkspace ws;
-  BuildMeansLane(graph, doc, *stats_, *repository_, params_, &ws);
+  BuildMeansLane(*graph, doc, *stats_, *repository_, params_, &ws);
   DensifyResult result;
 
   // Stage NED: per-mention argmax of the means-edge weight alone.

@@ -1,6 +1,5 @@
 #include "graph/semantic_graph.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/logging.h"
@@ -25,73 +24,6 @@ const char* EdgeKindName(EdgeKind kind) {
     case EdgeKind::kMeans: return "means";
   }
   return "?";
-}
-
-SemanticGraph::SemanticGraph(const SemanticGraph& other)
-    : nodes_(other.nodes_),
-      edges_(other.edges_),
-      entity_nodes_(other.entity_nodes_),
-      active_means_count_(other.active_means_count_),
-      active_sameas_np_count_(other.active_sameas_np_count_),
-      mutations_(other.mutations_) {
-  for (size_t k = 0; k < kNodeKindCount; ++k) kind_nodes_[k] = other.kind_nodes_[k];
-}
-
-SemanticGraph& SemanticGraph::operator=(const SemanticGraph& other) {
-  if (this == &other) return *this;
-  nodes_ = other.nodes_;
-  edges_ = other.edges_;
-  for (size_t k = 0; k < kNodeKindCount; ++k) kind_nodes_[k] = other.kind_nodes_[k];
-  entity_nodes_ = other.entity_nodes_;
-  active_means_count_ = other.active_means_count_;
-  active_sameas_np_count_ = other.active_sameas_np_count_;
-  mutations_ = other.mutations_;
-  // The copy rebuilds its own CSR index on first use; the arena keeps its
-  // resident blocks for that rebuild.
-  csr_offsets_ = nullptr;
-  csr_edges_ = nullptr;
-  finalized_ = false;
-  return *this;
-}
-
-SemanticGraph::SemanticGraph(SemanticGraph&& other) noexcept
-    : nodes_(std::move(other.nodes_)),
-      edges_(std::move(other.edges_)),
-      entity_nodes_(std::move(other.entity_nodes_)),
-      active_means_count_(std::move(other.active_means_count_)),
-      active_sameas_np_count_(std::move(other.active_sameas_np_count_)),
-      mutations_(other.mutations_),
-      arena_(std::move(other.arena_)),
-      csr_offsets_(other.csr_offsets_),
-      csr_edges_(other.csr_edges_),
-      finalized_(other.finalized_) {
-  for (size_t k = 0; k < kNodeKindCount; ++k) {
-    kind_nodes_[k] = std::move(other.kind_nodes_[k]);
-  }
-  other.csr_offsets_ = nullptr;
-  other.csr_edges_ = nullptr;
-  other.finalized_ = false;
-}
-
-SemanticGraph& SemanticGraph::operator=(SemanticGraph&& other) noexcept {
-  if (this == &other) return *this;
-  nodes_ = std::move(other.nodes_);
-  edges_ = std::move(other.edges_);
-  for (size_t k = 0; k < kNodeKindCount; ++k) {
-    kind_nodes_[k] = std::move(other.kind_nodes_[k]);
-  }
-  entity_nodes_ = std::move(other.entity_nodes_);
-  active_means_count_ = std::move(other.active_means_count_);
-  active_sameas_np_count_ = std::move(other.active_sameas_np_count_);
-  mutations_ = other.mutations_;
-  arena_ = std::move(other.arena_);
-  csr_offsets_ = other.csr_offsets_;
-  csr_edges_ = other.csr_edges_;
-  finalized_ = other.finalized_;
-  other.csr_offsets_ = nullptr;
-  other.csr_edges_ = nullptr;
-  other.finalized_ = false;
-  return *this;
 }
 
 NodeId SemanticGraph::AddNode(GraphNode node) {
@@ -122,21 +54,17 @@ EdgeId SemanticGraph::AddEdge(GraphEdge edge) {
   return id;
 }
 
-void SemanticGraph::EnsureFinalized() const {
+void SemanticGraph::Finalize() {
   if (finalized_) return;
-  arena_.Reset();
   const size_t n = nodes_.size();
-  csr_offsets_ = arena_.AllocateArray<uint32_t>(n + 1);
-  std::fill(csr_offsets_, csr_offsets_ + n + 1, 0u);
+  csr_offsets_.assign(n + 1, 0u);
   for (const GraphEdge& e : edges_) {
     ++csr_offsets_[static_cast<size_t>(e.a) + 1];
     ++csr_offsets_[static_cast<size_t>(e.b) + 1];
   }
   for (size_t i = 1; i <= n; ++i) csr_offsets_[i] += csr_offsets_[i - 1];
-  const size_t total = csr_offsets_[n];
-  csr_edges_ = arena_.AllocateArray<EdgeId>(total);
-  uint32_t* cursor = arena_.AllocateArray<uint32_t>(n);
-  std::copy(csr_offsets_, csr_offsets_ + n, cursor);
+  csr_edges_.resize(csr_offsets_[n]);
+  std::vector<uint32_t> cursor(csr_offsets_.begin(), csr_offsets_.end() - 1);
   // Edges ascending, each appended to both endpoint lists (twice for a
   // self-loop): every per-node span comes out in ascending EdgeId order.
   for (size_t e = 0; e < edges_.size(); ++e) {

@@ -5,11 +5,12 @@
 //
 // Storage is data-oriented: nodes and edges live in contiguous arrays, and
 // adjacency is a CSR index (per-node offset table plus one flat incident-edge
-// array) built once after construction, allocated from a per-document bump
-// arena. Construction stays append-only; the CSR index is (re)built lazily on
-// the first adjacency query after a mutation, so hand-assembled test graphs
-// work unchanged while GraphBuilder finalizes eagerly before handing the
-// graph to the densifier.
+// array, both exact-size vectors) built by an explicit Finalize() after
+// construction. Construction stays append-only; a mutation clears the
+// finalized flag, and adjacency queries require a finalized graph, so no
+// allocation hides behind a const accessor. GraphBuilder finalizes before
+// handing the graph to the densifier; hand-assembled graphs call Finalize()
+// themselves.
 #ifndef QKBFLY_GRAPH_SEMANTIC_GRAPH_H_
 #define QKBFLY_GRAPH_SEMANTIC_GRAPH_H_
 
@@ -23,7 +24,7 @@
 #include "nlp/annotation.h"
 #include "nlp/lexicon.h"
 #include "text/token.h"
-#include "util/arena.h"
+#include "util/logging.h"
 
 namespace qkbfly {
 
@@ -89,16 +90,6 @@ class SemanticGraph {
   using EdgeSpan = std::span<const EdgeId>;
   using NodeSpan = std::span<const NodeId>;
 
-  SemanticGraph() = default;
-  // Copies duplicate the logical graph (nodes, edges, active flags); the CSR
-  // index is rebuilt lazily in the copy, never shared. Moves carry the arena
-  // (block storage is pointer-stable), so spans taken from the source stay
-  // valid against the destination.
-  SemanticGraph(const SemanticGraph& other);
-  SemanticGraph& operator=(const SemanticGraph& other);
-  SemanticGraph(SemanticGraph&& other) noexcept;
-  SemanticGraph& operator=(SemanticGraph&& other) noexcept;
-
   NodeId AddNode(GraphNode node);
   EdgeId AddEdge(GraphEdge edge);
 
@@ -109,11 +100,11 @@ class SemanticGraph {
   GraphNode& mutable_node(NodeId id) { return nodes_.at(static_cast<size_t>(id)); }
   const GraphEdge& edge(EdgeId id) const { return edges_.at(static_cast<size_t>(id)); }
 
-  /// Builds the CSR adjacency index over the current node/edge set. Idempotent;
-  /// adjacency accessors call it lazily, GraphBuilder calls it eagerly so the
-  /// densifier starts from an indexed graph. Toggling active flags does NOT
-  /// invalidate the index (CSR covers every edge regardless of flag).
-  void Finalize() const { EnsureFinalized(); }
+  /// Builds the CSR adjacency index over the current node/edge set.
+  /// Idempotent; required before any adjacency query, and again after any
+  /// AddNode/AddEdge. Toggling active flags does NOT invalidate the index
+  /// (CSR covers every edge regardless of flag).
+  void Finalize();
   bool finalized() const { return finalized_; }
 
   /// Toggles an edge and maintains the per-node active-degree counters.
@@ -145,12 +136,13 @@ class SemanticGraph {
   }
 
   /// All edge ids incident to `node` regardless of active flag, ascending
-  /// (self-loops appear twice). The span points into the CSR arena and stays
-  /// valid until the next AddNode/AddEdge.
+  /// (self-loops appear twice). Requires a finalized graph. The span points
+  /// into the CSR index and stays valid until the next Finalize() that
+  /// follows a mutation, including across a move of the graph.
   EdgeSpan IncidentEdges(NodeId node) const {
-    EnsureFinalized();
+    QKB_CHECK(finalized_) << "IncidentEdges on an unfinalized graph";
     const size_t n = static_cast<size_t>(node);
-    return EdgeSpan(csr_edges_ + csr_offsets_[n],
+    return EdgeSpan(csr_edges_.data() + csr_offsets_[n],
                     csr_offsets_[n + 1] - csr_offsets_[n]);
   }
 
@@ -172,9 +164,6 @@ class SemanticGraph {
   /// Pre-existing entity node for an entity id, or kNoNode.
   NodeId EntityNode(EntityId entity) const;
 
-  /// Bytes of CSR/arena storage currently resident (0 until finalized).
-  size_t arena_resident_bytes() const { return arena_.resident_bytes(); }
-
   /// Debug rendering.
   std::string ToString() const;
 
@@ -190,13 +179,11 @@ class SemanticGraph {
   /// checker in util/invariants.cc can observe a corruption. Never call
   /// outside tests.
   void TestOnlyCorruptIncidentSpan(NodeId n, int delta) {
-    EnsureFinalized();
+    Finalize();
     csr_offsets_[static_cast<size_t>(n)] += static_cast<uint32_t>(delta);
   }
 
  private:
-  void EnsureFinalized() const;
-
   void ApplyActiveDelta(const GraphEdge& edge, int delta) {
     if (edge.kind == EdgeKind::kMeans) {
       active_means_count_[static_cast<size_t>(edge.a)] += delta;
@@ -218,12 +205,10 @@ class SemanticGraph {
   std::vector<int> active_sameas_np_count_;  ///< Indexed by NodeId.
   uint64_t mutations_ = 0;  ///< Effective SetEdgeActive calls.
 
-  // CSR adjacency, arena-backed; rebuilt by EnsureFinalized after mutations.
-  // Mutable so const adjacency queries can finalize lazily.
-  mutable Arena arena_;
-  mutable uint32_t* csr_offsets_ = nullptr;  ///< node_count() + 1 entries.
-  mutable EdgeId* csr_edges_ = nullptr;      ///< One entry per edge endpoint.
-  mutable bool finalized_ = false;
+  // CSR adjacency; rebuilt by Finalize after mutations.
+  std::vector<uint32_t> csr_offsets_;  ///< node_count() + 1 entries.
+  std::vector<EdgeId> csr_edges_;      ///< One entry per edge endpoint.
+  bool finalized_ = false;
 };
 
 }  // namespace qkbfly

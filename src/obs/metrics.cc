@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "util/arena.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -13,14 +12,6 @@ MetricsRegistry& MetricsRegistry::Default() {
   // Leaky singleton: instrument pointers handed to components must survive
   // static destruction order, exactly like the TokenSymbols interner.
   static MetricsRegistry* registry = new MetricsRegistry();
-  // Pull-style gauges for util/ state, wired exactly once. util/ cannot
-  // include obs/ (layering rule L1), so the dependency points downward:
-  // obs/ registers providers that read util/ atomics at snapshot time.
-  static std::once_flag wired;
-  std::call_once(wired, [] {
-    registry->SetGaugeProvider("graph_arena_bytes", &Arena::TotalResidentBytes,
-                               "Resident bytes of per-document graph arenas");
-  });
   return *registry;
 }
 
@@ -74,25 +65,9 @@ Histogram* MetricsRegistry::GetHistogram(const char* name, const char* help) {
                                   help_);
 }
 
-void MetricsRegistry::SetGaugeProvider(const char* name, int64_t (*provider)(),
-                                       const char* help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Registers the gauge (and validates the name) via the shared get-or-create
-  // used by the public Get* accessors.
-  GetInstrument<Gauge>(name, help, gauges_, counters_, histograms_, help_);
-  gauge_providers_[name] = provider;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   std::lock_guard<std::mutex> lock(mutex_);
-  // Sync pull-style gauges first so the snapshot sees current provider state.
-  for (const auto& [name, provider] : gauge_providers_) {
-    auto it = gauges_.find(name);
-    if (it != gauges_.end() && provider != nullptr) {
-      it->second->Set(provider());
-    }
-  }
   auto help_for = [this](const std::string& name) {
     auto it = help_.find(name);
     return it == help_.end() ? std::string() : it->second;

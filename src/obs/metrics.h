@@ -138,14 +138,6 @@ class MetricsRegistry {
   Gauge* GetGauge(const char* name, const char* help = "");
   Histogram* GetHistogram(const char* name, const char* help = "");
 
-  /// Registers (or re-points) a pull-style source for the named gauge: the
-  /// provider is invoked under the registry mutex during Snapshot() and its
-  /// return value stored into the gauge before the snapshot is taken. This
-  /// is how lower layers (util/) export state without depending on obs/ —
-  /// e.g. `graph_arena_bytes` pulls from Arena::TotalResidentBytes().
-  void SetGaugeProvider(const char* name, int64_t (*provider)(),
-                        const char* help = "");
-
   MetricsSnapshot Snapshot() const;
 
   /// `[a-z][a-z0-9_]*` — the snake_case contract of rule O1.
@@ -171,7 +163,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, int64_t (*)(), std::less<>> gauge_providers_;
   std::map<std::string, std::string, std::less<>> help_;
 };
 

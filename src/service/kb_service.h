@@ -9,8 +9,8 @@
 //     (document id, config fingerprint) and shared across queries; on a
 //     query-tier miss only retrieval and Canonicalizer::Merge run per
 //     request for documents already extracted. A miss runs
-//     QkbflyEngine::ExtractDocument and drops its DocumentResult (~91 KB),
-//     so the tier's byte budget holds ~45x more documents than whole results.
+//     QkbflyEngine::ExtractDocument and drops its DocumentResult (~33 KB),
+//     so the tier's byte budget holds ~17x more documents than whole results.
 //   fact store (FactStore)     — canonicalized facts accumulated across
 //     queries plus the query tier, optionally persisted (Save/Load): a
 //     loaded store serves the repeated questions of its snapshot.

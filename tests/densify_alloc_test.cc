@@ -1,9 +1,8 @@
 // Steady-state allocation test for the greedy densifier: after one warmup
 // pass populates the thread-local DensifyWorkspace (universes, weight lanes,
-// loop buffers) and the graph's arena blocks, repeating Densify on
-// same-shape documents must perform ZERO heap allocations. Counting happens
-// through replaced global operator new/delete, so this test deliberately
-// lives in its own binary.
+// loop buffers), repeating Densify on same-shape documents must perform ZERO
+// heap allocations. Counting happens through replaced global operator
+// new/delete, so this test deliberately lives in its own binary.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -90,8 +89,8 @@ TEST(DensifyAllocTest, SteadyStateDensifyIsAllocationFree) {
     }
   };
 
-  // Warmup: two passes grow every retained buffer (workspace lanes, arena
-  // blocks, the reused DensifyResult) to its high-water mark.
+  // Warmup: two passes grow every retained buffer (workspace lanes, the
+  // reused DensifyResult) to its high-water mark.
   for (int warmup = 0; warmup < 2; ++warmup) {
     std::vector<SemanticGraph> copies = graphs;
     for (SemanticGraph& g : copies) g.Finalize();  // CSR built pre-window

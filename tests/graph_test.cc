@@ -158,17 +158,37 @@ TEST(SemanticGraphTest, IncidentSpansMatchNaiveAdjacency) {
   EXPECT_EQ(ids(g.IncidentEdges(n0)), (std::vector<EdgeId>{e0, e1, e2, e2}));
   EXPECT_EQ(ids(g.IncidentEdges(n1)), (std::vector<EdgeId>{e0, e3}));
   EXPECT_EQ(ids(g.IncidentEdges(n2)), (std::vector<EdgeId>{e1, e3}));
-  EXPECT_GT(g.arena_resident_bytes(), 0u);
+  // One offset per node plus one, one slot per edge endpoint: the spans
+  // tile the incident-edge array exactly.
+  EXPECT_EQ(g.IncidentEdges(n0).data() + 4, g.IncidentEdges(n1).data());
+  EXPECT_EQ(g.IncidentEdges(n1).data() + 2, g.IncidentEdges(n2).data());
 
-  // Mutation invalidates; the lazily rebuilt index covers the new edge.
+  // A mutation clears the flag, adjacency queries refuse the stale index,
+  // and an explicit Finalize() covers the new edge.
   EdgeId e4 = g.AddEdge({EdgeKind::kSameAs, n1, n0, "", true, kNoNode});
+  EXPECT_FALSE(g.finalized());
+  EXPECT_DEATH(g.IncidentEdges(n0), "unfinalized");
+  g.Finalize();
+  ASSERT_TRUE(g.finalized());
   EXPECT_EQ(ids(g.IncidentEdges(n0)), (std::vector<EdgeId>{e0, e1, e2, e2, e4}));
   EXPECT_EQ(ids(g.IncidentEdges(n1)), (std::vector<EdgeId>{e0, e3, e4}));
 
-  // Copies rebuild their own index and agree with the source.
+  // A copy of a finalized graph carries its own index and agrees with the
+  // source.
   SemanticGraph copy = g;
-  EXPECT_EQ(ids(copy.IncidentEdges(n0)), ids(g.IncidentEdges(n0)));
-  EXPECT_EQ(ids(copy.IncidentEdges(n2)), ids(g.IncidentEdges(n2)));
+  ASSERT_TRUE(copy.finalized());
+  for (NodeId n : {n0, n1, n2}) {
+    EXPECT_EQ(ids(copy.IncidentEdges(n)), ids(g.IncidentEdges(n)));
+    EXPECT_NE(copy.IncidentEdges(n).data(), g.IncidentEdges(n).data());
+  }
+
+  // A move keeps the index buffer: a span taken before the move still
+  // points at the moved-to graph's index.
+  const EdgeId* before = g.IncidentEdges(n1).data();
+  SemanticGraph moved = std::move(g);
+  ASSERT_TRUE(moved.finalized());
+  EXPECT_EQ(moved.IncidentEdges(n1).data(), before);
+  EXPECT_EQ(ids(moved.IncidentEdges(n1)), (std::vector<EdgeId>{e0, e3, e4}));
 }
 
 TEST(SemanticGraphTest, EdgeActivationToggles) {
@@ -179,6 +199,7 @@ TEST(SemanticGraphTest, EdgeActivationToggles) {
   NodeId na = g.AddNode(a);
   NodeId nb = g.AddNode(b);
   EdgeId e = g.AddEdge({EdgeKind::kSameAs, na, nb, "", true, kNoNode});
+  g.Finalize();
   EXPECT_EQ(g.ActiveSameAs(na).size(), 1u);
   g.SetEdgeActive(e, false);
   EXPECT_TRUE(g.ActiveSameAs(na).empty());

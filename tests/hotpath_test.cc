@@ -488,6 +488,7 @@ int AddDuplicateMeans(SemanticGraph* graph) {
       if (edge.kind != EdgeKind::kMeans || !edge.active || edge.a != n) continue;
       GraphEdge copy = edge;
       graph->AddEdge(copy);
+      graph->Finalize();  // the next noun phrase's IncidentEdges reads it
       ++added;
       break;
     }
@@ -519,6 +520,7 @@ int AddAntecedentRelations(SemanticGraph* graph) {
       edge.b = p;
       edge.label = label;
       graph->AddEdge(edge);
+      graph->Finalize();  // the next pronoun's IncidentEdges reads it
       ++added;
       break;
     }
@@ -1042,6 +1044,7 @@ TEST(DensifyDeterminismTest, TiesBreakTowardSmallerEdgeId) {
   EdgeId first = graph.AddEdge(e1);
   EdgeId second = graph.AddEdge(e2);
   ASSERT_LT(first, second);
+  graph.Finalize();
 
   AnnotatedDocument empty_doc;
   DensifyParams params;

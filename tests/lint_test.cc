@@ -908,6 +908,20 @@ TEST(RuleA1Test, WorkspaceAndOutParamGrowthIsExempt) {
   EXPECT_TRUE(CheckHotPathAlloc(index, DefaultHotPathRoots()).empty());
 }
 
+TEST(RuleA1Test, AssignIsGrowthUnlessWorkspaceRooted) {
+  ProjectIndex index = BuildIndex({{"src/densify/d.cc", R"cc(
+    void Helper(size_t n) {
+      ws.marks.assign(n, 0);
+      v.assign(n, 0);
+    }
+    void GreedyDensifier::Densify() { Helper(4); }
+  )cc"}});
+  auto diags = CheckHotPathAlloc(index, DefaultHotPathRoots());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_TRUE(HasKey(diags, Rule::kA1, "Helper/assign"));
+  EXPECT_EQ(diags[0].line, 4);
+}
+
 TEST(RuleA1Test, OperatorNewAndMakeUniqueAreFlagged) {
   ProjectIndex index = BuildIndex({{"src/densify/d.cc", R"cc(
     void GreedyDensifier::Densify() {

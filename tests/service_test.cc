@@ -431,7 +431,7 @@ TEST_F(ServiceTest, DocumentFactsApproxBytesGrowsWithContent) {
 
 TEST_F(ServiceTest, DocTierEntriesStayCompact) {
   // The doc tier caches each document's canonical facts, a few KB apiece;
-  // a whole DocumentResult (graph arena, nodes, edges, tokens) is ~90 KB.
+  // a whole DocumentResult (graph, tokens, annotations) is ~33 KB.
   // Re-caching the intermediate artifacts would blow this bound.
   KbService service(engine_, search_);
   std::vector<const Document*> docs;

@@ -16,7 +16,7 @@ bool IsGuardType(const Token& t) {
 bool IsGrowthCall(const Token& t) {
   return Is(t, "push_back") || Is(t, "emplace_back") || Is(t, "emplace") ||
          Is(t, "resize") || Is(t, "reserve") || Is(t, "insert") ||
-         Is(t, "append");
+         Is(t, "append") || Is(t, "assign");
 }
 
 bool IsCallKeyword(const Token& t) {
@@ -470,7 +470,7 @@ ProjectIndex ProjectIndexBuilder::Build() {
               return a.path < b.path;
             });
   // Resolve includes by exact or unique path-suffix match against the
-  // indexed file set ("util/arena.h" -> "src/util/arena.h").
+  // indexed file set ("util/json.h" -> "src/util/json.h").
   for (IndexedFile& file : index_.files) {
     for (IncludeRef& ref : file.includes) {
       std::string match;

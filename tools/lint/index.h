@@ -89,7 +89,7 @@ struct IncludeRef {
 };
 
 struct IndexedFile {
-  std::string path;    ///< Repo-relative ("src/util/arena.h").
+  std::string path;    ///< Repo-relative ("src/util/json.h").
   std::string module;  ///< "util" for src/util/**, else the top directory.
   std::vector<IncludeRef> includes;
   /// line -> rules allowed by `qkbfly-lint: allow(...)` (copied from the

@@ -25,7 +25,7 @@ struct Scope {
 };
 
 struct FunctionRegion {
-  std::string name;       ///< Unqualified name ("Densify", "~Arena").
+  std::string name;       ///< Unqualified name ("Densify", "~ThreadPool").
   std::string qualified;  ///< "Class::Name" when the class is detectable —
                           ///< from an out-of-line `Class::Name(...)` head or
                           ///< the enclosing class scope — else == name.
