@@ -86,7 +86,7 @@ int Run(bool smoke, const char* baseline_path) {
   NlpPipeline nlp(ds->repository.get());
   BenchReport report;
 
-  // --- annotate: tokenize + POS + time + NER + chunk ------------------------
+  // --- annotate: tokenize + POS + time + NER ---------------------------------
   StageResult annotate;
   std::vector<AnnotatedDocument> annotated;
   annotated.reserve(docs.size());

@@ -57,19 +57,14 @@ struct EngineConfig {
   /// the KB is identical for every thread count.
   int num_threads = 1;
 
-  /// The corpus version this engine's outputs are derived from, used when no
-  /// SearchEngine is attached (the serving layer prefers the live
-  /// SearchEngine::epoch()). Cache tiers and the fact store key/tag their
-  /// artifacts with the epoch, so bumping it lazily invalidates them.
-  CorpusEpoch corpus_epoch = 1;
-
   /// Deterministic string identifying every config field that changes the
   /// *result* of ProcessDocument (mode, densify alphas, canonicalizer and
   /// graph-builder options, parser routing policy). `num_threads` is
-  /// deliberately excluded: it only affects scheduling; `corpus_epoch` is
-  /// excluded too because the epoch is a separate component of every cache
-  /// key. Both parser fields are always folded in — including the threshold
-  /// under the non-adaptive modes, where it cannot change results — so the
+  /// deliberately excluded: it only affects scheduling. The corpus epoch
+  /// (SearchEngine::epoch()) is not an engine field: it is a separate
+  /// component of every cache key. Both parser fields are always folded
+  /// in — including the threshold under the non-adaptive modes, where it
+  /// cannot change results — so the
   /// doc-tier and query-tier caches can never serve a result computed under
   /// a different routing policy. Used as part of serving-layer cache keys,
   /// so two engines with the same fingerprint may share cached

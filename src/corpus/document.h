@@ -18,9 +18,8 @@ namespace qkbfly {
 /// Monotonically increasing version of the document corpora behind a serving
 /// stack. Every derived artifact (cached DocumentResults, cached query KBs,
 /// accumulated FactStore facts) is tagged with the epoch it was computed
-/// under; bumping the epoch (SearchEngine::BumpEpoch after a reindex, or a
-/// new EngineConfig::corpus_epoch) lazily invalidates everything derived
-/// from the older corpus.
+/// under; bumping the epoch (SearchEngine::BumpEpoch after a reindex)
+/// lazily invalidates everything derived from the older corpus.
 using CorpusEpoch = uint64_t;
 
 /// A hyperlink-style annotation: in sentence `sentence`, the surface string

@@ -1,44 +1,51 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_set>
-
-#include "util/logging.h"
-#include "util/string_util.h"
+#include <optional>
+#include <span>
 
 namespace qkbfly {
 
 namespace {
 
-// True if the (lowercased) token multiset of the shorter mention is contained
-// in the longer one: "Pitt" matches "Brad Pitt"; "Angelina Jolie" matches
-// "Jolie". Used to initialize sameAs edges between names of one NER type.
-bool NameStringMatch(const std::string& a, const std::string& b) {
-  if (EqualsIgnoreCase(a, b)) return true;
-  std::vector<std::string> ta = SplitWhitespace(Lowercase(a));
-  std::vector<std::string> tb = SplitWhitespace(Lowercase(b));
-  if (ta.empty() || tb.empty()) return false;
-  const auto& small = ta.size() <= tb.size() ? ta : tb;
-  const auto& big = ta.size() <= tb.size() ? tb : ta;
-  std::multiset<std::string> big_set(big.begin(), big.end());
-  for (const std::string& w : small) {
-    auto it = big_set.find(w);
-    if (it == big_set.end()) return false;
-    big_set.erase(it);
-  }
-  return true;
+// True if the lowered-token multiset of the shorter name is contained in the
+// longer one: "Pitt" matches "Brad Pitt"; "Angelina Jolie" matches "Jolie".
+// Both names are sorted Token::sym lists. Used to initialize sameAs edges
+// between names of one NER type.
+bool NameTokensMatch(std::span<const Symbol> a, std::span<const Symbol> b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  if (a.empty()) return b.empty();
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
 }  // namespace
 
 struct GraphBuilder::BuildState {
+  BuildState(const GraphBuilder* builder, const AnnotatedDocument* doc,
+             SemanticGraph& graph)
+      : builder(builder), doc(doc), graph(graph) {}
+
   const GraphBuilder* builder;
   const AnnotatedDocument* doc;
-  SemanticGraph graph;
+  SemanticGraph& graph;
 
-  // (sentence << 20 | begin << 10 | end) -> node id for text-node dedup.
+  // (sentence << 40 | begin << 20 | end) -> node id for text-node dedup.
   std::unordered_map<uint64_t, NodeId> span_nodes;
+
+  // One entry per noun-phrase node, in NodesOfKind(kNounPhrase) order: the
+  // sorted Token::sym list of its mention span (empty for literals), stored
+  // as the range name_offsets[i] .. name_offsets[i + 1] of name_syms.
+  std::vector<Symbol> name_syms;
+  std::vector<uint32_t> name_offsets{0};
+
+  // One entry per pronoun node, in NodesOfKind(kPronoun) order: its lexicon
+  // record, if the word has one.
+  std::vector<std::optional<PronounInfo>> pronoun_info;
+
+  std::span<const Symbol> Name(size_t np_index) const {
+    return {name_syms.data() + name_offsets[np_index],
+            name_syms.data() + name_offsets[np_index + 1]};
+  }
 
   static uint64_t SpanKey(int sentence, const TokenSpan& span) {
     return (static_cast<uint64_t>(sentence) << 40) |
@@ -62,15 +69,13 @@ struct GraphBuilder::BuildState {
     GraphNode node;
     node.sentence = s;
     node.span = span;
-    node.head_token = head;
 
     if (head_token.pos == PosTag::kPRP) {
       node.kind = NodeKind::kPronoun;
       node.text = head_token.text;
-      if (auto info = Lexicon::Get().GetPronoun(head_token.sym)) {
-        node.gender = info->gender;
-        node.plural_pronoun = info->plural;
-      }
+      const auto& info =
+          pronoun_info.emplace_back(Lexicon::Get().GetPronoun(head_token.sym));
+      if (info) node.gender = info->gender;
     } else {
       node.kind = NodeKind::kNounPhrase;
       // NER mention covering the head wins; else trim leading determiners
@@ -115,6 +120,13 @@ struct GraphBuilder::BuildState {
           node.is_literal = true;  // "actor", "the lyrics", ...
         }
       }
+      if (!node.is_literal) {
+        for (int t = mention_span.begin; t < mention_span.end; ++t) {
+          name_syms.push_back(sentence.tokens[static_cast<size_t>(t)].sym);
+        }
+        std::sort(name_syms.begin() + name_offsets.back(), name_syms.end());
+      }
+      name_offsets.push_back(static_cast<uint32_t>(name_syms.size()));
     }
     NodeId id = graph.AddNode(std::move(node));
     span_nodes.emplace(key, id);
@@ -178,9 +190,8 @@ GraphBuilder::GraphBuilder(const EntityRepository* repository,
     : repository_(repository), parser_(std::move(parser)), options_(options) {}
 
 SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
-  BuildState state;
-  state.builder = this;
-  state.doc = &doc;
+  SemanticGraph graph;
+  BuildState state(this, &doc, graph);
 
   // --- per-sentence clause structure -> clause, NP and pronoun nodes --------
   for (int s = 0; s < static_cast<int>(doc.sentences.size()); ++s) {
@@ -194,13 +205,11 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
       GraphNode node;
       node.kind = NodeKind::kClause;
       node.sentence = s;
-      node.clause_index = static_cast<int>(c);
       node.clause_type = clause.type;
       node.relation_pattern = clause.RelationPattern();
       node.negated_clause = clause.negated;
-      node.head_token = clause.verb;
       node.text = clause.relation;
-      clause_nodes[c] = state.graph.AddNode(std::move(node));
+      clause_nodes[c] = graph.AddNode(std::move(node));
     }
 
     for (size_t c = 0; c < clauses.size(); ++c) {
@@ -215,22 +224,20 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
         dep.a = clause_nodes[static_cast<size_t>(clause.parent)];
         dep.b = cnode;
         dep.label = DepLabelName(clause.link);
-        state.graph.AddEdge(std::move(dep));
+        graph.AddEdge(std::move(dep));
       }
 
       if (!clause.has_subject) continue;
       NodeId subject = state.ArgumentNode(s, parse, clause.subject);
       if (subject == kNoNode) continue;
-      state.graph.AddEdge({EdgeKind::kDepends, cnode, subject, "subject", true});
+      graph.AddEdge({EdgeKind::kDepends, cnode, subject, "subject", true});
 
       std::string base = clause.negated ? "not " + clause.relation : clause.relation;
       auto connect = [&](const Constituent& arg, const std::string& label) {
         NodeId node = state.ArgumentNode(s, parse, arg);
         if (node == kNoNode) return;
-        state.graph.AddEdge({EdgeKind::kDepends, cnode, node, "argument", true,
-                             kNoNode});
-        state.graph.AddEdge({EdgeKind::kRelation, subject, node, label, true,
-                             cnode});
+        graph.AddEdge({EdgeKind::kDepends, cnode, node, "argument", true, kNoNode});
+        graph.AddEdge({EdgeKind::kRelation, subject, node, label, true, cnode});
       };
       for (const Constituent& obj : clause.objects) connect(obj, base);
       if (clause.complement) connect(*clause.complement, base);
@@ -241,8 +248,8 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
   }
 
   // --- means edges: candidate entities from the repository -------------------
-  for (NodeId np : state.graph.NodesOfKind(NodeKind::kNounPhrase)) {
-    const GraphNode& node = state.graph.node(np);
+  for (NodeId np : graph.NodesOfKind(NodeKind::kNounPhrase)) {
+    const GraphNode& node = graph.node(np);
     if (node.is_literal) continue;
     // Exact alias matches plus loose partial-name candidates (Babelfy's
     // "loose identification of candidate meanings"). The weight model
@@ -253,38 +260,40 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
       GraphNode entity_node;
       entity_node.kind = NodeKind::kEntity;
       entity_node.entity = e;
-      NodeId en = state.graph.AddNode(std::move(entity_node));
-      state.graph.AddEdge({EdgeKind::kMeans, np, en, "", true});
+      NodeId en = graph.AddNode(std::move(entity_node));
+      graph.AddEdge({EdgeKind::kMeans, np, en, "", true});
     }
   }
 
-  // --- sameAs edges among noun phrases (string-match co-reference) -----------
-  auto nps = state.graph.NodesOfKind(NodeKind::kNounPhrase);
+  // --- sameAs edges among noun phrases (name-match co-reference) ------------
+  auto nps = graph.NodesOfKind(NodeKind::kNounPhrase);
   for (size_t i = 0; i < nps.size(); ++i) {
-    const GraphNode& a = state.graph.node(nps[i]);
+    const GraphNode& a = graph.node(nps[i]);
     if (a.is_literal) continue;
     for (size_t j = i + 1; j < nps.size(); ++j) {
-      const GraphNode& b = state.graph.node(nps[j]);
+      const GraphNode& b = graph.node(nps[j]);
       if (b.is_literal) continue;
       if (a.ner != b.ner) continue;
       if (a.sentence == b.sentence && a.span == b.span) continue;
-      if (NameStringMatch(a.text, b.text)) {
-        state.graph.AddEdge({EdgeKind::kSameAs, nps[i], nps[j], "", true});
+      if (NameTokensMatch(state.Name(i), state.Name(j))) {
+        graph.AddEdge({EdgeKind::kSameAs, nps[i], nps[j], "", true});
       }
     }
   }
 
   // --- sameAs edges from pronouns to candidate antecedents -------------------
   if (!options_.pronoun_coreference) {
-    state.graph.Finalize();
-    return state.graph;
+    graph.Finalize();
+    return graph;
   }
-  for (NodeId p : state.graph.NodesOfKind(NodeKind::kPronoun)) {
-    const GraphNode& pro = state.graph.node(p);
-    auto info = Lexicon::Get().GetPronoun(pro.text);
+  auto pronouns = graph.NodesOfKind(NodeKind::kPronoun);
+  for (size_t k = 0; k < pronouns.size(); ++k) {
+    const NodeId p = pronouns[k];
+    const GraphNode& pro = graph.node(p);
+    const std::optional<PronounInfo>& info = state.pronoun_info[k];
     bool personal = !info || info->personal_reference;
     for (NodeId np : nps) {
-      const GraphNode& cand = state.graph.node(np);
+      const GraphNode& cand = graph.node(np);
       if (cand.is_literal) continue;
       if (cand.sentence > pro.sentence ||
           cand.sentence < pro.sentence - options_.pronoun_window) {
@@ -298,14 +307,14 @@ SemanticGraph GraphBuilder::Build(const AnnotatedDocument& doc) const {
         if (personal && cand.ner != NerType::kPerson) continue;
         if (!personal && cand.ner == NerType::kPerson) continue;
       }
-      state.graph.AddEdge({EdgeKind::kSameAs, p, np, "", true});
+      graph.AddEdge({EdgeKind::kSameAs, p, np, "", true});
     }
   }
 
   // Build the CSR adjacency index now, while the graph is still warm: the
   // densifier and every downstream reader start from an indexed graph.
-  state.graph.Finalize();
-  return state.graph;
+  graph.Finalize();
+  return graph;
 }
 
 }  // namespace qkbfly

@@ -56,6 +56,10 @@ EdgeId SemanticGraph::AddEdge(GraphEdge edge) {
 
 void SemanticGraph::Finalize() {
   if (finalized_) return;
+  // Construction is done until the next mutation: release the growth slack
+  // of the node and edge arrays, so a finished graph holds exact-size storage.
+  nodes_.shrink_to_fit();
+  edges_.shrink_to_fit();
   const size_t n = nodes_.size();
   csr_offsets_.assign(n + 1, 0u);
   for (const GraphEdge& e : edges_) {

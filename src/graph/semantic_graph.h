@@ -49,7 +49,6 @@ struct GraphNode {
   // Text-anchored nodes (clause / noun-phrase / pronoun):
   int sentence = -1;
   TokenSpan span;
-  int head_token = -1;
   std::string text;  ///< Mention surface (without leading determiner for NPs).
 
   // Noun-phrase nodes:
@@ -59,13 +58,11 @@ struct GraphNode {
 
   // Pronoun nodes:
   Gender gender = Gender::kUnknown;
-  bool plural_pronoun = false;
 
   // Entity nodes:
   EntityId entity = kInvalidEntity;
 
   // Clause nodes:
-  int clause_index = -1;
   ClauseType clause_type = ClauseType::kSV;
   std::string relation_pattern;  ///< Full clause pattern, e.g. "donate to".
   bool negated_clause = false;
@@ -100,10 +97,11 @@ class SemanticGraph {
   GraphNode& mutable_node(NodeId id) { return nodes_.at(static_cast<size_t>(id)); }
   const GraphEdge& edge(EdgeId id) const { return edges_.at(static_cast<size_t>(id)); }
 
-  /// Builds the CSR adjacency index over the current node/edge set.
-  /// Idempotent; required before any adjacency query, and again after any
-  /// AddNode/AddEdge. Toggling active flags does NOT invalidate the index
-  /// (CSR covers every edge regardless of flag).
+  /// Builds the CSR adjacency index over the current node/edge set and
+  /// trims the node and edge arrays to their size. Idempotent; required
+  /// before any adjacency query, and again after any AddNode/AddEdge.
+  /// Toggling active flags does NOT invalidate the index (CSR covers every
+  /// edge regardless of flag).
   void Finalize();
   bool finalized() const { return finalized_; }
 

@@ -40,9 +40,7 @@ struct TimeMention {
 
 /// One sentence with all layer-1 annotations attached.
 struct AnnotatedSentence {
-  std::string text;                      ///< Original surface text.
   std::vector<Token> tokens;             ///< Tokenized, POS-tagged, lemmatized.
-  std::vector<TokenSpan> np_chunks;      ///< Noun-phrase chunks.
   std::vector<NerMention> ner_mentions;  ///< Named-entity mentions.
   std::vector<TimeMention> time_mentions;
 };

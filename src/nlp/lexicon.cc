@@ -50,10 +50,12 @@ Lexicon::Lexicon() {
          PosTag::kRB);
 
   // Pronouns. "her" is ambiguous (PRP/PRP$); we record it as possessive and
-  // let the tagger's context rules decide.
-  auto add_pronoun = [this](const char* word, Gender g, bool plural,
-                            bool possessive, bool personal) {
-    pronouns_[word] = PronounInfo{g, plural, possessive, personal};
+  // let the tagger's context rules decide. Pronouns are looked up by symbol
+  // only, so the string-keyed list lives just long enough to be interned.
+  std::unordered_map<std::string, PronounInfo> pronouns;
+  auto add_pronoun = [this, &pronouns](const char* word, Gender g, bool plural,
+                                       bool possessive, bool personal) {
+    pronouns[word] = PronounInfo{g, plural, possessive, personal};
     closed_class_[word] = possessive ? PosTag::kPRPS : PosTag::kPRP;
   };
   add_pronoun("he", Gender::kMale, false, false, true);
@@ -165,7 +167,7 @@ Lexicon::Lexicon() {
   for (const auto& [word, tag] : closed_class_) {
     closed_class_sym_[symbols.Intern(word)] = tag;
   }
-  for (const auto& [word, info] : pronouns_) {
+  for (const auto& [word, info] : pronouns) {
     pronouns_sym_[symbols.Intern(word)] = info;
   }
   for (const std::string& w : be_forms_) be_forms_sym_.insert(symbols.Intern(w));
@@ -190,12 +192,6 @@ std::optional<PosTag> Lexicon::ClosedClassTag(std::string_view word) const {
 std::optional<PosTag> Lexicon::ClosedClassTag(Symbol sym) const {
   auto it = closed_class_sym_.find(sym);
   if (it == closed_class_sym_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<PronounInfo> Lexicon::GetPronoun(std::string_view word) const {
-  auto it = pronouns_.find(Lowercase(word));
-  if (it == pronouns_.end()) return std::nullopt;
   return it->second;
 }
 

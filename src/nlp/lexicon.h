@@ -42,8 +42,8 @@ class Lexicon {
   std::optional<PosTag> ClosedClassTag(std::string_view word) const;
   std::optional<PosTag> ClosedClassTag(Symbol sym) const;
 
-  /// Pronoun metadata ("he", "she", "they", "his", ...), if the word is one.
-  std::optional<PronounInfo> GetPronoun(std::string_view word) const;
+  /// Pronoun metadata ("he", "she", "they", "his", ...), if the lowered
+  /// word is one. Symbol-keyed only: its one caller holds the token.
   std::optional<PronounInfo> GetPronoun(Symbol sym) const;
 
   /// True for forms of "be" ("is", "was", "been", ...).
@@ -82,7 +82,6 @@ class Lexicon {
   Lexicon();
 
   std::unordered_map<std::string, PosTag> closed_class_;
-  std::unordered_map<std::string, PronounInfo> pronouns_;
   std::unordered_set<std::string> be_forms_;
   std::unordered_set<std::string> copular_;
   std::unordered_set<std::string> ditransitive_;
@@ -91,10 +90,11 @@ class Lexicon {
   std::unordered_set<std::string> common_adjectives_;
   std::unordered_set<std::string> months_;
 
-  // Symbol-keyed mirrors of the containers above, interned verbatim at
-  // construction. Entries that are not lowercase (e.g. the capitalized
-  // nationality adjectives) intern to symbols no lowered token ever maps
-  // to, which preserves the string API's behaviour for lowered queries.
+  // Symbol-keyed mirrors of the containers above (and of the constructor's
+  // pronoun list), interned verbatim at construction. Entries that are not
+  // lowercase (e.g. the capitalized nationality adjectives) intern to
+  // symbols no lowered token ever maps to, which preserves the string API's
+  // behaviour for lowered queries.
   std::unordered_map<Symbol, PosTag> closed_class_sym_;
   std::unordered_map<Symbol, PronounInfo> pronouns_sym_;
   std::unordered_set<Symbol> be_forms_sym_;

@@ -4,12 +4,10 @@ namespace qkbfly {
 
 AnnotatedSentence NlpPipeline::AnnotateSentence(std::string_view sentence) const {
   AnnotatedSentence out;
-  out.text = std::string(sentence);
   out.tokens = tokenizer_.Tokenize(sentence);
   tagger_.Tag(&out.tokens);
   out.time_mentions = time_tagger_.Tag(out.tokens);
   out.ner_mentions = ner_.Tag(out.tokens, out.time_mentions);
-  out.np_chunks = chunker_.Chunk(out.tokens, out.ner_mentions);
   return out;
 }
 

@@ -1,6 +1,7 @@
 // The linguistic pre-processing pipeline: sentence splitting, tokenization,
-// POS tagging, lemmatization, time tagging, NER and NP chunking — the
-// "Statistics / pre-processing" box of the paper's Figure 1.
+// POS tagging, lemmatization, time tagging and NER — the "Statistics /
+// pre-processing" box of the paper's Figure 1. Noun phrases come from the
+// dependency parsers' own NP pass, not from this layer.
 #ifndef QKBFLY_NLP_PIPELINE_H_
 #define QKBFLY_NLP_PIPELINE_H_
 
@@ -8,7 +9,6 @@
 #include <string_view>
 
 #include "nlp/annotation.h"
-#include "nlp/chunker.h"
 #include "nlp/ner.h"
 #include "nlp/pos_tagger.h"
 #include "nlp/time_tagger.h"
@@ -38,7 +38,6 @@ class NlpPipeline {
   PosTagger tagger_;
   TimeTagger time_tagger_;
   NerTagger ner_;
-  NpChunker chunker_;
 };
 
 }  // namespace qkbfly

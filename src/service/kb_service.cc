@@ -165,8 +165,7 @@ QaPair KbService::AnswerCold(const std::string& query, std::string normalized,
 }
 
 CorpusEpoch KbService::CurrentEpoch() const {
-  return search_ != nullptr ? search_->epoch()
-                            : engine_->config().corpus_epoch;
+  return search_->epoch();
 }
 
 void KbService::SyncEpoch(CorpusEpoch epoch) {

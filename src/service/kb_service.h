@@ -19,8 +19,8 @@
 // sharded, byte-budgeted, single-flight LRU over two value types.
 //
 // Corpus-epoch contract: every Answer() syncs the tiers to the current
-// epoch (SearchEngine::epoch(), else EngineConfig::corpus_epoch); a bump
-// lazily invalidates both tiers and stales the store's records. The doc
+// epoch (SearchEngine::epoch()); a bump lazily invalidates both tiers and
+// stales the store's records. The doc
 // tier's keys carry no epoch, so its EvictAll is the correctness-critical
 // half of a bump; the query tier's keys do, so FactStore::SetEpoch emptying
 // it only reclaims memory.
@@ -117,7 +117,9 @@ struct ServiceStats {
 };
 
 /// Cache-backed query serving over an engine + search index. Both must
-/// outlive the service.
+/// outlive the service. A service built with a null search engine supports
+/// BuildKb only: Answer retrieves documents and reads the corpus epoch from
+/// the search engine.
 class KbService {
  public:
   KbService(const QkbflyEngine* engine, const SearchEngine* search,
@@ -199,8 +201,7 @@ class KbService {
                     CorpusEpoch epoch, ServiceStats* stats,
                     obs::TraceContext trace);
 
-  /// The corpus epoch to serve at: the live SearchEngine::epoch() when a
-  /// search engine is attached, else the engine config's corpus_epoch.
+  /// The corpus epoch to serve at: the live SearchEngine::epoch().
   CorpusEpoch CurrentEpoch() const;
 
   /// Propagates an epoch bump to the doc tier and the store (which empties

@@ -11,7 +11,7 @@
 namespace qkbfly {
 
 /// Penn-Treebank-flavoured part-of-speech tags (the subset the downstream
-/// chunker, parser and clause detector rely on).
+/// parser and clause detector rely on).
 enum class PosTag : uint8_t {
   kNN,    // common noun, singular
   kNNS,   // common noun, plural

@@ -1,13 +1,85 @@
 // Unit tests for the semantic-graph model and the graph builder (Stage 1).
+// Labelled `asan`: the builder indexes per-node token lists and reads
+// mention spans, so run it under AddressSanitizer with
+//   cmake -B build-asan -S . -DQKBFLY_SANITIZE=address && ctest -L asan
 #include "graph/graph_builder.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mutate.h"
 #include "nlp/pipeline.h"
 #include "parser/malt_parser.h"
+#include "synth/dataset.h"
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace qkbfly {
 namespace {
+
+// Reference for the builder's sameAs name match, on the mention strings:
+// true if the lowercased, whitespace-split token multiset of the shorter
+// mention is contained in the longer one ("Pitt" matches "Brad Pitt").
+bool NameStringMatch(const std::string& a, const std::string& b) {
+  if (EqualsIgnoreCase(a, b)) return true;
+  std::vector<std::string> ta = SplitWhitespace(Lowercase(a));
+  std::vector<std::string> tb = SplitWhitespace(Lowercase(b));
+  if (ta.empty() || tb.empty()) return false;
+  const auto& small = ta.size() <= tb.size() ? ta : tb;
+  const auto& big = ta.size() <= tb.size() ? tb : ta;
+  std::multiset<std::string> big_set(big.begin(), big.end());
+  for (const std::string& w : small) {
+    auto it = big_set.find(w);
+    if (it == big_set.end()) return false;
+    big_set.erase(it);
+  }
+  return true;
+}
+
+struct NamePairCounts {
+  size_t pairs = 0;    ///< NP pairs the builder's sameAs filters admit.
+  size_t matches = 0;  ///< Of those, pairs the reference matches.
+};
+
+// Every noun-phrase pair that passes the builder's filters (both non-literal,
+// same NER type, different spans) carries an NP-NP sameAs edge exactly when
+// NameStringMatch holds, and no other NP-NP sameAs edge exists.
+NamePairCounts ExpectSameAsFollowsReference(const SemanticGraph& g) {
+  std::set<std::pair<NodeId, NodeId>> linked;
+  for (size_t e = 0; e < g.edge_count(); ++e) {
+    const GraphEdge& edge = g.edge(static_cast<EdgeId>(e));
+    if (edge.kind == EdgeKind::kSameAs &&
+        g.node(edge.a).kind == NodeKind::kNounPhrase &&
+        g.node(edge.b).kind == NodeKind::kNounPhrase) {
+      linked.emplace(edge.a, edge.b);
+    }
+  }
+  NamePairCounts counts;
+  size_t admitted_links = 0;
+  auto nps = g.NodesOfKind(NodeKind::kNounPhrase);
+  for (size_t i = 0; i < nps.size(); ++i) {
+    const GraphNode& a = g.node(nps[i]);
+    if (a.is_literal) continue;
+    for (size_t j = i + 1; j < nps.size(); ++j) {
+      const GraphNode& b = g.node(nps[j]);
+      if (b.is_literal || a.ner != b.ner) continue;
+      if (a.sentence == b.sentence && a.span == b.span) continue;
+      const bool expected = NameStringMatch(a.text, b.text);
+      const bool has_edge = linked.count({nps[i], nps[j]}) > 0;
+      EXPECT_EQ(has_edge, expected) << "'" << a.text << "' / '" << b.text << "'";
+      ++counts.pairs;
+      if (expected) ++counts.matches;
+      if (has_edge) ++admitted_links;
+    }
+  }
+  EXPECT_EQ(admitted_links, linked.size());
+  return counts;
+}
 
 class GraphBuilderTest : public ::testing::Test {
  protected:
@@ -134,6 +206,74 @@ TEST_F(GraphBuilderTest, EntityNodesDeduplicated) {
     if (g.node(n).entity == brad_) ++brad_nodes;
   }
   EXPECT_EQ(brad_nodes, 1);
+}
+
+TEST_F(GraphBuilderTest, NameMatchCountsRepeatedTokensAndIgnoresCase) {
+  // "Pitt Pitt" holds "pitt" twice, "Brad Pitt" once: a set inclusion would
+  // link them, the multiset inclusion must not.
+  auto repeated = Build("Pitt Pitt married Angelina Jolie. Brad Pitt supports "
+                        "the ONE Campaign.");
+  NodeId twice = FindNp(repeated, "Pitt Pitt");
+  NodeId once = FindNp(repeated, "Brad Pitt");
+  ASSERT_NE(twice, kNoNode);
+  ASSERT_NE(once, kNoNode);
+  ASSERT_EQ(repeated.node(twice).ner, repeated.node(once).ner);
+  for (const auto& [e, other] : repeated.ActiveSameAs(twice)) {
+    EXPECT_NE(other, once);
+  }
+  EXPECT_EQ(ExpectSameAsFollowsReference(repeated).matches, 0u);
+
+  // Names that differ only in case are the same name.
+  auto cased = Build("Brad Pitt is an actor. BRAD PITT supports the ONE Campaign.");
+  NodeId title = FindNp(cased, "Brad Pitt");
+  NodeId upper = FindNp(cased, "BRAD PITT");
+  ASSERT_NE(title, kNoNode);
+  ASSERT_NE(upper, kNoNode);
+  bool linked = false;
+  for (const auto& [e, other] : cased.ActiveSameAs(title)) {
+    if (other == upper) linked = true;
+  }
+  EXPECT_TRUE(linked);
+  EXPECT_EQ(ExpectSameAsFollowsReference(cased).matches, 1u);
+}
+
+TEST(GraphNameMatchTest, SameAsFollowsStringReference) {
+  // The 12 golden articles densify_golden_test pins, then seeded whole-
+  // document mutants of them (tests/mutate.h, as text_mutation_test).
+  DatasetConfig config;
+  config.wiki_eval_articles = 12;
+  auto ds = BuildDataset(config);
+  NlpPipeline pipeline(ds->repository.get());
+  GraphBuilder builder(ds->repository.get(), std::make_unique<MaltLikeParser>());
+
+  std::vector<std::string> texts;
+  for (const GoldDocument& gd : ds->wiki_eval) texts.push_back(gd.doc.text);
+  NamePairCounts golden;
+  for (const std::string& text : texts) {
+    NamePairCounts c =
+        ExpectSameAsFollowsReference(builder.Build(pipeline.Annotate("g", "", text)));
+    golden.pairs += c.pairs;
+    golden.matches += c.matches;
+  }
+  EXPECT_GT(golden.matches, 0u);
+  EXPECT_LT(golden.matches, golden.pairs);
+
+  Rng rng(20261020);
+  NamePairCounts mutants;
+  constexpr int kMutants = 300;
+  for (int m = 0; m < kMutants; ++m) {
+    const std::string text = Mutate(rng.Choose(texts), kTextSignificant, rng);
+    NamePairCounts c =
+        ExpectSameAsFollowsReference(builder.Build(pipeline.Annotate("m", "", text)));
+    mutants.pairs += c.pairs;
+    mutants.matches += c.matches;
+  }
+  std::printf("name match: golden %zu pairs (%zu match), %d mutants %zu pairs "
+              "(%zu match)\n",
+              golden.pairs, golden.matches, kMutants, mutants.pairs,
+              mutants.matches);
+  EXPECT_GT(mutants.matches, 0u);
+  EXPECT_LT(mutants.matches, mutants.pairs);
 }
 
 TEST(SemanticGraphTest, IncidentSpansMatchNaiveAdjacency) {

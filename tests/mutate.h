@@ -1,6 +1,7 @@
 // Seeded byte mutator shared by the mutation tests of readers of outside
 // bytes (json_test: util/json, FactStore::Load, the metrics and SARIF
-// validators; store_test: OnTheFlyKb::Deserialize).
+// validators; store_test: OnTheFlyKb::Deserialize; text_mutation_test and
+// graph_test: raw document text).
 #ifndef QKBFLY_TESTS_MUTATE_H_
 #define QKBFLY_TESTS_MUTATE_H_
 
@@ -10,6 +11,12 @@
 #include "util/rng.h"
 
 namespace qkbfly {
+
+/// The bytes the text readers treat specially, for Mutate: sentence
+/// boundaries, clitics, quotes, currency, hyphens, digits, whitespace,
+/// capitals and UTF-8 lead/continuation bytes.
+inline constexpr std::string_view kTextSignificant =
+    ".!?'\"$,-()0123456789 \t\nAJMSZ\xc3\xa9\xe2\x80\x99";
 
 /// One to three random edits: truncate, overwrite a byte, insert a byte, or
 /// delete a byte. Half of the overwrites and insertions draw from

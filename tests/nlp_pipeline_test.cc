@@ -113,22 +113,6 @@ TEST(NerTaggerTest, NumbersBecomeNumberEntities) {
   EXPECT_TRUE(found_number);
 }
 
-TEST(ChunkerTest, BasicNounPhrases) {
-  NlpPipeline pipeline;
-  auto s = pipeline.AnnotateSentence("Brad Pitt is an actor.");
-  // Expect at least: [Brad Pitt], [an actor]
-  ASSERT_GE(s.np_chunks.size(), 2u);
-  EXPECT_EQ(SpanText(s.tokens, s.np_chunks[0]), "Brad Pitt");
-  EXPECT_EQ(SpanText(s.tokens, s.np_chunks[1]), "an actor");
-}
-
-TEST(ChunkerTest, PronounChunk) {
-  NlpPipeline pipeline;
-  auto s = pipeline.AnnotateSentence("He supports the campaign.");
-  ASSERT_GE(s.np_chunks.size(), 2u);
-  EXPECT_EQ(SpanText(s.tokens, s.np_chunks[0]), "He");
-}
-
 TEST(NlpPipelineTest, DocumentAnnotationSplitsSentences) {
   NlpPipeline pipeline;
   auto doc = pipeline.Annotate("d1", "Brad Pitt",
@@ -136,7 +120,6 @@ TEST(NlpPipelineTest, DocumentAnnotationSplitsSentences) {
   ASSERT_EQ(doc.sentences.size(), 2u);
   EXPECT_EQ(doc.id, "d1");
   EXPECT_FALSE(doc.sentences[0].tokens.empty());
-  EXPECT_FALSE(doc.sentences[1].np_chunks.empty());
 }
 
 TEST(NlpPipelineTest, TokensCarryPosAndLemma) {

@@ -445,15 +445,11 @@ TEST_F(ServiceTest, DocTierEntriesStayCompact) {
 TEST_F(ServiceTest, FingerprintSeparatesResultChangingConfigs) {
   EngineConfig base;
 
-  // Scheduling- and epoch-only knobs must NOT perturb the fingerprint:
-  // num_threads never changes results (the merge is order-preserving), and
-  // the corpus epoch is a separate component of the cache keys.
+  // Scheduling-only knobs must NOT perturb the fingerprint: num_threads
+  // never changes results (the merge is order-preserving).
   EngineConfig threads = base;
   threads.num_threads = 8;
   EXPECT_EQ(base.Fingerprint(), threads.Fingerprint());
-  EngineConfig epoch = base;
-  epoch.corpus_epoch = 99;
-  EXPECT_EQ(base.Fingerprint(), epoch.Fingerprint());
 
   // Every result-changing field must perturb it. One mutation per field.
   std::vector<std::pair<const char*, EngineConfig>> mutants;

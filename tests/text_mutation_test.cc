@@ -5,8 +5,9 @@
 //   cmake -B build-asan -S . -DQKBFLY_SANITIZE=address && ctest -L asan
 // Besides not crashing, every mutant's output keeps the readers' structural
 // promises: sentences are non-empty trimmed pieces of the input, tokens are
-// non-empty with a lowercase form of the same length, and every annotation
-// span lies inside its sentence.
+// non-empty with a lowercase form of the same length, every annotation span
+// lies inside its sentence, and a document's annotated sentences carry the
+// tokens of its split sentences.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -24,12 +25,6 @@
 
 namespace qkbfly {
 namespace {
-
-/// The bytes the text readers treat specially, for Mutate: sentence
-/// boundaries, clitics, quotes, currency, hyphens, digits, whitespace,
-/// capitals and UTF-8 lead/continuation bytes.
-constexpr std::string_view kTextSignificant =
-    ".!?'\"$,-()0123456789 \t\nAJMSZ\xc3\xa9\xe2\x80\x99";
 
 const SynthDataset& Dataset() {
   static const SynthDataset* ds = [] {
@@ -58,6 +53,12 @@ void ExpectTokens(const std::vector<Token>& tokens) {
     EXPECT_FALSE(t.text.empty());
     EXPECT_EQ(t.lower.size(), t.text.size());
   }
+}
+
+std::vector<std::string> TokenTexts(const std::vector<Token>& tokens) {
+  std::vector<std::string> texts;
+  for (const Token& t : tokens) texts.push_back(t.text);
+  return texts;
 }
 
 void ExpectSpanInside(const TokenSpan& span, size_t tokens) {
@@ -104,9 +105,6 @@ TEST(TextMutationTest, NoMutantBreaksTheTextReaders) {
     for (const TimeMention& m : s.time_mentions) {
       ExpectSpanInside(m.span, s.tokens.size());
     }
-    for (const TokenSpan& chunk : s.np_chunks) {
-      ExpectSpanInside(chunk, s.tokens.size());
-    }
 
     // One round in twenty mutates a whole document: several edits' worth
     // of boundaries moved, merged or split.
@@ -118,7 +116,8 @@ TEST(TextMutationTest, NoMutantBreaksTheTextReaders) {
     ExpectSentences(doc_mutant, split);
     ASSERT_EQ(doc.sentences.size(), split.size());
     for (size_t i = 0; i < split.size(); ++i) {
-      EXPECT_EQ(doc.sentences[i].text, split[i]);
+      EXPECT_EQ(TokenTexts(doc.sentences[i].tokens),
+                TokenTexts(tokenizer.Tokenize(split[i])));
       ExpectTokens(doc.sentences[i].tokens);
     }
     annotated_sentences += doc.sentences.size();
