@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "util/logging.h"
@@ -180,20 +181,63 @@ bool ParseArg(const std::vector<std::string_view>& fields, size_t at,
   return true;
 }
 
+size_t Mix(size_t seed, size_t value) {
+  return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+}
+
+/// Hash consistent with FactArg::operator==: a literal hashes the text it
+/// compares by.
+size_t ArgHash(const FactArg& arg) {
+  const size_t kind = static_cast<size_t>(arg.kind);
+  switch (arg.kind) {
+    case FactArg::Kind::kEntity: return Mix(kind, arg.entity);
+    case FactArg::Kind::kEmerging: return Mix(kind, arg.emerging);
+    case FactArg::Kind::kLiteral:
+      return Mix(kind, std::hash<std::string_view>{}(
+                           arg.normalized.empty() ? arg.surface
+                                                  : arg.normalized));
+  }
+  return kind;
+}
+
+/// Hash of the fields AddFact merges on.
+size_t MergeHash(const Fact& fact) {
+  size_t h = Mix(fact.relation, fact.negated ? 1 : 0);
+  h = Mix(h, ArgHash(fact.subject));
+  for (const FactArg& arg : fact.args) h = Mix(h, ArgHash(arg));
+  return h;
+}
+
+bool SameMergeKey(const Fact& a, const Fact& b) {
+  return a.relation == b.relation && a.negated == b.negated &&
+         a.subject == b.subject && a.args == b.args;
+}
+
 }  // namespace
 
 void OnTheFlyKb::AddFact(Fact fact) {
   // Merge with an equivalent fact: same canonical relation, same subject and
   // the same arguments (the paper combines node-edge-node triples whose edge
   // labels fall into one synset).
-  for (Fact& existing : facts_) {
-    if (existing.relation == fact.relation && existing.negated == fact.negated &&
-        existing.subject == fact.subject && existing.args == fact.args) {
-      existing.confidence = std::max(existing.confidence, fact.confidence);
-      return;
+  for (; indexed_facts_ < facts_.size(); ++indexed_facts_) {
+    fact_index_.emplace(MergeHash(facts_[indexed_facts_]), indexed_facts_);
+  }
+  const size_t hash = MergeHash(fact);
+  size_t earliest = facts_.size();
+  auto [begin, end] = fact_index_.equal_range(hash);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second < earliest && SameMergeKey(facts_[it->second], fact)) {
+      earliest = it->second;
     }
   }
+  if (earliest < facts_.size()) {
+    Fact& existing = facts_[earliest];
+    existing.confidence = std::max(existing.confidence, fact.confidence);
+    return;
+  }
+  fact_index_.emplace(hash, facts_.size());
   facts_.push_back(std::move(fact));
+  indexed_facts_ = facts_.size();
 }
 
 EmergingId OnTheFlyKb::AddEmergingEntity(std::string representative,
@@ -459,6 +503,8 @@ Status OnTheFlyKb::Deserialize(std::string_view data) {
 }
 
 void OnTheFlyKb::ShrinkToFit() {
+  fact_index_ = {};
+  indexed_facts_ = 0;
   facts_.shrink_to_fit();
   emerging_.shrink_to_fit();
   new_relation_names_.shrink_to_fit();

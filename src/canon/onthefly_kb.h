@@ -33,6 +33,9 @@ class OnTheFlyKb {
 
   /// Adds a fact, merging it with an existing equivalent fact (same subject,
   /// canonical relation and arguments) by keeping the higher confidence.
+  /// When several stored facts are equivalent (a deserialized stream may
+  /// hold them), the earliest absorbs the fact. Expected O(1): facts are
+  /// found through a hash index.
   void AddFact(Fact fact);
 
   /// Registers an emerging entity cluster; returns its id.
@@ -96,7 +99,8 @@ class OnTheFlyKb {
   Status Deserialize(std::string_view data);
 
   /// Releases the spare capacity of the fact, emerging-entity and relation
-  /// vectors. Called once on a finished KB before it is shared read-only.
+  /// vectors, and drops AddFact's index (a later AddFact rebuilds it).
+  /// Called once on a finished KB before it is shared read-only.
   void ShrinkToFit();
 
   /// Estimated resident heap size of this KB: the object, its vectors'
@@ -112,6 +116,12 @@ class OnTheFlyKb {
   const EntityRepository* repository_;
   const PatternRepository* patterns_;
   std::vector<Fact> facts_;
+  /// AddFact's merge index: equivalence hash -> position in facts_, over
+  /// facts_[0, indexed_facts_). AddFact indexes the rest first, so facts
+  /// Deserialize appended join lazily. Build-time state only: ShrinkToFit
+  /// drops it and ApproxBytes does not charge it.
+  std::unordered_multimap<size_t, size_t> fact_index_;
+  size_t indexed_facts_ = 0;
   std::vector<EmergingEntity> emerging_;
   std::unordered_map<std::string, RelationId> new_relations_;
   std::vector<std::string> new_relation_names_;

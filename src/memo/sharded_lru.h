@@ -24,6 +24,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -77,9 +78,11 @@ inline std::string JoinKey(std::initializer_list<std::string_view> parts) {
 /// immutable once inserted (shared_ptr<const>), so lookups share them.
 ///
 /// A key picks its shard by hash; each shard has its own mutex, LRU list and
-/// 1/num_shards of the byte budget. An entry is charged its key, its
-/// bookkeeping and Value::ApproxBytes(). In-flight entries are never
-/// evicted. `evictions` counts only entries the byte budget forced out;
+/// 1/num_shards of the byte budget. A hit on a ready entry holds its shard
+/// mutex for one lookup, one splice and one pointer copy; only a miss makes
+/// a promise, and only a waiter on an in-flight entry touches its future.
+/// An entry is charged its key, its bookkeeping and Value::ApproxBytes().
+/// In-flight entries are never evicted. `evictions` counts only entries the byte budget forced out;
 /// Clear() and EvictAll() drop entries without counting them.
 template <typename Value>
 class ShardedLru {
@@ -119,12 +122,14 @@ class ShardedLru {
                                               const Compute& compute,
                                               bool* was_hit = nullptr) {
     Shard& shard = ShardFor(key);
-    std::promise<std::shared_ptr<const Value>> promise;
+    // Made on a miss only: a hit allocates nothing.
+    std::optional<std::promise<std::shared_ptr<const Value>>> promise;
+    std::shared_future<std::shared_ptr<const Value>> in_flight;
 #if defined(QKBFLY_CHECK_INVARIANTS)
     CacheStats stats_before;
 #endif
     {
-      std::unique_lock<std::mutex> lock(shard.mutex);
+      std::lock_guard<std::mutex> lock(shard.mutex);
 #if defined(QKBFLY_CHECK_INVARIANTS)
       stats_before = TotalsNow();
 #endif
@@ -133,19 +138,21 @@ class ShardedLru {
         // Ready entry or another thread's in-flight computation: either way
         // no work runs on this thread, so it counts as a hit.
         instruments_.hits->Increment();
-        if (it->second.ready) {
-          shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-        }
-        auto future = it->second.future;
-        lock.unlock();
         if (was_hit != nullptr) *was_hit = true;
-        return future.get();  // blocks only while in-flight; rethrows
+        if (it->second.value != nullptr) {
+          // A ready hit copies the value pointer: no future, no get().
+          shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
+          return it->second.value;
+        }
+        in_flight = it->second.future;
+      } else {
+        instruments_.misses->Increment();
+        promise.emplace();
+        // The in-flight marker that later lookups wait on.
+        shard.map[key].future = promise->get_future().share();
       }
-      instruments_.misses->Increment();
-      Entry entry;
-      entry.future = promise.get_future().share();
-      shard.map.emplace(key, std::move(entry));  // in-flight marker
     }
+    if (in_flight.valid()) return in_flight.get();  // blocks; rethrows
     if (was_hit != nullptr) *was_hit = false;
 
     // Compute outside the lock; single-flight guarantees this thread is the
@@ -159,18 +166,18 @@ class ShardedLru {
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.map.erase(key);  // never made it into the LRU
       }
-      promise.set_exception(error);  // waiters rethrow from future.get()
+      promise->set_exception(error);  // waiters rethrow from future.get()
       std::rethrow_exception(error);
     }
-    promise.set_value(value);
+    promise->set_value(value);
 
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       auto it = shard.map.find(key);
       // Only the computing thread transitions or erases an in-flight entry,
       // so it is still present and not yet ready.
-      QKB_CHECK(it != shard.map.end() && !it->second.ready);
-      PublishLocked(shard, it, *value);
+      QKB_CHECK(it != shard.map.end() && it->second.value == nullptr);
+      PublishLocked(shard, it, value);
       QKBFLY_INVARIANT(CheckShardAccountingLocked(shard),
                        "memo::ShardedLru::FetchOrCompute");
       // Counters are lock-free atomics, so reading the registry totals
@@ -187,28 +194,25 @@ class ShardedLru {
   /// it (that computation publishes its own value). Returns the value.
   std::shared_ptr<const Value> Insert(const std::string& key, Value value) {
     auto shared = std::make_shared<const Value>(std::move(value));
-    std::promise<std::shared_ptr<const Value>> promise;
-    promise.set_value(shared);
     Shard& shard = ShardFor(key);
     // Declared before the guard, so a replaced value (often the last
     // reference to a KB) is released after the unlock.
-    std::shared_future<std::shared_ptr<const Value>> replaced;
+    std::shared_ptr<const Value> replaced;
     std::lock_guard<std::mutex> lock(shard.mutex);
 #if defined(QKBFLY_CHECK_INVARIANTS)
     const CacheStats stats_before = TotalsNow();
 #endif
     auto [it, added] = shard.map.try_emplace(key);
     if (!added) {
-      if (!it->second.ready) return shared;
-      replaced = std::move(it->second.future);
+      if (it->second.value == nullptr) return shared;
+      replaced = std::move(it->second.value);
       shard.lru.erase(it->second.lru);
       shard.bytes -= it->second.bytes;
       instruments_.resident_bytes->Add(
           -static_cast<int64_t>(it->second.bytes));
       instruments_.resident_entries->Add(-1);
     }
-    it->second.future = promise.get_future().share();
-    PublishLocked(shard, it, *shared);
+    PublishLocked(shard, it, shared);
     QKBFLY_INVARIANT(CheckShardAccountingLocked(shard),
                      "memo::ShardedLru::Insert");
     QKBFLY_INVARIANT(CheckCacheStatsMonotonic(stats_before, TotalsNow()),
@@ -223,7 +227,7 @@ class ShardedLru {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       for (const std::string& key : shard->lru) {
-        values.push_back(shard->map.at(key).future.get());  // ready
+        values.push_back(shard->map.at(key).value);
       }
     }
     return values;
@@ -261,7 +265,7 @@ class ShardedLru {
       // Declared before the guard, so the dropped values are released after
       // the unlock: a value's last reference (a query-tier KB) frees
       // hundreds of allocations, which must not stall the shard.
-      std::vector<std::shared_future<std::shared_ptr<const Value>>> dropped;
+      std::vector<std::shared_ptr<const Value>> dropped;
       std::lock_guard<std::mutex> lock(shard->mutex);
       instruments_.resident_bytes->Add(-static_cast<int64_t>(shard->bytes));
       instruments_.resident_entries->Add(
@@ -269,7 +273,7 @@ class ShardedLru {
       dropped.reserve(shard->lru.size());
       for (const std::string& key : shard->lru) {
         auto it = shard->map.find(key);
-        dropped.push_back(std::move(it->second.future));
+        dropped.push_back(std::move(it->second.value));
         shard->map.erase(it);
       }
       shard->lru.clear();
@@ -291,9 +295,11 @@ class ShardedLru {
   }
 
  private:
+  /// In flight until its computation publishes `value`; ready after.
   struct Entry {
+    std::shared_ptr<const Value> value;  ///< Set when ready; hits copy it.
+    /// Set while in flight: waiters block on it. Reset when ready.
     std::shared_future<std::shared_ptr<const Value>> future;
-    bool ready = false;
     size_t bytes = 0;
     std::list<std::string>::iterator lru;  ///< Valid only when ready.
   };
@@ -309,14 +315,16 @@ class ShardedLru {
     return *shards_[std::hash<std::string>{}(key) % shards_.size()];
   }
 
-  /// Marks the entry at `it` ready and charged for `value`, most recently
+  /// Makes the entry at `it` ready with `value`, charged and most recently
   /// used, then evicts down to the shard's budget. Requires shard.mutex held
-  /// and the entry's future already holding `value`.
+  /// and any in-flight promise already fulfilled.
   void PublishLocked(Shard& shard,
                      typename std::unordered_map<std::string, Entry>::iterator it,
-                     const Value& value) {
-    it->second.ready = true;
-    it->second.bytes = it->first.size() + sizeof(Entry) + value.ApproxBytes();
+                     std::shared_ptr<const Value> value) {
+    it->second.bytes =
+        it->first.size() + sizeof(Entry) + value->ApproxBytes();
+    it->second.value = std::move(value);
+    it->second.future = {};
     shard.lru.push_front(it->first);
     it->second.lru = shard.lru.begin();
     shard.bytes += it->second.bytes;
@@ -354,7 +362,7 @@ class ShardedLru {
     size_t bytes = 0;
     size_t ready = 0;
     for (const auto& [key, entry] : shard.map) {
-      if (!entry.ready) continue;
+      if (entry.value == nullptr) continue;
       bytes += entry.bytes;
       ++ready;
     }

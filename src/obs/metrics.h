@@ -3,10 +3,14 @@
 // their instruments once (construction time, under one registry mutex) and
 // then update them lock-free (counters/gauges are relaxed atomics) or with
 // one short mutex hold (histograms wrap util/latency_histogram, which is not
-// internally synchronized). Ad-hoc per-component counter and timing structs
-// are gone: each layer's time has one record here (plus its span when
-// tracing is on), and `CacheStats` from a memo's stats() is a per-instance
-// view of registry counters. Tests and tools read deltas of the registry.
+// internally synchronized). Counters and histograms are striped per thread:
+// a query-tier hit takes about a microsecond, so one shared atomic or mutex
+// per instrument would be a cache line every serving thread writes on every
+// query. Each thread updates its own stripe and readers merge them. Ad-hoc
+// per-component counter and timing structs are gone: each layer's time has
+// one record here (plus its span when tracing is on), and `CacheStats` from
+// a memo's stats() is a per-instance view of registry counters. Tests and
+// tools read deltas of the registry.
 //
 // Naming convention (enforced at registration and statically by qkbfly-lint
 // rule O1): `snake_case` literals, `<subsystem>_<what>[_total|_seconds|
@@ -21,7 +25,9 @@
 #ifndef QKBFLY_OBS_METRICS_H_
 #define QKBFLY_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,20 +40,46 @@
 
 namespace qkbfly::obs {
 
-/// Monotonically increasing event count. Updates are relaxed atomics: the
-/// registry only promises eventual visibility of totals, never ordering
-/// against the work being counted.
+/// Stripes per Counter and Histogram: a constant, sized to the threads that
+/// record concurrently (serving clients plus worker pools).
+inline constexpr size_t kStripes = 8;
+
+/// This thread's stripe in [0, kStripes). Threads take stripes round-robin
+/// on first use, so up to kStripes threads record without sharing one.
+inline size_t ThreadStripe() {
+  static std::atomic<size_t> next_stripe{0};
+  thread_local const size_t stripe =
+      next_stripe.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  return stripe;
+}
+
+/// Monotonically increasing event count. Updates are relaxed atomics on the
+/// calling thread's stripe: the registry only promises eventual visibility
+/// of totals, never ordering against the work being counted.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    stripes_[ThreadStripe()].value.fetch_add(delta,
+                                             std::memory_order_relaxed);
   }
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+
+  /// The sum of the stripes. Each stripe only grows, so successive reads
+  /// on one thread never decrease.
+  uint64_t Value() const {
+    uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
   Counter() = default;
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Stripe {  // one cache line each
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Stripe, kStripes> stripes_;
 };
 
 /// A value that can go up and down (resident bytes, queue depth). Integer
@@ -64,33 +96,47 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Log-bucketed latency distribution: a mutex around LatencyHistogram (the
-/// bucketing, percentile, and merge logic live there). The lock is held for
-/// a handful of arithmetic ops; contention is negligible at per-document or
-/// per-query observation granularity.
+/// Log-bucketed latency distribution: striped {mutex, LatencyHistogram}
+/// (the bucketing and percentile logic live there). An observation locks
+/// only the calling thread's stripe for a handful of arithmetic ops, so
+/// per-query observations from concurrent clients do not queue on one
+/// mutex; readers lock each stripe in turn and merge.
 class Histogram {
  public:
   void Observe(double seconds) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    histogram_.Record(seconds);
+    Stripe& stripe = stripes_[ThreadStripe()];
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    stripe.histogram.Record(seconds);
   }
 
-  /// Point-in-time copy of the distribution.
+  /// The stripes merged. Each stripe is copied at its own instant, so a
+  /// snapshot taken during concurrent observations holds some of them.
   LatencyHistogram Snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return histogram_;
+    LatencyHistogram merged;
+    for (const Stripe& stripe : stripes_) {
+      std::lock_guard<std::mutex> lock(stripe.mutex);
+      merged.Merge(stripe.histogram);
+    }
+    return merged;
   }
 
   uint64_t Count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return histogram_.count();
+    uint64_t count = 0;
+    for (const Stripe& stripe : stripes_) {
+      std::lock_guard<std::mutex> lock(stripe.mutex);
+      count += stripe.histogram.count();
+    }
+    return count;
   }
 
   Histogram() = default;
 
  private:
-  mutable std::mutex mutex_;
-  LatencyHistogram histogram_;
+  struct alignas(64) Stripe {
+    mutable std::mutex mutex;
+    LatencyHistogram histogram;
+  };
+  std::array<Stripe, kStripes> stripes_;
 };
 
 /// Point-in-time view of every registered instrument, sorted by name (the

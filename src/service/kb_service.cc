@@ -242,7 +242,8 @@ KbService::QueryResult KbService::Answer(const std::string& query) {
     stats.query_cache.misses = 1;
   }
   stats.documents = pair->documents;
-  QueryResult out{pair->kb, *pair->kb, pair->answers, stats};
+  const QaPair& answered = *pair;
+  QueryResult out{std::move(pair), *answered.kb, answered.answers, stats};
 
   out.stats.total_s = total.ElapsedSeconds();
   queries_total_->Increment();

@@ -132,13 +132,15 @@ class KbService {
   /// Facts rendered into QueryResult::answers.
   static constexpr size_t kMaxAnswers = 5;
 
-  /// One answered query. `kb` is bound to the immutable KB `shared_kb`
-  /// owns, which the query tier's QA pair shares: every answer to the same
-  /// cached query refers to the same object.
+  /// One answered query: the query tier's QA pair, shared, not copied.
+  /// `kb` and `answers` refer into `pair`, so every answer to the same
+  /// cached query refers to the same objects, and a hit copies neither the
+  /// KB nor the rendered answers.
   struct QueryResult {
-    std::shared_ptr<const OnTheFlyKb> shared_kb;
-    const OnTheFlyKb& kb;
-    std::vector<std::string> answers;  ///< Top facts, rendered, by confidence.
+    std::shared_ptr<const QaPair> pair;
+    const OnTheFlyKb& kb;                     ///< *pair->kb.
+    const std::vector<std::string>& answers;  ///< pair->answers: top facts,
+                                              ///< rendered, by confidence.
     ServiceStats stats;
   };
 

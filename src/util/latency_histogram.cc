@@ -32,6 +32,15 @@ void LatencyHistogram::Record(double seconds) {
   ++count_;
 }
 
+void LatencyHistogram::Merge(const LatencyHistogram& other) {
+  if (other.count_ == 0) return;
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  if (count_ == 0 || other.min_s_ < min_s_) min_s_ = other.min_s_;
+  max_s_ = std::max(max_s_, other.max_s_);
+  sum_s_ += other.sum_s_;
+  count_ += other.count_;
+}
+
 uint64_t LatencyHistogram::BucketSamples(int bucket) const {
   if (bucket < 0 || bucket >= kBuckets) return 0;
   return counts_[static_cast<size_t>(bucket)];

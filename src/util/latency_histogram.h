@@ -15,7 +15,8 @@ namespace qkbfly {
 /// Fixed-size histogram over latencies. Buckets are geometric in
 /// microseconds: bucket i covers [2^(i/4), 2^((i+1)/4)) us, so the range
 /// spans sub-microsecond to ~17 minutes. Not internally synchronized;
-/// owners guard it (obs::Histogram) or use it from one thread.
+/// owners guard it (obs::Histogram keeps one per stripe and merges them) or
+/// use it from one thread.
 class LatencyHistogram {
  public:
   // 160 quarter-octave buckets: 2^(160/4) us ~= 1.1e6 s upper bound.
@@ -24,6 +25,10 @@ class LatencyHistogram {
   /// Records one sample. Negative and NaN inputs are clamped to zero (they
   /// can only come from clock anomalies and must not poison min/max).
   void Record(double seconds);
+
+  /// Adds all of `other`'s samples. Merging into an empty histogram gives
+  /// `other` exactly (counts, buckets, min, max and sum).
+  void Merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
   double min_seconds() const { return count_ == 0 ? 0.0 : min_s_; }

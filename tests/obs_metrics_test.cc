@@ -1,11 +1,16 @@
 // MetricsRegistry contract: get-or-create identity, name validation,
-// snapshot ordering, and both exporters (Prometheus text and JSON with its
-// schema validator).
+// snapshot ordering, both exporters (Prometheus text and JSON with its
+// schema validator), and exact totals from the per-thread stripes of
+// counters and histograms under concurrent recording (runs under
+// ThreadSanitizer, -L tsan).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace qkbfly::obs {
 namespace {
@@ -136,6 +141,67 @@ TEST(MetricsRegistryTest, ValidateJsonRejectsMalformedInput) {
       "{\"count\":1}}}",
       &error));
   EXPECT_FALSE(error.empty());
+}
+
+/// The i-th sample of the striped-histogram tests: a multiple of 2^-20 s
+/// (about 1 us) between 1 and 512 of them, spread over many buckets. Sums
+/// of such values are exact, so they do not depend on the merge order.
+double Sample(int i) { return std::ldexp(1 + (i * 37) % 512, -20); }
+
+TEST(MetricsStripesTest, SingleThreadRecordingIsExact) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("test_events_total");
+  Histogram* histogram = registry.GetHistogram("test_latency_seconds");
+  LatencyHistogram expected;
+  for (int i = 0; i < 1000; ++i) {
+    counter->Increment();
+    histogram->Observe(Sample(i));
+    expected.Record(Sample(i));
+  }
+  EXPECT_EQ(counter->Value(), 1000u);
+  EXPECT_EQ(histogram->Count(), 1000u);
+  const LatencyHistogram got = histogram->Snapshot();
+  EXPECT_EQ(got.min_seconds(), expected.min_seconds());
+  EXPECT_EQ(got.max_seconds(), expected.max_seconds());
+  EXPECT_EQ(got.sum_seconds(), expected.sum_seconds());
+  EXPECT_EQ(got.Report(), expected.Report());
+}
+
+TEST(MetricsStripesTest, ConcurrentRecordingGivesExactTotals) {
+  // One fresh thread per stripe: threads take stripes round-robin, so the
+  // recording covers every stripe and a reader that skipped one would
+  // come up short.
+  constexpr int kThreads = static_cast<int>(kStripes);
+  constexpr int kPerThread = 20000;
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("test_events_total");
+  Histogram* histogram = registry.GetHistogram("test_latency_seconds");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        counter->Increment(2);
+        histogram->Observe(Sample(t * kPerThread + i));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  constexpr uint64_t kTotal = uint64_t{kThreads} * kPerThread;
+  EXPECT_EQ(counter->Value(), 2 * kTotal);
+  EXPECT_EQ(histogram->Count(), kTotal);
+
+  // The merged snapshot equals one histogram that saw every sample.
+  LatencyHistogram expected;
+  for (int i = 0; i < kThreads * kPerThread; ++i) expected.Record(Sample(i));
+  const LatencyHistogram merged = histogram->Snapshot();
+  ASSERT_EQ(merged.count(), expected.count());
+  for (int b = 0; b < LatencyHistogram::kBucketCount; ++b) {
+    EXPECT_EQ(merged.BucketSamples(b), expected.BucketSamples(b)) << b;
+  }
+  EXPECT_EQ(merged.min_seconds(), expected.min_seconds());
+  EXPECT_EQ(merged.max_seconds(), expected.max_seconds());
+  EXPECT_EQ(merged.sum_seconds(), expected.sum_seconds());
 }
 
 TEST(MetricsRegistryTest, DefaultRegistryIsSingletonAndExports) {

@@ -270,7 +270,7 @@ TEST_F(ServiceTest, ConcurrentQueriesAreSafeAndDeterministic) {
   for (const std::string& q : queries) {
     KbService::QueryResult r = service.Answer(q);
     expected.push_back(Serialize(r.kb));
-    shared.push_back(r.shared_kb);
+    shared.push_back(r.pair->kb);
   }
 
   constexpr int kThreads = 4;

@@ -801,7 +801,9 @@ TEST_F(StoreTest, QueryTierHitsShareTheColdKb) {
   ASSERT_TRUE(b.stats.query_cache_hit);
   EXPECT_EQ(&a.kb, &b.kb);
   EXPECT_EQ(&a.kb, &cold.kb);
-  EXPECT_EQ(&a.kb, a.shared_kb.get());
+  EXPECT_EQ(&a.kb, a.pair->kb.get());
+  EXPECT_EQ(&a.answers, &a.pair->answers);
+  EXPECT_EQ(a.pair, b.pair);
   EXPECT_EQ(a.kb.Serialize(), cold_bytes);
 
   // The tier's one QA pair is that very object.
@@ -812,6 +814,7 @@ TEST_F(StoreTest, QueryTierHitsShareTheColdKb) {
   EXPECT_EQ(pairs[0]->epoch, search->epoch());
   EXPECT_EQ(pairs[0]->fingerprint, engine_->config().Fingerprint());
   EXPECT_EQ(pairs[0]->kb.get(), &a.kb);
+  EXPECT_EQ(pairs[0], a.pair);
   EXPECT_TRUE(pairs[0]->kb_bytes.empty());
 }
 
