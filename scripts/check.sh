@@ -3,8 +3,7 @@
 #   1. configure + build the default tree, and compile the benchmark driver
 #      (perfbench/, its own CMake project against ../src)
 #   2. run the whole test suite (includes the `lint_wholeprogram` ctest:
-#      both lint phases, the <5s latency budget, and the build/lint.sarif
-#      export CI uploads)
+#      both lint phases under their 5 s latency budget)
 #   3. bench smoke run (label bench-smoke)
 #   4. one sanitizer tree (default: undefined; override with SANITIZER=),
 #      built with the runtime invariant checks (QKBFLY_CHECK_INVARIANTS)

@@ -53,8 +53,8 @@ struct Instruments {
 /// the type alias it declares, with
 ///   static constexpr size_t kDefaultByteBudget;  // Options' default
 ///   static Instruments Bind();  // GetCounter/GetGauge with literal names
-/// (lint rule O1 wants a literal name at every registration call, so the
-/// template never builds a metric name itself).
+/// (metric names are literals at every registration call, so the template
+/// never builds a metric name itself).
 template <typename Value>
 struct Traits;
 

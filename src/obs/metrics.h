@@ -12,8 +12,8 @@
 // a memo's stats() is a per-instance view of registry counters. Tests and
 // tools read deltas of the registry.
 //
-// Naming convention (enforced at registration and statically by qkbfly-lint
-// rule O1): `snake_case` literals, `<subsystem>_<what>[_total|_seconds|
+// Naming convention (enforced at registration, and for span names by
+// obs::Trace): `snake_case` literals, `<subsystem>_<what>[_total|_seconds|
 // _bytes]`. Counters end in `_total`, histograms over durations in
 // `_seconds`, byte gauges in `_bytes`. Names must be string literals at the
 // call site so the hot path never concatenates strings.
@@ -186,7 +186,7 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// `[a-z][a-z0-9_]*` — the snake_case contract of rule O1.
+  /// `[a-z][a-z0-9_]*` — the snake_case contract of metric and span names.
   static bool IsValidName(std::string_view name);
 
   /// Prometheus text exposition: HELP/TYPE headers, counter/gauge samples,

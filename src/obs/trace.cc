@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/metrics.h"
 #include "util/json.h"
 #include "util/logging.h"
 
 namespace qkbfly::obs {
 
 Trace::Trace(const char* root_name) : root_name_(root_name) {
+  QKB_CHECK(MetricsRegistry::IsValidName(root_name_))
+      << "trace name '" << root_name_ << "' is not snake_case";
   Span root;
   root.name = root_name_;
   root.id = 0;
@@ -20,6 +23,8 @@ Trace::Trace(const char* root_name) : root_name_(root_name) {
 Trace::~Trace() { Finish(); }
 
 SpanId Trace::StartSpan(const char* name, SpanId parent) {
+  QKB_CHECK(MetricsRegistry::IsValidName(name))
+      << "span name '" << name << "' is not snake_case";
   double now = epoch_.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(mutex_);
   if (parent == kNoSpan) parent = 0;

@@ -60,7 +60,9 @@ struct Span {
 };
 
 /// A per-query span tree. Construction opens the root span (id 0); Finish()
-/// (or the destructor) closes it. All methods are thread-safe.
+/// (or the destructor) closes it. All methods are thread-safe. Root and span
+/// names follow the metric naming contract (MetricsRegistry::IsValidName,
+/// snake_case); any other name aborts (QKB_CHECK).
 class Trace {
  public:
   explicit Trace(const char* root_name);
@@ -124,8 +126,6 @@ class ScopedSpan {
  public:
   ScopedSpan() = default;
   ScopedSpan(TraceContext context, const char* name) : trace_(context.trace) {
-    // The forwarding site itself: O1 is enforced at ScopedSpan call sites.
-    // qkbfly-lint: allow(O1)
     if (trace_ != nullptr) id_ = trace_->StartSpan(name, context.parent);
   }
   ~ScopedSpan() { End(); }

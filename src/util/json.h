@@ -1,7 +1,7 @@
 // The project's one JSON reader and one JSON string escaper. Every JSON file
 // QKBfly reads or writes goes through here: fact-store snapshots, the
-// metrics export, BENCH_*.json reports and the lint's SARIF output. Schema
-// checks are small functions over the parsed Document at each call site.
+// metrics export and BENCH_*.json reports. Schema checks are small functions
+// over the parsed Document at each call site.
 //
 // Contract (DESIGN.md "JSON"):
 //   - Strict RFC 8259 grammar: one value, whitespace is space / tab / LF /

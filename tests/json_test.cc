@@ -1,8 +1,8 @@
 // util/json: the strict DOM parser and the shared string escaper, plus a
 // seeded mutation test (truncations, byte flips, insertions and deletions
 // drawn from util/rng over valid seed documents) that drives every reader
-// of outside JSON bytes: json::Document, FactStore::Load,
-// MetricsRegistry::ValidateJson and lint's ValidateSarif. Labeled asan.
+// of outside JSON bytes: json::Document, FactStore::Load and
+// MetricsRegistry::ValidateJson. Labeled asan.
 #include "util/json.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/sarif.h"
 #include "mutate.h"
 #include "obs/metrics.h"
 #include "store/fact_store.h"
@@ -228,6 +227,7 @@ std::string SnapshotSeed(const std::string& path) {
   fact.queries = {"ann smith"};
   (void)store.Ingest(fact);
   fact.negated = true;
+  fact.relation = "back-edge with \"quotes\" and\nnewline";
   fact.args = {};
   fact.epoch = 18446744073709551615ull;
   (void)store.Ingest(fact);
@@ -252,16 +252,6 @@ std::string MetricsSeed() {
   return obs::MetricsRegistry::ToJson(registry.Snapshot());
 }
 
-std::string SarifSeed() {
-  lint::Diagnostic d;
-  d.rule = lint::Rule::kL1;
-  d.file = "src/util/u.h";
-  d.line = 3;
-  d.key = "util->core";
-  d.message = "back-edge with \"quotes\" and\nnewline";
-  return lint::SarifReport({d, d});
-}
-
 TEST(JsonMutationTest, NoMutantCrashesAndAcceptedSnapshotsAreStable) {
   const std::string dir = ::testing::TempDir();
   const std::string mutant_path = dir + "qkbfly_json_mutant.jsonl";
@@ -269,11 +259,9 @@ TEST(JsonMutationTest, NoMutantCrashesAndAcceptedSnapshotsAreStable) {
   const std::string resaved_path = dir + "qkbfly_json_resaved.jsonl";
   const std::string snapshot = SnapshotSeed(saved_path);
   const std::string metrics = MetricsSeed();
-  const std::string sarif = SarifSeed();
 
   std::string error;
   ASSERT_TRUE(obs::MetricsRegistry::ValidateJson(metrics, &error)) << error;
-  ASSERT_TRUE(lint::ValidateSarif(sarif, &error)) << error;
   FactStore check;
   WriteFile(mutant_path, snapshot);
   ASSERT_TRUE(check.Load(mutant_path).ok());
@@ -284,14 +272,13 @@ TEST(JsonMutationTest, NoMutantCrashesAndAcceptedSnapshotsAreStable) {
   size_t loaded = 0;
   constexpr int kRounds = 2000;
   for (int round = 0; round < kRounds; ++round) {
-    for (const std::string* seed : {&snapshot, &metrics, &sarif}) {
+    for (const std::string* seed : {&snapshot, &metrics}) {
       std::string mutant = Mutate(*seed, kJsonSignificant, rng);
       if (doc.Parse(mutant, &error)) {
         ++parsed;
         EXPECT_GT(Walk(doc.root()), 0u);
       }
       (void)obs::MetricsRegistry::ValidateJson(mutant, &error);
-      (void)lint::ValidateSarif(mutant, &error);
       // The whole snapshot parses line by line only when it is the snapshot
       // seed; the others still exercise Load's rejection paths.
       WriteFile(mutant_path, mutant);

@@ -1,11 +1,9 @@
 // qkbfly-lint rule coverage: for every rule a positive fixture (finding
 // fires), a suppressed fixture (allow() marker honored) and a clean fixture
-// (no finding). Also exercises the lexer corner cases the rules depend on
-// and the baseline round-trip.
+// (no finding). Also exercises the lexer corner cases the rules depend on.
 #include "lint/lint.h"
 
 #include "lint/index.h"
-#include "lint/sarif.h"
 #include "lint/wholeprogram.h"
 
 #include <gtest/gtest.h>
@@ -45,21 +43,14 @@ TEST(LexerTest, RawStringsDoNotLeakTokens) {
   EXPECT_EQ(f.tokens.back().line, 2);
 }
 
-TEST(LexerTest, CapturesDirectivesNormalized) {
-  LexedFile f = Lex("#ifndef   FOO_H_\n#define FOO_H_\n#endif\n");
-  ASSERT_EQ(f.directives.size(), 3u);
-  EXPECT_EQ(f.directives[0], "#ifndef FOO_H_");
-  EXPECT_EQ(f.directives[1], "#define FOO_H_");
-}
-
 TEST(LexerTest, AllowMarkerCoversOwnLineAndNextLine) {
   LexedFile f = Lex(
-      "// qkbfly-lint: allow(D1, C2)\n"
+      "// qkbfly-lint: allow(D1, C3)\n"
       "int x;\n");
   ASSERT_TRUE(f.allowed.count(1));
   ASSERT_TRUE(f.allowed.count(2));
   EXPECT_TRUE(f.allowed.at(2).count("D1"));
-  EXPECT_TRUE(f.allowed.at(2).count("C2"));
+  EXPECT_TRUE(f.allowed.at(2).count("C3"));
   EXPECT_FALSE(f.allowed.at(2).count("D2"));
 }
 
@@ -263,135 +254,6 @@ TEST(RuleC1Test, SuppressedByAllowMarker) {
   EXPECT_FALSE(Has(LintSource("src/a.cc", kSrc), Rule::kC1));
 }
 
-// ---------------------------------------------------------------------------
-// C2: thread hygiene
-// ---------------------------------------------------------------------------
-
-TEST(RuleC2Test, FlagsDetachAndRawNewThread) {
-  EXPECT_TRUE(Has(LintSource("src/a.cc", "void F(std::thread& t) { t.detach(); }\n"),
-                  Rule::kC2));
-  EXPECT_TRUE(Has(
-      LintSource("src/a.cc", "auto* t = new std::thread([] {});\n"),
-      Rule::kC2));
-}
-
-TEST(RuleC2Test, SuppressedByAllowMarker) {
-  constexpr char kSrc[] =
-      "void F(std::thread& t) {\n"
-      "  t.detach();  // qkbfly-lint: allow(C2)\n"
-      "}\n";
-  EXPECT_FALSE(Has(LintSource("src/a.cc", kSrc), Rule::kC2));
-}
-
-// ---------------------------------------------------------------------------
-// H1: header hygiene
-// ---------------------------------------------------------------------------
-
-TEST(RuleH1Test, FlagsHeaderWithoutGuard) {
-  constexpr char kSrc[] = "#include <vector>\nint f();\n";
-  EXPECT_TRUE(Has(LintSource("src/a.h", kSrc), Rule::kH1));
-}
-
-TEST(RuleH1Test, GuardedHeadersAreClean) {
-  EXPECT_FALSE(Has(LintSource("src/a.h",
-                              "// comment first is fine\n"
-                              "#ifndef QKBFLY_A_H_\n#define QKBFLY_A_H_\n"
-                              "int f();\n#endif\n"),
-                   Rule::kH1));
-  EXPECT_FALSE(
-      Has(LintSource("src/a.h", "#pragma once\nint f();\n"), Rule::kH1));
-}
-
-TEST(RuleH1Test, FlagsUntaggedTodoAndAcceptsTagged) {
-  EXPECT_TRUE(Has(LintSource("src/a.cc", "// TODO: fix this later\n"),
-                  Rule::kH1));
-  EXPECT_TRUE(Has(LintSource("src/a.cc", "// FIXME this is broken\n"),
-                  Rule::kH1));
-  EXPECT_FALSE(Has(LintSource("src/a.cc", "// TODO(#42): fix this later\n"),
-                   Rule::kH1));
-  EXPECT_FALSE(Has(LintSource("src/a.cc", "// FIXME(owner): handle nulls\n"),
-                   Rule::kH1));
-}
-
-TEST(RuleH1Test, CcFilesNeedNoGuard) {
-  EXPECT_FALSE(
-      Has(LintSource("src/a.cc", "#include <vector>\nint f() { return 1; }\n"),
-          Rule::kH1));
-}
-
-// ---------------------------------------------------------------------------
-// O1: metric/span names must be snake_case string literals
-// ---------------------------------------------------------------------------
-
-TEST(RuleO1Test, FlagsRuntimeComputedMetricName) {
-  constexpr char kSrc[] =
-      "void f(MetricsRegistry* r, const std::string& shard) {\n"
-      "  r->GetCounter(\"cache_hits_\" + shard);\n"
-      "}\n";
-  auto diags = LintSource("src/a.cc", kSrc);
-  ASSERT_TRUE(Has(diags, Rule::kO1));
-  EXPECT_EQ(diags[0].key, "GetCounter/\"cache_hits_\"");
-}
-
-TEST(RuleO1Test, FlagsNonSnakeCaseLiteral) {
-  EXPECT_TRUE(Has(
-      LintSource("src/a.cc", "auto* c = r->GetCounter(\"CacheHits\");\n"),
-      Rule::kO1));
-  EXPECT_TRUE(Has(
-      LintSource("src/a.cc", "auto* g = r->GetGauge(\"resident-bytes\");\n"),
-      Rule::kO1));
-  EXPECT_TRUE(
-      Has(LintSource("src/a.cc", "trace->StartSpan(name_variable);\n"),
-          Rule::kO1));
-}
-
-TEST(RuleO1Test, ScopedSpanNameIsSecondArgument) {
-  // Both the expression form and the `ScopedSpan var(...)` declaration form.
-  EXPECT_TRUE(Has(
-      LintSource("src/a.cc", "obs::ScopedSpan span(ctx, MakeName(doc));\n"),
-      Rule::kO1));
-  EXPECT_TRUE(
-      Has(LintSource("src/a.cc", "auto s = obs::ScopedSpan(ctx, \"Bad\");\n"),
-          Rule::kO1));
-  EXPECT_FALSE(Has(
-      LintSource("src/a.cc", "obs::ScopedSpan span(ctx, \"graph_build\");\n"),
-      Rule::kO1));
-}
-
-TEST(RuleO1Test, SnakeCaseLiteralsAndDeclarationsAreClean) {
-  constexpr char kSrc[] =
-      "Counter* GetCounter(const std::string& name, std::string help);\n"
-      "void f(MetricsRegistry* r, Trace* t, TraceContext ctx) {\n"
-      "  r->GetCounter(\"pipeline_documents_total\");\n"
-      "  r->GetHistogram(\"service_answer_seconds\", \"query latency\");\n"
-      "  t->StartSpan(\"fetch_or_compute\", parent);\n"
-      "}\n";
-  EXPECT_FALSE(Has(LintSource("src/a.cc", kSrc), Rule::kO1));
-}
-
-TEST(RuleO1Test, ParserRoutingCounterNamesAreClean) {
-  // The adaptive parser's routing counters (src/parser/router.cc) follow
-  // the literal snake_case convention; a backend-computed name does not.
-  constexpr char kClean[] =
-      "void f(MetricsRegistry* r) {\n"
-      "  r->GetCounter(\"parser_route_linear_total\");\n"
-      "  r->GetCounter(\"parser_route_mst_total\", \"routed sentences\");\n"
-      "}\n";
-  EXPECT_FALSE(Has(LintSource("src/a.cc", kClean), Rule::kO1));
-  constexpr char kComputed[] =
-      "void f(MetricsRegistry* r, const std::string& backend) {\n"
-      "  r->GetCounter(\"parser_route_\" + backend + \"_total\");\n"
-      "}\n";
-  EXPECT_TRUE(Has(LintSource("src/a.cc", kComputed), Rule::kO1));
-}
-
-TEST(RuleO1Test, SuppressedByAllowMarker) {
-  constexpr char kSrc[] =
-      "// qkbfly-lint: allow(O1)\n"
-      "id_ = trace_->StartSpan(name, context.parent);\n";
-  EXPECT_FALSE(Has(LintSource("src/a.cc", kSrc), Rule::kO1));
-}
-
 TEST(RenderTest, FormatsFileLineRule) {
   Diagnostic d;
   d.rule = Rule::kD2;
@@ -436,9 +298,7 @@ TEST(ProjectIndexTest, ScopedLockMultiMutexExtractsGroupedSites) {
   ASSERT_EQ(fn.locks.size(), 2u);
   EXPECT_EQ(fn.locks[0].node, "DocumentResultCache::mu_a_");
   EXPECT_EQ(fn.locks[1].node, "DocumentResultCache::mu_b_");
-  // Atomic multi-mutex acquisition: one group, no intra-group order edges.
-  EXPECT_EQ(fn.locks[0].group, fn.locks[1].group);
-  EXPECT_GE(fn.locks[0].group, 0);
+  // Atomic multi-mutex acquisition: no order edges between its members.
   EXPECT_TRUE(fn.lock_edges.empty());
   // Both mutexes count as held at the call that follows.
   ASSERT_EQ(fn.calls.size(), 1u);
@@ -518,13 +378,7 @@ TEST(ProjectIndexTest, ResolvesIncludesBySuffixAndAssignsModules) {
 // L1: layering and include cycles
 // ---------------------------------------------------------------------------
 
-LayerConfig TwoLayers() {
-  LayerConfig layers;
-  std::string error;
-  EXPECT_TRUE(ParseLayerConfig("layer util\nlayer core\n", &layers, &error))
-      << error;
-  return layers;
-}
+LayerConfig TwoLayers() { return LayerConfig{{{"util", 0}, {"core", 1}}}; }
 
 TEST(RuleL1Test, FlagsLayerBackEdge) {
   ProjectIndex index = BuildIndex({
@@ -536,11 +390,8 @@ TEST(RuleL1Test, FlagsLayerBackEdge) {
 }
 
 TEST(RuleL1Test, DownwardAndSameRankIncludesAreClean) {
-  LayerConfig layers;
-  std::string error;
-  ASSERT_TRUE(
-      ParseLayerConfig("layer util\nlayer graph corpus\nlayer core\n",
-                       &layers, &error));
+  const LayerConfig layers{{{"util", 0}, {"graph", 1}, {"corpus", 1},
+                           {"core", 2}}};
   ProjectIndex index = BuildIndex({
       {"src/util/u.h", "int u;\n"},
       {"src/graph/g.h", "#include \"util/u.h\"\n#include \"corpus/x.h\"\n"},
@@ -565,6 +416,15 @@ TEST(RuleL1Test, FlagsModuleMissingFromConfig) {
   ASSERT_TRUE(HasKey(diags, Rule::kL1, "module-zzz"));
 }
 
+TEST(RuleL1Test, ProjectLayersRankUtilLowestAndServiceHighest) {
+  const LayerConfig& layers = ProjectLayers();
+  EXPECT_EQ(layers.rank.size(), 23u);
+  EXPECT_EQ(layers.rank.at("util"), 0);
+  EXPECT_EQ(layers.rank.at("obs"), layers.rank.at("text"));
+  EXPECT_LT(layers.rank.at("graph"), layers.rank.at("densify"));
+  EXPECT_EQ(layers.rank.at("service"), 14);
+}
+
 TEST(RuleL1Test, FlagsIncludeCycle) {
   ProjectIndex index = BuildIndex({
       {"src/a/x.h", "#include \"a/y.h\"\nint x;\n"},
@@ -581,30 +441,6 @@ TEST(RuleL1Test, AcyclicIncludesAreClean) {
       {"src/a/y.h", "int y;\n"},
   });
   EXPECT_TRUE(CheckIncludeCycles(index).empty());
-}
-
-TEST(LayerConfigTest, ParsesCommentsBlanksAndSharedRanks) {
-  LayerConfig layers;
-  std::string error;
-  ASSERT_TRUE(ParseLayerConfig(
-      "# comment\n\nlayer util\nlayer graph corpus  # trailing\nlayer core\n",
-      &layers, &error))
-      << error;
-  EXPECT_EQ(layers.rank.at("util"), 0);
-  EXPECT_EQ(layers.rank.at("graph"), 1);
-  EXPECT_EQ(layers.rank.at("corpus"), 1);
-  EXPECT_EQ(layers.rank.at("core"), 2);
-}
-
-TEST(LayerConfigTest, RejectsMalformedAndDuplicateLines) {
-  LayerConfig layers;
-  std::string error;
-  EXPECT_FALSE(ParseLayerConfig("tier util\n", &layers, &error));
-  EXPECT_FALSE(error.empty());
-  error.clear();
-  EXPECT_FALSE(ParseLayerConfig("layer util\nlayer util\n", &layers, &error));
-  EXPECT_NE(error.find("twice"), std::string::npos);
-  EXPECT_FALSE(ParseLayerConfig("", &layers, &error));
 }
 
 // ---------------------------------------------------------------------------
@@ -940,46 +776,6 @@ TEST(RuleA1Test, UnreachableAllocationIsClean) {
     void GreedyDensifier::Densify() { Trim(); }
   )cc"}});
   EXPECT_TRUE(CheckHotPathAlloc(index, DefaultHotPathRoots()).empty());
-}
-
-// ---------------------------------------------------------------------------
-// SARIF export
-// ---------------------------------------------------------------------------
-
-TEST(SarifTest, EmittedReportValidates) {
-  Diagnostic d;
-  d.rule = Rule::kL1;
-  d.file = "src/util/u.h";
-  d.line = 3;
-  d.key = "util->core";
-  d.message = "back-edge with \"quotes\" and\nnewline";
-  std::string sarif = SarifReport({d});
-  std::string error;
-  EXPECT_TRUE(ValidateSarif(sarif, &error)) << error;
-  EXPECT_NE(sarif.find("\"ruleId\": \"L1\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 3"), std::string::npos);
-}
-
-TEST(SarifTest, EmptyReportValidates) {
-  std::string sarif = SarifReport({});
-  std::string error;
-  EXPECT_TRUE(ValidateSarif(sarif, &error)) << error;
-}
-
-TEST(SarifTest, RejectsCorruptJsonAndContractViolations) {
-  std::string error;
-  EXPECT_FALSE(ValidateSarif("{ \"version\": \"2.1.0\", ", &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(ValidateSarif("{\"version\": \"1.0\", \"runs\": []}", &error));
-  EXPECT_FALSE(ValidateSarif("{\"version\": \"2.1.0\", \"runs\": []}", &error));
-  // Unknown ruleId.
-  EXPECT_FALSE(ValidateSarif(
-      "{\"version\": \"2.1.0\", \"runs\": [{\"tool\": {\"driver\": {\"name\": "
-      "\"x\"}}, \"results\": [{\"ruleId\": \"Z9\", \"message\": {\"text\": "
-      "\"m\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
-      "{\"uri\": \"f\"}, \"region\": {\"startLine\": 1}}}]}]}]}",
-      &error));
-  EXPECT_NE(error.find("Z9"), std::string::npos);
 }
 
 }  // namespace

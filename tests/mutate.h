@@ -1,6 +1,6 @@
 // Seeded byte mutator shared by the mutation tests of readers of outside
-// bytes (json_test: util/json, FactStore::Load, the metrics and SARIF
-// validators; store_test: OnTheFlyKb::Deserialize; text_mutation_test and
+// bytes (json_test: util/json, FactStore::Load, the metrics validator;
+// store_test: OnTheFlyKb::Deserialize; text_mutation_test and
 // graph_test: raw document text).
 #ifndef QKBFLY_TESTS_MUTATE_H_
 #define QKBFLY_TESTS_MUTATE_H_

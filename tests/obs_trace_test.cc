@@ -45,6 +45,13 @@ TEST(TraceTest, SpanTreeRecordsParents) {
   EXPECT_LE(spans[fetch].end_s, spans[retrieve].end_s);
 }
 
+TEST(TraceDeathTest, NonSnakeCaseNamesAbort) {
+  EXPECT_DEATH(Trace("Answer"), "not snake_case");
+  Trace trace("answer");
+  EXPECT_DEATH(trace.StartSpan("graphBuild", trace.root()), "not snake_case");
+  EXPECT_DEATH(trace.StartSpan("graph-build", trace.root()), "not snake_case");
+}
+
 TEST(TraceTest, NoSpanParentAttachesToRoot) {
   Trace trace("answer");
   SpanId child = trace.StartSpan("annotate", kNoSpan);

@@ -134,18 +134,9 @@ const IndexedFile* ProjectIndex::FindFile(std::string_view path) const {
 }
 
 bool ProjectIndex::IsAllowed(std::string_view file, int line,
-                             std::string_view rule) const {
+                             Rule rule) const {
   const IndexedFile* f = FindFile(file);
-  if (f == nullptr) return false;
-  for (int l : {line, line - 1}) {
-    auto it = f->allowed.find(l);
-    if (it == f->allowed.end()) continue;
-    if (it->second.count("*") > 0 ||
-        it->second.count(std::string(rule)) > 0) {
-      return true;
-    }
-  }
-  return false;
+  return f != nullptr && IsAllowedAt(f->allowed, line, rule);
 }
 
 void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
@@ -182,20 +173,10 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
   // are that class's members.
   std::vector<size_t> head_of(n, kNoFunction);
   for (size_t r = 0; r < structure.functions.size(); ++r) {
-    size_t q = structure.functions[r].open;
-    while (q > 0 && (Is(scan.Tok(q - 1), "const") ||
-                     Is(scan.Tok(q - 1), "noexcept") ||
-                     Is(scan.Tok(q - 1), "override") ||
-                     Is(scan.Tok(q - 1), "final"))) {
-      --q;
-    }
-    if (q == 0 || !Is(scan.Tok(q - 1), ")")) continue;
-    int pdepth = 0;
-    for (size_t j = q - 1; j > 0; --j) {
-      if (Is(scan.Tok(j), ")")) ++pdepth;
-      if (Is(scan.Tok(j), "(") && --pdepth == 0) break;
-      head_of[j] = r;
-    }
+    size_t params = structure.functions[r].params;
+    if (!Is(scan.Tok(params), "(")) continue;
+    size_t close = MatchClose(lexed.tokens, structure, params);
+    for (size_t j = params + 1; j < close; ++j) head_of[j] = r;
   }
   std::vector<std::map<std::string, std::string>> locals(
       structure.functions.size());
@@ -256,13 +237,10 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
     fn.file = path;
     fn.name = region.name;
     fn.qualified = region.qualified;
-    fn.line = structure.idx.empty()
-                  ? 0
-                  : lexed.tokens[structure.idx[region.open]].line;
-    std::string owner;
     size_t sep = region.qualified.rfind("::");
-    owner = sep == std::string::npos ? file.module
-                                     : region.qualified.substr(0, sep);
+    const std::string owner = sep == std::string::npos
+                                  ? file.module
+                                  : region.qualified.substr(0, sep);
 
     // Alias pass: `auto& name = ws_->...;` makes `name` an exempt growth
     // receiver inside this function.
@@ -287,11 +265,9 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
     struct HeldLock {
       std::string node;
       int depth = 0;
-      int group = -1;
     };
     std::vector<HeldLock> held;
     int depth = 0;
-    int next_group = 0;
     // Token indices of guard variable names (`std::scoped_lock g(...)`):
     // `g(` would otherwise be re-scanned as a call site.
     std::set<size_t> guard_var_toks;
@@ -325,7 +301,7 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
             ++i;  // guard variable name
           }
           if (i >= n || !Is(scan.Tok(i), "(")) continue;
-          size_t close = MatchParen(lexed.tokens, structure, i);
+          size_t close = MatchClose(lexed.tokens, structure, i);
           std::vector<std::string> idents;
           std::string expr;
           int pdepth = 0;
@@ -365,32 +341,18 @@ void ProjectIndexBuilder::AddFile(std::string path, std::string_view source) {
           member_chains.push_back(idents);
           exprs.push_back(expr);
         }
-        if (exprs.empty()) continue;
-        int group = exprs.size() > 1 ? next_group++ : -1;
-        std::vector<std::string> new_nodes;
+        // Order edges from every lock held before this site to every newly
+        // acquired one; none among the members of one scoped_lock.
+        const size_t held_before = held.size();
         for (size_t k = 0; k < exprs.size(); ++k) {
-          new_nodes.push_back(owner + "::" + MemberChain(member_chains[k]));
-        }
-        // Order edges from every held lock to every newly acquired one; no
-        // edges among members of one scoped_lock group.
-        for (size_t k = 0; k < new_nodes.size(); ++k) {
-          for (const HeldLock& h : held) {
-            if (h.node == new_nodes[k]) continue;
-            LockEdge edge;
-            edge.outer = h.node;
-            edge.inner = new_nodes[k];
-            edge.line = t.line;
-            fn.lock_edges.push_back(std::move(edge));
+          std::string node = owner + "::" + MemberChain(member_chains[k]);
+          for (size_t h = 0; h < held_before; ++h) {
+            if (held[h].node != node) {
+              fn.lock_edges.push_back({held[h].node, node, t.line});
+            }
           }
-        }
-        for (size_t k = 0; k < new_nodes.size(); ++k) {
-          LockAcquisition acq;
-          acq.node = new_nodes[k];
-          acq.expr = exprs[k];
-          acq.line = t.line;
-          acq.group = group;
-          fn.locks.push_back(acq);
-          held.push_back({new_nodes[k], depth, group});
+          fn.locks.push_back({node, exprs[k]});
+          held.push_back({node, depth});
         }
         continue;
       }

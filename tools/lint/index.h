@@ -46,15 +46,13 @@ struct AllocSite {
   bool exempt = false;   ///< Workspace / out-param / alias exemption.
 };
 
-/// One lock acquisition resolved to a node name. Multi-mutex
-/// `std::scoped_lock(a, b)` sites share a `group` id: the members are
-/// acquired atomically (deadlock-free by construction), so C3 draws no
-/// order edges between them.
+/// One lock acquisition resolved to a node name. The members of one
+/// multi-mutex `std::scoped_lock(a, b)` are acquired atomically
+/// (deadlock-free by construction), so the index draws no order edges
+/// between them.
 struct LockAcquisition {
   std::string node;  ///< "Owner::chain" — see ProjectIndexBuilder docs.
   std::string expr;  ///< Raw receiver expression at the site.
-  int line = 0;
-  int group = -1;
 };
 
 /// Intra-function acquired-while-held pair; `line` is the inner acquisition.
@@ -68,7 +66,6 @@ struct IndexedFunction {
   std::string file;
   std::string name;       ///< Unqualified ("Densify").
   std::string qualified;  ///< "GreedyDensifier::Densify" when detectable.
-  int line = 0;           ///< Line of the body's opening brace.
   std::vector<CallSite> calls;
   std::vector<AllocSite> allocs;
   std::vector<LockAcquisition> locks;
@@ -115,7 +112,7 @@ struct ProjectIndex {
 
   /// True when `rule` is allowed (site marker) on `line` or the line above
   /// it in `file`.
-  bool IsAllowed(std::string_view file, int line, std::string_view rule) const;
+  bool IsAllowed(std::string_view file, int line, Rule rule) const;
 };
 
 /// Module name for a repo-relative path: "src/<m>/..." -> "<m>", otherwise

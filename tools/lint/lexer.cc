@@ -15,24 +15,7 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/// Collapses whitespace runs to single spaces ("#  pragma   once" ->
-/// "#pragma once" minus the leading-# join, see caller).
-std::string NormalizeDirective(std::string_view raw) {
-  std::string out;
-  bool in_space = false;
-  for (char c : raw) {
-    if (c == ' ' || c == '\t') {
-      in_space = !out.empty();
-      continue;
-    }
-    if (in_space && out.back() != '#') out += ' ';
-    in_space = false;
-    out += c;
-  }
-  return out;
-}
-
-/// Extracts rule names from a `qkbfly-lint: allow(D1,C2)` marker, if any.
+/// Extracts rule names from a `qkbfly-lint: allow(D1,C3)` marker, if any.
 std::vector<std::string> ParseAllowMarker(std::string_view comment) {
   std::vector<std::string> rules;
   size_t at = comment.find("qkbfly-lint:");
@@ -63,7 +46,6 @@ class Lexer {
     while (pos_ < src_.size()) {
       Step();
     }
-    FlushDirective();
     for (const Comment& c : out_.comments) {
       for (const std::string& rule : ParseAllowMarker(c.text)) {
         out_.allowed[c.line].insert(rule);
@@ -91,7 +73,7 @@ class Lexer {
       ++pos_;
       ++line_;
       line_has_code_ = false;
-      FlushDirective();  // a continuation never reaches this branch
+      in_preproc_ = false;  // a continuation never reaches this branch
       return;
     }
     if (c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v') {
@@ -108,7 +90,6 @@ class Lexer {
     }
     if (c == '#' && !line_has_code_ && !in_preproc_) {
       in_preproc_ = true;
-      directive_.clear();  // Emit appends the '#' itself
       ++pos_;
       Emit(Token::Kind::kPunct, "#");
       return;
@@ -146,20 +127,8 @@ class Lexer {
     t.text = std::move(text);
     t.line = line_;
     t.preproc = in_preproc_;
-    if (in_preproc_ && kind != Token::Kind::kString) {
-      if (!directive_.empty() && directive_.back() != '#') directive_ += ' ';
-      directive_ += t.text;
-    }
     line_has_code_ = true;
     out_.tokens.push_back(std::move(t));
-  }
-
-  void FlushDirective() {
-    if (in_preproc_) {
-      out_.directives.push_back(NormalizeDirective(directive_));
-      directive_.clear();
-      in_preproc_ = false;
-    }
   }
 
   void LexLineComment() {
@@ -226,9 +195,9 @@ class Lexer {
       ++i;
     }
     size_t stop = i < src_.size() ? i + 1 : src_.size();
-    // Literal text is preserved, quotes included (rule O1 validates metric
-    // and span names); the quote characters keep a literal from ever
-    // matching an identifier comparison in other rules.
+    // Literal text is preserved, quotes included (the index reads include
+    // paths from it); the quote characters keep a literal from ever
+    // matching an identifier comparison in the rules.
     Emit(kind, std::string(src_.substr(pos_, stop - pos_)));
     pos_ = stop;
   }
@@ -298,7 +267,6 @@ class Lexer {
   int line_ = 1;
   bool line_has_code_ = false;
   bool in_preproc_ = false;
-  std::string directive_;
   LexedFile out_;
 };
 
@@ -306,14 +274,23 @@ class Lexer {
 
 LexedFile Lex(std::string_view source) { return Lexer(source).Run(); }
 
+bool IsAllowedAt(const std::map<int, std::set<std::string>>& allowed, int line,
+                 Rule rule) {
+  for (int l : {line, line - 1}) {
+    auto it = allowed.find(l);
+    if (it != allowed.end() &&
+        (it->second.count("*") > 0 || it->second.count(RuleName(rule)) > 0)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* RuleName(Rule rule) {
   switch (rule) {
     case Rule::kD1: return "D1";
     case Rule::kD2: return "D2";
     case Rule::kC1: return "C1";
-    case Rule::kC2: return "C2";
-    case Rule::kH1: return "H1";
-    case Rule::kO1: return "O1";
     case Rule::kL1: return "L1";
     case Rule::kC3: return "C3";
     case Rule::kA1: return "A1";

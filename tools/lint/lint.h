@@ -3,10 +3,10 @@
 // cold, serial and N-thread builds must produce byte-identical KBs).
 //
 // No libclang: a small lexer strips comments/strings/raw strings, tracks
-// identifiers and brace/paren nesting, and six per-file rule passes run over
-// the token stream. Imprecision is by design — a finding is silenced only at
-// the site, with a justified `// qkbfly-lint: allow(<rule>)` comment; any
-// other finding fails the run.
+// identifiers and brace/paren nesting, and three per-file rule passes run
+// over the token stream. Imprecision is by design — a finding is silenced
+// only at the site, with a justified `// qkbfly-lint: allow(<rule>)`
+// comment; any other finding fails the run.
 //
 // Per-file rules (phase 1):
 //   D1  unordered_{map,set} iteration feeding output order (KB facts, bench
@@ -15,18 +15,11 @@
 //       rand/random_device, wall-clock now, address-as-hash.
 //   C1  mutable namespace-scope or static-local state without a mutex,
 //       atomic, or the leaky-singleton interner shape.
-//   C2  thread::detach and raw `new std::thread`.
-//   H1  headers without include guards / #pragma once; debt comments
-//       (TODO(tag)/FIXME(tag) style) missing their issue tag.
-//   O1  metric/span registration (GetCounter/GetGauge/GetHistogram,
-//       StartSpan, ScopedSpan) whose name argument is not a snake_case
-//       string literal — runtime-concatenated names allocate on hot paths
-//       and break the registry naming contract.
 //
 // Whole-program rules (phase 2, over a ProjectIndex — see lint/index.h and
 // lint/wholeprogram.h):
-//   L1  include-graph layering: module back-edges against the DAG declared
-//       in tools/lint_layers.txt, and include cycles.
+//   L1  include-graph layering: module back-edges against the DAG in
+//       ProjectLayers() (lint/wholeprogram.cc), and include cycles.
 //   C3  lock order: the acquired-while-held graph built from actual lock
 //       sites must be acyclic and consistent with the documented ThreadPool
 //       -> query-level -> memo shard -> store shard -> metrics ranks.
@@ -43,7 +36,7 @@
 
 namespace qkbfly::lint {
 
-enum class Rule { kD1, kD2, kC1, kC2, kH1, kO1, kL1, kC3, kA1 };
+enum class Rule { kD1, kD2, kC1, kL1, kC3, kA1 };
 
 const char* RuleName(Rule rule);
 
@@ -79,8 +72,6 @@ struct Comment {
 struct LexedFile {
   std::vector<Token> tokens;
   std::vector<Comment> comments;
-  /// Preprocessor directives in order, whitespace-normalized ("#ifndef X").
-  std::vector<std::string> directives;
   /// line -> rules allowed by a `qkbfly-lint: allow(...)` comment. A
   /// full-line comment also covers the next line; "*" allows every rule.
   std::map<int, std::set<std::string>> allowed;
@@ -92,18 +83,14 @@ struct LexedFile {
 /// continuations are handled, line numbers are 1-based.
 LexedFile Lex(std::string_view source);
 
+/// True when `allowed` (LexedFile::allowed) covers `rule` on `line` or the
+/// line above it.
+bool IsAllowedAt(const std::map<int, std::set<std::string>>& allowed, int line,
+                 Rule rule);
+
 // ---------------------------------------------------------------------------
 // Analysis
 // ---------------------------------------------------------------------------
-
-struct FileClass {
-  bool is_header = false;
-  /// True for src/** except src/synth (seeded-random data generation);
-  /// bench/, examples/ and tests/ are never deterministic-path.
-  bool deterministic_path = false;
-};
-
-FileClass ClassifyPath(std::string_view path);
 
 /// Names of variables/members/parameters declared in `file` with an
 /// unordered_{map,set} type (including local `using` aliases of them).
@@ -111,7 +98,7 @@ FileClass ClassifyPath(std::string_view path);
 std::vector<std::string> UnorderedDeclNames(const LexedFile& file);
 
 /// Lints one translation unit. `path` should be repo-relative; it selects
-/// rule applicability (ClassifyPath) and is echoed in diagnostics.
+/// where D2 applies and is echoed in diagnostics.
 /// `extra_unordered` seeds D1 with container names declared elsewhere
 /// (typically the paired header).
 std::vector<Diagnostic> LintSource(

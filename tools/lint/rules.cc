@@ -26,9 +26,19 @@ struct Context {
   const Structure* structure = nullptr;
   const LexedFile* lexed = nullptr;
   std::string path;
-  FileClass file_class;
   std::vector<Diagnostic>* out = nullptr;
 };
+
+/// True for src/** except src/synth (seeded-random data generation);
+/// bench/, examples/ and tests/ are never deterministic-path.
+bool IsDeterministicPath(std::string_view path) {
+  auto contains = [&](std::string_view part) {
+    return path.find(part) != std::string_view::npos;
+  };
+  bool in_src = path.rfind("src/", 0) == 0 || contains("/src/");
+  return in_src && !contains("bench/") && !contains("examples/") &&
+         !contains("tests/") && !contains("synth/");
+}
 
 const Token& Tok(const Context& ctx, size_t f) {
   return (*ctx.toks)[ctx.structure->idx[f]];
@@ -37,30 +47,9 @@ size_t Count(const Context& ctx) { return ctx.structure->idx.size(); }
 
 void Report(const Context& ctx, Rule rule, int line, std::string key,
             std::string message) {
-  // allow() markers on the diagnostic line or the line above it.
-  for (int l : {line, line - 1}) {
-    auto it = ctx.lexed->allowed.find(l);
-    if (it == ctx.lexed->allowed.end()) continue;
-    if (it->second.count("*") > 0 || it->second.count(RuleName(rule)) > 0) {
-      return;
-    }
-  }
-  Diagnostic d;
-  d.rule = rule;
-  d.file = ctx.path;
-  d.line = line;
-  d.key = std::move(key);
-  d.message = std::move(message);
-  ctx.out->push_back(std::move(d));
-}
-
-size_t MatchBrace(const Context& ctx, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < Count(ctx); ++i) {
-    if (Is(Tok(ctx, i), "{")) ++depth;
-    if (Is(Tok(ctx, i), "}") && --depth == 0) return i;
-  }
-  return Count(ctx);
+  if (IsAllowedAt(ctx.lexed->allowed, line, rule)) return;
+  ctx.out->push_back(
+      {rule, ctx.path, line, std::move(key), std::move(message)});
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +148,7 @@ void CheckD1(const Context& ctx, const std::vector<std::string>& extra) {
           !Is(Tok(ctx, f + 1), "(")) {
         continue;
       }
-      size_t close = MatchParen(*ctx.toks, *ctx.structure, f + 1);
+      size_t close = MatchClose(*ctx.toks, *ctx.structure, f + 1);
       // Top-level ':' separates declaration from range expression.
       size_t colon = kNone;
       int pdepth = 0;
@@ -201,7 +190,7 @@ void CheckD1(const Context& ctx, const std::vector<std::string>& extra) {
       loop.line = Tok(ctx, f).line;
       if (close + 1 < Count(ctx) && Is(Tok(ctx, close + 1), "{")) {
         loop.body_open = close + 1;
-        loop.body_close = MatchBrace(ctx, close + 1);
+        loop.body_close = MatchClose(*ctx.toks, *ctx.structure, close + 1);
       } else {
         loop.body_open = close + 1;
         loop.body_close = std::min(close + 40, Count(ctx));  // single stmt
@@ -243,7 +232,7 @@ void CheckD1(const Context& ctx, const std::vector<std::string>& extra) {
         for (size_t f = fn.open; f < fn.close && !mitigated; ++f) {
           if ((Is(Tok(ctx, f), "sort") || Is(Tok(ctx, f), "stable_sort")) &&
               f + 1 < Count(ctx) && Is(Tok(ctx, f + 1), "(")) {
-            size_t close = MatchParen(*ctx.toks, *ctx.structure, f + 1);
+            size_t close = MatchClose(*ctx.toks, *ctx.structure, f + 1);
             for (size_t i = f + 2; i < close; ++i) {
               if (Is(Tok(ctx, i), hot)) mitigated = true;
             }
@@ -278,7 +267,7 @@ void CheckD1(const Context& ctx, const std::vector<std::string>& extra) {
 // ---------------------------------------------------------------------------
 
 void CheckD2(const Context& ctx) {
-  if (!ctx.file_class.deterministic_path) return;
+  if (!IsDeterministicPath(ctx.path)) return;
   size_t n = Count(ctx);
   auto report = [&](size_t f, const std::string& what) {
     Report(ctx, Rule::kD2, Tok(ctx, f).line, what,
@@ -458,212 +447,7 @@ void CheckC1(const Context& ctx) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// C2 — thread hygiene
-// ---------------------------------------------------------------------------
-
-void CheckC2(const Context& ctx) {
-  size_t n = Count(ctx);
-  for (size_t f = 0; f + 2 < n; ++f) {
-    if ((Is(Tok(ctx, f), ".") || Is(Tok(ctx, f), "->")) &&
-        Is(Tok(ctx, f + 1), "detach") && Is(Tok(ctx, f + 2), "(")) {
-      Report(ctx, Rule::kC2, Tok(ctx, f).line, "detach",
-             "thread detach() abandons the thread past the enclosing scope; "
-             "fix-it: join through ThreadPool (drain-on-destroy) or keep the "
-             "std::thread joinable and join it");
-    }
-    if (Is(Tok(ctx, f), "new") &&
-        (Is(Tok(ctx, f + 1), "thread") ||
-         (Is(Tok(ctx, f + 1), "std") && Is(Tok(ctx, f + 2), "::") && f + 3 < n &&
-          Is(Tok(ctx, f + 3), "thread")))) {
-      Report(ctx, Rule::kC2, Tok(ctx, f).line, "new-thread",
-             "raw `new std::thread` escapes RAII ownership; fix-it: use "
-             "util/thread_pool (futures, drain-on-destroy) or a joined "
-             "std::jthread-style wrapper");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// H1 — header guards and tagged TODO(...) debt markers
-// ---------------------------------------------------------------------------
-
-void CheckH1(const Context& ctx) {
-  if (ctx.file_class.is_header) {
-    bool guarded = false;
-    const auto& dirs = ctx.lexed->directives;
-    for (size_t i = 0; i < dirs.size(); ++i) {
-      if (dirs[i].rfind("#pragma once", 0) == 0) {
-        guarded = true;
-        break;
-      }
-      if (dirs[i].rfind("#ifndef ", 0) == 0 && i + 1 < dirs.size() &&
-          dirs[i + 1].rfind("#define ", 0) == 0) {
-        guarded = true;
-        break;
-      }
-      // Any other directive before the guard (includes, conditionals) means
-      // the header is not guard-first; only comments may precede the guard.
-      break;
-    }
-    if (dirs.empty()) guarded = true;  // header with no preprocessor at all
-    if (!guarded) {
-      Report(ctx, Rule::kH1, 1, "guard",
-             "header lacks a leading include guard; fix-it: open with "
-             "`#ifndef QKBFLY_<PATH>_H_` + `#define` (project style) or "
-             "`#pragma once`");
-    }
-  }
-  for (const Comment& c : ctx.lexed->comments) {
-    for (const char* marker : {"TODO", "FIXME"}) {
-      size_t at = c.text.find(marker);
-      if (at == std::string::npos) continue;
-      // Accept "TODO(tag):" with a non-empty tag.
-      size_t open = at + std::string_view(marker).size();
-      bool tagged = open < c.text.size() && c.text[open] == '(' &&
-                    c.text.find(')', open) != std::string::npos &&
-                    c.text.find(')', open) > open + 1;
-      if (!tagged) {
-        Report(ctx, Rule::kH1, c.line, "todo",
-               std::string(marker) + " without an issue tag; fix-it: write " +
-                   marker + "(#NNN) or " + marker + "(owner) so the debt is "
-                   "trackable");
-      }
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// O1 — metric/span names must be snake_case string literals
-// ---------------------------------------------------------------------------
-
-/// `"snake_case_body"` including the quotes the lexer preserves.
-bool IsSnakeCaseLiteral(const Token& t) {
-  if (t.kind != Token::Kind::kString || t.text.size() < 3) return false;
-  std::string_view body(t.text);
-  body.remove_prefix(1);
-  body.remove_suffix(1);
-  if (body.front() < 'a' || body.front() > 'z') return false;
-  for (char c : body) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-/// Registration/span calls whose name argument (0-based index) rule O1
-/// validates. ScopedSpan takes (context, name).
-struct ObsCallee {
-  const char* name;
-  size_t name_arg;
-};
-constexpr ObsCallee kObsCallees[] = {
-    {"GetCounter", 0},   {"GetGauge", 0},  {"GetHistogram", 0},
-    {"StartSpan", 0},    {"ScopedSpan", 1},
-};
-
-void CheckO1(const Context& ctx) {
-  size_t n = Count(ctx);
-  for (size_t f = 0; f + 1 < n; ++f) {
-    const Token& t = Tok(ctx, f);
-    if (!IsIdent(t)) continue;
-    const ObsCallee* callee = nullptr;
-    for (const ObsCallee& c : kObsCallees) {
-      if (t.text == c.name) {
-        callee = &c;
-        break;
-      }
-    }
-    if (callee == nullptr) continue;
-    // Call shapes: `Callee(...)` and — for the RAII helper — the declaration
-    // form `ScopedSpan var(...)`.
-    size_t paren;
-    if (Is(Tok(ctx, f + 1), "(")) {
-      paren = f + 1;
-    } else if (t.text == std::string_view("ScopedSpan") && f + 2 < n &&
-               IsIdent(Tok(ctx, f + 1)) && Is(Tok(ctx, f + 2), "(")) {
-      paren = f + 2;
-    } else {
-      continue;
-    }
-    size_t close = MatchParen(*ctx.toks, *ctx.structure, paren);
-    if (close >= n) continue;
-    // Skip the functions' own declarations/definitions: their parameter
-    // lists spell a type (`const char* name`, `string_view`).
-    bool is_declaration = false;
-    for (size_t i = paren + 1; i < close; ++i) {
-      const Token& a = Tok(ctx, i);
-      if (Is(a, "const") || Is(a, "char") || Is(a, "string_view")) {
-        is_declaration = true;
-        break;
-      }
-    }
-    if (is_declaration || close == paren + 1) continue;
-    // Split the argument list at top-level commas; find the name argument.
-    size_t arg_begin = paren + 1;
-    size_t arg_index = 0;
-    int depth = 0;
-    size_t name_begin = 0, name_end = 0;
-    for (size_t i = paren + 1; i <= close; ++i) {
-      const Token& a = Tok(ctx, i);
-      if (Is(a, "(") || Is(a, "[") || Is(a, "{") || Is(a, "<")) ++depth;
-      if (Is(a, ")") || Is(a, "]") || Is(a, "}") || Is(a, ">")) --depth;
-      bool at_end = i == close;
-      if ((Is(a, ",") && depth == 0) || (at_end && depth < 0)) {
-        if (arg_index == callee->name_arg) {
-          name_begin = arg_begin;
-          name_end = i;
-          break;
-        }
-        ++arg_index;
-        arg_begin = i + 1;
-      }
-    }
-    if (name_end == 0) continue;  // fewer arguments than the name index
-    bool ok = name_end == name_begin + 1 &&
-              IsSnakeCaseLiteral(Tok(ctx, name_begin));
-    if (ok) continue;
-    // Key on the callee plus the first identifying token of the bad
-    // argument.
-    std::string detail = "expr";
-    bool has_literal = false;
-    for (size_t i = name_begin; i < name_end; ++i) {
-      const Token& a = Tok(ctx, i);
-      if (a.kind == Token::Kind::kString) has_literal = true;
-      if (detail == "expr" && (IsIdent(a) || a.kind == Token::Kind::kString)) {
-        detail = a.text;
-      }
-    }
-    std::string problem =
-        has_literal
-            ? "name is not a snake_case string literal"
-            : "name is computed at runtime (allocates on the hot path)";
-    Report(ctx, Rule::kO1, t.line, std::string(callee->name) + "/" + detail,
-           std::string(callee->name) + ": " + problem +
-               "; fix-it: pass a `[a-z][a-z0-9_]*` literal and encode any "
-               "dynamic dimension as a span attribute instead");
-  }
-}
-
 }  // namespace
-
-FileClass ClassifyPath(std::string_view path) {
-  FileClass fc;
-  auto ends_with = [&](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           path.substr(path.size() - suffix.size()) == suffix;
-  };
-  fc.is_header = ends_with(".h") || ends_with(".hpp");
-  auto contains = [&](std::string_view part) {
-    return path.find(part) != std::string_view::npos;
-  };
-  bool in_src = path.rfind("src/", 0) == 0 || contains("/src/");
-  bool excluded = contains("bench/") || contains("examples/") ||
-                  contains("tests/") || contains("synth/");
-  fc.deterministic_path = in_src && !excluded;
-  return fc;
-}
 
 std::vector<std::string> UnorderedDeclNames(const LexedFile& file) {
   Structure structure = BuildStructure(file.tokens);
@@ -685,14 +469,10 @@ std::vector<Diagnostic> LintSource(std::string_view path,
   ctx.structure = &structure;
   ctx.lexed = &lexed;
   ctx.path = std::string(path);
-  ctx.file_class = ClassifyPath(path);
   ctx.out = &out;
   CheckD1(ctx, extra);
   CheckD2(ctx);
   CheckC1(ctx);
-  CheckC2(ctx);
-  CheckH1(ctx);
-  CheckO1(ctx);
   std::stable_sort(out.begin(), out.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      return a.line < b.line;

@@ -14,10 +14,12 @@ bool IsQualifierToken(const Token& t) {
 /// Classifies the '{' at filtered position `at` by looking backwards. For a
 /// function body, `name` receives the possibly-qualified head name
 /// ("Class::Method" or "Class::~Class" for out-of-line definitions,
-/// "Method" otherwise).
+/// "Method" otherwise) and `params` the position of its parameter list's
+/// '('; for a class or namespace, `name` receives its name.
 ScopeKind ClassifyBrace(const std::vector<Token>& toks,
                         const std::vector<size_t>& idx, size_t at,
-                        bool inside_function, std::string* name) {
+                        bool inside_function, std::string* name,
+                        size_t* params) {
   if (inside_function) return ScopeKind::kBlock;
   if (at == 0) return ScopeKind::kBlock;
   // Walk back over the "head" of the construct: stop at ; } { or the start.
@@ -36,37 +38,30 @@ ScopeKind ClassifyBrace(const std::vector<Token>& toks,
       --q;
     }
     if (Is(toks[idx[q]], ")")) {
-      if (name != nullptr) {
-        // Match back to the opening '(' and take the (possibly ::-qualified)
-        // identifier chain before it.
-        int depth = 0;
-        size_t j = q;
-        while (j > 0) {
-          if (Is(toks[idx[j]], ")")) ++depth;
-          if (Is(toks[idx[j]], "(") && --depth == 0) break;
-          --j;
+      // Match back to the opening '(' and take the (possibly ::-qualified)
+      // identifier chain before it.
+      int depth = 0;
+      size_t j = q;
+      while (j > 0) {
+        if (Is(toks[idx[j]], ")")) ++depth;
+        if (Is(toks[idx[j]], "(") && --depth == 0) break;
+        --j;
+      }
+      *params = j;
+      if (j > 0 && IsIdent(toks[idx[j - 1]])) {
+        // Collect `A :: B :: Name` backwards from the token before '('.
+        size_t k = j - 1;
+        std::string joined = toks[idx[k]].text;
+        if (k >= 1 && Is(toks[idx[k - 1]], "~")) {
+          joined = "~" + joined;  // destructor
+          --k;
         }
-        if (j > 0 && IsIdent(toks[idx[j - 1]])) {
-          // Collect `A :: B :: Name` backwards from the token before '('.
-          std::vector<std::string> parts;
-          size_t k = j - 1;
-          parts.push_back(toks[idx[k]].text);
-          if (k >= 1 && Is(toks[idx[k - 1]], "~")) {
-            parts.back() = "~" + parts.back();  // destructor
-            --k;
-          }
-          while (k >= 2 && Is(toks[idx[k - 1]], "::") &&
-                 IsIdent(toks[idx[k - 2]])) {
-            parts.push_back(toks[idx[k - 2]].text);
-            k -= 2;
-          }
-          std::string joined;
-          for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-            if (!joined.empty()) joined += "::";
-            joined += *it;
-          }
-          *name = joined;
+        while (k >= 2 && Is(toks[idx[k - 1]], "::") &&
+               IsIdent(toks[idx[k - 2]])) {
+          joined = toks[idx[k - 2]].text + "::" + joined;
+          k -= 2;
         }
+        *name = joined;
       }
       return ScopeKind::kFunction;
     }
@@ -77,13 +72,13 @@ ScopeKind ClassifyBrace(const std::vector<Token>& toks,
     const Token& t = toks[idx[i]];
     if (Is(t, ";") || Is(t, "}") || Is(t, "{") || Is(t, ")")) break;
     if (Is(t, "namespace")) {
-      if (name != nullptr && i + 1 < at && IsIdent(toks[idx[i + 1]])) {
+      if (i + 1 < at && IsIdent(toks[idx[i + 1]])) {
         *name = toks[idx[i + 1]].text;
       }
       return ScopeKind::kNamespace;
     }
     if (Is(t, "class") || Is(t, "struct") || Is(t, "union") || Is(t, "enum")) {
-      if (name != nullptr && i + 1 < at && IsIdent(toks[idx[i + 1]])) {
+      if (i + 1 < at && IsIdent(toks[idx[i + 1]])) {
         *name = toks[idx[i + 1]].text;
       }
       return ScopeKind::kClass;
@@ -114,9 +109,10 @@ Structure BuildStructure(const std::vector<Token>& toks) {
     if (Is(t, "{")) {
       Scope sc;
       sc.open = f;
-      sc.kind = ClassifyBrace(toks, s.idx, f, !fn_stack.empty(), &sc.name);
+      FunctionRegion fr;
+      sc.kind = ClassifyBrace(toks, s.idx, f, !fn_stack.empty(), &sc.name,
+                              &fr.params);
       if (sc.kind == ScopeKind::kFunction) {
-        FunctionRegion fr;
         fr.qualified = sc.name;
         size_t sep = sc.name.rfind("::");
         fr.name = sep == std::string::npos ? sc.name : sc.name.substr(sep + 2);
@@ -124,8 +120,6 @@ Structure BuildStructure(const std::vector<Token>& toks) {
           // Inline method: qualify with the innermost enclosing class.
           fr.qualified = class_stack.back() + "::" + fr.name;
         }
-        // Scope names stay unqualified for the per-file rules.
-        sc.name = fr.name;
         fr.open = f;
         s.functions.push_back(fr);
         fn_stack.push_back(s.functions.size() - 1);
@@ -165,18 +159,6 @@ bool AtNamespaceScope(const Structure& s, size_t f) {
   return true;
 }
 
-bool AtClassScope(const Structure& s, size_t f) {
-  // Innermost non-namespace scope is a class.
-  const Scope* innermost = nullptr;
-  for (const Scope& sc : s.scopes) {
-    size_t close = sc.close == 0 ? static_cast<size_t>(-1) : sc.close;
-    if (sc.open < f && f < close && sc.kind != ScopeKind::kNamespace) {
-      if (innermost == nullptr || sc.open > innermost->open) innermost = &sc;
-    }
-  }
-  return innermost != nullptr && innermost->kind == ScopeKind::kClass;
-}
-
 size_t SkipAngles(const std::vector<Token>& toks, const Structure& s,
                   size_t f) {
   int depth = 0;
@@ -189,13 +171,15 @@ size_t SkipAngles(const std::vector<Token>& toks, const Structure& s,
   return s.idx.size();
 }
 
-size_t MatchParen(const std::vector<Token>& toks, const Structure& s,
+size_t MatchClose(const std::vector<Token>& toks, const Structure& s,
                   size_t open) {
+  const std::string& opener = toks[s.idx[open]].text;
+  const char* closer = opener == "{" ? "}" : ")";
   int depth = 0;
   for (size_t i = open; i < s.idx.size(); ++i) {
     const Token& t = toks[s.idx[i]];
-    if (Is(t, "(")) ++depth;
-    if (Is(t, ")") && --depth == 0) return i;
+    if (Is(t, opener)) ++depth;
+    if (Is(t, closer) && --depth == 0) return i;
   }
   return s.idx.size();
 }

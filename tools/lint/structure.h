@@ -29,6 +29,7 @@ struct FunctionRegion {
   std::string qualified;  ///< "Class::Name" when the class is detectable —
                           ///< from an out-of-line `Class::Name(...)` head or
                           ///< the enclosing class scope — else == name.
+  size_t params = 0;  ///< The parameter list's '('.
   size_t open = 0;
   size_t close = 0;
 };
@@ -54,18 +55,15 @@ Structure BuildStructure(const std::vector<Token>& toks);
 /// True when every scope enclosing filtered position `f` is a namespace.
 bool AtNamespaceScope(const Structure& s, size_t f);
 
-/// True when the innermost non-namespace scope enclosing `f` is a class.
-bool AtClassScope(const Structure& s, size_t f);
-
 /// Skips a balanced `<...>` starting at filtered position `f` (which must be
 /// '<'); returns the position just past the matching '>'. A ';' inside means
 /// a comparison was mistaken for template arguments: returns its position.
 size_t SkipAngles(const std::vector<Token>& toks, const Structure& s,
                   size_t f);
 
-/// Filtered position of the ')' matching the '(' at `open`, or the token
-/// count when it is unbalanced.
-size_t MatchParen(const std::vector<Token>& toks, const Structure& s,
+/// Filtered position of the ')' or '}' matching the '(' or '{' at `open`,
+/// or the token count when it is unbalanced.
+size_t MatchClose(const std::vector<Token>& toks, const Structure& s,
                   size_t open);
 
 }  // namespace qkbfly::lint

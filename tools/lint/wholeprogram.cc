@@ -17,14 +17,8 @@ struct EdgeSite {
 void Report(const ProjectIndex& index, Rule rule, const std::string& file,
             int line, std::string key, std::string message,
             std::vector<Diagnostic>* out) {
-  if (index.IsAllowed(file, line, RuleName(rule))) return;
-  Diagnostic d;
-  d.rule = rule;
-  d.file = file;
-  d.line = line;
-  d.key = std::move(key);
-  d.message = std::move(message);
-  out->push_back(std::move(d));
+  if (index.IsAllowed(file, line, rule)) return;
+  out->push_back({rule, file, line, std::move(key), std::move(message)});
 }
 
 /// Documented rank of one name (lowercased substring match):
@@ -157,33 +151,21 @@ std::vector<size_t> ResolveCall(const ProjectIndex& index,
   return out;
 }
 
-/// Canonical cycle key: rotated so the smallest node leads, joined with
-/// " -> " and closed back on the first node.
-std::string CanonicalCycleKey(std::vector<std::string> cycle) {
-  if (cycle.empty()) return "";
-  size_t best = 0;
-  for (size_t i = 1; i < cycle.size(); ++i) {
-    if (cycle[i] < cycle[best]) best = i;
-  }
-  std::rotate(cycle.begin(), cycle.begin() + static_cast<long>(best),
-              cycle.end());
+/// A cycle's key: its nodes joined with " -> ", closed back on the first.
+std::string CycleKey(const std::vector<std::string>& cycle) {
   std::string key;
-  for (const std::string& n : cycle) {
-    key += n;
-    key += " -> ";
-  }
-  key += cycle.front();
-  return key;
+  for (const std::string& n : cycle) key += n + " -> ";
+  return key + cycle.front();
 }
 
-/// DFS cycle finder over a deterministic adjacency map. Emits one canonical
-/// cycle per back-edge, de-duplicated.
+/// DFS cycle finder over a deterministic adjacency map. Collects one cycle
+/// per back-edge, rotated so its smallest node leads (so each cycle is
+/// found once, whichever node the DFS entered it from).
 struct CycleFinder {
   const std::map<std::string, std::vector<std::string>>& adj;
   std::map<std::string, int> color = {};  // 0 white, 1 gray, 2 black
   std::vector<std::string> stack = {};
-  std::set<std::string> seen_keys = {};
-  std::vector<std::vector<std::string>> cycles = {};
+  std::set<std::vector<std::string>> cycles = {};
 
   void Visit(const std::string& node) {
     color[node] = 1;
@@ -196,10 +178,12 @@ struct CycleFinder {
           Visit(next);
         } else if (c == 1) {
           // Back edge: the cycle is the stack suffix from `next`.
-          auto at = std::find(stack.begin(), stack.end(), next);
-          std::vector<std::string> cycle(at, stack.end());
-          std::string key = CanonicalCycleKey(cycle);
-          if (seen_keys.insert(key).second) cycles.push_back(cycle);
+          std::vector<std::string> cycle(
+              std::find(stack.begin(), stack.end(), next), stack.end());
+          std::rotate(cycle.begin(),
+                      std::min_element(cycle.begin(), cycle.end()),
+                      cycle.end());
+          cycles.insert(std::move(cycle));
         }
       }
     }
@@ -216,78 +200,37 @@ struct CycleFinder {
 
 }  // namespace
 
-bool ParseLayerConfig(std::string_view text, LayerConfig* out,
-                      std::string* error) {
-  out->rank.clear();
-  int rank = 0;
-  size_t pos = 0;
-  int lineno = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++lineno;
-    // Trim and drop comments.
-    size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    while (!line.empty() && (line.front() == ' ' || line.front() == '\t')) {
-      line.remove_prefix(1);
-    }
-    while (!line.empty() && (line.back() == ' ' || line.back() == '\r' ||
-                             line.back() == '\t')) {
-      line.remove_suffix(1);
-    }
-    if (line.empty()) {
-      if (eol == text.size()) break;
-      continue;
-    }
-    if (line.rfind("layer", 0) != 0) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) +
-                 ": expected `layer <module>...`";
-      }
-      return false;
-    }
-    line.remove_prefix(5);
-    bool any = false;
-    std::string module;
-    auto flush = [&] {
-      if (module.empty()) return true;
-      if (out->rank.count(module) > 0) {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(lineno) + ": module '" + module +
-                   "' listed twice";
-        }
-        return false;
-      }
-      out->rank[module] = rank;
-      module.clear();
-      any = true;
-      return true;
+const LayerConfig& ProjectLayers() {
+  // Ascending: each row is one rank (bottom first); modules on one row share
+  // it and may include each other. Rendered in DESIGN.md "Static analysis &
+  // invariants".
+  static const LayerConfig kLayers = [] {
+    const std::vector<std::vector<std::string>> rows = {
+        {"util"},
+        {"ilp", "ml", "obs", "text"},
+        {"memo"},
+        {"nlp"},
+        {"kb", "parser"},
+        {"clausie"},
+        {"corpus", "graph"},
+        {"deepdive", "retrieval", "synth"},
+        {"densify"},
+        {"canon"},
+        {"eval", "openie"},
+        {"core"},
+        {"qa"},
+        {"store"},
+        {"service"},
     };
-    for (char c : line) {
-      if (c == ' ' || c == '\t') {
-        if (!flush()) return false;
-      } else {
-        module += c;
+    LayerConfig layers;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (const std::string& module : rows[r]) {
+        layers.rank[module] = static_cast<int>(r);
       }
     }
-    if (!flush()) return false;
-    if (!any) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": empty layer line";
-      }
-      return false;
-    }
-    ++rank;
-    if (eol == text.size()) break;
-  }
-  if (out->rank.empty()) {
-    if (error != nullptr) *error = "no layers declared";
-    return false;
-  }
-  return true;
+    return layers;
+  }();
+  return kLayers;
 }
 
 std::vector<Diagnostic> CheckLayering(const ProjectIndex& index,
@@ -302,8 +245,9 @@ std::vector<Diagnostic> CheckLayering(const ProjectIndex& index,
       if (unknown_reported.insert(file.module).second) {
         Report(index, Rule::kL1, file.path, 1, "module-" + file.module,
                "module '" + file.module + "' is not declared in the layer "
-               "config (tools/lint_layers.txt); fix-it: add it to the layer "
-               "it belongs to so its dependencies are checked",
+               "DAG (ProjectLayers() in tools/lint/wholeprogram.cc); fix-it: "
+               "add it to the layer it belongs to so its dependencies are "
+               "checked",
                &out);
       }
       continue;
@@ -323,8 +267,8 @@ std::vector<Diagnostic> CheckLayering(const ProjectIndex& index,
                std::to_string(from_it->second) + ") must not depend on '" +
                to_module + "' (layer " + std::to_string(to_it->second) +
                "); fix-it: move the shared piece down a layer, invert the "
-               "dependency (callback/provider), or update "
-               "tools/lint_layers.txt if the DAG genuinely changed",
+               "dependency (callback/provider), or update ProjectLayers() "
+               "in tools/lint/wholeprogram.cc if the DAG genuinely changed",
                &out);
       }
     }
@@ -346,14 +290,9 @@ std::vector<Diagnostic> CheckIncludeCycles(const ProjectIndex& index) {
   CycleFinder finder{adj};
   finder.Run();
   for (const std::vector<std::string>& cycle : finder.cycles) {
-    std::vector<std::string> canon = cycle;
-    std::string key = CanonicalCycleKey(canon);
-    size_t best = 0;
-    for (size_t i = 1; i < canon.size(); ++i) {
-      if (canon[i] < canon[best]) best = i;
-    }
-    const std::string& head = canon[best];
-    const std::string& next = canon[(best + 1) % canon.size()];
+    const std::string key = CycleKey(cycle);
+    const std::string& head = cycle[0];
+    const std::string& next = cycle[1 % cycle.size()];
     int line = edge_line[head].count(next) > 0 ? edge_line[head][next] : 1;
     Report(index, Rule::kL1, head, line, key,
            "include cycle: " + key + "; fix-it: break the cycle with a "
@@ -457,16 +396,9 @@ std::vector<Diagnostic> CheckLockOrder(const ProjectIndex& index) {
   CycleFinder finder{adj};
   finder.Run();
   for (const std::vector<std::string>& cycle : finder.cycles) {
-    std::string key = CanonicalCycleKey(cycle);
-    // Anchor the diagnostic at the first edge of the canonical rotation.
-    std::vector<std::string> canon = cycle;
-    size_t best = 0;
-    for (size_t i = 1; i < canon.size(); ++i) {
-      if (canon[i] < canon[best]) best = i;
-    }
-    const std::string& head = canon[best];
-    const std::string& next = canon[(best + 1) % canon.size()];
-    EdgeSite site = edges[head][next];
+    const std::string key = CycleKey(cycle);
+    // Anchor the diagnostic at the cycle's first edge.
+    EdgeSite site = edges[cycle[0]][cycle[1 % cycle.size()]];
     Report(index, Rule::kC3, site.file, site.line, key,
            "inferred lock-order cycle (potential deadlock): " + key +
                "; fix-it: impose a single acquisition order across these "
@@ -502,7 +434,7 @@ std::vector<Diagnostic> CheckHotPathAlloc(
   for (size_t at = 0; at < queue.size(); ++at) {
     const IndexedFunction& fn = index.functions[queue[at]];
     for (const CallSite& call : fn.calls) {
-      if (index.IsAllowed(fn.file, call.line, "A1")) continue;
+      if (index.IsAllowed(fn.file, call.line, Rule::kA1)) continue;
       for (size_t callee : ResolveCall(index, fn, call, nullptr)) {
         if (reached[callee] == 0) {
           reached[callee] = 1;
@@ -532,14 +464,13 @@ std::vector<Diagnostic> CheckHotPathAlloc(
   return out;
 }
 
-std::vector<Diagnostic> RunWholeProgram(const ProjectIndex& index,
-                                        const LayerConfig& layers) {
+std::vector<Diagnostic> RunWholeProgram(const ProjectIndex& index) {
   std::vector<Diagnostic> out;
   auto append = [&out](std::vector<Diagnostic> d) {
     out.insert(out.end(), std::make_move_iterator(d.begin()),
                std::make_move_iterator(d.end()));
   };
-  append(CheckLayering(index, layers));
+  append(CheckLayering(index, ProjectLayers()));
   append(CheckIncludeCycles(index));
   append(CheckLockOrder(index));
   append(CheckHotPathAlloc(index, DefaultHotPathRoots()));

@@ -1,11 +1,11 @@
 // Phase 2 of the whole-program analyzer: cross-file rules over a
 // ProjectIndex (lint/index.h).
 //
-//   L1  include-graph layering. tools/lint_layers.txt declares the module
-//       DAG as ascending `layer` lines (modules on one line share a rank
-//       and may include each other); a src/ module may only include same-
-//       or-lower-rank src/ modules. Back-edges, unknown modules, and
-//       file-level include cycles are findings.
+//   L1  include-graph layering. ProjectLayers() holds the module DAG as
+//       ascending ranks (modules sharing a rank may include each other); a
+//       src/ module may only include same- or lower-rank src/ modules.
+//       Back-edges, unknown modules, and file-level include cycles are
+//       findings.
 //   C3  lock order, the project's one lock-order analysis. The acquired-
 //       while-held graph is built from actual lock sites — intra-function
 //       scope tracking plus cross-function propagation through
@@ -23,7 +23,6 @@
 
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lint/index.h"
@@ -31,15 +30,13 @@
 
 namespace qkbfly::lint {
 
-/// Module -> rank (0 = bottom). Parsed from ascending `layer` lines.
+/// Module -> rank (0 = bottom).
 struct LayerConfig {
   std::map<std::string, int> rank;
 };
 
-/// Parses `layer <module> [<module>...]` lines ('#' comments, blank lines
-/// ignored). Returns false and fills `error` on malformed input.
-bool ParseLayerConfig(std::string_view text, LayerConfig* out,
-                      std::string* error);
+/// The project's module DAG, util (rank 0) up to service (rank 14).
+const LayerConfig& ProjectLayers();
 
 /// L1 back-edges and unknown src/ modules against the declared DAG.
 std::vector<Diagnostic> CheckLayering(const ProjectIndex& index,
@@ -58,9 +55,9 @@ std::vector<Diagnostic> CheckHotPathAlloc(const ProjectIndex& index,
 /// Default A1 roots: the densify hot path.
 const std::vector<std::string>& DefaultHotPathRoots();
 
-/// All phase-2 rules, sorted by (file, line) with allow() markers applied.
-std::vector<Diagnostic> RunWholeProgram(const ProjectIndex& index,
-                                        const LayerConfig& layers);
+/// All phase-2 rules (L1 against ProjectLayers()), sorted by (file, line)
+/// with allow() markers applied.
+std::vector<Diagnostic> RunWholeProgram(const ProjectIndex& index);
 
 }  // namespace qkbfly::lint
 
